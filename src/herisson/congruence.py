@@ -160,10 +160,6 @@ class PolygonLabeling:
     index2: int
 
     @property
-    def index(self) -> int:
-        return self.index1
-
-    @property
     def all_zero(self) -> bool:
         return not (any(self.labels1) or any(self.labels2))
 
@@ -323,8 +319,8 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
         labeling = label_parallel_faces(polys1[j], polys2[j])
         if not labeling.all_zero:
             return CongruenceVerdict(
-                CongruenceStatus.DISTINCT, face=j, index=labeling.index,
-                detail=f"face {j} pair has index {labeling.index}",
+                CongruenceStatus.DISTINCT, face=j, index=labeling.index1,
+                detail=f"face {j} pair has index {labeling.index1}",
             )
 
     # Superpose face 0 and walk the adjacency; under all-zero labels every

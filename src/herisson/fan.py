@@ -105,8 +105,32 @@ class Fan:
         """face -> (cells around it, neighbor faces per boundary edge)."""
         return _node_chains(self.cells)
 
-    def face_degree(self, j: int) -> int:
-        return len(self.face_rings[j][0])
+    @cached_property
+    def ring_index(self) -> RingIndex:
+        for ci, cell in enumerate(self.cells):
+            if len(cell) < 3:   # malformed input (ValueError), as for a bad support vector
+                raise ValueError(f"cell {ci} has fewer than 3 faces")
+        first3 = np.array([cell[:3] for cell in self.cells], dtype=np.intp)
+        extra = [(ci, f) for ci, cell in enumerate(self.cells) for f in cell[3:]]
+        extra = np.array(extra, dtype=np.intp).reshape(-1, 2)
+        rings = [self.face_rings[j] for j in range(self.m)]
+        sizes = [len(ring) for ring, _ in rings]
+        owner = np.repeat(np.arange(self.m), sizes)
+        cell = np.concatenate([ring for ring, _ in rings])
+        succ = np.concatenate([np.roll(ring, -1) for ring, _ in rings])
+        pred = np.concatenate([np.roll(ring, 1) for ring, _ in rings])
+        start = np.cumsum(sizes) - sizes
+        neighbor = np.concatenate([neighbors for _, neighbors in rings])
+        keys = np.sort(np.column_stack([owner, neighbor]), axis=1)
+        # np.unique sorts stably when asked for indices: the first position wins
+        arcs, arc_pos = np.unique(keys, axis=0, return_index=True)
+        return RingIndex(first3, extra[:, 0], extra[:, 1], owner, cell, succ, pred, start, arcs, arc_pos)
+
+    @cached_property
+    def block_inverses(self) -> np.ndarray:
+        """(V, 3, 3) inverses of the cells' first-three-face normal blocks, read
+        only after a realization ruled out singular ones (np.linalg.inv raises)."""
+        return np.linalg.inv(self.equipment[self.ring_index.first3])
 
     def __eq__(self, other):
         if not isinstance(other, Fan):
@@ -115,6 +139,29 @@ class Fan:
 
     def __hash__(self):
         return hash((self.cells, self.equipment.tobytes()))
+
+
+@dataclass(frozen=True, eq=False)
+class RingIndex:
+    """Flat arrays over the cells and face rings of a fan.
+
+    The face rings are concatenated face by face; ring position p is the
+    corner cell[p] of face owner[p]'s polygon, and the polygon's edge at p
+    runs from cell[p] to succ[p].  Every vertex lies on the planes of the
+    first three faces of its cell; the further faces of non-simple cells
+    are the extra (cell, face) pairs, in cell order.
+    """
+
+    first3: np.ndarray       # (V, 3) first three faces of each cell
+    extra_cell: np.ndarray   # (X,) cell of each (cell, face) pair beyond the first three
+    extra_face: np.ndarray   # (X,) face of that pair
+    owner: np.ndarray        # (R,) face whose ring holds the position
+    cell: np.ndarray         # (R,) cell at the position
+    succ: np.ndarray         # (R,) cell at the next position of the same ring
+    pred: np.ndarray         # (R,) cell at the previous position of the same ring
+    start: np.ndarray        # (m,) first position of each face's ring
+    arcs: np.ndarray         # (E, 2) arc keys, sorted
+    arc_pos: np.ndarray      # (E,) first position whose edge is dual to the arc
 
 
 @dataclass
@@ -251,8 +298,10 @@ def validate(fan: Fan) -> ValidationReport:
         if not convex:
             report.add("non-convex cell", f"cell {ci} is not a CCW convex spherical polygon")
             continue
-        centroid = pts.sum(axis=0)
-        if np.linalg.norm(centroid) < 1e-12 or np.min(pts @ _unit(centroid)) <= HEMISPHERE_TOL:
+        # p_k . (vector area) sums the convexity determinants at p_k, so for a
+        # convex cell it is positive exactly when the cell is in an open hemisphere
+        area = np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
+        if np.linalg.norm(area) < 1e-12 or np.min(pts @ _unit(area)) <= HEMISPHERE_TOL:
             report.add("non-convex cell", f"cell {ci} is not inside an open hemisphere")
 
     # Pairwise arc crossings (touching at shared endpoints is allowed).
@@ -293,30 +342,6 @@ class DualComplex:
 
     def degree(self, node: int) -> int:
         return len(self.rotation[node])
-
-    def dual(self) -> "DualComplex":
-        """Combinatorial dual: swap the roles of nodes and 2-cells."""
-        chains = _node_chains(self.cells)
-        new_cells = tuple(chains[node][0] for node in self.nodes)
-        new_nodes = tuple(range(len(self.cells)))
-        new_edges = set()
-        rotation: dict[int, list[int]] = {ci: [] for ci in new_nodes}
-        partner: dict[tuple[int, int], list[int]] = {}
-        for ci, cell in enumerate(self.cells):
-            for a, b in _cyclic_pairs(cell):
-                partner.setdefault(arc_key(a, b), []).append(ci)
-        for ci, cell in enumerate(self.cells):
-            for a, b in _cyclic_pairs(cell):
-                pair = partner[arc_key(a, b)]
-                other = pair[0] if pair[1] == ci else pair[1]
-                rotation[ci].append(other)
-                new_edges.add(arc_key(ci, other))
-        return DualComplex(
-            nodes=new_nodes,
-            edges=tuple(sorted(new_edges)),
-            cells=new_cells,
-            rotation={k: tuple(v) for k, v in rotation.items()},
-        )
 
 
 def dual_complex(fan: Fan) -> DualComplex:

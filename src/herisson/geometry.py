@@ -21,7 +21,7 @@ from .errors import (
     InconsistentVertex,
     SingularVertex,
 )
-from .fan import Fan, arc_key
+from .fan import Fan
 
 VERTEX_DET_TOL = 1e-12
 CONSISTENCY_TOL = 1e-8     # relative to scale, cells with more than 3 faces
@@ -63,7 +63,12 @@ class Realization:
     min_edge: float
     consistency: float                 # max |extra-plane residual|, 0.0 if all simple
     consistency_where: tuple[int, int] | None   # (cell, face) of the worst residual
-    edge_lengths: dict[tuple[int, int], float]
+
+
+def _ring_edge_lengths(fan: Fan, vertices: np.ndarray) -> np.ndarray:
+    """Length of the polygon edge at every position of the fan's face rings."""
+    idx = fan.ring_index
+    return np.linalg.norm(vertices[idx.succ] - vertices[idx.cell], axis=1)
 
 
 def _realize(fan: Fan, h) -> Realization:
@@ -72,46 +77,62 @@ def _realize(fan: Fan, h) -> Realization:
     if h.shape != (fan.m,):
         raise ValueError(f"support vector has length {h.shape}, fan has m={fan.m}")
 
-    vertices = np.empty((len(fan.cells), 3))
-    worst = 0.0
+    idx = fan.ring_index
+    blocks = eq[idx.first3]
+    singular = np.nonzero(np.abs(np.linalg.det(blocks)) < VERTEX_DET_TOL)[0]
+    if singular.size:
+        ci = int(singular[0])
+        raise SingularVertex(f"cell {ci}: faces {fan.cells[ci][:3]} have coplanar normals")
+    vertices = np.linalg.solve(blocks, h[idx.first3][..., None])[..., 0]
+
+    planes = np.einsum("ij,ij->i", eq[idx.extra_face], vertices[idx.extra_cell])
+    residuals = np.abs(planes - h[idx.extra_face])
+    worst = float(np.max(residuals, initial=0.0))
     worst_where = None
-    for ci, cell in enumerate(fan.cells):
-        first = list(cell[:3])
-        mat = eq[first]
-        if abs(float(np.linalg.det(mat))) < VERTEX_DET_TOL:
-            raise SingularVertex(f"cell {ci}: faces {tuple(first)} have coplanar normals")
-        v = np.linalg.solve(mat, h[first])
-        vertices[ci] = v
-        for f in cell[3:]:
-            res = abs(float(eq[f] @ v - h[f]))
-            if res > worst:
-                worst = res
-                worst_where = (ci, f)
+    if worst > 0.0:
+        k = int(np.argmax(residuals))      # first (cell, face) holding the maximum
+        worst_where = (int(idx.extra_cell[k]), int(idx.extra_face[k]))
 
-    areas = np.empty(fan.m)
-    perimeters = np.empty(fan.m)
-    min_edge = np.inf
-    edge_lengths: dict[tuple[int, int], float] = {}
-    for j in range(fan.m):
-        ring, neighbors = fan.face_rings[j]
-        pts = vertices[list(ring)]
-        nxt = np.roll(pts, -1, axis=0)
-        areas[j] = 0.5 * float(np.einsum("ij,ij->", np.cross(pts, nxt), np.broadcast_to(eq[j], pts.shape)))
-        lens = np.linalg.norm(nxt - pts, axis=1)
-        perimeters[j] = float(lens.sum())
-        min_edge = min(min_edge, float(lens.min()))
-        for i, k in enumerate(neighbors):
-            edge_lengths.setdefault(arc_key(j, k), float(lens[i]))
-
+    # signed shoelace: twice the area is sum over edges of (p x q) . n
+    crosses = np.cross(vertices[idx.cell], vertices[idx.succ])
+    twice_areas = np.einsum("ij,ij->i", crosses, eq[idx.owner])
+    lens = _ring_edge_lengths(fan, vertices)
     return Realization(
         vertices=vertices,
-        areas=areas,
-        perimeters=perimeters,
-        min_edge=float(min_edge),
+        areas=0.5 * np.add.reduceat(twice_areas, idx.start),
+        perimeters=np.add.reduceat(lens, idx.start),
+        min_edge=float(lens.min()),
         consistency=worst,
         consistency_where=worst_where,
-        edge_lengths=edge_lengths,
     )
+
+
+def _consistency_matrix(fan: Fan) -> np.ndarray:
+    """Linear rows K with K h = extra-plane residuals of non-simple cells."""
+    idx = fan.ring_index
+    rows = np.arange(len(idx.extra_face))
+    cons = np.zeros((len(rows), fan.m))
+    coeffs = np.einsum("ik,ikl->il", fan.equipment[idx.extra_face], fan.block_inverses[idx.extra_cell])
+    cons[rows[:, None], idx.first3[idx.extra_cell]] = coeffs
+    cons[rows, idx.extra_face] -= 1.0
+    return cons
+
+
+def _area_jacobian(fan: Fan, vertices: np.ndarray) -> np.ndarray:
+    """Exact gradient of the area map under the first-three-planes model.
+
+    On fans whose cells are all simple this reduces to the classical form:
+    the off-diagonal entry (i, k) for adjacent faces equals the signed
+    shared-edge length divided by sin of the angle between n_i and n_k, and
+    the diagonal is the matching planar-polygon derivative.
+    """
+    idx = fan.ring_index
+    n = fan.equipment[idx.owner]
+    grads = 0.5 * (np.cross(vertices[idx.succ], n) + np.cross(n, vertices[idx.pred]))
+    rows = np.einsum("ik,ikl->il", grads, fan.block_inverses[idx.cell])
+    jac = np.zeros((fan.m, fan.m))
+    np.add.at(jac, (idx.owner[:, None], idx.first3[idx.cell]), rows)
+    return jac
 
 
 @dataclass(frozen=True)
@@ -148,15 +169,9 @@ class Herisson:
 
     def edge_lengths(self) -> dict[tuple[int, int], float]:
         """Length of the shared edge dual to each arc."""
-        out: dict[tuple[int, int], float] = {}
-        for j in range(self.m):
-            ring, neighbors = self.fan.face_rings[j]
-            pts = self.vertices[list(ring)]
-            nxt = np.roll(pts, -1, axis=0)
-            lens = np.linalg.norm(nxt - pts, axis=1)
-            for i, k in enumerate(neighbors):
-                out.setdefault(arc_key(j, k), float(lens[i]))
-        return out
+        idx = self.fan.ring_index
+        lens = _ring_edge_lengths(self.fan, self.vertices)[idx.arc_pos]
+        return {(int(a), int(b)): float(x) for (a, b), x in zip(idx.arcs, lens)}
 
     def translated(self, c) -> "Herisson":
         """The same surface moved by c (support numbers shift by (c, n_j))."""

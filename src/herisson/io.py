@@ -30,13 +30,12 @@ def fan_from_dict(data: dict) -> Fan:
     return Fan(equipment=equipment, cells=cells)
 
 
-def herisson_to_dict(h: Herisson, realized: bool = True) -> dict:
+def herisson_to_dict(h: Herisson) -> dict:
     out = fan_to_dict(h.fan)
     out["h"] = [float(x) for x in h.h]
-    if realized:
-        out["vertices"] = [[float(x) for x in v] for v in h.vertices]
-        out["faces"] = [list(h.face_cycle(j)) for j in range(h.m)]
-        out["signs"] = [int(s) for s in h.signs]
+    out["vertices"] = [[float(x) for x in v] for v in h.vertices]
+    out["faces"] = [list(h.face_cycle(j)) for j in range(h.m)]
+    out["signs"] = [int(s) for s in h.signs]
     return out
 
 

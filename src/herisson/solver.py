@@ -28,6 +28,8 @@ from .geometry import (
     AREA_TOL,
     EDGE_TOL,
     Realization,
+    _area_jacobian,
+    _consistency_matrix,
     _realize,
     gauge_fix,
     perimeter_bound,
@@ -94,50 +96,6 @@ def area_map(fan: Fan, h) -> np.ndarray:
     return reconstruct(fan, h).oriented_areas
 
 
-def _consistency_matrix(fan: Fan) -> np.ndarray:
-    """Linear rows K with K h = extra-plane residuals of non-simple cells."""
-    rows = []
-    eq = fan.equipment
-    for cell in fan.cells:
-        if len(cell) <= 3:
-            continue
-        first = list(cell[:3])
-        inv = np.linalg.inv(eq[first])
-        for f in cell[3:]:
-            row = np.zeros(fan.m)
-            row[first] += eq[f] @ inv
-            row[f] -= 1.0
-            rows.append(row)
-    return np.array(rows) if rows else np.zeros((0, fan.m))
-
-
-def _area_jacobian(fan: Fan, vertices: np.ndarray) -> np.ndarray:
-    """Exact gradient of the area map under the first-three-planes model.
-
-    On fans whose cells are all simple this reduces to the classical form:
-    the off-diagonal entry (i, k) for adjacent faces equals the signed
-    shared-edge length divided by sin of the angle between n_i and n_k, and
-    the diagonal is the matching planar-polygon derivative.
-    """
-    eq = fan.equipment
-    m = fan.m
-    inv_by_cell = {}
-    for ci, cell in enumerate(fan.cells):
-        first = list(cell[:3])
-        inv_by_cell[ci] = (first, np.linalg.inv(eq[first]))
-    jac = np.zeros((m, m))
-    for j in range(m):
-        ring, _neighbors = fan.face_rings[j]
-        pts = vertices[list(ring)]
-        r = len(ring)
-        n = eq[j]
-        grads = 0.5 * (np.cross(np.roll(pts, -1, axis=0), n) + np.cross(n, np.roll(pts, 1, axis=0)))
-        for i in range(r):
-            first, inv = inv_by_cell[ring[i]]
-            jac[j, first] += grads[i] @ inv
-    return jac
-
-
 def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float, base_signs=None) -> np.ndarray:
     """Central differences of the area map, probed with the lenient model.
 
@@ -163,6 +121,11 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float, base_signs=None) -> 
     return np.column_stack(cols)
 
 
+def _check_jacobian_mode(mode: str) -> None:
+    if mode not in ("analytic", "fd"):
+        raise ValueError(f"unknown jacobian mode {mode!r}")
+
+
 def jacobian(fan: Fan, h, mode: str = "analytic", fd_step: float | None = None) -> np.ndarray:
     """Jacobian d(area)/d(support), either analytic or finite-difference.
 
@@ -170,14 +133,13 @@ def jacobian(fan: Fan, h, mode: str = "analytic", fd_step: float | None = None) 
     mode runs central differences with step fd_step*scale (default 1e-6).
     Both annihilate translations and satisfy J h = 2 phi(h).
     """
+    _check_jacobian_mode(mode)
     h = np.asarray(h, dtype=float)
     base = reconstruct(fan, h)
     if mode == "analytic":
         return _area_jacobian(fan, base.vertices)
-    if mode in ("fd", "finite-difference"):
-        step = (fd_step if fd_step is not None else 1e-6) * support_scale(h)
-        return _fd_area_jacobian(fan, h, step, base_signs=base.signs)
-    raise ValueError(f"unknown jacobian mode {mode!r}")
+    step = (fd_step if fd_step is not None else 1e-6) * support_scale(h)
+    return _fd_area_jacobian(fan, h, step, base_signs=base.signs)
 
 
 def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -> ValidationReport:
@@ -245,6 +207,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     parameter reached and a per-step trace.
     """
     opts = opts or SolveOptions()
+    _check_jacobian_mode(opts.jacobian_mode)
     g = np.asarray(g, dtype=float)
     seed = reconstruct(fan, np.asarray(h0, dtype=float))
     f0 = seed.oriented_areas
@@ -258,7 +221,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     bound_factor = opts.divergence_bound_factor
     h = gauge_fix(fan, np.asarray(h0, dtype=float))
     href = max(float(np.linalg.norm(h)), 1e-12)
-    use_fd = opts.jacobian_mode in ("fd", "finite-difference")
+    use_fd = opts.jacobian_mode == "fd"
 
     def checkpoint(x: np.ndarray, real: Realization, g_t: np.ndarray) -> None:
         scale = support_scale(x)

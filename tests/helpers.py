@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from herisson.builders import _ccw_cell
-from herisson.fan import Fan, validate
+from herisson.fan import Fan
 from herisson.geometry import face_frame
 
 
@@ -161,10 +161,11 @@ def random_simple_fan(rng, nplanes=8, min_sep=0.5):
             cells.append(tuple(incident))
         if not ok or sorted({f for c in cells for f in c}) != list(range(nplanes)):
             continue
+        # bounded exactly when the origin is strictly inside the normals' hull
+        if np.any(ConvexHull(normals).equations[:, 3] >= 0.0):
+            continue
         cells = tuple(_ccw_cell(normals, c) for c in cells)
-        fan = Fan(equipment=normals, cells=cells)
-        if validate(fan).ok:
-            return fan, offsets
+        return Fan(equipment=normals, cells=cells), offsets
 
 
 def random_hull_fan(rng, npoints=10, min_sep=0.4, with_supports=False):
@@ -198,6 +199,4 @@ def random_hull_fan(rng, npoints=10, min_sep=0.4, with_supports=False):
         except Exception:
             continue
         fan = Fan(equipment=normals, cells=cells)
-        if not validate(fan).ok:
-            continue
         return (fan, offsets) if with_supports else fan

@@ -96,7 +96,7 @@ class TestLabelParallelFaces:
         tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.4, 1.3]])
         lab = label_parallel_faces(tri, tri + np.array([5.0, 7.0]))
         assert lab.all_zero
-        assert lab.index == 0
+        assert lab.index1 == 0
 
     def test_swapped_rectangles(self):
         r13 = np.array([[0, 0], [1, 0], [1, 3], [0, 3]], dtype=float)

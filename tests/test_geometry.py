@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from helpers import halfspace_vertices, match_point_sets, random_hull_fan, shoelace_area
 from herisson import builders
-from herisson.errors import DegenerateFace, FanMismatch, SingularVertex
+from herisson.errors import DegenerateFace, FanMismatch, InconsistentVertex, SingularVertex
 from herisson.fan import Fan
 from herisson.geometry import (
+    _consistency_matrix,
     balance_residual,
     gauge_fix,
     minkowski_sum,
@@ -64,6 +65,23 @@ class TestReconstruct:
         fan = Fan(equipment=eq, cells=((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)))
         with pytest.raises(SingularVertex):
             reconstruct(fan, np.ones(4))
+
+    def test_inconsistent_vertex_names_cell_and_face(self, bowtie):
+        # the bowtie's waist cells have four faces; move the fourth plane
+        ci = next(i for i, cell in enumerate(bowtie.fan.cells) if len(cell) == 4)
+        f = bowtie.fan.cells[ci][3]
+        h = np.array(bowtie.h)
+        h[f] += 0.1
+        with pytest.raises(InconsistentVertex, match=f"^cell {ci}: plane of face {f} misses"):
+            reconstruct(bowtie.fan, h)
+
+    @pytest.mark.parametrize("fixture", ["bowtie", "waisted", "tiling"])
+    def test_consistency_rows_vanish_on_realized_supports(self, fixture, request):
+        body = request.getfixturevalue(fixture)
+        cons = _consistency_matrix(body.fan)
+        extra = sum(len(cell) - 3 for cell in body.fan.cells)
+        assert cons.shape == (extra, body.m)
+        assert np.max(np.abs(cons @ body.h), initial=0.0) <= 1e-12 * support_scale(body.h)
 
     def test_degenerate_face(self, cube):
         h = np.array(cube.h)

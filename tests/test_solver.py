@@ -42,7 +42,7 @@ class TestAreaMap:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("fixture", ["cube", "bowtie"])
+    @pytest.mark.parametrize("fixture", ["cube", "bowtie", "tiling"])
     def test_analytic_matches_fd(self, fixture, request):
         body = request.getfixturevalue(fixture)
         ja = jacobian(body.fan, body.h, mode="analytic")
@@ -189,6 +189,14 @@ class TestSolve:
         out = solve_minkowski(waisted.fan, waisted.h, WAIST_TARGET, FREE)
         assert out.status in (SolveStatus.DIVERGED, SolveStatus.DEGENERATED)
         assert out.t_reached < 1.0
+
+    @pytest.mark.parametrize("mode", ["FD", "finite-difference"])
+    def test_unknown_jacobian_mode_rejected(self, cube, mode):
+        with pytest.raises(ValueError, match="unknown jacobian mode"):
+            jacobian(cube.fan, cube.h, mode=mode)
+        opts = SolveOptions(allow_non_general_position=True, jacobian_mode=mode)
+        with pytest.raises(ValueError, match="unknown jacobian mode"):
+            solve_minkowski(cube.fan, cube.h, np.full(6, 9.0), opts)
 
     def test_fd_mode_solves_too(self, cube):
         opts = SolveOptions(allow_non_general_position=True, jacobian_mode="fd")
