@@ -15,7 +15,7 @@ import numpy as np
 
 from . import builders, io
 from .congruence import CongruenceStatus, congruent_and_parallel
-from .errors import HerissonError, NotSameClass
+from .errors import HerissonError, MalformedFan, NotSameClass
 from .fan import validate
 from .geometry import balance_residual, minkowski_sum
 from .solver import SolveOptions, solve_minkowski
@@ -164,9 +164,12 @@ def _cmd_export(args) -> int:
             fh.write(io.export_obj(herisson))
         _emit(args, {"written": args.obj}, f"wrote {args.obj}")
     if args.svg:
-        fan = io.fan_from_dict(data)
+        try:
+            svg = io.export_svg(io.fan_from_dict(data))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise _InputError(f"{args.input}: {exc}") from exc
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(io.export_svg(fan))
+            fh.write(svg)
         _emit(args, {"written": args.svg}, f"wrote {args.svg}")
     if not (args.obj or args.svg):
         raise _InputError("export: pass --obj and/or --svg")
@@ -228,7 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, MalformedFan) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HerissonError as exc:

@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NotComparable, NotSameClass
 from .fan import DualComplex, arc_key
@@ -116,6 +115,8 @@ def can_translate_inside(p, q) -> bool:
     of q, solved as a max-slack linear program; congruent translates are
     excluded because a copy of q placed inside q must coincide with it.
     """
+    from scipy.optimize import linprog   # deferred: importing it costs most of `import herisson`
+
     p = _polygon_ccw(p)
     q = _polygon_ccw(q)
     scale = _poly_scale(p, q)

@@ -9,7 +9,6 @@ partition) and the rotation system around each face are derived data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,6 +22,8 @@ CONVEXITY_TOL = 1e-10
 TOUCH_TOL = 1e-10          # radians: arc contacts closer than this count as endpoints
 HEMISPHERE_TOL = 1e-9
 GENERAL_POSITION_TOL = 1e-10
+COVER_TOL = 1e-6           # radians: slack of the excess sum around 4*pi (the next degree is 8*pi)
+SWEEP_SLACK = 8.0          # widens the angular windows of the general-position sweep for rounding
 
 
 def arc_key(a: int, b: int) -> tuple[int, int]:
@@ -228,12 +229,32 @@ def _arcs_cross(p, q, a, b) -> bool:
     return False
 
 
+def _excess_sum(eq: np.ndarray, cells) -> float:
+    """Sum of the cells' signed spherical excesses over a fan triangulation
+    of each cell, in the Van Oosterom-Strackee form for unit vectors."""
+    tris = np.array([(c[0], c[t], c[t + 1]) for c in cells for t in range(1, len(c) - 1)])
+    a, b, c = eq[tris[:, 0]], eq[tris[:, 1]], eq[tris[:, 2]]
+    det = np.einsum("ij,ij->i", a, np.cross(b, c))
+    den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) + np.einsum("ij,ij->i", c, a)
+    return float(2.0 * np.arctan2(det, den).sum())
+
+
 def validate(fan: Fan) -> ValidationReport:
     """Check every partition rule on raw input; problems go into the report.
 
     Codes emitted: "non-unit vector", "antipodal adjacent pair",
     "crossing arcs", "non-convex cell", "Euler failure", "low face degree",
     "broken partition".  Deterministic and idempotent.
+
+    Crossings are ruled out by a degree-one certificate when every other
+    rule holds.  The cells then close up into a surface with V-E+F = 2 whose
+    cells all map positively onto the sphere, so its degree is the sum of
+    their spherical excesses over 4*pi, and every point off the arcs has
+    exactly that many preimages.  A sum within COVER_TOL of 4*pi (degree
+    one) leaves no room for an overlap, hence none for a crossing; a pinched
+    face or a second sheet takes the sum to 8*pi or more.  Only when the
+    certificate fails, or an earlier rule did, does the pairwise arc scan
+    run: it names the crossing arcs.
     """
     report = ValidationReport()
     eq = fan.equipment
@@ -304,6 +325,9 @@ def validate(fan: Fan) -> ValidationReport:
         if np.linalg.norm(area) < 1e-12 or np.min(pts @ _unit(area)) <= HEMISPHERE_TOL:
             report.add("non-convex cell", f"cell {ci} is not inside an open hemisphere")
 
+    if report.ok and abs(_excess_sum(eq, fan.cells) - 4.0 * np.pi) <= COVER_TOL:
+        return report
+
     # Pairwise arc crossings (touching at shared endpoints is allowed).
     for idx, (a, b) in enumerate(arcs):
         for c, d in arcs[idx + 1:]:
@@ -317,13 +341,57 @@ def validate(fan: Fan) -> ValidationReport:
     return report
 
 
+def _window_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (p, p + 1), ..., (p, p + counts[p]) for every position p."""
+    first = np.repeat(np.arange(len(counts)), counts)
+    return first, first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def is_general_position(fan: Fan) -> bool:
-    """True iff no three equipment vectors are coplanar."""
+    """True iff no three equipment vectors are coplanar: every triple i < j < k
+    has |det(n_i, n_j, n_k)| > GENERAL_POSITION_TOL.
+
+    A sweep per face i in O(m log m) time and O(m) memory, plus the triples
+    it cannot rule out, finds the triples that can fail.  With
+    c_j = n_i x n_j and phi_j its direction modulo pi in the plane normal to
+    n_i, |det| |n_i| = |c_j| |c_k| |sin(phi_k - phi_j)| exactly, unit
+    vectors or not.  So a pair (j, k) can fail only when its
+    angle gap is within arcsin(tol |n_i| / (|c_j| |c_k|)) of 0 modulo pi,
+    where tol adds a bound on the rounding of a 3x3 determinant to
+    GENERAL_POSITION_TOL; the windows taken are SWEEP_SLACK times that wide
+    (with min |c| in place of |c_k|), which also covers the rounding of the
+    cross products and angles.  The determinant of every pair in a window is
+    computed as np.linalg.det of the rows (i, j, k), and it alone decides.
+    Non-finite equipment is never in general position.
+    """
     eq = fan.equipment
-    triples = list(itertools.combinations(range(fan.m), 3))
-    mats = eq[np.array(triples)]
-    dets = np.linalg.det(mats)
-    return bool(np.all(np.abs(dets) > GENERAL_POSITION_TOL))
+    if not np.all(np.isfinite(eq)):
+        return False
+    norms = np.linalg.norm(eq, axis=1)
+    tol = GENERAL_POSITION_TOL + 64.0 * np.finfo(float).eps * float(np.max(norms, initial=0.0)) ** 3
+    for i in range(fan.m - 2):
+        cross = np.cross(eq[i], eq[i + 1:])
+        r = np.linalg.norm(cross, axis=1)
+        u = cross[np.argmax(r)]
+        # a zero n_i leaves phi and width undefined: every pair is then a candidate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = np.mod(np.arctan2(cross @ np.cross(eq[i], u) / norms[i], cross @ u), np.pi)
+            width = np.minimum(SWEEP_SLACK * tol * norms[i] / (r * r.min()), np.pi / 2)
+        phi = np.nan_to_num(phi)
+        order = np.argsort(phi)
+        phi = phi[order]
+        width = np.nan_to_num(width, nan=np.pi / 2)[order] + 1e-12
+        # forward windows over the angles and their copies shifted by pi
+        pos = np.arange(len(phi))
+        counts = np.searchsorted(np.concatenate([phi, phi + np.pi]), phi + width, side="right") - pos - 1
+        if not counts.any():
+            continue
+        first, second = _window_pairs(counts)
+        j, k = order[first], order[second % len(phi)]
+        rows = np.column_stack([np.full(len(j), i), i + 1 + np.minimum(j, k), i + 1 + np.maximum(j, k)])
+        if np.any(np.abs(np.linalg.det(eq[rows])) <= GENERAL_POSITION_TOL):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -185,6 +185,10 @@ def reconstruct(fan: Fan, h) -> Herisson:
     Raises SingularVertex for coplanar normals at a cell, InconsistentVertex
     when a fourth plane misses its vertex beyond 1e-8*scale, DegenerateFace
     when an edge or an oriented area falls under the degeneracy tolerances.
+    Supports that flip the sign of some face are accepted without comment,
+    so two herissons on one fan may lie in different orientation classes.
+    Compare their `signs` before mixing them; minkowski_sum and
+    congruent_and_parallel check the signs of their inputs only.
     """
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):

@@ -98,10 +98,13 @@ def _stereographic_pole(fan: Fan) -> np.ndarray:
     if np.linalg.norm(centroid) > 1e-6:
         return -centroid / np.linalg.norm(centroid)
     # Symmetric equipment: fall back to the antipode of the first cell's
-    # centroid, which lies inside the opposite cell and off every arc.
+    # centroid, which lies inside the opposite cell and off every arc, unless
+    # it is a face normal (the regular tetrahedron); then take the centroid
+    # itself, which lies strictly inside the first cell.
     cell = fan.cells[0]
     centroid = fan.equipment[list(cell)].sum(axis=0)
-    return -centroid / np.linalg.norm(centroid)
+    pole = -centroid / np.linalg.norm(centroid)
+    return -pole if np.any(1.0 - fan.equipment @ pole < 1e-12) else pole
 
 
 def _project(pole: np.ndarray, x: np.ndarray) -> np.ndarray:

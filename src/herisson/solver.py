@@ -17,13 +17,12 @@ outcome outside general position).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ProbeFailed, SingularVertex
-from .fan import Fan, ValidationReport, is_general_position
+from .fan import Fan, ValidationReport, _window_pairs, is_general_position
 from .geometry import (
     AREA_TOL,
     EDGE_TOL,
@@ -166,29 +165,31 @@ def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -
     return report
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, rounded as the 1-D dot product of each row pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _min_edge_line_angle(fan: Fan) -> float | None:
     """Smallest positive angle between edge lines within any face.
 
-    Edge directions depend only on the equipment (n_j x n_k), so the bound
-    is a property of the fan.  Parallel edge pairs (possible outside
-    general position) are skipped; None when no positive angle exists.
+    Edge directions depend only on the equipment (n_j x n_k over the arcs
+    at face j), so the bound is a property of the fan.  Parallel edge pairs
+    (possible outside general position) are skipped; None when no positive
+    angle exists.
     """
     eq = fan.equipment
-    best = None
-    for j in range(fan.m):
-        _ring, neighbors = fan.face_rings[j]
-        dirs = []
-        for k in set(neighbors):
-            d = np.cross(eq[j], eq[k])
-            norm = np.linalg.norm(d)
-            if norm > 1e-12:
-                dirs.append(d / norm)
-        for a, b in itertools.combinations(dirs, 2):
-            cosang = min(1.0, abs(float(a @ b)))
-            ang = float(np.arccos(cosang))
-            if ang > 1e-9:
-                best = ang if best is None else min(best, ang)
-    return best
+    arcs = fan.ring_index.arcs
+    pairs = np.concatenate([arcs, arcs[:, ::-1]])
+    face, other = pairs[np.argsort(pairs[:, 0])].T
+    dirs = np.cross(eq[face], eq[other])
+    norm = np.sqrt(_rowdot(dirs, dirs))
+    keep = norm > 1e-12
+    face, dirs = face[keep], dirs[keep] / norm[keep, None]
+    first, second = _window_pairs(np.searchsorted(face, face, side="right") - np.arange(len(face)) - 1)
+    angles = np.arccos(np.minimum(1.0, np.abs(_rowdot(dirs[first], dirs[second]))))
+    angles = angles[angles > 1e-9]
+    return float(angles.min()) if angles.size else None
 
 
 class _Abort(Exception):

@@ -200,3 +200,24 @@ def random_hull_fan(rng, npoints=10, min_sep=0.4, with_supports=False):
             continue
         fan = Fan(equipment=normals, cells=cells)
         return (fan, offsets) if with_supports else fan
+
+
+def polar_fan(rng, m):
+    """Normal fan of {x : n_j . x <= 1} for m random unit normals n_j.
+
+    The hull triangles of the normals are the cells, turned counterclockwise
+    as seen from outside; draws whose hull misses the origin are repeated.
+    Valid and simple by construction, in general position with probability 1.
+    """
+    while True:
+        normals = rng.standard_normal((m, 3))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        hull = ConvexHull(normals)
+        if len(hull.vertices) == m and np.all(hull.equations[:, 3] < 0.0):
+            break
+    cells = []
+    for a, b, c in hull.simplices:
+        if np.linalg.det(normals[[a, b, c]]) < 0.0:
+            b, c = c, b
+        cells.append((int(a), int(b), int(c)))
+    return Fan(equipment=normals, cells=tuple(cells))

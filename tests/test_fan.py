@@ -1,13 +1,17 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from helpers import random_hull_fan
+from helpers import polar_fan, random_hull_fan
 from herisson import builders
+from herisson import fan as fan_module
 from herisson.errors import MalformedFan
-from herisson.fan import Fan, dual_complex, is_general_position, validate
+from herisson.fan import GENERAL_POSITION_TOL, Fan, dual_complex, is_general_position, validate
 
 
 def _corrupt_cube_fan(antipodal=True):
@@ -16,6 +20,46 @@ def _corrupt_cube_fan(antipodal=True):
     if antipodal:
         eq[2] = -eq[0]  # faces 0 and 2 are adjacent on the cube
     return Fan(equipment=eq, cells=base.cells)
+
+
+def double_cover_pentagram():
+    """Two caps over an equator pentagram: every local rule holds, but the
+    cells cover the sphere twice and the equator arcs overlap."""
+    ring = [(np.cos(4 * np.pi * i / 5), np.sin(4 * np.pi * i / 5), 0.0) for i in range(5)]
+    eq = np.array([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)] + ring)
+    cells = [(0, 2 + i, 2 + (i + 1) % 5) for i in range(5)]
+    cells += [(1, 2 + (i + 1) % 5, 2 + i) for i in range(5)]
+    return Fan(equipment=eq, cells=tuple(cells))
+
+
+def _rotated(v, rng, max_angle):
+    """v turned about a random axis by an angle up to max_angle."""
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(0.0, max_angle)
+    return v * np.cos(angle) + np.cross(axis, v) * np.sin(angle) + axis * (axis @ v) * (1.0 - np.cos(angle))
+
+
+def perturbed_polar_fans(seed, count=8):
+    """Polar fans as drawn, with one normal turned by up to 0.5 rad and with
+    one normal flipped."""
+    rng = np.random.default_rng(seed)
+    fans = []
+    for _ in range(count):
+        fan = polar_fan(rng, int(rng.integers(6, 17)))
+        moved, flipped = np.array(fan.equipment), np.array(fan.equipment)
+        j = int(rng.integers(fan.m))
+        moved[j] = _rotated(moved[j], rng, 0.5)
+        moved[j] /= np.linalg.norm(moved[j])
+        flipped[int(rng.integers(fan.m))] *= -1.0
+        fans += [fan, Fan(equipment=moved, cells=fan.cells), Fan(equipment=flipped, cells=fan.cells)]
+    return fans
+
+
+def brute_general_position(eq):
+    """Every C(m, 3) determinant, as the definition reads."""
+    triples = np.array(list(itertools.combinations(range(len(eq)), 3)))
+    return bool(np.all(np.abs(np.linalg.det(eq[triples])) > GENERAL_POSITION_TOL))
 
 
 def bigon_cube_fan():
@@ -84,6 +128,17 @@ class TestValidate:
         report = validate(Fan(equipment=eq, cells=((0, 1, 2), (0, 1, 3))))
         assert ("non-convex cell", "cell 0 is not inside an open hemisphere") in report.entries
 
+    def test_double_cover_names_its_crossings(self):
+        report = validate(double_cover_pentagram())
+        assert [code for code, _ in report.entries] == ["crossing arcs"] * 5
+
+    def test_matches_pairwise_scan(self, monkeypatch, cube, box123, tetra, bowtie, waisted, tiling):
+        fans = [h.fan for h in (cube, box123, tetra, bowtie, waisted, tiling)]
+        fans += perturbed_polar_fans(7) + [double_cover_pentagram()]
+        fast = [validate(fan).entries for fan in fans]
+        monkeypatch.setattr(fan_module, "_excess_sum", lambda eq, cells: float("nan"))
+        assert fast == [validate(fan).entries for fan in fans]
+
     def test_validate_idempotent(self, waisted):
         first = validate(waisted.fan)
         second = validate(waisted.fan)
@@ -115,6 +170,39 @@ class TestGeneralPosition:
     def test_triangle_cells_do_not_imply_general_position(self, cube):
         assert all(len(c) == 3 for c in cube.fan.cells)
         assert not is_general_position(cube.fan)
+
+    def test_matches_brute_force(self, cube, box123, tetra, bowtie, waisted, tiling):
+        rng = np.random.default_rng(11)
+        inputs = [h.fan.equipment for h in (cube, box123, tetra, bowtie, waisted, tiling)]
+        for fan in perturbed_polar_fans(3, count=8):
+            eq = np.array(fan.equipment)
+            inputs.append(eq)
+            coplanar = eq.copy()
+            a, b, c = rng.choice(fan.m, 3, replace=False)
+            coplanar[c] = rng.uniform(-1, 1) * eq[a] + rng.uniform(-1, 1) * eq[b]
+            coplanar[c] /= np.linalg.norm(coplanar[c])
+            inputs.append(coplanar)
+            for spread in (1e-13, 1e-11, 1e-9, 1e-7):
+                twin = eq.copy()
+                a, b = rng.choice(fan.m, 2, replace=False)
+                twin[b] = eq[a] + spread * rng.standard_normal(3)
+                inputs.append(twin / np.linalg.norm(twin, axis=1)[:, None])
+            inputs.append(eq * rng.uniform(1e-2, 1e2, (fan.m, 1)))
+        verdicts = []
+        for eq in inputs:
+            verdict = is_general_position(Fan(equipment=eq, cells=()))
+            assert verdict == brute_general_position(eq)
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+
+def test_thousand_face_fan_checks_quickly():
+    # C(1000, 3) determinant blocks would take about 12 GB
+    fan = polar_fan(np.random.default_rng(5), 1000)
+    start = time.perf_counter()
+    assert is_general_position(fan)
+    assert validate(fan).ok
+    assert time.perf_counter() - start < 20.0
 
 
 class TestDualComplex:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import herisson
 from herisson import cli, io
 
 
@@ -40,6 +45,13 @@ class TestExports:
         assert outputs[0][0].startswith(b"# polyhedral hedgehog surface")
         assert outputs[0][1].startswith(b'<?xml version="1.0"')
 
+    def test_tetra_svg(self, tmp_path, capsys):
+        # the fallback pole, opposite the first cell, is a face normal here
+        src, svg = str(tmp_path / "tetra.json"), tmp_path / "tetra.svg"
+        assert cli.main(["example", "tetra:1", "-o", src]) == 0
+        assert cli.main(["export", src, "--svg", str(svg)]) == 0
+        assert svg.read_text(encoding="utf-8").count("<title>arc ") == 6
+
 
 class TestExitCodes:
     def test_validate(self, cube, tmp_path, capsys):
@@ -72,7 +84,19 @@ class TestExitCodes:
         short = io.herisson_to_dict(cube)
         short["h"] = short["h"][:-1]
         assert cli.main(["areas", _write(tmp_path / "short.json", short)]) == 2
+        dropped = io.herisson_to_dict(cube)
+        del dropped["cells"][0]
+        assert cli.main(["areas", _write(tmp_path / "dropped.json", dropped)]) == 2
+        assert "open fan of faces" in capsys.readouterr().err
         nonfinite = io.herisson_to_dict(cube)
         nonfinite["h"][0] = float("nan")
         assert cli.main(["areas", _write(tmp_path / "nan.json", nonfinite)]) == 2
         assert "support numbers must be finite" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, herisson; print('scipy.optimize' in sys.modules)"
+    src = str(Path(herisson.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from helpers import random_hull_fan, random_simple_fan
+from helpers import polar_fan, random_hull_fan, random_simple_fan
 from herisson import builders
 from herisson.errors import ProbeFailed
 from herisson.fan import Fan
@@ -9,6 +11,7 @@ from herisson.geometry import gauge_fix, reconstruct, support_scale
 from herisson.solver import (
     SolveOptions,
     SolveStatus,
+    _min_edge_line_angle,
     area_map,
     jacobian,
     solve_minkowski,
@@ -89,6 +92,31 @@ class TestJacobian:
         reconstruct(cube.fan, h)  # realizable, but barely
         with pytest.raises(ProbeFailed):
             jacobian(cube.fan, h, mode="fd")
+
+
+def min_edge_line_angle_loop(fan):
+    """Face by face over the ring neighbors, one pair of edge lines at a time."""
+    eq = fan.equipment
+    best = None
+    for j in range(fan.m):
+        dirs = []
+        for k in set(fan.face_rings[j][1]):
+            d = np.cross(eq[j], eq[k])
+            if np.linalg.norm(d) > 1e-12:
+                dirs.append(d / np.linalg.norm(d))
+        for a, b in itertools.combinations(dirs, 2):
+            ang = float(np.arccos(min(1.0, abs(float(a @ b)))))
+            if ang > 1e-9:
+                best = ang if best is None else min(best, ang)
+    return best
+
+
+def test_min_edge_line_angle_matches_loop(cube, box123, tetra, bowtie, waisted, tiling):
+    rng = np.random.default_rng(3)
+    fans = [h.fan for h in (cube, box123, tetra, bowtie, waisted, tiling)]
+    fans += [polar_fan(rng, m) for m in (8, 20, 40, 120)]
+    for fan in fans:
+        assert _min_edge_line_angle(fan) == pytest.approx(min_edge_line_angle_loop(fan), rel=1e-15, abs=0.0)
 
 
 class TestValidateTarget:
