@@ -4,7 +4,12 @@ Two ingredients decide whether parallel herissons of the same orientation
 coincide up to translation: a circuit-counting lemma on sphere-homeomorphic
 complexes (Cauchy) and an edge/vertex labeling of convex polygon pairs
 (Alexandrov).  For herissons the polygon pairs share their edge-normal
-fans, so only the longer/shorter rule ever fires and all vertices stay 0.
+fans, so only the longer/shorter rule ever fires and all vertices stay 0:
+the polygon labels are the arc labels of edge_labeling read around each
+face's ring, up to lengths within the equality tolerance (scaled by the
+plane coordinates in label_parallel_faces, by the supports in
+edge_labeling).  congruent_and_parallel decides from the arc labels and
+runs the containment linear programs only when some label is nonzero.
 """
 
 from __future__ import annotations
@@ -245,9 +250,9 @@ def face_polygon_2d(h: Herisson, j: int) -> np.ndarray:
 def edge_labeling(h1: Herisson, h2: Herisson) -> dict[tuple[int, int], int]:
     """Rule-(iv) labels on every arc: +1 where h1's edge is longer.
 
-    Antisymmetric under swapping the herissons.  Feeding the result to
-    cauchy_verdict over the fan's dual complex is the mechanism behind the
-    congruence decision.
+    Antisymmetric under swapping the herissons.  All zero is the ALL_ZERO
+    outcome of cauchy_verdict over the fan's dual complex; congruent_and_parallel
+    decides from these labels.
     """
     l1 = h1.edge_lengths()
     l2 = h2.edge_lengths()
@@ -293,54 +298,45 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     """Decide whether two parallel same-orientation herissons are translates.
 
     Refuses with NotSameClass when the inputs are not parallel and of the
-    same orientation.  Returns HYPOTHESIS_FAILURE with a witness face when
-    some face fits inside its parallel mate (the uniqueness hypothesis
-    breaks down), DISTINCT with a face of index >= 4 when a face pair is
-    incongruent, and otherwise CONGRUENT with the translation found by
-    superposing one face pair and walking the adjacency.
+    same orientation.  When every arc label of edge_labeling is 0, face 0's
+    centroids give the translation c carrying the first herisson onto the
+    second, and one check over all vertices confirms it (CONGRUENT) or names
+    the lowest face holding a vertex off by more than 1e-8*scale (DISTINCT).
+    Otherwise the faces are scanned in order for one that fits inside its
+    parallel mate (HYPOTHESIS_FAILURE: the uniqueness hypothesis breaks
+    down); if none does, DISTINCT names the lowest face whose ring carries a
+    nonzero label, with index the sign-change count of that ring.
     """
     _check_same_class(h1, h2)
-    m = h1.m
-    scale = max(support_scale(h1.h), support_scale(h2.h))
-    polys1 = [face_polygon_2d(h1, j) for j in range(m)]
-    polys2 = [face_polygon_2d(h2, j) for j in range(m)]
+    labels = edge_labeling(h1, h2)
+    if not any(labels.values()):
+        c = h2.face_polygon(0).mean(axis=0) - h1.face_polygon(0).mean(axis=0)
+        dev = np.linalg.norm(h1.vertices + c - h2.vertices, axis=1)
+        idx = h1.fan.ring_index
+        off = idx.owner[dev[idx.cell] > 1e-8 * max(h1.scale, h2.scale)]
+        if not off.size:
+            return CongruenceVerdict(CongruenceStatus.CONGRUENT, translation=c)
+        j = int(off.min())
+        worst = float(np.max(dev[list(h1.face_cycle(j))]))
+        return CongruenceVerdict(
+            CongruenceStatus.DISTINCT, face=j,
+            detail=f"face {j} fails to coincide after superposition (dev {worst:.2e})",
+        )
 
-    for j in range(m):
-        if can_translate_inside(polys1[j], polys2[j]):
+    for j in range(h1.m):
+        p1, p2 = face_polygon_2d(h1, j), face_polygon_2d(h2, j)
+        if can_translate_inside(p1, p2):
             return CongruenceVerdict(
                 CongruenceStatus.HYPOTHESIS_FAILURE, face=j,
                 detail=f"face {j} of the first fits inside the second",
             )
-        if can_translate_inside(polys2[j], polys1[j]):
+        if can_translate_inside(p2, p1):
             return CongruenceVerdict(
                 CongruenceStatus.HYPOTHESIS_FAILURE, face=j,
                 detail=f"face {j} of the second fits inside the first",
             )
-    for j in range(m):
-        labeling = label_parallel_faces(polys1[j], polys2[j])
-        if not labeling.all_zero:
-            return CongruenceVerdict(
-                CongruenceStatus.DISTINCT, face=j, index=labeling.index1,
-                detail=f"face {j} pair has index {labeling.index1}",
-            )
-
-    # Superpose face 0 and walk the adjacency; under all-zero labels every
-    # next face must coincide automatically.  The returned translation c
-    # carries the first herisson onto the second.
-    c = h2.face_polygon(0).mean(axis=0) - h1.face_polygon(0).mean(axis=0)
-    tol = 1e-8 * scale
-    seen = {0}
-    queue = [0]
-    while queue:
-        j = queue.pop()
-        dev = float(np.max(np.linalg.norm(h1.face_polygon(j) + c - h2.face_polygon(j), axis=1)))
-        if dev > tol:
-            return CongruenceVerdict(
-                CongruenceStatus.DISTINCT, face=j,
-                detail=f"face {j} fails to coincide after superposition (dev {dev:.2e})",
-            )
-        for k in h1.fan.face_rings[j][1]:
-            if k not in seen:
-                seen.add(k)
-                queue.append(k)
-    return CongruenceVerdict(CongruenceStatus.CONGRUENT, translation=c)
+    j = min(a for (a, _b), label in labels.items() if label)   # arcs are sorted pairs
+    index = sign_changes([labels[arc_key(j, k)] for k in h1.fan.face_rings[j][1]])
+    return CongruenceVerdict(
+        CongruenceStatus.DISTINCT, face=j, index=index, detail=f"face {j} pair has index {index}",
+    )

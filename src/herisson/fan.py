@@ -261,7 +261,7 @@ def validate(fan: Fan) -> ValidationReport:
     m = fan.m
 
     norms = np.linalg.norm(eq, axis=1)
-    for j in np.nonzero(np.abs(norms - 1.0) > UNIT_TOL)[0]:
+    for j in np.nonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))[0]:   # NaN norms included
         report.add("non-unit vector", f"face {j} has norm {norms[j]!r}")
 
     # Manifold structure: every ordered pair of cyclically consecutive faces

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_fit_exists, random_normal_fan_2d, random_polygon_pair
-from herisson import builders
+from helpers import grid_fit_exists, polar_fan, random_normal_fan_2d, random_polygon_pair
+from herisson import builders, congruence
 from herisson.congruence import (
     CauchyStatus,
     CongruenceStatus,
@@ -12,6 +12,7 @@ from herisson.congruence import (
     cauchy_verdict,
     congruent_and_parallel,
     edge_labeling,
+    face_polygon_2d,
     label_parallel_faces,
     sign_changes,
 )
@@ -169,11 +170,51 @@ class TestEdgeLabeling:
 
 class TestCongruentAndParallel:
     def test_translate_recovered(self, bowtie, rng):
-        for _ in range(5):
+        polars = [reconstruct(polar_fan(np.random.default_rng(seed), m), np.ones(m))
+                  for seed, m in ((40, 40), (60, 60))]
+        for body in [bowtie] * 5 + polars:
             c = rng.uniform(-4, 4, 3)
-            verdict = congruent_and_parallel(bowtie, bowtie.translated(c))
+            verdict = congruent_and_parallel(body, body.translated(c))
             assert verdict.status is CongruenceStatus.CONGRUENT
             assert np.max(np.abs(verdict.translation - c)) <= 1e-9
+
+    def test_translates_decided_without_containment(self, bowtie, rng, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("containment test run on a translate")
+
+        monkeypatch.setattr(congruence, "can_translate_inside", refuse)
+        monkeypatch.setattr(congruence, "label_parallel_faces", refuse)
+        polar = reconstruct(polar_fan(np.random.default_rng(7), 40), np.ones(40))
+        for body in (bowtie, polar):
+            c = rng.uniform(-1, 1, 3)
+            verdict = congruent_and_parallel(body, body.translated(c))
+            assert verdict.status is CongruenceStatus.CONGRUENT
+            assert np.max(np.abs(verdict.translation - c)) <= 1e-9
+
+    def test_superposition_failure_names_lowest_face(self, cube, monkeypatch):
+        # zero labels force the superposition: face 0 coincides after the
+        # shift c = (1, 0, 0), the vertices at x = -1 stay 2 off
+        monkeypatch.setattr(congruence, "edge_labeling", lambda a, _b: dict.fromkeys(a.fan.arcs, 0))
+        verdict = congruent_and_parallel(cube, builders.box(4.0, 2.0, 2.0))
+        assert verdict.status is CongruenceStatus.DISTINCT
+        assert (verdict.face, verdict.detail) == (1, "face 1 fails to coincide after superposition (dev 2.00e+00)")
+
+    def test_distinct_witness_matches_polygon_labeling(self, monkeypatch):
+        # containment switched off: the witness is the first face pair with
+        # nonzero polygon labels, and its index is that labeling's count
+        monkeypatch.setattr(congruence, "can_translate_inside", lambda _p, _q: False)
+        for first, second in (
+            (builders.waisted_bitetrahedron(1), builders.waisted_bitetrahedron(2)),
+            (builders.box(1.0, 2.0, 3.0), builders.box(3.0, 2.0, 1.0)),
+            (builders.box(1.0, 2.0, 3.0), builders.box(2.0, 3.0, 1.0)),
+        ):
+            verdict = congruent_and_parallel(first, second)
+            labelings = [label_parallel_faces(face_polygon_2d(first, j), face_polygon_2d(second, j))
+                         for j in range(first.m)]
+            j = next(j for j, lab in enumerate(labelings) if not lab.all_zero)
+            assert verdict.status is CongruenceStatus.DISTINCT
+            assert (verdict.face, verdict.index) == (j, labelings[j].index1)
+            assert verdict.detail == f"face {j} pair has index {labelings[j].index1}"
 
     def test_nested_cubes_hypothesis_failure(self, cube):
         big = builders.box(4.0, 4.0, 4.0)
@@ -181,17 +222,16 @@ class TestCongruentAndParallel:
         assert verdict.status is CongruenceStatus.HYPOTHESIS_FAILURE
 
     def test_different_waisted_bodies_not_congruent(self):
-        # different elongation: some lateral trapezoid nests inside its mate,
-        # so the uniqueness hypothesis fails and congruence is refused
-        verdict = congruent_and_parallel(
-            builders.waisted_bitetrahedron(1), builders.waisted_bitetrahedron(2)
-        )
-        assert not verdict.is_congruent
-        assert verdict.status in (
-            CongruenceStatus.HYPOTHESIS_FAILURE,
-            CongruenceStatus.DISTINCT,
-        )
-        assert verdict.face is not None
+        # different elongation: lateral trapezoid 4 nests inside its mate, so
+        # the uniqueness hypothesis fails and congruence is refused
+        short, long = builders.waisted_bitetrahedron(1), builders.waisted_bitetrahedron(2)
+        for first, second, detail in (
+            (short, long, "face 4 of the first fits inside the second"),
+            (long, short, "face 4 of the second fits inside the first"),
+        ):
+            verdict = congruent_and_parallel(first, second)
+            assert verdict.status is CongruenceStatus.HYPOTHESIS_FAILURE
+            assert (verdict.face, verdict.index, verdict.detail) == (4, None, detail)
 
     def test_not_same_class_equipment(self, cube, tetra):
         with pytest.raises(NotSameClass):

@@ -85,10 +85,12 @@ class TestValidate:
         assert "antipodal adjacent pair" in report.codes
 
     def test_non_unit_vector_reported(self, cube):
-        eq = np.array(cube.fan.equipment)
-        eq[0] *= 1.5
-        report = validate(Fan(equipment=eq, cells=cube.fan.cells))
-        assert "non-unit vector" in report.codes
+        for bad in (1.5 * cube.fan.equipment[0], np.full(3, np.nan)):   # a NaN norm compares false
+            eq = np.array(cube.fan.equipment)
+            eq[0] = bad
+            with np.errstate(invalid="ignore"):
+                report = validate(Fan(equipment=eq, cells=cube.fan.cells))
+            assert "non-unit vector" in report.codes
 
     def test_euler_failure_reported(self, cube):
         report = validate(Fan(equipment=cube.fan.equipment, cells=cube.fan.cells[:-1]))
