@@ -24,6 +24,7 @@ HEMISPHERE_TOL = 1e-9
 GENERAL_POSITION_TOL = 1e-10
 COVER_TOL = 1e-6           # radians: slack of the excess sum around 4*pi (the next degree is 8*pi)
 SWEEP_SLACK = 8.0          # widens the angular windows of the general-position sweep for rounding
+SCAN_BLOCK = 1 << 15       # arc pairs per block of the crossing scan
 
 
 def arc_key(a: int, b: int) -> tuple[int, int]:
@@ -188,45 +189,100 @@ class ValidationReport:
         return "\n".join(f"{code}: {detail}" for code, detail in self.entries)
 
 
-def _unit(v):
-    return v / np.linalg.norm(v)
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, rounded as the 1-D dot product of each row pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _angle(a, b):
-    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+def _angles(dots: np.ndarray) -> np.ndarray:
+    """Angles between unit vectors, from their dot products."""
+    return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
-def _strictly_inside(p, q, x, tol=TOUCH_TOL):
-    """Whether x lies on the minor arc p-q, strictly away from the endpoints."""
-    ap, aq = _angle(p, x), _angle(q, x)
-    if ap <= tol or aq <= tol:
-        return False
-    return ap + aq <= _angle(p, q) + 1e-9
+def _inside(px: np.ndarray, qx: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Whether x lies on the minor arc p-q of length span, strictly away from
+    the endpoints, from the dot products p.x and q.x."""
+    ap, aq = _angles(px), _angles(qx)
+    return (ap > TOUCH_TOL) & (aq > TOUCH_TOL) & (ap + aq <= span + 1e-9)
 
 
-def _arcs_cross(p, q, a, b) -> bool:
-    """Whether minor arcs p-q and a-b meet away from shared endpoints."""
-    npq = np.cross(p, q)
-    nab = np.cross(a, b)
-    d = np.cross(npq, nab)
-    nd = np.linalg.norm(d)
-    if nd < 1e-12:
-        # Same great circle: overlap iff an endpoint of one arc sits strictly
-        # inside the other, or the arcs coincide.
-        for x in (a, b):
-            if _strictly_inside(p, q, x):
-                return True
-        for x in (p, q):
-            if _strictly_inside(a, b, x):
-                return True
-        same = _angle(p, a) <= TOUCH_TOL and _angle(q, b) <= TOUCH_TOL
-        swapped = _angle(p, b) <= TOUCH_TOL and _angle(q, a) <= TOUCH_TOL
-        return same or swapped
-    x = d / nd
-    for cand in (x, -x):
-        if _strictly_inside(p, q, cand) and _strictly_inside(a, b, cand):
-            return True
-    return False
+@np.errstate(invalid="ignore")   # non-finite normals leave NaNs, which compare false
+def _crossing_pairs(eq: np.ndarray, keys: np.ndarray, skip: np.ndarray) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j in row-major order, of arcs keys[i] and keys[j]
+    that meet away from shared endpoints; arcs flagged in skip take no part.
+
+    The pairs are walked in blocks of SCAN_BLOCK, so memory stays
+    O(E + SCAN_BLOCK) for E arcs.  Arcs on different great circles cross iff
+    one of the circles' common points +-x is strictly inside both; arcs on one
+    great circle cross iff an endpoint of one is strictly inside the other or
+    the arcs coincide.  Dot products with -x are those with x negated, exactly.
+    """
+    keep = np.nonzero(~skip)[0]
+    P, Q = eq[keys[keep, 0]], eq[keys[keep, 1]]
+    normal, span = np.cross(P, Q), _angles(_rowdot(P, Q))
+    n = len(keep)
+    per_row = np.arange(n - 1, -1, -1)
+    row_start, total = np.cumsum(per_row) - per_row, n * (n - 1) // 2
+    found = []
+    for k0 in range(0, total, SCAN_BLOCK):
+        k = np.arange(k0, min(k0 + SCAN_BLOCK, total))
+        i = np.searchsorted(row_start, k, side="right") - 1
+        j = i + 1 + k - row_start[i]
+        d = np.cross(normal[i], normal[j])
+        nd = np.sqrt(_rowdot(d, d))
+        cross = np.zeros(len(k), dtype=bool)
+        same = np.nonzero(nd < 1e-12)[0]
+        p, q, a, b = P[i[same]], Q[i[same]], P[j[same]], Q[j[same]]
+        si, sj = span[i[same]], span[j[same]]
+        pa, pb, qa, qb = _rowdot(p, a), _rowdot(p, b), _rowdot(q, a), _rowdot(q, b)
+        cross[same] = (
+            _inside(pa, qa, si) | _inside(pb, qb, si) | _inside(pa, pb, sj) | _inside(qa, qb, sj)
+            | ((_angles(pa) <= TOUCH_TOL) & (_angles(qb) <= TOUCH_TOL))
+            | ((_angles(pb) <= TOUCH_TOL) & (_angles(qa) <= TOUCH_TOL))
+        )
+        other = np.nonzero(nd >= 1e-12)[0]
+        gi, gj, x = i[other], j[other], d[other] / nd[other, None]
+        px, qx = _rowdot(P[gi], x), _rowdot(Q[gi], x)
+        for sign in (1.0, -1.0):
+            on = np.nonzero(_inside(sign * px, sign * qx, span[gi]))[0]
+            y = sign * x[on]
+            hit = _inside(_rowdot(P[gj[on]], y), _rowdot(Q[gj[on]], y), span[gj[on]])
+            cross[other[on[hit]]] = True
+        found += zip(keep[i[cross]].tolist(), keep[j[cross]].tolist())
+    return found
+
+
+@np.errstate(invalid="ignore")   # non-finite normals leave NaNs, which compare false
+def _bad_cells(eq: np.ndarray, cells, checked: list[int]) -> list[str]:
+    """Details, in cell order, of the cells in `checked` that are not CCW
+    convex spherical polygons inside an open hemisphere.
+
+    Cells of one size are checked together: one batched determinant over
+    their (edge start, edge end, other corner) triples, n(n-2) for a cell of
+    n faces, then the vector areas and the corners' products with them, all
+    rounded as for one cell at a time.
+    """
+    bad = {}
+    sizes = np.array([len(cells[ci]) for ci in checked], dtype=np.intp)
+    for n in np.unique(sizes):
+        group = np.asarray(checked)[sizes == n]
+        pts = eq[np.array([cells[ci] for ci in group])]         # (C, n, 3)
+        nxt = np.roll(pts, -1, axis=1)
+        others = (np.arange(n)[:, None] + np.arange(2, n)) % n   # corners off edge i
+        mats = np.stack(np.broadcast_arrays(pts[:, :, None], nxt[:, :, None], pts[:, others]), axis=-2)
+        convex = ~np.any(np.linalg.det(mats) <= -CONVEXITY_TOL, axis=(1, 2))
+        # p_k . (vector area) sums the convexity determinants at p_k, so for a
+        # convex cell it is positive exactly when the cell is in an open hemisphere
+        area = np.cross(pts, nxt).sum(axis=1)
+        norm = np.sqrt(_rowdot(area, area))
+        small = norm < 1e-12
+        unit = area / np.where(small, 1.0, norm)[:, None]
+        low = np.min((pts @ unit[:, :, None])[:, :, 0], axis=1) <= HEMISPHERE_TOL
+        for ci in group[~convex].tolist():
+            bad[ci] = f"cell {ci} is not a CCW convex spherical polygon"
+        for ci in group[convex & (small | low)].tolist():
+            bad[ci] = f"cell {ci} is not inside an open hemisphere"
+    return [bad[ci] for ci in sorted(bad)]
 
 
 def _excess_sum(eq: np.ndarray, cells) -> float:
@@ -253,8 +309,12 @@ def validate(fan: Fan) -> ValidationReport:
     exactly that many preimages.  A sum within COVER_TOL of 4*pi (degree
     one) leaves no room for an overlap, hence none for a crossing; a pinched
     face or a second sheet takes the sum to 8*pi or more.  Only when the
-    certificate fails, or an earlier rule did, does the pairwise arc scan
-    run: it names the crossing arcs.
+    certificate fails, or an earlier rule did, does the arc scan run: it
+    names the crossing arcs, the pairs of sorted arcs in row-major order,
+    antipodal arcs left out.  The scan is vectorized over blocks of
+    SCAN_BLOCK arc pairs, so it takes O(E^2) time but O(E + SCAN_BLOCK)
+    memory for E arcs.  Non-finite normals are reported as non-unit vectors
+    and fail no other test.
     """
     report = ValidationReport()
     eq = fan.equipment
@@ -262,7 +322,7 @@ def validate(fan: Fan) -> ValidationReport:
 
     norms = np.linalg.norm(eq, axis=1)
     for j in np.nonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))[0]:   # NaN norms included
-        report.add("non-unit vector", f"face {j} has norm {norms[j]!r}")
+        report.add("non-unit vector", f"face {j} has norm {float(norms[j])!r}")
 
     # Manifold structure: every ordered pair of cyclically consecutive faces
     # must appear exactly once, and its reverse exactly once.
@@ -284,17 +344,15 @@ def validate(fan: Fan) -> ValidationReport:
         return report
 
     arcs = sorted(fan.arcs)
-    for a, b in arcs:
-        if np.linalg.norm(eq[a] + eq[b]) <= ANTIPODAL_TOL:
-            report.add("antipodal adjacent pair", f"faces {a} and {b}")
+    keys = np.array(arcs, dtype=np.intp).reshape(-1, 2)
+    ends = eq[keys[:, 0]] + eq[keys[:, 1]]
+    antipodal = np.sqrt(_rowdot(ends, ends)) <= ANTIPODAL_TOL
+    for e in np.nonzero(antipodal)[0]:
+        report.add("antipodal adjacent pair", "faces {} and {}".format(*arcs[e]))
 
-    degree = {j: 0 for j in range(m)}
-    for a, b in arcs:
-        degree[a] += 1
-        degree[b] += 1
-    for j in range(m):
-        if degree[j] < 3:
-            report.add("low face degree", f"face {j} lies on {degree[j]} arcs")
+    degree = np.bincount(keys.ravel(), minlength=m)
+    for j in np.nonzero(degree < 3)[0]:
+        report.add("low face degree", f"face {j} lies on {degree[j]} arcs")
 
     if len(fan.cells) - len(arcs) + m != 2:
         report.add(
@@ -303,40 +361,16 @@ def validate(fan: Fan) -> ValidationReport:
         )
 
     # Convex spherical cells, counterclockwise, inside an open hemisphere.
-    for ci, cell in enumerate(fan.cells):
-        if len(set(cell)) < 3 or len(set(cell)) != len(cell):
-            continue
-        pts = eq[list(cell)]
-        convex = True
-        for i in range(len(cell)):
-            a = pts[i]
-            b = pts[(i + 1) % len(cell)]
-            for k in range(len(cell)):
-                if k in (i, (i + 1) % len(cell)):
-                    continue
-                if float(np.linalg.det(np.stack([a, b, pts[k]]))) <= -CONVEXITY_TOL:
-                    convex = False
-        if not convex:
-            report.add("non-convex cell", f"cell {ci} is not a CCW convex spherical polygon")
-            continue
-        # p_k . (vector area) sums the convexity determinants at p_k, so for a
-        # convex cell it is positive exactly when the cell is in an open hemisphere
-        area = np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
-        if np.linalg.norm(area) < 1e-12 or np.min(pts @ _unit(area)) <= HEMISPHERE_TOL:
-            report.add("non-convex cell", f"cell {ci} is not inside an open hemisphere")
+    checked = [ci for ci, cell in enumerate(fan.cells) if len(set(cell)) == len(cell) >= 3]
+    for detail in _bad_cells(eq, fan.cells, checked):
+        report.add("non-convex cell", detail)
 
     if report.ok and abs(_excess_sum(eq, fan.cells) - 4.0 * np.pi) <= COVER_TOL:
         return report
 
-    # Pairwise arc crossings (touching at shared endpoints is allowed).
-    for idx, (a, b) in enumerate(arcs):
-        for c, d in arcs[idx + 1:]:
-            if np.linalg.norm(eq[a] + eq[b]) <= ANTIPODAL_TOL:
-                continue
-            if np.linalg.norm(eq[c] + eq[d]) <= ANTIPODAL_TOL:
-                continue
-            if _arcs_cross(eq[a], eq[b], eq[c], eq[d]):
-                report.add("crossing arcs", f"arcs {(a, b)} and {(c, d)}")
+    # Arc crossings (touching at shared endpoints is allowed).
+    for i, j in _crossing_pairs(eq, keys, antipodal):
+        report.add("crossing arcs", f"arcs {arcs[i]} and {arcs[j]}")
 
     return report
 

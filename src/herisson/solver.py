@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProbeFailed, SingularVertex
-from .fan import Fan, ValidationReport, _window_pairs, is_general_position
+from .fan import Fan, ValidationReport, _rowdot, _window_pairs, is_general_position
 from .geometry import (
     AREA_TOL,
     EDGE_TOL,
@@ -155,7 +155,7 @@ def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -
         return report
     bad = np.nonzero(f0 * g <= 0.0)[0]
     for j in bad:
-        report.add("sign agreement", f"f0[{j}]*g[{j}] = {f0[j] * g[j]!r} is not positive")
+        report.add("sign agreement", f"f0[{j}]*g[{j}] = {float(f0[j] * g[j])!r} is not positive")
     residual = float(np.linalg.norm(fan.equipment.T @ g))
     bound = 1e-9 * float(np.sum(np.abs(g)))
     if residual > bound:
@@ -163,11 +163,6 @@ def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -
     if not allow_non_general_position and not is_general_position(fan):
         report.add("general position", "three equipment vectors are coplanar")
     return report
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, rounded as the 1-D dot product of each row pair."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _min_edge_line_angle(fan: Fan) -> float | None:

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from herisson.builders import _ccw_cell
-from herisson.fan import Fan
+from herisson.fan import ANTIPODAL_TOL, CONVEXITY_TOL, HEMISPHERE_TOL, TOUCH_TOL, Fan
 from herisson.geometry import face_frame
 
 
@@ -221,3 +221,68 @@ def polar_fan(rng, m):
             b, c = c, b
         cells.append((int(a), int(b), int(c)))
     return Fan(equipment=normals, cells=tuple(cells))
+
+
+# Scalar reference for the arc-crossing scan and the cell checks of
+# fan.validate: one pair of arcs and one cell at a time, as the rules read.
+
+def _angle(a, b):
+    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+
+
+def _strictly_inside(p, q, x, tol=TOUCH_TOL):
+    """Whether x lies on the minor arc p-q, strictly away from the endpoints."""
+    ap, aq = _angle(p, x), _angle(q, x)
+    if ap <= tol or aq <= tol:
+        return False
+    return ap + aq <= _angle(p, q) + 1e-9
+
+
+def _arcs_cross(p, q, a, b):
+    """Whether minor arcs p-q and a-b meet away from shared endpoints."""
+    d = np.cross(np.cross(p, q), np.cross(a, b))
+    nd = np.linalg.norm(d)
+    if nd < 1e-12:
+        # Same great circle: overlap iff an endpoint of one arc sits strictly
+        # inside the other, or the arcs coincide.
+        if any(_strictly_inside(p, q, x) for x in (a, b)) or any(_strictly_inside(a, b, x) for x in (p, q)):
+            return True
+        same = _angle(p, a) <= TOUCH_TOL and _angle(q, b) <= TOUCH_TOL
+        swapped = _angle(p, b) <= TOUCH_TOL and _angle(q, a) <= TOUCH_TOL
+        return same or swapped
+    x = d / nd
+    return any(_strictly_inside(p, q, c) and _strictly_inside(a, b, c) for c in (x, -x))
+
+
+def crossing_entries(fan):
+    """'crossing arcs' entries from the scan over all pairs of sorted arcs."""
+    eq = fan.equipment
+    arcs = sorted(fan.arcs)
+    entries = []
+    for idx, (a, b) in enumerate(arcs):
+        for c, d in arcs[idx + 1:]:
+            if np.linalg.norm(eq[a] + eq[b]) <= ANTIPODAL_TOL or np.linalg.norm(eq[c] + eq[d]) <= ANTIPODAL_TOL:
+                continue
+            if _arcs_cross(eq[a], eq[b], eq[c], eq[d]):
+                entries.append(("crossing arcs", f"arcs {(a, b)} and {(c, d)}"))
+    return entries
+
+
+def convexity_entries(fan):
+    """'non-convex cell' entries, one cell and one corner triple at a time."""
+    entries = []
+    for ci, cell in enumerate(fan.cells):
+        if len(set(cell)) < 3 or len(set(cell)) != len(cell):
+            continue
+        pts = fan.equipment[list(cell)]
+        n = len(cell)
+        if any(
+            float(np.linalg.det(np.stack([pts[i], pts[(i + 1) % n], pts[k]]))) <= -CONVEXITY_TOL
+            for i in range(n) for k in range(n) if k not in (i, (i + 1) % n)
+        ):
+            entries.append(("non-convex cell", f"cell {ci} is not a CCW convex spherical polygon"))
+            continue
+        area = np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
+        if np.linalg.norm(area) < 1e-12 or np.min(pts @ (area / np.linalg.norm(area))) <= HEMISPHERE_TOL:
+            entries.append(("non-convex cell", f"cell {ci} is not inside an open hemisphere"))
+    return entries

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from helpers import polar_fan, random_hull_fan
+from helpers import convexity_entries, crossing_entries, polar_fan, random_hull_fan
 from herisson import builders
 from herisson import fan as fan_module
 from herisson.errors import MalformedFan
@@ -56,6 +56,46 @@ def perturbed_polar_fans(seed, count=8):
     return fans
 
 
+def polar_variants(seed, count=4):
+    """Polar fans as drawn, with every cell reversed and with one cell dropped."""
+    rng = np.random.default_rng(seed)
+    fans = []
+    for _ in range(count):
+        fan = polar_fan(rng, int(rng.integers(6, 17)))
+        k = int(rng.integers(len(fan.cells)))
+        fans += [
+            Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in fan.cells)),
+            Fan(equipment=fan.equipment, cells=fan.cells[:k] + fan.cells[k + 1:]),
+        ]
+    return fans
+
+
+_S = np.sqrt(0.5)
+E0, E45, E90, E135, E180, NORTH = (1.0, 0, 0), (_S, _S, 0), (0, 1.0, 0), (-_S, _S, 0), (-1.0, 0, 0), (0, 0, 1.0)
+
+
+def great_circle_cases():
+    """Fans with arcs along one great circle, with the crossing arcs they give."""
+    return {
+        # arc (0, 1) spans 0-90 degrees of the equator, arc (2, 3) 45-135 degrees
+        "overlap": (Fan(np.array([E0, E90, E45, E135, NORTH]), ((0, 1, 4), (2, 3, 4))), ["arcs (0, 1) and (2, 3)"]),
+        # faces 2, 3 repeat faces 1, 0: arc (2, 3) is arc (0, 1) reversed, (3, 4) and (2, 4) repeat (0, 4) and (1, 4)
+        "repeated": (
+            Fan(np.array([E0, E90, E90, E0, NORTH]), ((0, 1, 4), (2, 3, 4))),
+            ["arcs (0, 1) and (2, 3)", "arcs (0, 4) and (3, 4)", "arcs (1, 4) and (2, 4)"],
+        ),
+        # arcs (0, 1) and (1, 2) meet end to end on the equator, (0, 3) and (2, 3) at the pole
+        "touching": (Fan(np.array([E0, E90, E180, NORTH]), ((0, 1, 3), (1, 2, 3))), []),
+    }
+
+
+def reference_entries(fan):
+    """validate's entries, with the cell checks and the crossing scan taken
+    from the one-at-a-time references."""
+    local = [e for e in validate(fan).entries if e[0] not in ("non-convex cell", "crossing arcs")]
+    return local + convexity_entries(fan) + crossing_entries(fan)
+
+
 def brute_general_position(eq):
     """Every C(m, 3) determinant, as the definition reads."""
     triples = np.array(list(itertools.combinations(range(len(eq)), 3)))
@@ -85,12 +125,12 @@ class TestValidate:
         assert "antipodal adjacent pair" in report.codes
 
     def test_non_unit_vector_reported(self, cube):
-        for bad in (1.5 * cube.fan.equipment[0], np.full(3, np.nan)):   # a NaN norm compares false
+        # a NaN norm compares false; non-finite normals fail no other test and warn of nothing
+        for bad, norm in ((1.5 * cube.fan.equipment[0], "1.5"), (np.full(3, np.nan), "nan"), (np.full(3, np.inf), "inf")):
             eq = np.array(cube.fan.equipment)
             eq[0] = bad
-            with np.errstate(invalid="ignore"):
-                report = validate(Fan(equipment=eq, cells=cube.fan.cells))
-            assert "non-unit vector" in report.codes
+            report = validate(Fan(equipment=eq, cells=cube.fan.cells))
+            assert report.entries == [("non-unit vector", f"face 0 has norm {norm}")]
 
     def test_euler_failure_reported(self, cube):
         report = validate(Fan(equipment=cube.fan.equipment, cells=cube.fan.cells[:-1]))
@@ -136,10 +176,20 @@ class TestValidate:
 
     def test_matches_pairwise_scan(self, monkeypatch, cube, box123, tetra, bowtie, waisted, tiling):
         fans = [h.fan for h in (cube, box123, tetra, bowtie, waisted, tiling)]
-        fans += perturbed_polar_fans(7) + [double_cover_pentagram()]
+        fans += perturbed_polar_fans(7) + polar_variants(7) + [double_cover_pentagram()]
+        fans += [fan for fan, _ in great_circle_cases().values()]
         fast = [validate(fan).entries for fan in fans]
+        assert fast == [reference_entries(fan) for fan in fans]
+        assert {"crossing arcs", "non-convex cell"} <= {code for entries in fast for code, _ in entries}
         monkeypatch.setattr(fan_module, "_excess_sum", lambda eq, cells: float("nan"))
         assert fast == [validate(fan).entries for fan in fans]
+
+    @pytest.mark.parametrize("name", ["overlap", "repeated", "touching"])
+    def test_same_great_circle_arcs(self, name):
+        fan, details = great_circle_cases()[name]
+        expected = [("crossing arcs", detail) for detail in details]
+        assert [e for e in validate(fan).entries if e[0] == "crossing arcs"] == expected
+        assert crossing_entries(fan) == expected
 
     def test_validate_idempotent(self, waisted):
         first = validate(waisted.fan)
@@ -204,6 +254,21 @@ def test_thousand_face_fan_checks_quickly():
     start = time.perf_counter()
     assert is_general_position(fan)
     assert validate(fan).ok
+    assert time.perf_counter() - start < 20.0
+
+
+def test_thousand_face_invalid_fans_fail_cleanly():
+    # both run the arc scan over all C(2994, 2) arc pairs, in blocks
+    fan = polar_fan(np.random.default_rng(5), 1000)
+    dropped = Fan(equipment=fan.equipment, cells=fan.cells[1:])
+    reversed_cells = Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in fan.cells))
+    start = time.perf_counter()
+    report = validate(dropped)
+    assert [code for code, _ in report.entries] == ["broken partition"] * 3 + ["Euler failure"]
+    report = validate(reversed_cells)
+    assert report.entries == [
+        ("non-convex cell", f"cell {ci} is not a CCW convex spherical polygon") for ci in range(1996)
+    ]
     assert time.perf_counter() - start < 20.0
 
 

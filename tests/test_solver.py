@@ -128,7 +128,8 @@ class TestValidateTarget:
         g = np.array(tetra.oriented_areas)
         g[2] *= -1.0
         report = validate_target(tetra.fan, tetra.oriented_areas, g)
-        assert "sign agreement" in report.codes
+        v = float(tetra.oriented_areas[2])
+        assert report.entries[0] == ("sign agreement", f"f0[2]*g[2] = {v * -v!r} is not positive")
 
     def test_unbalanced_flagged(self, tetra):
         g = np.array(tetra.oriented_areas)
