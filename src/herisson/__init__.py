@@ -34,10 +34,8 @@ from .errors import (
     SingularVertex,
 )
 from .fan import (
-    DualComplex,
     Fan,
     ValidationReport,
-    dual_complex,
     is_general_position,
     validate,
 )
@@ -86,10 +84,8 @@ __all__ = [
     "NotSameClass",
     "ProbeFailed",
     "SingularVertex",
-    "DualComplex",
     "Fan",
     "ValidationReport",
-    "dual_complex",
     "is_general_position",
     "validate",
     "Herisson",

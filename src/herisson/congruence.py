@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotComparable, NotSameClass
-from .fan import DualComplex, arc_key
+from .fan import Fan, arc_key
 from .geometry import Herisson, face_frame, support_scale
 
 ANGLE_TOL = 1e-9        # radians, edge-normal matching
@@ -49,27 +49,34 @@ class CauchyVerdict:
     index: int | None = None
 
 
-def cauchy_verdict(dual: DualComplex, labels) -> CauchyVerdict:
-    """Apply the circuit lemma to a labeled complex.
+def _ring_labels(fan: Fan, j: int, labels) -> list[int]:
+    """The labels of the arcs around face j, in ring order."""
+    idx = fan.ring_index
+    return [labels[arc_key(j, k)] for k in idx.neighbor[idx.start[j]:idx.start[j + 1]].tolist()]
+
+
+def cauchy_verdict(fan: Fan, labels) -> CauchyVerdict:
+    """Apply the circuit lemma to a labeled fan.
 
     labels maps every arc (unordered face pair) to +1, 0 or -1.  Either all
-    edges are 0, or some vertex incident to a nonzero edge has at most two
-    sign changes around it; a labeling admitting neither outcome would
-    contradict the lemma and is reported as such.
+    arcs are 0, or some face on a nonzero arc has at most two sign changes
+    around its ring; a labeling admitting neither outcome would contradict
+    the lemma and is reported as such.
     """
-    lab = {arc_key(*edge): int(value) for edge, value in labels.items()}
-    missing = [edge for edge in dual.edges if edge not in lab]
+    lab = {arc_key(*arc): int(value) for arc, value in labels.items()}
+    arcs = [tuple(arc) for arc in fan.arcs.tolist()]
+    missing = [arc for arc in arcs if arc not in lab]
     if missing:
         raise ValueError(f"labeling misses arcs {missing}")
-    if all(lab[edge] == 0 for edge in dual.edges):
+    if not any(lab[arc] for arc in arcs):
         return CauchyVerdict(CauchyStatus.ALL_ZERO)
-    for node in dual.nodes:
-        ring = [lab[arc_key(node, k)] for k in dual.rotation[node]]
+    for j in range(fan.m):
+        ring = _ring_labels(fan, j, lab)
         if not any(ring):
             continue
         index = sign_changes(ring)
         if index <= 2:
-            return CauchyVerdict(CauchyStatus.WITNESS, vertex=node, index=index)
+            return CauchyVerdict(CauchyStatus.WITNESS, vertex=j, index=index)
     return CauchyVerdict(CauchyStatus.VIOLATES_LEMMA)
 
 
@@ -251,8 +258,8 @@ def edge_labeling(h1: Herisson, h2: Herisson) -> dict[tuple[int, int], int]:
     """Rule-(iv) labels on every arc: +1 where h1's edge is longer.
 
     Antisymmetric under swapping the herissons.  All zero is the ALL_ZERO
-    outcome of cauchy_verdict over the fan's dual complex; congruent_and_parallel
-    decides from these labels.
+    outcome of cauchy_verdict on the fan; congruent_and_parallel decides
+    from these labels.
     """
     l1 = h1.edge_lengths()
     l2 = h2.edge_lengths()
@@ -336,7 +343,7 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
                 detail=f"face {j} of the second fits inside the first",
             )
     j = min(a for (a, _b), label in labels.items() if label)   # arcs are sorted pairs
-    index = sign_changes([labels[arc_key(j, k)] for k in h1.fan.face_rings[j][1]])
+    index = sign_changes(_ring_labels(h1.fan, j, labels))
     return CongruenceVerdict(
         CongruenceStatus.DISTINCT, face=j, index=index, detail=f"face {j} pair has index {index}",
     )

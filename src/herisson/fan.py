@@ -3,8 +3,15 @@
 A fan is the direction skeleton of a polyhedral hedgehog: m unit vectors
 (one per face) plus the cells of the induced partition of the unit sphere.
 Each cell lists the faces meeting at one surface vertex, counterclockwise
-as seen from outside the sphere.  Arcs (the geodesic edges of the
-partition) and the rotation system around each face are derived data.
+as seen from outside the sphere.  Incidence derives from the cells alone:
+cells -> corner table (face, cell, succ, pred of every corner) -> arcs (its
+unordered face pairs) -> face rings.  Table and arcs exist for any input.
+Face j's ring starts at its least-succ corner and goes on to the corner of
+j whose succ is the current pred.  Besides cells that miss a face or name
+one outside 0..m-1, the walk raises MalformedFan when an ordered face pair
+appears twice, or, for the first failing face by first appearance, when it
+meets a pred that is no succ of the face ("open fan") or is not back at its
+start after exactly as many steps as the face has corners ("does not close").
 """
 
 from __future__ import annotations
@@ -32,47 +39,15 @@ def arc_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _cyclic_pairs(seq):
-    n = len(seq)
-    return [(seq[i], seq[(i + 1) % n]) for i in range(n)]
-
-
-def _node_chains(cells):
-    """Chain the corners of the given cells around every face label.
-
-    Returns {label: (cell_ring, neighbor_ring)} where cell_ring[i] is the
-    index of the i-th cell around the label and neighbor_ring[i] is the
-    label across the boundary between ring positions i and i+1.  The chain
-    follows the orientation induced by counterclockwise cells, which is the
-    order that makes the reconstructed face polygons positively oriented
-    for an outward-equipped convex body.
-    """
-    corners: dict[int, dict[int, tuple[int, int]]] = {}
-    for ci, cell in enumerate(cells):
-        n = len(cell)
-        for pos, j in enumerate(cell):
-            pred = cell[(pos - 1) % n]
-            succ = cell[(pos + 1) % n]
-            slot = corners.setdefault(j, {})
-            if succ in slot:
-                raise MalformedFan(f"ordered face pair ({j},{succ}) appears twice")
-            slot[succ] = (ci, pred)
-    chains = {}
-    for j, by_succ in corners.items():
-        start = min(by_succ)
-        ring_cells, neighbors = [], []
-        s = start
-        for _ in range(len(by_succ)):
-            if s not in by_succ:
-                raise MalformedFan(f"open fan of faces around face {j}")
-            ci, pred = by_succ[s]
-            ring_cells.append(ci)
-            neighbors.append(pred)
-            s = pred
-        if s != start:
-            raise MalformedFan(f"fan of faces around face {j} does not close")
-        chains[j] = (tuple(ring_cells), tuple(neighbors))
-    return chains
+def _pair_runs(face: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The distinct face pairs (a[i], b[i]) as sorted integer keys, how often
+    each appears, and `labels`, the sorted face labels that decode them: a
+    key is pos(a) * len(labels) + pos(b), where pos is a label's first
+    position in `labels`, so no label value can make a key overflow."""
+    labels = np.sort(face)
+    key = np.sort(np.searchsorted(labels, a) * len(labels) + np.searchsorted(labels, b))
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    return key[first], np.diff(first, append=len(key)), labels
 
 
 @dataclass(frozen=True)
@@ -86,47 +61,92 @@ class Fan:
         eq = np.array(self.equipment, dtype=float)
         eq.setflags(write=False)
         object.__setattr__(self, "equipment", eq)
-        object.__setattr__(
-            self, "cells", tuple(tuple(int(i) for i in c) for c in self.cells)
-        )
+        cells = tuple(tuple(int(i) for i in c) for c in self.cells)
+        if any(abs(i) >= 2**63 for c in cells for i in c):    # the corner table holds int64
+            raise ValueError("a cell names a face index beyond 64 bits")
+        object.__setattr__(self, "cells", cells)
 
     @property
     def m(self) -> int:
         return len(self.equipment)
 
     @cached_property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for cell in self.cells:
-            for a, b in _cyclic_pairs(cell):
-                out.add(arc_key(a, b))
-        return frozenset(out)
+    def corners(self) -> np.ndarray:
+        """(4, N) corner table: the rows face, cell, succ and pred, with the
+        cells in order and each cell's corners in its cyclic order."""
+        sizes = np.array([len(c) for c in self.cells], dtype=np.intp)
+        face = np.fromiter((f for c in self.cells for f in c), dtype=np.intp, count=int(sizes.sum()))
+        cell = np.repeat(np.arange(len(sizes)), sizes)
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        pos, n = np.arange(len(face)) - first, sizes[cell]
+        table = np.stack([face, cell, face[first + (pos + 1) % n], face[first + (pos - 1) % n]])
+        table.setflags(write=False)
+        return table
 
     @cached_property
-    def face_rings(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """face -> (cells around it, neighbor faces per boundary edge)."""
-        return _node_chains(self.cells)
+    def arcs(self) -> np.ndarray:
+        """(E, 2) arcs, as (low face, high face) rows in sorted order."""
+        face, _, succ, _ = self.corners
+        key, _, labels = _pair_runs(face, np.minimum(face, succ), np.maximum(face, succ))
+        arcs = labels[np.column_stack([key // len(labels), key % len(labels)])]
+        arcs.setflags(write=False)
+        return arcs
 
     @cached_property
     def ring_index(self) -> RingIndex:
-        for ci, cell in enumerate(self.cells):
-            if len(cell) < 3:   # malformed input (ValueError), as for a bad support vector
-                raise ValueError(f"cell {ci} has fewer than 3 faces")
-        first3 = np.array([cell[:3] for cell in self.cells], dtype=np.intp)
-        extra = [(ci, f) for ci, cell in enumerate(self.cells) for f in cell[3:]]
-        extra = np.array(extra, dtype=np.intp).reshape(-1, 2)
-        rings = [self.face_rings[j] for j in range(self.m)]
-        sizes = [len(ring) for ring, _ in rings]
-        owner = np.repeat(np.arange(self.m), sizes)
-        cell = np.concatenate([ring for ring, _ in rings])
-        succ = np.concatenate([np.roll(ring, -1) for ring, _ in rings])
-        pred = np.concatenate([np.roll(ring, 1) for ring, _ in rings])
-        start = np.cumsum(sizes) - sizes
-        neighbor = np.concatenate([neighbors for _, neighbors in rings])
-        keys = np.sort(np.column_stack([owner, neighbor]), axis=1)
+        (face, in_cell, succ, pred), m = self.corners, self.m
+        sizes = np.bincount(in_cell, minlength=len(self.cells))
+        if np.any(sizes < 3):   # malformed input (ValueError), as for a bad support vector
+            raise ValueError(f"cell {int(np.argmax(sizes < 3))} has fewer than 3 faces")
+        if set(face.tolist()) != set(range(m)):
+            raise MalformedFan(f"the cells must use exactly the faces 0..{m - 1}")
+        first = np.cumsum(sizes) - sizes
+        beyond = np.arange(len(face)) - first[in_cell] >= 3    # corners past the first three
+
+        # Sorted by (face, succ), face j's corners are the positions from
+        # start[j] on, its least-succ corner first; nxt[s] is the position of
+        # the corner after s, or n when there is none (and nxt[n] = n).
+        key = face * m + succ
+        order = np.argsort(key, kind="stable")
+        key, n = key[order], len(order)
+        repeat = order[1:][key[1:] == key[:-1]]
+        if repeat.size:
+            c = repeat.min()      # the first corner, in cell order, repeating a pair
+            raise MalformedFan(f"ordered face pair ({face[c]},{succ[c]}) appears twice")
+        want = (face * m + pred)[order]
+        nxt = np.minimum(np.searchsorted(key, want), n - 1)
+        nxt = np.append(np.where(key[nxt] == want, nxt, n), n)
+        deg = np.bincount(face)
+        start = np.cumsum(deg) - deg
+        # all faces step together, those with more corners for longer
+        ring, early = np.empty(n, dtype=np.intp), np.zeros(m, dtype=bool)
+        live, at = np.arange(m), start
+        for step in range(deg.max()):
+            keep = deg[live] > step
+            live, at = live[keep], at[keep]
+            ring[start[live] + step] = at
+            if step:
+                early[live[at == start[live]]] = True
+            at = nxt[at]
+        last = ring[start + deg - 1]
+        bad = (last == n) | early | (nxt[last] != start)
+        if bad.any():
+            appears = np.unique(face, return_index=True)[1]     # each face's first corner
+            j = int(np.argmin(np.where(bad, appears, n)))
+            if last[j] == n:
+                raise MalformedFan(f"open fan of faces around face {j}")
+            raise MalformedFan(f"fan of faces around face {j} does not close")
+
+        corner = order[ring]
+        owner, neighbor, cell = face[corner], pred[corner], in_cell[corner]
+        k, size = np.arange(n) - start[owner], deg[owner]
+        ring_succ, ring_pred = cell[start[owner] + (k + 1) % size], cell[start[owner] + (k - 1) % size]
         # np.unique sorts stably when asked for indices: the first position wins
-        arcs, arc_pos = np.unique(keys, axis=0, return_index=True)
-        return RingIndex(first3, extra[:, 0], extra[:, 1], owner, cell, succ, pred, start, arcs, arc_pos)
+        _, arc_pos = np.unique(np.minimum(owner, neighbor) * m + np.maximum(owner, neighbor), return_index=True)
+        return RingIndex(
+            face[first[:, None] + np.arange(3)], in_cell[beyond], face[beyond], owner, cell, ring_succ, ring_pred,
+            neighbor, np.append(start, n), arc_pos,
+        )
 
     @cached_property
     def block_inverses(self) -> np.ndarray:
@@ -149,9 +169,10 @@ class RingIndex:
 
     The face rings are concatenated face by face; ring position p is the
     corner cell[p] of face owner[p]'s polygon, and the polygon's edge at p
-    runs from cell[p] to succ[p].  Every vertex lies on the planes of the
-    first three faces of its cell; the further faces of non-simple cells
-    are the extra (cell, face) pairs, in cell order.
+    runs from cell[p] to succ[p], dual to the arc (owner[p], neighbor[p]).
+    Every vertex lies on the planes of the first three faces of its cell;
+    the further faces of non-simple cells are the extra (cell, face) pairs,
+    in cell order.  The module docstring says how the rings are walked.
     """
 
     first3: np.ndarray       # (V, 3) first three faces of each cell
@@ -161,9 +182,9 @@ class RingIndex:
     cell: np.ndarray         # (R,) cell at the position
     succ: np.ndarray         # (R,) cell at the next position of the same ring
     pred: np.ndarray         # (R,) cell at the previous position of the same ring
-    start: np.ndarray        # (m,) first position of each face's ring
-    arcs: np.ndarray         # (E, 2) arc keys, sorted
-    arc_pos: np.ndarray      # (E,) first position whose edge is dual to the arc
+    neighbor: np.ndarray     # (R,) face across the edge at the position
+    start: np.ndarray        # (m + 1,) face j's ring is positions start[j]:start[j + 1]
+    arc_pos: np.ndarray      # (E,) first position whose edge is dual to fan.arcs[e]
 
 
 @dataclass
@@ -326,25 +347,28 @@ def validate(fan: Fan) -> ValidationReport:
 
     # Manifold structure: every ordered pair of cyclically consecutive faces
     # must appear exactly once, and its reverse exactly once.
-    ordered: dict[tuple[int, int], int] = {}
     for ci, cell in enumerate(fan.cells):
         if len(set(cell)) < 3:
             report.add("broken partition", f"cell {ci} has fewer than 3 distinct faces")
         if len(set(cell)) != len(cell):
             report.add("broken partition", f"cell {ci} repeats a face")
-        for pair in _cyclic_pairs(cell):
-            ordered[pair] = ordered.get(pair, 0) + 1
-    for pair, count in sorted(ordered.items()):
-        if count > 1:
-            report.add("broken partition", f"ordered pair {pair} appears {count} times")
-        if ordered.get((pair[1], pair[0]), 0) == 0:
+    face, _, succ, _ = fan.corners
+    pairs, counts, labels = _pair_runs(face, face, succ)     # the ordered pairs, sorted
+    k = len(labels)
+    rev = pairs % k * k + pairs // k
+    lonely = pairs[np.minimum(np.searchsorted(pairs, rev), len(pairs) - 1)] != rev
+    for u in np.flatnonzero((counts > 1) | lonely):
+        pair = (int(labels[pairs[u] // k]), int(labels[pairs[u] % k]))
+        if counts[u] > 1:
+            report.add("broken partition", f"ordered pair {pair} appears {counts[u]} times")
+        if lonely[u]:
             report.add("broken partition", f"arc {arc_key(*pair)} borders only one cell")
-    if any(j < 0 or j >= m for cell in fan.cells for j in cell):
+    if np.any((face < 0) | (face >= m)):
         report.add("broken partition", "cell references a face index out of range")
         return report
 
-    arcs = sorted(fan.arcs)
-    keys = np.array(arcs, dtype=np.intp).reshape(-1, 2)
+    keys = fan.arcs
+    arcs = [tuple(arc) for arc in keys.tolist()]
     ends = eq[keys[:, 0]] + eq[keys[:, 1]]
     antipodal = np.sqrt(_rowdot(ends, ends)) <= ANTIPODAL_TOL
     for e in np.nonzero(antipodal)[0]:
@@ -426,65 +450,3 @@ def is_general_position(fan: Fan) -> bool:
         if np.any(np.abs(np.linalg.det(eq[rows])) <= GENERAL_POSITION_TOL):
             return False
     return True
-
-
-@dataclass(frozen=True, eq=False)
-class DualComplex:
-    """Cell complex dual to the hedgehog surface: one node per face.
-
-    Nodes are face indices, edges are arcs, 2-cells are the fan cells.  The
-    rotation system gives, for every node, its neighbor nodes in cyclic
-    order; circuits around nodes are what the sign-counting lemma inspects.
-    """
-
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    cells: tuple[tuple[int, ...], ...]
-    rotation: dict[int, tuple[int, ...]]
-
-    def degree(self, node: int) -> int:
-        return len(self.rotation[node])
-
-
-def dual_complex(fan: Fan) -> DualComplex:
-    """Build the dual complex, eliminating collapsible degree-2 vertices.
-
-    A cell with exactly two distinct faces is the spherical image of a
-    surface vertex sitting in the middle of a straight edge; its two
-    boundary arcs run along one geodesic and are merged by dropping the
-    cell.  Raises MalformedFan when a two-face cell cannot be merged
-    (coincident or antipodal normals) or a cell is left with fewer than
-    three faces after the collapse.
-    """
-    eq = fan.equipment
-    retained = []
-    for ci, cell in enumerate(fan.cells):
-        distinct = set(cell)
-        if len(distinct) >= 3:
-            retained.append(tuple(cell))
-            continue
-        if len(distinct) == 2:
-            a, b = sorted(distinct)
-            if np.linalg.norm(eq[a] + eq[b]) <= ANTIPODAL_TOL:
-                raise MalformedFan(
-                    f"cell {ci} joins antipodal faces {a},{b}; cannot merge its edges"
-                )
-            if np.linalg.norm(eq[a] - eq[b]) <= 1e-12:
-                raise MalformedFan(f"cell {ci} joins coincident faces {a},{b}")
-            continue  # collapsible: drop the cell, the arc set merges the edges
-        raise MalformedFan(f"cell {ci} has fewer than 2 distinct faces")
-
-    for ci, cell in enumerate(retained):
-        if len(set(cell)) < 3:
-            raise MalformedFan(f"cell {ci} has fewer than 3 faces after collapse")
-
-    chains = _node_chains(retained)
-    nodes = tuple(sorted(chains))
-    edges = set()
-    for cell in retained:
-        for a, b in _cyclic_pairs(cell):
-            edges.add(arc_key(a, b))
-    rotation = {j: chains[j][1] for j in nodes}
-    return DualComplex(
-        nodes=nodes, edges=tuple(sorted(edges)), cells=tuple(retained), rotation=rotation
-    )

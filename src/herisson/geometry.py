@@ -99,8 +99,8 @@ def _realize(fan: Fan, h) -> Realization:
     lens = _ring_edge_lengths(fan, vertices)
     return Realization(
         vertices=vertices,
-        areas=0.5 * np.add.reduceat(twice_areas, idx.start),
-        perimeters=np.add.reduceat(lens, idx.start),
+        areas=0.5 * np.add.reduceat(twice_areas, idx.start[:-1]),
+        perimeters=np.add.reduceat(lens, idx.start[:-1]),
         min_edge=float(lens.min()),
         consistency=worst,
         consistency_where=worst_where,
@@ -161,7 +161,8 @@ class Herisson:
 
     def face_cycle(self, j: int) -> tuple[int, ...]:
         """Cell indices around face j, in boundary order."""
-        return self.fan.face_rings[j][0]
+        idx = self.fan.ring_index
+        return tuple(idx.cell[idx.start[j]:idx.start[j + 1]].tolist())
 
     def face_polygon(self, j: int) -> np.ndarray:
         """Vertex coordinates of face j's polygon, (k, 3)."""
@@ -169,9 +170,8 @@ class Herisson:
 
     def edge_lengths(self) -> dict[tuple[int, int], float]:
         """Length of the shared edge dual to each arc."""
-        idx = self.fan.ring_index
-        lens = _ring_edge_lengths(self.fan, self.vertices)[idx.arc_pos]
-        return {(int(a), int(b)): float(x) for (a, b), x in zip(idx.arcs, lens)}
+        lens = _ring_edge_lengths(self.fan, self.vertices)[self.fan.ring_index.arc_pos]
+        return {(a, b): float(x) for (a, b), x in zip(self.fan.arcs.tolist(), lens)}
 
     def translated(self, c) -> "Herisson":
         """The same surface moved by c (support numbers shift by (c, n_j))."""

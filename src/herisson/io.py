@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .fan import Fan, arc_key
+from .fan import Fan
 from .geometry import Herisson, face_frame, reconstruct
 
 
@@ -151,10 +151,10 @@ def export_svg(fan: Fan, size: float = 600.0) -> str:
     pole = _stereographic_pole(fan)
     points = {j: _project(pole, fan.equipment[j]) for j in range(fan.m)}
     paths = []
-    for a, b in sorted(fan.arcs):
+    for a, b in fan.arcs.tolist():
         mid3 = fan.equipment[a] + fan.equipment[b]
         mid3 = mid3 / np.linalg.norm(mid3)
-        paths.append((arc_key(a, b), _arc_path(points[a], _project(pole, mid3), points[b])))
+        paths.append(((a, b), _arc_path(points[a], _project(pole, mid3), points[b])))
 
     coords = np.array(list(points.values()))
     lo = coords.min(axis=0)

@@ -174,9 +174,7 @@ def _min_edge_line_angle(fan: Fan) -> float | None:
     angle exists.
     """
     eq = fan.equipment
-    arcs = fan.ring_index.arcs
-    pairs = np.concatenate([arcs, arcs[:, ::-1]])
-    face, other = pairs[np.argsort(pairs[:, 0])].T
+    face, other = fan.ring_index.owner, fan.ring_index.neighbor
     dirs = np.cross(eq[face], eq[other])
     norm = np.sqrt(_rowdot(dirs, dirs))
     keep = norm > 1e-12
@@ -213,7 +211,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
 
     cons = _consistency_matrix(fan)
     alpha = _min_edge_line_angle(fan)
-    max_sides = max(len(ring) for ring, _ in fan.face_rings.values())
+    max_sides = int(np.diff(fan.ring_index.start).max())
     bound_factor = opts.divergence_bound_factor
     h = gauge_fix(fan, np.asarray(h0, dtype=float))
     href = max(float(np.linalg.norm(h)), 1e-12)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
+from herisson import builders
 from herisson.builders import _ccw_cell
+from herisson.errors import MalformedFan
 from herisson.fan import ANTIPODAL_TOL, CONVEXITY_TOL, HEMISPHERE_TOL, TOUCH_TOL, Fan
 from herisson.geometry import face_frame
 
@@ -257,7 +259,7 @@ def _arcs_cross(p, q, a, b):
 def crossing_entries(fan):
     """'crossing arcs' entries from the scan over all pairs of sorted arcs."""
     eq = fan.equipment
-    arcs = sorted(fan.arcs)
+    arcs = [tuple(arc) for arc in fan.arcs.tolist()]
     entries = []
     for idx, (a, b) in enumerate(arcs):
         for c, d in arcs[idx + 1:]:
@@ -286,3 +288,58 @@ def convexity_entries(fan):
         if np.linalg.norm(area) < 1e-12 or np.min(pts @ (area / np.linalg.norm(area))) <= HEMISPHERE_TOL:
             entries.append(("non-convex cell", f"cell {ci} is not inside an open hemisphere"))
     return entries
+
+
+# Scalar reference for the ring walk of Fan.ring_index: one face and one
+# corner at a time, in dicts.
+
+def node_chains(cells):
+    """{face: (cell ring, neighbor ring)} for every face of the cells, faces
+    in order of first appearance.
+
+    Around face j the walk starts at the corner of least successor and goes
+    on to the corner whose successor is the current corner's predecessor;
+    it must pass every corner of j once and come back.  Raises the
+    MalformedFan of the first ordered pair seen twice, else of the first
+    face whose walk fails.
+    """
+    corners = {}
+    for ci, cell in enumerate(cells):
+        n = len(cell)
+        for pos, j in enumerate(cell):
+            pred, succ = cell[(pos - 1) % n], cell[(pos + 1) % n]
+            slot = corners.setdefault(j, {})
+            if succ in slot:
+                raise MalformedFan(f"ordered face pair ({j},{succ}) appears twice")
+            slot[succ] = (ci, pred)
+    chains = {}
+    for j, by_succ in corners.items():
+        start = min(by_succ)
+        ring_cells, neighbors = [], []
+        s = start
+        for step in range(len(by_succ)):
+            if step and s == start:
+                raise MalformedFan(f"fan of faces around face {j} does not close")
+            if s not in by_succ:
+                raise MalformedFan(f"open fan of faces around face {j}")
+            ci, pred = by_succ[s]
+            ring_cells.append(ci)
+            neighbors.append(pred)
+            s = pred
+        if s != start:
+            raise MalformedFan(f"fan of faces around face {j} does not close")
+        chains[j] = (tuple(ring_cells), tuple(neighbors))
+    return chains
+
+
+def double_tetrahedron_fan():
+    """Two regular-tetrahedron fans sharing face 0: faces 4-6 are faces 1-3
+    turned by 60 degrees about face 0's normal, so face 0's corners form two
+    cycles of three."""
+    base = builders.regular_tetrahedron(1.0).fan
+    n0 = base.equipment[0]
+    c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
+    turned = [c * v + s * np.cross(n0, v) + (1 - c) * (n0 @ v) * n0 for v in base.equipment[1:]]
+    relabel = {0: 0, 1: 4, 2: 5, 3: 6}
+    cells = base.cells + tuple(tuple(relabel[f] for f in cell) for cell in base.cells)
+    return Fan(equipment=np.vstack([base.equipment, turned]), cells=cells)

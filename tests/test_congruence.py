@@ -17,7 +17,6 @@ from herisson.congruence import (
     sign_changes,
 )
 from herisson.errors import NotComparable, NotSameClass
-from herisson.fan import dual_complex
 from herisson.geometry import reconstruct
 
 
@@ -40,32 +39,44 @@ class TestSignChanges:
         assert sign_changes(labels) % 2 == 0
 
 
+def _arcs(fan):
+    return [tuple(arc) for arc in fan.arcs.tolist()]
+
+
 class TestCauchyVerdict:
     def test_all_zero(self, cube):
-        dc = dual_complex(cube.fan)
-        verdict = cauchy_verdict(dc, {e: 0 for e in dc.edges})
+        verdict = cauchy_verdict(cube.fan, dict.fromkeys(_arcs(cube.fan), 0))
         assert verdict.status is CauchyStatus.ALL_ZERO
 
     def test_constant_plus_one_gives_witness(self, tetra):
-        dc = dual_complex(tetra.fan)
-        verdict = cauchy_verdict(dc, {e: 1 for e in dc.edges})
+        verdict = cauchy_verdict(tetra.fan, dict.fromkeys(_arcs(tetra.fan), 1))
         assert verdict.status is CauchyStatus.WITNESS
         assert verdict.index == 0
 
     def test_random_labelings_never_violate(self, cube, rng):
-        dc = dual_complex(cube.fan)
-        edges = list(dc.edges)
-        for _ in range(1000):
-            labels = dict(zip(edges, rng.integers(-1, 2, len(edges))))
-            verdict = cauchy_verdict(dc, labels)
-            assert verdict.status is not CauchyStatus.VIOLATES_LEMMA
-            if verdict.status is CauchyStatus.WITNESS:
+        fans = [cube.fan] + [polar_fan(rng, m) for m in (20, 40, 80, 120)]
+        for fan in fans:
+            arcs = _arcs(fan)
+            for _ in range(1000 if fan is cube.fan else 200):
+                verdict = cauchy_verdict(fan, dict(zip(arcs, rng.integers(-1, 2, len(arcs)))))
+                assert verdict.status is not CauchyStatus.VIOLATES_LEMMA
+                if verdict.status is CauchyStatus.WITNESS:
+                    assert verdict.index <= 2
+
+    def test_perturbed_pairs_give_witness(self, rng):
+        # a 5% larger body with perturbed supports: some label is nonzero
+        for m in (20, 40, 60, 80, 120):
+            for _ in range(4):
+                fan = polar_fan(rng, m)
+                first = reconstruct(fan, np.ones(m))
+                second = reconstruct(fan, 1.05 * np.ones(m) + 0.01 * rng.uniform(-1, 1, m))
+                verdict = cauchy_verdict(fan, edge_labeling(first, second))
+                assert verdict.status is CauchyStatus.WITNESS
                 assert verdict.index <= 2
 
     def test_missing_label_rejected(self, tetra):
-        dc = dual_complex(tetra.fan)
-        with pytest.raises(ValueError):
-            cauchy_verdict(dc, {})
+        with pytest.raises(ValueError, match="misses arcs"):
+            cauchy_verdict(tetra.fan, {})
 
 
 SQ1 = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -159,12 +170,12 @@ class TestEdgeLabeling:
         bwd = edge_labeling(b, a)
         assert set(fwd) == set(bwd)
         assert all(fwd[arc] == -bwd[arc] for arc in fwd)
-        assert set(fwd) == set(a.fan.arcs)
+        assert list(fwd) == _arcs(a.fan)
 
     def test_feeds_cauchy_verdict(self, cube):
         bigger = builders.box(4.0, 2.0, 2.0)
         labels = edge_labeling(bigger, cube)
-        verdict = cauchy_verdict(dual_complex(cube.fan), labels)
+        verdict = cauchy_verdict(cube.fan, labels)
         assert verdict.status is not CauchyStatus.VIOLATES_LEMMA
 
 
@@ -194,7 +205,7 @@ class TestCongruentAndParallel:
     def test_superposition_failure_names_lowest_face(self, cube, monkeypatch):
         # zero labels force the superposition: face 0 coincides after the
         # shift c = (1, 0, 0), the vertices at x = -1 stay 2 off
-        monkeypatch.setattr(congruence, "edge_labeling", lambda a, _b: dict.fromkeys(a.fan.arcs, 0))
+        monkeypatch.setattr(congruence, "edge_labeling", lambda a, _b: dict.fromkeys(_arcs(a.fan), 0))
         verdict = congruent_and_parallel(cube, builders.box(4.0, 2.0, 2.0))
         assert verdict.status is CongruenceStatus.DISTINCT
         assert (verdict.face, verdict.detail) == (1, "face 1 fails to coincide after superposition (dev 2.00e+00)")

@@ -7,11 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from helpers import convexity_entries, crossing_entries, polar_fan, random_hull_fan
+import herisson
+from helpers import (
+    convexity_entries,
+    crossing_entries,
+    double_tetrahedron_fan,
+    node_chains,
+    polar_fan,
+    random_hull_fan,
+)
 from herisson import builders
 from herisson import fan as fan_module
 from herisson.errors import MalformedFan
-from herisson.fan import GENERAL_POSITION_TOL, Fan, dual_complex, is_general_position, validate
+from herisson.fan import GENERAL_POSITION_TOL, Fan, is_general_position, validate
+from herisson.geometry import reconstruct
 
 
 def _corrupt_cube_fan(antipodal=True):
@@ -100,12 +109,6 @@ def brute_general_position(eq):
     """Every C(m, 3) determinant, as the definition reads."""
     triples = np.array(list(itertools.combinations(range(len(eq)), 3)))
     return bool(np.all(np.abs(np.linalg.det(eq[triples])) > GENERAL_POSITION_TOL))
-
-
-def bigon_cube_fan():
-    """Cube fan with a degree-2 spherical vertex inserted on the arc {0, 2}."""
-    base = builders.cube().fan
-    return Fan(equipment=base.equipment, cells=base.cells + ((0, 2),))
 
 
 class TestValidate:
@@ -273,31 +276,94 @@ def test_thousand_face_invalid_fans_fail_cleanly():
 
 
 class TestDualComplex:
+    """The complex dual to the surface, as the ring index encodes it: nodes
+    are faces, edges are arcs, 2-cells are the fan's cells."""
+
     def test_cube_dual_counts(self, cube):
-        dc = dual_complex(cube.fan)
-        assert len(dc.nodes) == 6
-        assert len(dc.edges) == 12
-        assert len(dc.cells) == 8
-        assert all(len(c) == 3 for c in dc.cells)
+        idx = cube.fan.ring_index
+        assert (cube.fan.m, len(cube.fan.arcs), len(cube.fan.cells)) == (6, 12, 8)
+        assert len(idx.arc_pos) == 12
+        assert np.bincount(idx.owner).tolist() == [4] * 6
+        assert np.bincount(idx.cell).tolist() == [3] * 8
 
     def test_tetra_dual_counts(self, tetra):
-        dc = dual_complex(tetra.fan)
-        assert (len(dc.nodes), len(dc.edges), len(dc.cells)) == (4, 6, 4)
-
-    def test_degree2_vertex_collapsed(self):
-        dc = dual_complex(bigon_cube_fan())
-        assert (len(dc.nodes), len(dc.edges), len(dc.cells)) == (6, 12, 8)
-
-    def test_antipodal_bigon_is_malformed(self, cube):
-        fan = Fan(equipment=cube.fan.equipment, cells=cube.fan.cells + ((0, 1),))
-        with pytest.raises(MalformedFan):
-            dual_complex(fan)
+        assert (tetra.fan.m, len(tetra.fan.arcs), len(tetra.fan.cells)) == (4, 6, 4)
+        assert np.bincount(tetra.fan.ring_index.owner).tolist() == [3] * 4
 
     def test_rotation_degrees_match_edges(self, waisted):
-        dc = dual_complex(waisted.fan)
-        for node in dc.nodes:
-            incident = [e for e in dc.edges if node in e]
-            assert dc.degree(node) == len(incident)
+        idx, arcs = waisted.fan.ring_index, waisted.fan.arcs
+        for j in range(waisted.fan.m):
+            ring = idx.neighbor[idx.start[j]:idx.start[j + 1]]
+            assert sorted(ring.tolist()) == sorted(set(arcs[arcs[:, 0] == j, 1]) | set(arcs[arcs[:, 1] == j, 0]))
+        ends = np.sort(np.column_stack([idx.owner, idx.neighbor])[idx.arc_pos], axis=1)
+        assert np.array_equal(ends, arcs)
+
+
+def _reference_rings(fan):
+    """cell, neighbor and start arrays of the face rings from node_chains."""
+    chains = node_chains(fan.cells)
+    rings = [chains[j] for j in range(fan.m)]
+    sizes = [len(cells) for cells, _ in rings]
+    return (np.concatenate([cells for cells, _ in rings]), np.concatenate([nbrs for _, nbrs in rings]),
+            np.cumsum([0] + sizes))
+
+
+def _malformed_message(walk, cells):
+    try:
+        walk(cells)
+    except MalformedFan as exc:
+        return str(exc)
+    return None
+
+
+class TestRingWalk:
+    def test_matches_reference_walk(self, cube, box123, tetra, bowtie, waisted, tiling):
+        rng = np.random.default_rng(17)
+        fans = [h.fan for h in (cube, box123, tetra, bowtie, waisted, tiling)]
+        for m in (6, 7, 9, 12, 20, 33, 50, 80, 120):
+            fan = polar_fan(rng, m)
+            fans += [fan, Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in fan.cells))]
+        for fan in fans:
+            idx = fan.ring_index
+            cell, neighbor, start = _reference_rings(fan)
+            assert np.array_equal(idx.cell, cell) and np.array_equal(idx.neighbor, neighbor)
+            assert np.array_equal(idx.start, start)
+
+    def test_malformed_messages_match_reference_walk(self, cube):
+        # which face fails, and whether it is open or does not close, follows
+        # the chain that the walk from the least-succ corner meets
+        polar = polar_fan(np.random.default_rng(3), 20)
+        for base, variants, kinds in (
+            (cube.fan, [cube.fan.cells[:k] + cube.fan.cells[k + 1:] for k in range(8)], (7, 1, 0)),
+            (polar, [polar.cells[:k] + polar.cells[k + 1:] for k in range(36)], (29, 7, 0)),
+            (cube.fan, [cube.fan.cells + cube.fan.cells[2:3]], (0, 0, 1)),
+        ):
+            messages = [_malformed_message(node_chains, cells) for cells in variants]
+            walked = [_malformed_message(lambda c: Fan(base.equipment, c).ring_index, cells) for cells in variants]
+            assert walked == messages
+            assert kinds == (
+                sum(msg.startswith("open fan") for msg in messages),
+                sum(msg.endswith("does not close") for msg in messages),
+                sum(msg.endswith("appears twice") for msg in messages),
+            )
+
+    def test_ring_listed_twice_rejected(self):
+        # face 0's corners form two cycles of three; walking six steps used
+        # to list its ring twice and double its area
+        fan = double_tetrahedron_fan()
+        with pytest.raises(MalformedFan, match=r"^fan of faces around face 0 does not close$"):
+            reconstruct(fan, np.ones(fan.m))
+
+    def test_faces_outside_the_cells_rejected(self, cube):
+        for cells in (cube.fan.cells[:-1] + ((0, 7, 2),), cube.fan.cells[:-1] + ((0, -1, 2),)):
+            with pytest.raises(MalformedFan, match="exactly the faces 0..5"):
+                Fan(cube.fan.equipment, cells).ring_index
+        with pytest.raises(MalformedFan, match="exactly the faces 0..6"):
+            Fan(np.vstack([cube.fan.equipment, [[0.6, 0.8, 0.0]]]), cube.fan.cells).ring_index
+
+
+def test_public_names_resolve():
+    assert all(hasattr(herisson, name) for name in herisson.__all__)
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import herisson
+from helpers import double_tetrahedron_fan
 from herisson import cli, io
 
 
@@ -78,6 +79,9 @@ class TestExitCodes:
         flat = io.fan_to_dict(cube.fan)
         flat["equipment"] = [row[:2] for row in flat["equipment"]]
         assert cli.main(["validate", _write(tmp_path / "flat.json", flat)]) == 2
+        huge = io.fan_to_dict(cube.fan)
+        huge["cells"][0][1] = 2**70     # no machine integer holds it
+        assert cli.main(["validate", _write(tmp_path / "huge.json", huge)]) == 2
         bigon = io.herisson_to_dict(cube)
         bigon["cells"].append([0, 2])
         assert cli.main(["areas", _write(tmp_path / "bigon.json", bigon)]) == 2
@@ -92,6 +96,9 @@ class TestExitCodes:
         nonfinite["h"][0] = float("nan")
         assert cli.main(["areas", _write(tmp_path / "nan.json", nonfinite)]) == 2
         assert "support numbers must be finite" in capsys.readouterr().err
+        double = {**io.fan_to_dict(double_tetrahedron_fan()), "h": [1.0] * 7}
+        assert cli.main(["areas", _write(tmp_path / "double.json", double)]) == 2
+        assert "fan of faces around face 0 does not close" in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -95,12 +95,12 @@ class TestJacobian:
 
 
 def min_edge_line_angle_loop(fan):
-    """Face by face over the ring neighbors, one pair of edge lines at a time."""
+    """Face by face over the arcs at the face, one pair of edge lines at a time."""
     eq = fan.equipment
     best = None
     for j in range(fan.m):
         dirs = []
-        for k in set(fan.face_rings[j][1]):
+        for k in {b if a == j else a for a, b in fan.arcs.tolist() if j in (a, b)}:
             d = np.cross(eq[j], eq[k])
             if np.linalg.norm(d) > 1e-12:
                 dirs.append(d / np.linalg.norm(d))
