@@ -12,13 +12,9 @@ from .congruence import (
     CauchyVerdict,
     CongruenceStatus,
     CongruenceVerdict,
-    PolygonLabeling,
-    can_translate_inside,
     cauchy_verdict,
     congruent_and_parallel,
     edge_labeling,
-    face_polygon_2d,
-    label_parallel_faces,
     sign_changes,
 )
 from .errors import (
@@ -28,7 +24,6 @@ from .errors import (
     HerissonError,
     InconsistentVertex,
     MalformedFan,
-    NotComparable,
     NotSameClass,
     ProbeFailed,
     SingularVertex,
@@ -66,13 +61,9 @@ __all__ = [
     "CauchyVerdict",
     "CongruenceStatus",
     "CongruenceVerdict",
-    "PolygonLabeling",
-    "can_translate_inside",
     "cauchy_verdict",
     "congruent_and_parallel",
     "edge_labeling",
-    "face_polygon_2d",
-    "label_parallel_faces",
     "sign_changes",
     "DegenerateEquipment",
     "DegenerateFace",
@@ -80,7 +71,6 @@ __all__ = [
     "HerissonError",
     "InconsistentVertex",
     "MalformedFan",
-    "NotComparable",
     "NotSameClass",
     "ProbeFailed",
     "SingularVertex",

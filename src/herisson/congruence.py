@@ -2,14 +2,18 @@
 
 Two ingredients decide whether parallel herissons of the same orientation
 coincide up to translation: a circuit-counting lemma on sphere-homeomorphic
-complexes (Cauchy) and an edge/vertex labeling of convex polygon pairs
-(Alexandrov).  For herissons the polygon pairs share their edge-normal
-fans, so only the longer/shorter rule ever fires and all vertices stay 0:
-the polygon labels are the arc labels of edge_labeling read around each
-face's ring, up to lengths within the equality tolerance (scaled by the
-plane coordinates in label_parallel_faces, by the supports in
-edge_labeling).  congruent_and_parallel decides from the arc labels and
-runs the containment linear programs only when some label is nonzero.
+complexes (Cauchy) and an edge labeling of parallel polygon pairs
+(Alexandrov).  Parallel herissons share their fan, so each pair of parallel
+faces shares its edge normals: only the longer/shorter rule of the polygon
+labeling ever fires, and its labels are the arc labels of edge_labeling read
+around each face's ring.  Whether a face fits inside its mate by a
+translation is read from the same ring: edge p of face j has the outward
+normal u_p in the plane of face j, and the face of h1 fits inside that of h2
+iff the translations c in that plane with u_p . c <= h2(u_p) - h1(u_p) for
+every p form a non-empty set; on convex faces the right-hand sides are the
+in-plane supports of the virtual polytope h2 - h1.  Edge lengths and fits
+are both measured against one scale, the larger support scale of the two
+herissons.
 """
 
 from __future__ import annotations
@@ -19,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotComparable, NotSameClass
-from .fan import Fan, arc_key
-from .geometry import Herisson, face_frame, support_scale
+from .errors import NotSameClass
+from .fan import SCAN_BLOCK, Fan, arc_key
+from .geometry import Herisson
 
-ANGLE_TOL = 1e-9        # radians, edge-normal matching
 LENGTH_TOL = 1e-9       # relative, rule-(iv) equality
-FIT_TOL = 1e-9          # relative, containment LP slack
+FIT_TOL = 1e-9          # relative, containment slack
 
 
 def sign_changes(labels) -> int:
@@ -81,177 +84,7 @@ def cauchy_verdict(fan: Fan, labels) -> CauchyVerdict:
 
 
 # ---------------------------------------------------------------------------
-# planar convex polygons
-
-
-def _polygon_ccw(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    area2 = float(np.sum(pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1]))
-    if area2 < 0.0:
-        pts = pts[::-1]
-    return pts
-
-
-def _edge_data(pts: np.ndarray):
-    """Outward unit normals, lengths and normal angles of a CCW polygon."""
-    edges = np.roll(pts, -1, axis=0) - pts
-    lengths = np.linalg.norm(edges, axis=1)
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-    angles = np.arctan2(normals[:, 1], normals[:, 0])
-    return normals, lengths, angles
-
-
-def _poly_scale(*polys) -> float:
-    return max(1.0, max(float(np.max(np.abs(p))) for p in polys))
-
-
-def _support(pts: np.ndarray, direction) -> float:
-    return float(np.max(pts @ np.asarray(direction)))
-
-
-def _is_translate(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
-    if len(p) != len(q):
-        return False
-    shift = p.mean(axis=0) - q.mean(axis=0)
-    moved = q + shift
-    for offset in range(len(p)):
-        if np.max(np.linalg.norm(np.roll(moved, -offset, axis=0) - p, axis=1)) <= tol:
-            return True
-    return False
-
-
-def can_translate_inside(p, q) -> bool:
-    """Whether some translate of polygon p is a proper subset of polygon q.
-
-    Feasibility of (c, u_i) <= h_q(u_i) - h_p(u_i) over the edge normals u_i
-    of q, solved as a max-slack linear program; congruent translates are
-    excluded because a copy of q placed inside q must coincide with it.
-    """
-    from scipy.optimize import linprog   # deferred: importing it costs most of `import herisson`
-
-    p = _polygon_ccw(p)
-    q = _polygon_ccw(q)
-    scale = _poly_scale(p, q)
-    normals, _lengths, _angles = _edge_data(q)
-    b = np.array([_support(q, u) - _support(p, u) for u in normals])
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=np.column_stack([normals, np.ones(len(normals))]),
-        b_ub=b,
-        bounds=[(None, None)] * 3,
-        method="highs",
-    )
-    if not res.success or res.x[2] < -FIT_TOL * scale:
-        return False
-    return not _is_translate(p, q, FIT_TOL * scale)
-
-
-def _wrap(angle: float) -> float:
-    return float(np.mod(angle, 2.0 * np.pi))
-
-
-def _in_open_cone(angle: float, lo: float, hi: float) -> bool:
-    """Whether angle lies strictly between lo and hi, counterclockwise."""
-    span = _wrap(hi - lo)
-    off = _wrap(angle - lo)
-    return ANGLE_TOL < off < span - ANGLE_TOL
-
-
-@dataclass(frozen=True)
-class PolygonLabeling:
-    """Alternating vertex/edge labels around each polygon plus the indices.
-
-    labels are cyclic sequences [v0, e0, v1, e1, ...] where e_i is the edge
-    from vertex i to vertex i+1; index_k counts the sign alternations around
-    polygon k.  The lemma guarantees: either everything is 0 and the
-    polygons are congruent translates, or both indices are at least 4.
-    """
-
-    labels1: tuple[int, ...]
-    labels2: tuple[int, ...]
-    index1: int
-    index2: int
-
-    @property
-    def all_zero(self) -> bool:
-        return not (any(self.labels1) or any(self.labels2))
-
-    def edge_labels(self, which: int = 1) -> tuple[int, ...]:
-        labels = self.labels1 if which == 1 else self.labels2
-        return tuple(labels[1::2])
-
-
-def label_parallel_faces(f1, f2) -> PolygonLabeling:
-    """Label a pair of parallel convex polygons and count sign changes.
-
-    Rules: an edge facing an edge gives +1 to the longer and -1 to the
-    shorter (0 to both when equal); an edge facing a vertex gives the edge
-    +1 and the vertex -1; a vertex whose whole normal cone faces vertices
-    stays 0.  Raises NotComparable when one polygon can be translated
-    inside the other, where the rules say nothing.
-    """
-    p1 = _polygon_ccw(f1)
-    p2 = _polygon_ccw(f2)
-    if can_translate_inside(p1, p2) or can_translate_inside(p2, p1):
-        raise NotComparable("one polygon fits inside the other by a translation")
-    scale = _poly_scale(p1, p2)
-    n1, len1, ang1 = _edge_data(p1)
-    n2, len2, ang2 = _edge_data(p2)
-
-    e1 = np.zeros(len(p1), dtype=int)
-    e2 = np.zeros(len(p2), dtype=int)
-    v1 = np.zeros(len(p1), dtype=int)
-    v2 = np.zeros(len(p2), dtype=int)
-
-    def vertex_cone(angles, i):
-        # vertex i sits between edge i-1 and edge i
-        return angles[i - 1], angles[i]
-
-    matched2 = set()
-    for i, a in enumerate(ang1):
-        hits = [j for j, b in enumerate(ang2) if abs(_wrap(a - b + np.pi) - np.pi) <= ANGLE_TOL]
-        if hits:
-            j = hits[0]
-            matched2.add(j)
-            d = len1[i] - len2[j]
-            if abs(d) > LENGTH_TOL * scale:
-                e1[i], e2[j] = (1, -1) if d > 0 else (-1, 1)
-        else:
-            e1[i] = 1
-            for j in range(len(p2)):
-                lo, hi = vertex_cone(ang2, j)
-                if _in_open_cone(a, lo, hi):
-                    v2[j] = -1
-                    break
-    for j, b in enumerate(ang2):
-        if j in matched2:
-            continue
-        e2[j] = 1
-        for i in range(len(p1)):
-            lo, hi = vertex_cone(ang1, i)
-            if _in_open_cone(b, lo, hi):
-                v1[i] = -1
-                break
-
-    labels1 = tuple(int(x) for pair in zip(v1, e1) for x in pair)
-    labels2 = tuple(int(x) for pair in zip(v2, e2) for x in pair)
-    return PolygonLabeling(
-        labels1=labels1,
-        labels2=labels2,
-        index1=sign_changes(labels1),
-        index2=sign_changes(labels2),
-    )
-
-
-# ---------------------------------------------------------------------------
 # whole-herisson comparison
-
-
-def face_polygon_2d(h: Herisson, j: int) -> np.ndarray:
-    """Face j's polygon in the deterministic coordinates of its plane."""
-    u, v = face_frame(h.fan.equipment[j])
-    pts = h.face_polygon(j)
-    return np.column_stack([pts @ u, pts @ v])
 
 
 def edge_labeling(h1: Herisson, h2: Herisson) -> dict[tuple[int, int], int]:
@@ -263,7 +96,7 @@ def edge_labeling(h1: Herisson, h2: Herisson) -> dict[tuple[int, int], int]:
     """
     l1 = h1.edge_lengths()
     l2 = h2.edge_lengths()
-    tol = LENGTH_TOL * max(support_scale(h1.h), support_scale(h2.h))
+    tol = LENGTH_TOL * max(h1.scale, h2.scale)
     out = {}
     for arc in sorted(l1):
         d = l1[arc] - l2[arc]
@@ -301,6 +134,73 @@ def _check_same_class(h1: Herisson, h2: Herisson) -> None:
         raise NotSameClass("face signs differ")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
+    """Yield, block by block, the (faces, directions) that fit by a translation.
+
+    Direction 0 moves face j of h1 into face j of h2, direction 1 the
+    reverse.  A row is one ring position p of the receiving face j, with the
+    edge e_p = V[succ] - V[cell] and the outward normal
+    u_p = eps_j (e_p x n_j) / |e_p| in the plane of face j; its right-hand
+    side beta_p is the max over the ring of u_p . (receiving vertex) minus
+    the same max over the moved vertices, plus tol (the maxima keep
+    non-convex faces right).  The face fits iff {c : u_p . c <= beta_p} is
+    non-empty.  That set is bounded, so it is non-empty iff the other
+    constraints cut a non-empty interval from some line u_p . c = beta_p.
+    Rows go face by face, direction 0 before 1, so the first row yielded
+    names the lowest face that fits.  The (row, constraint) pairs are walked
+    in blocks of about SCAN_BLOCK, each row whole in one block, and the
+    support maxima of a face are taken just before its first block.
+    """
+    idx = h1.fan.ring_index
+    k = np.repeat(np.diff(idx.start)[faces], 2)      # segment s = 2i + d: faces[i] in direction d
+    seg_row, seg_face = np.cumsum(k) - k, np.repeat(faces, 2)
+    row_seg = np.repeat(np.arange(len(k)), k)
+    row_k, d = k[row_seg], row_seg % 2
+    pos = idx.start[seg_face[row_seg]] + np.arange(len(row_seg)) - seg_row[row_seg]
+    verts = np.stack([h2.vertices, h1.vertices])    # verts[d] receives in direction d
+    edge = verts[d, idx.succ[pos]] - verts[d, idx.cell[pos]]
+    normal = h1.fan.equipment[idx.owner[pos]]
+    u = np.cross(edge, normal) * (h1.signs[idx.owner[pos]] / np.sqrt(_dot(edge, edge)))[:, None]
+    along = np.cross(normal, u)
+
+    def items(r0, r1):
+        """The row and the constraint row of every pair of rows r0..r1-1,
+        and the rows' first pairs."""
+        n = row_k[r0:r1]
+        first = np.cumsum(n) - n
+        row = np.repeat(np.arange(r0, r1), n)
+        return row, seg_row[row_seg[row]] + np.arange(len(row)) - np.repeat(first, n), first
+
+    before = np.cumsum(row_k) - row_k
+    cuts = np.flatnonzero(np.diff(before // SCAN_BLOCK, prepend=-1)).tolist()
+    blocks = list(zip(cuts, cuts[1:] + [len(row_k)]))
+    beta, pending, ready = np.empty(len(row_k)), iter(blocks), 0
+    for r0, r1 in blocks:
+        last = row_seg[r1 - 1]
+        while ready < seg_row[last] + k[last]:
+            s0, ready = next(pending)
+            row, other, first = items(s0, ready)
+            up, cells, dr = u[row], idx.cell[pos[other]], d[row]
+            beta[s0:ready] = (np.maximum.reduceat(_dot(up, verts[dr, cells]), first)
+                              - np.maximum.reduceat(_dot(up, verts[1 - dr, cells]), first) + tol)
+        row, other, first = items(r0, r1)
+        slope = _dot(u[other], along[row])
+        room = beta[other] - beta[row] * _dot(u[other], u[row])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = room / slope
+        skip = other == row                       # the line's own constraint holds on it
+        lo = np.where(skip | (slope >= 0), -np.inf, bound)
+        hi = np.where(skip | (slope <= 0), np.inf, bound)
+        miss = ~skip & (slope == 0) & (room < 0)   # a parallel constraint the line violates
+        lo[miss], hi[miss] = np.inf, -np.inf
+        hit = row_seg[r0 + np.flatnonzero(np.maximum.reduceat(lo, first) <= np.minimum.reduceat(hi, first))]
+        yield seg_face[hit], hit % 2
+
+
 def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     """Decide whether two parallel same-orientation herissons are translates.
 
@@ -309,10 +209,16 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     centroids give the translation c carrying the first herisson onto the
     second, and one check over all vertices confirms it (CONGRUENT) or names
     the lowest face holding a vertex off by more than 1e-8*scale (DISTINCT).
-    Otherwise the faces are scanned in order for one that fits inside its
-    parallel mate (HYPOTHESIS_FAILURE: the uniqueness hypothesis breaks
-    down); if none does, DISTINCT names the lowest face whose ring carries a
-    nonzero label, with index the sign-change count of that ring.
+    Otherwise the faces whose rings carry a nonzero label are tested in
+    order, the first herisson's face moved into the second's before the
+    reverse, for one that fits inside its parallel mate by a translation
+    (HYPOTHESIS_FAILURE: the uniqueness hypothesis breaks down).  The test
+    reads the ring and the supports of h2 - h1 (see _fits) and stops at the
+    first block of faces holding a fit; a face whose ring labels are all 0
+    is a translate of its mate and is not tested.  If no face fits,
+    DISTINCT names the lowest face whose ring carries a nonzero label, with
+    index the sign-change count of that ring.  Edge lengths and fits are
+    compared within 1e-9 times max(h1.scale, h2.scale).
     """
     _check_same_class(h1, h2)
     labels = edge_labeling(h1, h2)
@@ -330,19 +236,16 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
             detail=f"face {j} fails to coincide after superposition (dev {worst:.2e})",
         )
 
-    for j in range(h1.m):
-        p1, p2 = face_polygon_2d(h1, j), face_polygon_2d(h2, j)
-        if can_translate_inside(p1, p2):
+    labeled = sorted({face for arc, label in labels.items() if label for face in arc})
+    for face, direction in _fits(h1, h2, np.array(labeled), FIT_TOL * max(h1.scale, h2.scale)):
+        if face.size:
+            j = int(face[0])
+            moved, receiving = ("second", "first") if direction[0] else ("first", "second")
             return CongruenceVerdict(
                 CongruenceStatus.HYPOTHESIS_FAILURE, face=j,
-                detail=f"face {j} of the first fits inside the second",
+                detail=f"face {j} of the {moved} fits inside the {receiving}",
             )
-        if can_translate_inside(p2, p1):
-            return CongruenceVerdict(
-                CongruenceStatus.HYPOTHESIS_FAILURE, face=j,
-                detail=f"face {j} of the second fits inside the first",
-            )
-    j = min(a for (a, _b), label in labels.items() if label)   # arcs are sorted pairs
+    j = labeled[0]
     index = sign_changes(_ring_labels(h1.fan, j, labels))
     return CongruenceVerdict(
         CongruenceStatus.DISTINCT, face=j, index=index, detail=f"face {j} pair has index {index}",

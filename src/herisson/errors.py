@@ -29,10 +29,6 @@ class FanMismatch(HerissonError):
     """Operands do not share the same fan or orientation class."""
 
 
-class NotComparable(HerissonError):
-    """Polygon pair outside the labeling rules: one fits inside the other."""
-
-
 class NotSameClass(HerissonError):
     """Herissons are not parallel and of the same orientation."""
 

@@ -7,11 +7,12 @@ as seen from outside the sphere.  Incidence derives from the cells alone:
 cells -> corner table (face, cell, succ, pred of every corner) -> arcs (its
 unordered face pairs) -> face rings.  Table and arcs exist for any input.
 Face j's ring starts at its least-succ corner and goes on to the corner of
-j whose succ is the current pred.  Besides cells that miss a face or name
-one outside 0..m-1, the walk raises MalformedFan when an ordered face pair
-appears twice, or, for the first failing face by first appearance, when it
-meets a pred that is no succ of the face ("open fan") or is not back at its
-start after exactly as many steps as the face has corners ("does not close").
+j whose succ is the current pred.  Besides cells of fewer than 3 faces and
+cells that miss a face or name one outside 0..m-1, the walk raises
+MalformedFan when an ordered face pair appears twice, or, for the first
+failing face by first appearance, when it meets a pred that is no succ of
+the face ("open fan") or is not back at its start after exactly as many
+steps as the face has corners ("does not close").
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ class Fan:
     def ring_index(self) -> RingIndex:
         (face, in_cell, succ, pred), m = self.corners, self.m
         sizes = np.bincount(in_cell, minlength=len(self.cells))
-        if np.any(sizes < 3):   # malformed input (ValueError), as for a bad support vector
-            raise ValueError(f"cell {int(np.argmax(sizes < 3))} has fewer than 3 faces")
+        if np.any(sizes < 3):
+            raise MalformedFan(f"cell {int(np.argmax(sizes < 3))} has fewer than 3 faces")
         if set(face.tolist()) != set(range(m)):
             raise MalformedFan(f"the cells must use exactly the faces 0..{m - 1}")
         first = np.cumsum(sizes) - sizes
@@ -285,7 +286,7 @@ def _bad_cells(eq: np.ndarray, cells, checked: list[int]) -> list[str]:
     """
     bad = {}
     sizes = np.array([len(cells[ci]) for ci in checked], dtype=np.intp)
-    for n in np.unique(sizes):
+    for n in sorted(set(sizes.tolist())):   # a plain np.unique imports numpy.ma
         group = np.asarray(checked)[sizes == n]
         pts = eq[np.array([cells[ci] for ci in group])]         # (C, n, 3)
         nxt = np.roll(pts, -1, axis=1)

@@ -148,6 +148,10 @@ def _arc_path(p1: np.ndarray, pm: np.ndarray, p2: np.ndarray) -> str:
 
 def export_svg(fan: Fan, size: float = 600.0) -> str:
     """Stereographic chart of the sphere partition, arcs as circular arcs."""
+    face = fan.corners[0]
+    outside = face[(face < 0) | (face >= fan.m)]
+    if outside.size:
+        raise ValueError(f"cell label {int(outside[0])} is outside 0..{fan.m - 1}")
     pole = _stereographic_pole(fan)
     points = {j: _project(pole, fan.equipment[j]) for j in range(fan.m)}
     paths = []

@@ -2,20 +2,24 @@
 
 Everything here is deliberately independent of the code paths under test:
 vertices come from scipy's halfspace intersection, areas from a classic
-2-d shoelace in explicit plane coordinates, containment from a brute-force
-grid of translations.
+2-d shoelace in explicit plane coordinates, containment from linear
+programs on planar polygons and from a brute-force grid of translations.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from herisson import builders
 from herisson.builders import _ccw_cell
+from herisson.congruence import FIT_TOL, LENGTH_TOL, sign_changes
 from herisson.errors import MalformedFan
 from herisson.fan import ANTIPODAL_TOL, CONVEXITY_TOL, HEMISPHERE_TOL, TOUCH_TOL, Fan
-from herisson.geometry import face_frame
+from herisson.geometry import Herisson, face_frame
 
 
 def halfspace_vertices(normals, offsets, interior_point=None):
@@ -343,3 +347,199 @@ def double_tetrahedron_fan():
     relabel = {0: 0, 1: 4, 2: 5, 3: 6}
     cells = base.cells + tuple(tuple(relabel[f] for f in cell) for cell in base.cells)
     return Fan(equipment=np.vstack([base.equipment, turned]), cells=cells)
+
+
+def prism_fan(n):
+    """Fan of the right prism over a regular n-gon: faces 0 and 1 are the top
+    and bottom caps, faces 2..n+1 the laterals."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    eq = np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n)])])
+    cells = []
+    for i in range(n):
+        a, b = 2 + i, 2 + (i + 1) % n
+        for cell in ((0, a, b), (1, b, a)):
+            cells.append(cell if np.linalg.det(eq[list(cell)]) > 0.0 else (cell[0], cell[2], cell[1]))
+    return Fan(equipment=eq, cells=tuple(cells))
+
+
+# Planar reference for the containment test and the polygon labeling of
+# congruence: one pair of faces at a time, in the coordinates of their plane,
+# with scipy's linprog deciding containment.
+
+ANGLE_TOL = 1e-9        # radians, edge-normal matching
+
+
+class NotComparable(Exception):
+    """Polygon pair outside the labeling rules: one fits inside the other."""
+
+
+def _polygon_ccw(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    area2 = float(np.sum(pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1]))
+    if area2 < 0.0:
+        pts = pts[::-1]
+    return pts
+
+
+def _edge_data(pts: np.ndarray):
+    """Outward unit normals, lengths and normal angles of a CCW polygon."""
+    edges = np.roll(pts, -1, axis=0) - pts
+    lengths = np.linalg.norm(edges, axis=1)
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+    angles = np.arctan2(normals[:, 1], normals[:, 0])
+    return normals, lengths, angles
+
+
+def _poly_scale(*polys) -> float:
+    return max(1.0, max(float(np.max(np.abs(p))) for p in polys))
+
+
+def _support(pts: np.ndarray, direction) -> float:
+    return float(np.max(pts @ np.asarray(direction)))
+
+
+def _is_translate(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
+    if len(p) != len(q):
+        return False
+    shift = p.mean(axis=0) - q.mean(axis=0)
+    moved = q + shift
+    for offset in range(len(p)):
+        if np.max(np.linalg.norm(np.roll(moved, -offset, axis=0) - p, axis=1)) <= tol:
+            return True
+    return False
+
+
+def fit_slack(p, q) -> float:
+    """Largest t such that (c, u_i) + t <= h_q(u_i) - h_p(u_i) for some c, over
+    the edge normals u_i of polygon q: a max-slack linear program."""
+    p = _polygon_ccw(p)
+    q = _polygon_ccw(q)
+    normals, _lengths, _angles = _edge_data(q)
+    b = np.array([_support(q, u) - _support(p, u) for u in normals])
+    res = linprog(
+        c=[0.0, 0.0, -1.0],
+        A_ub=np.column_stack([normals, np.ones(len(normals))]),
+        b_ub=b,
+        bounds=[(None, None)] * 3,
+        method="highs",
+    )
+    return float(res.x[2]) if res.success else -np.inf
+
+
+def can_translate_inside(p, q) -> bool:
+    """Whether some translate of polygon p is a proper subset of polygon q.
+
+    Feasibility of (c, u_i) <= h_q(u_i) - h_p(u_i) over the edge normals u_i
+    of q, up to FIT_TOL times the plane scale; congruent translates are
+    excluded because a copy of q placed inside q must coincide with it.
+    """
+    p = _polygon_ccw(p)
+    q = _polygon_ccw(q)
+    scale = _poly_scale(p, q)
+    if fit_slack(p, q) < -FIT_TOL * scale:
+        return False
+    return not _is_translate(p, q, FIT_TOL * scale)
+
+
+def _wrap(angle: float) -> float:
+    return float(np.mod(angle, 2.0 * np.pi))
+
+
+def _in_open_cone(angle: float, lo: float, hi: float) -> bool:
+    """Whether angle lies strictly between lo and hi, counterclockwise."""
+    span = _wrap(hi - lo)
+    off = _wrap(angle - lo)
+    return ANGLE_TOL < off < span - ANGLE_TOL
+
+
+@dataclass(frozen=True)
+class PolygonLabeling:
+    """Alternating vertex/edge labels around each polygon plus the indices.
+
+    labels are cyclic sequences [v0, e0, v1, e1, ...] where e_i is the edge
+    from vertex i to vertex i+1; index_k counts the sign alternations around
+    polygon k.  The lemma guarantees: either everything is 0 and the
+    polygons are congruent translates, or both indices are at least 4.
+    """
+
+    labels1: tuple[int, ...]
+    labels2: tuple[int, ...]
+    index1: int
+    index2: int
+
+    @property
+    def all_zero(self) -> bool:
+        return not (any(self.labels1) or any(self.labels2))
+
+    def edge_labels(self, which: int = 1) -> tuple[int, ...]:
+        labels = self.labels1 if which == 1 else self.labels2
+        return tuple(labels[1::2])
+
+
+def label_parallel_faces(f1, f2) -> PolygonLabeling:
+    """Label a pair of parallel convex polygons and count sign changes.
+
+    Rules: an edge facing an edge gives +1 to the longer and -1 to the
+    shorter (0 to both when equal); an edge facing a vertex gives the edge
+    +1 and the vertex -1; a vertex whose whole normal cone faces vertices
+    stays 0.  Raises NotComparable when one polygon can be translated
+    inside the other, where the rules say nothing.
+    """
+    p1 = _polygon_ccw(f1)
+    p2 = _polygon_ccw(f2)
+    if can_translate_inside(p1, p2) or can_translate_inside(p2, p1):
+        raise NotComparable("one polygon fits inside the other by a translation")
+    scale = _poly_scale(p1, p2)
+    n1, len1, ang1 = _edge_data(p1)
+    n2, len2, ang2 = _edge_data(p2)
+
+    e1 = np.zeros(len(p1), dtype=int)
+    e2 = np.zeros(len(p2), dtype=int)
+    v1 = np.zeros(len(p1), dtype=int)
+    v2 = np.zeros(len(p2), dtype=int)
+
+    def vertex_cone(angles, i):
+        # vertex i sits between edge i-1 and edge i
+        return angles[i - 1], angles[i]
+
+    matched2 = set()
+    for i, a in enumerate(ang1):
+        hits = [j for j, b in enumerate(ang2) if abs(_wrap(a - b + np.pi) - np.pi) <= ANGLE_TOL]
+        if hits:
+            j = hits[0]
+            matched2.add(j)
+            d = len1[i] - len2[j]
+            if abs(d) > LENGTH_TOL * scale:
+                e1[i], e2[j] = (1, -1) if d > 0 else (-1, 1)
+        else:
+            e1[i] = 1
+            for j in range(len(p2)):
+                lo, hi = vertex_cone(ang2, j)
+                if _in_open_cone(a, lo, hi):
+                    v2[j] = -1
+                    break
+    for j, b in enumerate(ang2):
+        if j in matched2:
+            continue
+        e2[j] = 1
+        for i in range(len(p1)):
+            lo, hi = vertex_cone(ang1, i)
+            if _in_open_cone(b, lo, hi):
+                v1[i] = -1
+                break
+
+    labels1 = tuple(int(x) for pair in zip(v1, e1) for x in pair)
+    labels2 = tuple(int(x) for pair in zip(v2, e2) for x in pair)
+    return PolygonLabeling(
+        labels1=labels1,
+        labels2=labels2,
+        index1=sign_changes(labels1),
+        index2=sign_changes(labels2),
+    )
+
+
+def face_polygon_2d(h: Herisson, j: int) -> np.ndarray:
+    """Face j's polygon in the deterministic coordinates of its plane."""
+    u, v = face_frame(h.fan.equipment[j])
+    pts = h.face_polygon(j)
+    return np.column_stack([pts @ u, pts @ v])

@@ -1,22 +1,34 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_fit_exists, polar_fan, random_normal_fan_2d, random_polygon_pair
+import helpers
+from helpers import (
+    NotComparable,
+    can_translate_inside,
+    face_polygon_2d,
+    fit_slack,
+    grid_fit_exists,
+    label_parallel_faces,
+    polar_fan,
+    prism_fan,
+    random_normal_fan_2d,
+    random_polygon_pair,
+)
 from herisson import builders, congruence
 from herisson.congruence import (
     CauchyStatus,
     CongruenceStatus,
-    can_translate_inside,
     cauchy_verdict,
     congruent_and_parallel,
     edge_labeling,
-    face_polygon_2d,
-    label_parallel_faces,
     sign_changes,
 )
-from herisson.errors import NotComparable, NotSameClass
+from herisson.errors import NotSameClass
 from herisson.geometry import reconstruct
 
 
@@ -193,8 +205,7 @@ class TestCongruentAndParallel:
         def refuse(*_args):
             raise AssertionError("containment test run on a translate")
 
-        monkeypatch.setattr(congruence, "can_translate_inside", refuse)
-        monkeypatch.setattr(congruence, "label_parallel_faces", refuse)
+        monkeypatch.setattr(congruence, "_fits", refuse)
         polar = reconstruct(polar_fan(np.random.default_rng(7), 40), np.ones(40))
         for body in (bowtie, polar):
             c = rng.uniform(-1, 1, 3)
@@ -213,7 +224,8 @@ class TestCongruentAndParallel:
     def test_distinct_witness_matches_polygon_labeling(self, monkeypatch):
         # containment switched off: the witness is the first face pair with
         # nonzero polygon labels, and its index is that labeling's count
-        monkeypatch.setattr(congruence, "can_translate_inside", lambda _p, _q: False)
+        monkeypatch.setattr(congruence, "_fits", lambda *_args: iter(()))
+        monkeypatch.setattr(helpers, "can_translate_inside", lambda _p, _q: False)
         for first, second in (
             (builders.waisted_bitetrahedron(1), builders.waisted_bitetrahedron(2)),
             (builders.box(1.0, 2.0, 3.0), builders.box(3.0, 2.0, 1.0)),
@@ -258,3 +270,60 @@ class TestCongruentAndParallel:
             verdict = congruent_and_parallel(body, body.translated([1.0, 2.0, 3.0]))
             assert verdict.status is CongruenceStatus.CONGRUENT
             assert np.allclose(verdict.translation, [1.0, 2.0, 3.0], atol=1e-9)
+
+    def test_large_prism_pair_exits_early(self):
+        # the 2000-gon caps are faces 0 and 1: face 0 fits after its own rows
+        fan = prism_fan(2000)
+        first = reconstruct(fan, np.ones(fan.m))
+        second = reconstruct(fan, np.r_[1.2, 1.2, np.full(2000, 1.05)])
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            verdict = congruent_and_parallel(first, second)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.status is CongruenceStatus.HYPOTHESIS_FAILURE
+        assert (verdict.face, verdict.detail) == (0, "face 0 of the first fits inside the second")
+        assert elapsed < 2.0
+        assert peak < 64 * 2**20
+
+
+def _same_class_pairs():
+    """The fixture pairs and seeded polar pairs whose signs agree."""
+    pairs = [
+        (builders.cube(), builders.box(4.0, 4.0, 4.0)),
+        (builders.cube(), builders.box(4.0, 2.0, 2.0)),
+        (builders.box(1.0, 2.0, 3.0), builders.box(3.0, 2.0, 1.0)),
+        (builders.box(1.0, 2.0, 3.0), builders.box(2.0, 3.0, 1.0)),
+        (builders.waisted_bitetrahedron(1), builders.waisted_bitetrahedron(2)),
+        (builders.waisted_bitetrahedron(1), builders.waisted_bitetrahedron(3)),
+        (builders.waisted_bitetrahedron(2), builders.waisted_bitetrahedron(3)),
+        (builders.reflected_truncated_tetrahedron(0.35), builders.reflected_truncated_tetrahedron(0.65)),
+    ]
+    rng = np.random.default_rng(20261018)
+    for m in (20, 40, 60) * 2:
+        for factor, noise in ((1.0, 1e-4), (1.05, 0.01), (0.97, 0.01)):
+            fan = polar_fan(rng, m)
+            h = factor * np.ones(m) + fan.equipment @ rng.uniform(-1, 1, 3) + noise * rng.uniform(-1, 1, m)
+            pairs.append((reconstruct(fan, np.ones(m)), reconstruct(fan, h)))
+    return [(a, b) for a, b in pairs if np.array_equal(a.signs, b.signs)]
+
+
+def test_fits_match_the_linear_programs():
+    # faces with all-zero ring labels are translates and never fit
+    compared = 0
+    for first, second in _same_class_pairs():
+        scale = max(first.scale, second.scale)
+        labeled = sorted({f for arc, label in edge_labeling(first, second).items() if label for f in arc})
+        fits = np.zeros((first.m, 2), dtype=bool)
+        for face, direction in congruence._fits(first, second, np.array(labeled, dtype=int), congruence.FIT_TOL * scale):
+            fits[face, direction] = True
+        for j in range(first.m):
+            p1, p2 = face_polygon_2d(first, j), face_polygon_2d(second, j)
+            for direction, (moved, receiving) in enumerate(((p1, p2), (p2, p1))):
+                if abs(fit_slack(moved, receiving)) > 1e-8 * scale:
+                    assert fits[j, direction] == can_translate_inside(moved, receiving), (first.m, j, direction)
+                    compared += 1
+    assert compared >= 1200

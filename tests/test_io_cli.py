@@ -99,11 +99,52 @@ class TestExitCodes:
         double = {**io.fan_to_dict(double_tetrahedron_fan()), "h": [1.0] * 7}
         assert cli.main(["areas", _write(tmp_path / "double.json", double)]) == 2
         assert "fan of faces around face 0 does not close" in capsys.readouterr().err
+        seed = _write(tmp_path / "seed.json", {"h": [1.0] * 6})
+        target = _write(tmp_path / "target.json", {"g": [4.0] * 6})
+        bigon_fan = _write(tmp_path / "bigon_fan.json", {**io.fan_to_dict(cube.fan), "cells": bigon["cells"]})
+        assert cli.main(["solve", bigon_fan, "--seed", seed, "--target", target]) == 2
+        assert "cell 8 has fewer than 3 faces" in capsys.readouterr().err
+        cube_fan = _write(tmp_path / "cube_fan.json", io.fan_to_dict(cube.fan))
+        short_target = _write(tmp_path / "short_target.json", {"g": [4.0] * 5})
+        assert cli.main(["solve", cube_fan, "--seed", seed, "--target", short_target]) == 1
+
+    @pytest.mark.parametrize("label", [7, -1])
+    def test_svg_label_out_of_range(self, cube, label, tmp_path, capsys):
+        data = io.fan_to_dict(cube.fan)
+        data["cells"][-1] = [0, label, 4]
+        assert cli.main(["export", _write(tmp_path / "x.json", data), "--svg", str(tmp_path / "x.svg")]) == 2
+        assert f"cell label {label} is outside 0..5" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, herisson; print('scipy.optimize' in sys.modules)"
+_RUNTIME_PROBE = """
+import json, sys
+from herisson import builders, cli
+from herisson.congruence import congruent_and_parallel
+
+def loaded(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+
+def scipy():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+steps = {"import": scipy()}
+congruent_and_parallel(builders.cube(), builders.box(4.0, 4.0, 4.0))
+steps["congruent_and_parallel"] = scipy()
+assert cli.main(["congruent", sys.argv[1], sys.argv[2]]) == 1
+steps["cli congruent"] = scipy()
+assert cli.main(["validate", sys.argv[3]]) == 0
+steps["cli validate"] = scipy() + loaded("numpy.ma")
+print(json.dumps(steps))
+"""
+
+
+def test_runtime_leaves_scipy_and_numpy_ma_unloaded(cube, tmp_path):
+    small = _write(tmp_path / "small.json", io.herisson_to_dict(cube))
+    big = _write(tmp_path / "big.json", io.herisson_to_dict(herisson.builders.box(4.0, 4.0, 4.0)))
+    fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))
     src = str(Path(herisson.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE, small, big, fan],
+                         capture_output=True, text=True, check=True, env=env)
+    steps = json.loads(out.stdout.splitlines()[-1])
+    assert steps == dict.fromkeys(["import", "congruent_and_parallel", "cli congruent", "cli validate"], [])
