@@ -34,4 +34,4 @@ class NotSameClass(HerissonError):
 
 
 class ProbeFailed(HerissonError):
-    """A finite-difference probe point could not be realized."""
+    """A finite-difference probe point left the orientation class."""

@@ -410,44 +410,64 @@ def is_general_position(fan: Fan) -> bool:
     """True iff no three equipment vectors are coplanar: every triple i < j < k
     has |det(n_i, n_j, n_k)| > GENERAL_POSITION_TOL.
 
-    A sweep per face i in O(m log m) time and O(m) memory, plus the triples
-    it cannot rule out, finds the triples that can fail.  With
-    c_j = n_i x n_j and phi_j its direction modulo pi in the plane normal to
-    n_i, |det| |n_i| = |c_j| |c_k| |sin(phi_k - phi_j)| exactly, unit
-    vectors or not.  So a pair (j, k) can fail only when its
+    An angular sweep per face i, in O(m^2 log m) time, finds the triples that
+    can fail.  With c_j = n_i x n_j and phi_j its direction modulo pi in the
+    plane normal to n_i, |det| |n_i| = |c_j| |c_k| |sin(phi_k - phi_j)|
+    exactly, unit vectors or not.  So a pair (j, k) can fail only when its
     angle gap is within arcsin(tol |n_i| / (|c_j| |c_k|)) of 0 modulo pi,
     where tol adds a bound on the rounding of a 3x3 determinant to
     GENERAL_POSITION_TOL; the windows taken are SWEEP_SLACK times that wide
     (with min |c| in place of |c_k|), which also covers the rounding of the
     cross products and angles.  The determinant of every pair in a window is
     computed as np.linalg.det of the rows (i, j, k), and it alone decides.
-    Non-finite equipment is never in general position.
+    The faces i are swept in blocks of about SCAN_BLOCK pairs (i, j), so
+    memory stays O(m + SCAN_BLOCK) beside the window pairs, which are few
+    unless many triples nearly fail.  Non-finite equipment is never in
+    general position.
     """
     eq = fan.equipment
     if not np.all(np.isfinite(eq)):
         return False
+    m = len(eq)
     norms = np.linalg.norm(eq, axis=1)
     tol = GENERAL_POSITION_TOL + 64.0 * np.finfo(float).eps * float(np.max(norms, initial=0.0)) ** 3
-    for i in range(fan.m - 2):
-        cross = np.cross(eq[i], eq[i + 1:])
+    ends = np.cumsum(np.arange(m - 1, 1, -1))      # pairs (i, j > i) up to face i, for i < m - 2
+    i0 = 0
+    while i0 < m - 2:
+        done = int(ends[i0 - 1]) if i0 else 0
+        i1 = min(max(i0 + 1, int(np.searchsorted(ends, done + SCAN_BLOCK, side="right"))), m - 2)
+        count = m - 1 - np.arange(i0, i1)          # one segment of pairs per face i
+        seg_start = np.cumsum(count) - count
+        seg = np.repeat(np.arange(len(count)), count)
+        face = i0 + seg
+        other = face + 1 + np.arange(len(seg)) - seg_start[seg]
+        cross = np.cross(eq[face], eq[other])
         r = np.linalg.norm(cross, axis=1)
-        u = cross[np.argmax(r)]
+        hits = np.flatnonzero(r == np.maximum.reduceat(r, seg_start)[seg])
+        u = cross[hits[np.searchsorted(hits, seg_start)]]       # first longest c per face
         # a zero n_i leaves phi and width undefined: every pair is then a candidate
         with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.mod(np.arctan2(cross @ np.cross(eq[i], u) / norms[i], cross @ u), np.pi)
-            width = np.minimum(SWEEP_SLACK * tol * norms[i] / (r * r.min()), np.pi / 2)
-        phi = np.nan_to_num(phi)
-        order = np.argsort(phi)
-        phi = phi[order]
+            phi = np.mod(np.arctan2(
+                _rowdot(cross, np.cross(eq[i0:i1], u)[seg]) / norms[face], _rowdot(cross, u[seg])), np.pi)
+            width = np.minimum(SWEEP_SLACK * tol * norms[face] / (r * np.minimum.reduceat(r, seg_start)[seg]),
+                               np.pi / 2)
+        order = np.lexsort((np.nan_to_num(phi), seg))
+        phi = np.nan_to_num(phi)[order]
         width = np.nan_to_num(width, nan=np.pi / 2)[order] + 1e-12
-        # forward windows over the angles and their copies shifted by pi
-        pos = np.arange(len(phi))
-        counts = np.searchsorted(np.concatenate([phi, phi + np.pi]), phi + width, side="right") - pos - 1
+        # forward windows over each face's angles and their copies shifted by pi,
+        # searched in one sorted array of (face, angle) keys
+        rank = np.arange(len(seg)) - seg_start[seg]
+        keys = np.empty(2 * len(seg), dtype=complex)
+        keys[seg_start[seg] + seg_start[seg] + rank] = seg + 1j * phi
+        keys[seg_start[seg] + seg_start[seg] + count[seg] + rank] = seg + 1j * (phi + np.pi)
+        counts = np.searchsorted(keys, seg + 1j * (phi + width), side="right") - 2 * seg_start[seg] - rank - 1
+        i0 = i1
         if not counts.any():
             continue
         first, second = _window_pairs(counts)
-        j, k = order[first], order[second % len(phi)]
-        rows = np.column_stack([np.full(len(j), i), i + 1 + np.minimum(j, k), i + 1 + np.maximum(j, k)])
+        second = seg_start[seg[first]] + (second - seg_start[seg[first]]) % count[seg[first]]
+        j, k = other[order[first]], other[order[second]]
+        rows = np.column_stack([face[order[first]], np.minimum(j, k), np.maximum(j, k)])
         if np.any(np.abs(np.linalg.det(eq[rows])) <= GENERAL_POSITION_TOL):
             return False
     return True

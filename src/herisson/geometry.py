@@ -71,6 +71,23 @@ def _ring_edge_lengths(fan: Fan, vertices: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vertices[idx.succ] - vertices[idx.cell], axis=1)
 
 
+def _oriented_areas(fan: Fan, vertices: np.ndarray) -> np.ndarray:
+    """Oriented face areas (P, m) of a stack of vertex sets (P, V, 3).
+
+    Signed shoelace: twice the area is the sum over edges of (p x q) . n.
+    The stack is flattened into one ring of P * V vertices, so every set is
+    summed exactly as it would be on its own.
+    """
+    idx = fan.ring_index
+    count, nverts = vertices.shape[:2]
+    flat = vertices.reshape(-1, 3)
+    shift = nverts * np.arange(count)[:, None]
+    crosses = np.cross(flat[(idx.cell + shift).ravel()], flat[(idx.succ + shift).ravel()])
+    twice_areas = np.einsum("ij,ij->i", crosses, np.tile(fan.equipment[idx.owner], (count, 1)))
+    starts = (idx.start[:-1] + len(idx.cell) * np.arange(count)[:, None]).ravel()
+    return 0.5 * np.add.reduceat(twice_areas, starts).reshape(count, fan.m)
+
+
 def _realize(fan: Fan, h) -> Realization:
     h = np.asarray(h, dtype=float)
     eq = fan.equipment
@@ -93,13 +110,10 @@ def _realize(fan: Fan, h) -> Realization:
         k = int(np.argmax(residuals))      # first (cell, face) holding the maximum
         worst_where = (int(idx.extra_cell[k]), int(idx.extra_face[k]))
 
-    # signed shoelace: twice the area is sum over edges of (p x q) . n
-    crosses = np.cross(vertices[idx.cell], vertices[idx.succ])
-    twice_areas = np.einsum("ij,ij->i", crosses, eq[idx.owner])
     lens = _ring_edge_lengths(fan, vertices)
     return Realization(
         vertices=vertices,
-        areas=0.5 * np.add.reduceat(twice_areas, idx.start[:-1]),
+        areas=_oriented_areas(fan, vertices[None])[0],
         perimeters=np.add.reduceat(lens, idx.start[:-1]),
         min_edge=float(lens.min()),
         consistency=worst,

@@ -3,10 +3,16 @@
 The area map phi sends support numbers to oriented face areas.  Targets on
 the balance plane are reached by walking g(t) = (1-t) f0 + t g from the
 seed's areas, correcting with Gauss-Newton at each step.  Translations form
-a known 3-dimensional null space, handled by gauge fixing and rank-cutoff
-least squares.  Cells with more than three faces constrain the support
-vector linearly; those rows ride along in the Newton system so iterates
-stay on the realizability locus.
+a known 3-dimensional null space, handled by gauge fixing.  On fans whose
+cells are all simple the Jacobian J is symmetric with J E = 0 for the
+equipment E, and by the uniqueness theorem (the area map is injective
+modulo translations) it has rank m - 3; so the bordered matrix
+[[J, wE], [wE^T, 0]] is nonsingular and each Newton or predictor step is one
+LU solve of it, which is the least-squares step.  Cells with more than
+three faces constrain the support vector linearly; those rows ride along
+in the Newton system so iterates stay on the realizability locus, and that
+system, like a bordered matrix that is singular or badly conditioned, goes
+to rank-cutoff least squares, which alone names a rank drop.
 
 Failure modes are part of the contract: the path may hit the boundary of
 the orientation class (an edge or an area degenerates) or run away (support
@@ -22,13 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProbeFailed, SingularVertex
-from .fan import Fan, ValidationReport, _rowdot, _window_pairs, is_general_position
+from .fan import SCAN_BLOCK, Fan, ValidationReport, _rowdot, _window_pairs, is_general_position
 from .geometry import (
     AREA_TOL,
     EDGE_TOL,
     Realization,
     _area_jacobian,
     _consistency_matrix,
+    _oriented_areas,
     _realize,
     gauge_fix,
     perimeter_bound,
@@ -101,23 +108,33 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float, base_signs=None) -> 
     Probes do not enforce the multi-plane consistency of non-simple cells
     (a finite step always violates it), but a probe that flips the sign of
     some face has crossed the boundary of the orientation class and raises
-    ProbeFailed.
+    ProbeFailed, naming the lowest such h[j].  The 2m probes h +- step e_j
+    are realized together, in blocks of about SCAN_BLOCK ring positions, by
+    the arithmetic of the realization layer, so the columns equal those of
+    one realization per probe bit for bit.  Vertex blocks depend only on
+    the equipment: once h itself has been realized, no probe can meet a
+    singular vertex.
     """
-    cols = []
-    for j in range(fan.m):
-        probe = np.zeros(fan.m)
-        probe[j] = step
-        try:
-            plus = _realize(fan, h + probe).areas
-            minus = _realize(fan, h - probe).areas
-        except SingularVertex as exc:
-            raise ProbeFailed(f"probe along h[{j}] left the realizability locus") from exc
-        if base_signs is not None and (
-            np.any(np.sign(plus) != base_signs) or np.any(np.sign(minus) != base_signs)
-        ):
-            raise ProbeFailed(f"probe along h[{j}] left the orientation class")
-        cols.append((plus - minus) / (2.0 * step))
-    return np.column_stack(cols)
+    idx = fan.ring_index
+    m, ring = fan.m, len(idx.cell)
+    blocks = fan.equipment[idx.first3][None]
+    per_block = max(1, SCAN_BLOCK // (2 * ring))     # probe pairs per block
+    jac = np.empty((m, m))
+    for j0 in range(0, m, per_block):
+        j = np.arange(j0, min(j0 + per_block, m))
+        n = len(j)
+        probes = np.tile(h, (2 * n, 1))
+        probes[np.arange(n), j] = h[j] + step
+        probes[n + np.arange(n), j] = h[j] - step
+        vertices = np.linalg.solve(blocks, probes[:, idx.first3][..., None])[..., 0]
+        areas = _oriented_areas(fan, vertices)
+        plus, minus = areas[:n], areas[n:]
+        if base_signs is not None:
+            flipped = np.any(np.sign(plus) != base_signs, axis=1) | np.any(np.sign(minus) != base_signs, axis=1)
+            if flipped.any():
+                raise ProbeFailed(f"probe along h[{j[np.argmax(flipped)]}] left the orientation class")
+        jac[:, j] = ((plus - minus) / (2.0 * step)).T
+    return jac
 
 
 def _check_jacobian_mode(mode: str) -> None:
@@ -129,8 +146,13 @@ def jacobian(fan: Fan, h, mode: str = "analytic", fd_step: float | None = None) 
     """Jacobian d(area)/d(support), either analytic or finite-difference.
 
     The analytic mode differentiates the reconstruction exactly; the fd
-    mode runs central differences with step fd_step*scale (default 1e-6).
-    Both annihilate translations and satisfy J h = 2 phi(h).
+    mode runs central differences with step fd_step*scale (default 1e-6),
+    all 2m probes in one batched pass, and raises ProbeFailed for the
+    lowest h[j] whose probe flips the sign of a face.  Both annihilate
+    translations and satisfy J h = 2 phi(h).  On fans whose cells are all
+    simple J is symmetric of rank m - 3 (the area map is injective modulo
+    translations), which is what lets the solver take its Newton steps
+    from the bordered system [[J, wE], [wE^T, 0]]; see _newton_step.
     """
     _check_jacobian_mode(mode)
     h = np.asarray(h, dtype=float)
@@ -192,6 +214,41 @@ class _Abort(Exception):
         self.message = message
 
 
+def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of jac @ delta = rhs, orthogonal to translations.
+
+    A square jac (no consistency rows) is the symmetric area Jacobian J
+    with J E = 0 for the equipment E, and by the uniqueness theorem its
+    rank is m - 3, so B = [[J, wE], [wE^T, 0]] with w = |J|_F / sqrt(m) is
+    nonsingular and one LU solve gives the least-squares step.  B is solved
+    for rhs and two fixed probe columns p together: max |B^-1 p| / |p| is a
+    lower bound on |B^-1|, typically within a factor sqrt(m), and times
+    |J|_F (at least sigma_1(J)) it estimates cond(B), which is at least
+    sigma_1(J) / sigma_{m-3}(J).  When the solve fails, is not finite or
+    the estimate exceeds 1e-4 / RANK_CUTOFF, and for every jac with
+    consistency rows, rank-cutoff least squares decides; a rank more than 3
+    short of m aborts as DEGENERATED.
+    """
+    m = equipment.shape[0]
+    if jac.shape[0] == m:
+        jnorm = float(np.linalg.norm(jac))
+        border = jnorm / np.sqrt(m) * equipment
+        bordered = np.block([[jac, border], [border.T, np.zeros((3, 3))]])
+        probes = np.random.default_rng(0).standard_normal((m + 3, 2))
+        try:
+            sol = np.linalg.solve(bordered, np.column_stack([np.concatenate([rhs, np.zeros(3)]), probes]))
+        except np.linalg.LinAlgError:
+            sol = None
+        if sol is not None and np.all(np.isfinite(sol)):
+            inv_norm = float(np.max(np.linalg.norm(sol[:, 1:], axis=0) / np.linalg.norm(probes, axis=0)))
+            if jnorm * inv_norm <= 1e-4 / RANK_CUTOFF:
+                return sol[:m, 0]
+    delta, _res, rank, _sv = np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)
+    if m - rank > 3:
+        raise _Abort(SolveStatus.DEGENERATED, f"jacobian rank dropped to {rank} (expected {m - 3})")
+    return delta
+
+
 def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveOutcome:
     """Continuation from the seed surface toward the target areas.
 
@@ -237,15 +294,6 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             areas_jac = _area_jacobian(fan, real.vertices)
         return np.vstack([areas_jac, cons]) if cons.size else areas_jac
 
-    def lstsq_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        delta, _res, rank, _sv = np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)
-        if fan.m - rank > 3:
-            raise _Abort(
-                SolveStatus.DEGENERATED,
-                f"jacobian rank dropped to {rank} (expected {fan.m - 3})",
-            )
-        return delta
-
     def correct(x0: np.ndarray, g_t: np.ndarray):
         x = x0
         for _ in range(opts.max_newton_iters):
@@ -269,13 +317,13 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             except ProbeFailed as exc:
                 raise _Abort(SolveStatus.DEGENERATED, str(exc))
             rhs = -np.concatenate([res_area, res_cons])
-            x = gauge_fix(fan, x + lstsq_step(jac, rhs))
+            x = gauge_fix(fan, x + _newton_step(jac, rhs, fan.equipment))
         return None
 
     def predict(x: np.ndarray, real: Realization, dt: float) -> np.ndarray:
         try:
             jac = full_jacobian(x, real)
-            tangent = lstsq_step(jac, np.concatenate([g - f0, np.zeros(cons.shape[0])]))
+            tangent = _newton_step(jac, np.concatenate([g - f0, np.zeros(cons.shape[0])]), fan.equipment)
             return gauge_fix(fan, x + dt * tangent)
         except (ProbeFailed, _Abort):
             return x

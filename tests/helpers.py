@@ -17,9 +17,18 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 from herisson import builders
 from herisson.builders import _ccw_cell
 from herisson.congruence import FIT_TOL, LENGTH_TOL, sign_changes
-from herisson.errors import MalformedFan
-from herisson.fan import ANTIPODAL_TOL, CONVEXITY_TOL, HEMISPHERE_TOL, TOUCH_TOL, Fan
-from herisson.geometry import Herisson, face_frame
+from herisson.errors import MalformedFan, ProbeFailed
+from herisson.fan import (
+    ANTIPODAL_TOL,
+    CONVEXITY_TOL,
+    GENERAL_POSITION_TOL,
+    HEMISPHERE_TOL,
+    SWEEP_SLACK,
+    TOUCH_TOL,
+    Fan,
+    _window_pairs,
+)
+from herisson.geometry import Herisson, _realize, face_frame
 
 
 def halfspace_vertices(normals, offsets, interior_point=None):
@@ -543,3 +552,52 @@ def face_polygon_2d(h: Herisson, j: int) -> np.ndarray:
     u, v = face_frame(h.fan.equipment[j])
     pts = h.face_polygon(j)
     return np.column_stack([pts @ u, pts @ v])
+
+
+# Scalar references for fan.is_general_position and the fd Jacobian of the
+# solver: one face i, and one probe pair, at a time.
+
+def general_position_loop(fan):
+    """The angular sweep of is_general_position, one face i at a time."""
+    eq = fan.equipment
+    if not np.all(np.isfinite(eq)):
+        return False
+    norms = np.linalg.norm(eq, axis=1)
+    tol = GENERAL_POSITION_TOL + 64.0 * np.finfo(float).eps * float(np.max(norms, initial=0.0)) ** 3
+    for i in range(fan.m - 2):
+        cross = np.cross(eq[i], eq[i + 1:])
+        r = np.linalg.norm(cross, axis=1)
+        u = cross[np.argmax(r)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = np.mod(np.arctan2(cross @ np.cross(eq[i], u) / norms[i], cross @ u), np.pi)
+            width = np.minimum(SWEEP_SLACK * tol * norms[i] / (r * r.min()), np.pi / 2)
+        phi = np.nan_to_num(phi)
+        order = np.argsort(phi)
+        phi = phi[order]
+        width = np.nan_to_num(width, nan=np.pi / 2)[order] + 1e-12
+        pos = np.arange(len(phi))
+        counts = np.searchsorted(np.concatenate([phi, phi + np.pi]), phi + width, side="right") - pos - 1
+        if not counts.any():
+            continue
+        first, second = _window_pairs(counts)
+        j, k = order[first], order[second % len(phi)]
+        rows = np.column_stack([np.full(len(j), i), i + 1 + np.minimum(j, k), i + 1 + np.maximum(j, k)])
+        if np.any(np.abs(np.linalg.det(eq[rows])) <= GENERAL_POSITION_TOL):
+            return False
+    return True
+
+
+def fd_jacobian_loop(fan, h, step, base_signs=None):
+    """Central differences of the area map, one realization per probe."""
+    cols = []
+    for j in range(fan.m):
+        probe = np.zeros(fan.m)
+        probe[j] = step
+        plus = _realize(fan, h + probe).areas
+        minus = _realize(fan, h - probe).areas
+        if base_signs is not None and (
+            np.any(np.sign(plus) != base_signs) or np.any(np.sign(minus) != base_signs)
+        ):
+            raise ProbeFailed(f"probe along h[{j}] left the orientation class")
+        cols.append((plus - minus) / (2.0 * step))
+    return np.column_stack(cols)

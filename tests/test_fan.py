@@ -12,6 +12,7 @@ from helpers import (
     convexity_entries,
     crossing_entries,
     double_tetrahedron_fan,
+    general_position_loop,
     node_chains,
     polar_fan,
     random_hull_fan,
@@ -249,6 +250,33 @@ class TestGeneralPosition:
             assert verdict == brute_general_position(eq)
             verdicts.append(verdict)
         assert True in verdicts and False in verdicts
+
+
+    def test_blocked_sweep_matches_loop(self, cube, box123, tetra, bowtie, waisted, tiling):
+        # the blocked sweep against the per-face loop it replaced; polar fans
+        # up to m = 300 span several blocks of SCAN_BLOCK pairs
+        rng = np.random.default_rng(17)
+        inputs = [h.fan.equipment for h in (cube, box123, tetra, bowtie, waisted, tiling)]
+        for m in (6, 7, 12, 40, 120, 300):
+            eq = np.array(polar_fan(rng, m).equipment)
+            inputs.append(eq)
+            for c in (m - 1, m // 2):
+                coplanar = eq.copy()
+                a, b = rng.choice(c, 2, replace=False)
+                coplanar[c] = rng.uniform(-1, 1) * eq[a] + rng.uniform(-1, 1) * eq[b]
+                coplanar[c] /= np.linalg.norm(coplanar[c])
+                inputs.append(coplanar)
+            inputs.append(eq * rng.uniform(1e-2, 1e2, (m, 1)))
+            zero, nan = eq.copy(), eq.copy()
+            zero[m // 3] = 0.0
+            nan[m // 2, 1] = np.nan
+            inputs += [zero, nan]
+        verdicts = []
+        for eq in inputs:
+            fan = Fan(equipment=eq, cells=())
+            verdicts.append(is_general_position(fan))
+            assert verdicts[-1] == general_position_loop(fan)
+        assert verdicts.count(True) >= 12 and verdicts.count(False) >= 12
 
 
 def test_thousand_face_fan_checks_quickly():

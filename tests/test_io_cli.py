@@ -118,8 +118,10 @@ class TestExitCodes:
 
 _RUNTIME_PROBE = """
 import json, sys
+import numpy as np
 from herisson import builders, cli
 from herisson.congruence import congruent_and_parallel
+from herisson.solver import SolveOptions, solve_minkowski
 
 def loaded(name):
     return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
@@ -134,6 +136,12 @@ assert cli.main(["congruent", sys.argv[1], sys.argv[2]]) == 1
 steps["cli congruent"] = scipy()
 assert cli.main(["validate", sys.argv[3]]) == 0
 steps["cli validate"] = scipy() + loaded("numpy.ma")
+assert cli.main(["solve", sys.argv[3], "--seed", sys.argv[4], "--target", sys.argv[5], "--allow-non-general"]) == 0
+steps["cli solve"] = scipy() + loaded("numpy.ma")
+cube = builders.cube()
+opts = SolveOptions(allow_non_general_position=True, jacobian_mode="fd")
+assert solve_minkowski(cube.fan, cube.h, np.full(6, 2.25), opts).converged
+steps["fd solve_minkowski"] = scipy() + loaded("numpy.ma")
 print(json.dumps(steps))
 """
 
@@ -142,9 +150,12 @@ def test_runtime_leaves_scipy_and_numpy_ma_unloaded(cube, tmp_path):
     small = _write(tmp_path / "small.json", io.herisson_to_dict(cube))
     big = _write(tmp_path / "big.json", io.herisson_to_dict(herisson.builders.box(4.0, 4.0, 4.0)))
     fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))
+    seed = _write(tmp_path / "seed.json", {"h": [1.0] * 6})
+    target = _write(tmp_path / "target.json", {"g": [9.0] * 6})
     src = str(Path(herisson.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE, small, big, fan],
+    out = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE, small, big, fan, seed, target],
                          capture_output=True, text=True, check=True, env=env)
     steps = json.loads(out.stdout.splitlines()[-1])
-    assert steps == dict.fromkeys(["import", "congruent_and_parallel", "cli congruent", "cli validate"], [])
+    assert steps == dict.fromkeys(
+        ["import", "congruent_and_parallel", "cli congruent", "cli validate", "cli solve", "fd solve_minkowski"], [])

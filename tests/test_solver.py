@@ -3,15 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import polar_fan, random_hull_fan, random_simple_fan
-from herisson import builders
+from helpers import fd_jacobian_loop, polar_fan, random_hull_fan, random_simple_fan
+from herisson import builders, solver
 from herisson.errors import ProbeFailed
 from herisson.fan import Fan
-from herisson.geometry import gauge_fix, reconstruct, support_scale
+from herisson.geometry import _area_jacobian, gauge_fix, reconstruct, support_scale
 from herisson.solver import (
+    RANK_CUTOFF,
     SolveOptions,
     SolveStatus,
+    _Abort,
+    _fd_area_jacobian,
     _min_edge_line_angle,
+    _newton_step,
     area_map,
     jacobian,
     solve_minkowski,
@@ -92,6 +96,82 @@ class TestJacobian:
         reconstruct(cube.fan, h)  # realizable, but barely
         with pytest.raises(ProbeFailed):
             jacobian(cube.fan, h, mode="fd")
+
+
+def _probe_outcome(func, fan, h, step, signs):
+    try:
+        return func(fan, h, step, signs)
+    except ProbeFailed as exc:
+        return str(exc)
+
+
+class TestBatchedProbes:
+    """The batched fd Jacobian against one realization per probe."""
+
+    @pytest.fixture(params=["default", "one pair per block"])
+    def blocks(self, request, monkeypatch):
+        if request.param != "default":
+            monkeypatch.setattr(solver, "SCAN_BLOCK", 1)
+
+    def test_bitwise_equal_to_loop(self, blocks, cube, box123, tetra, bowtie, waisted, tiling):
+        rng = np.random.default_rng(5)
+        bodies = [(b.fan, np.array(b.h)) for b in (cube, box123, tetra, bowtie, waisted, tiling)]
+        bodies += [(polar_fan(rng, m), rng.uniform(0.8, 1.2, m)) for m in (6, 20, 40, 120)]
+        for fan, h in bodies:
+            step = 1e-6 * support_scale(h)
+            signs = reconstruct(fan, h).signs
+            assert np.array_equal(jacobian(fan, h, mode="fd"), fd_jacobian_loop(fan, h, step, signs))
+            assert np.array_equal(_fd_area_jacobian(fan, h, step), fd_jacobian_loop(fan, h, step))
+
+    def test_probe_failure_names_the_same_face(self, blocks, cube):
+        h = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0 + 2e-7])
+        step = 1e-6 * support_scale(h)
+        signs = reconstruct(cube.fan, h).signs
+        expected = _probe_outcome(fd_jacobian_loop, cube.fan, h, step, signs)
+        assert expected.startswith("probe along h[")
+        assert _probe_outcome(_fd_area_jacobian, cube.fan, h, step, signs) == expected
+        # a polar fan whose smallest face cannot take the probe step
+        fan = polar_fan(np.random.default_rng(4), 120)
+        h = np.ones(fan.m)
+        base = reconstruct(fan, h)
+        small = int(np.argmin(np.abs(base.oriented_areas)))
+        jac = _area_jacobian(fan, base.vertices)
+        step = 1.5 * abs(base.oriented_areas[small]) / np.max(np.abs(jac[small]))
+        expected = _probe_outcome(fd_jacobian_loop, fan, h, step, base.signs)
+        assert expected == "probe along h[21] left the orientation class"
+        assert _probe_outcome(_fd_area_jacobian, fan, h, step, base.signs) == expected
+
+
+def _translation_free(eq, d):
+    return d - eq @ np.linalg.solve(eq.T @ eq, eq.T @ d)
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("m", [20, 40, 120, 300])
+    def test_bordered_step_matches_lstsq(self, m, monkeypatch):
+        rng = np.random.default_rng(m)
+        fan = polar_fan(rng, m)
+        h = rng.uniform(0.8, 1.2, m)
+        base = reconstruct(fan, h)
+        jac = _area_jacobian(fan, base.vertices)
+        rhs = area_map(fan, h * rng.uniform(0.95, 1.05, m)) - base.oriented_areas
+        expected = np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)[0]
+        monkeypatch.setattr(np.linalg, "lstsq", None)      # the fallback must not run
+        step = _newton_step(jac, rhs, fan.equipment)
+        assert np.linalg.norm(_translation_free(fan.equipment, step - expected)) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(fan.equipment.T @ step) <= 1e-12 * np.linalg.norm(step)
+
+    def test_rank_drop_falls_back_and_degenerates(self):
+        rng = np.random.default_rng(40)
+        fan = polar_fan(rng, 40)
+        jac = _area_jacobian(fan, reconstruct(fan, np.ones(40)).vertices)
+        values, vectors = np.linalg.eigh(0.5 * (jac + jac.T))
+        values[np.argmax(np.abs(values))] = 0.0
+        dropped = (vectors * values) @ vectors.T
+        with pytest.raises(_Abort) as info:
+            _newton_step(dropped, rng.standard_normal(40), fan.equipment)
+        assert info.value.status is SolveStatus.DEGENERATED
+        assert info.value.message == "jacobian rank dropped to 36 (expected 37)"
 
 
 def min_edge_line_angle_loop(fan):
@@ -215,9 +295,12 @@ class TestSolve:
             assert record.min_abs_area > 0.0
 
     def test_nonexistence_family_fails_before_one(self, waisted):
+        # the consistency rows keep this fan on the least-squares path,
+        # whose rank verdict ends the walk one step short of the target
         out = solve_minkowski(waisted.fan, waisted.h, WAIST_TARGET, FREE)
-        assert out.status in (SolveStatus.DIVERGED, SolveStatus.DEGENERATED)
-        assert out.t_reached < 1.0
+        assert out.status is SolveStatus.DEGENERATED
+        assert out.t_reached == 0.9375
+        assert out.message == "jacobian rank dropped to 7 (expected 8)"
 
     @pytest.mark.parametrize("mode", ["FD", "finite-difference"])
     def test_unknown_jacobian_mode_rejected(self, cube, mode):
