@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProbeFailed, SingularVertex
+from .errors import ProbeFailed
 from .fan import SCAN_BLOCK, Fan, ValidationReport, _rowdot, _window_pairs, is_general_position
 from .geometry import (
     AREA_TOL,
@@ -297,10 +297,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     def correct(x0: np.ndarray, g_t: np.ndarray):
         x = x0
         for _ in range(opts.max_newton_iters):
-            try:
-                real = _realize(fan, x)
-            except SingularVertex as exc:
-                raise _Abort(SolveStatus.DEGENERATED, str(exc))
+            real = _realize(fan, x)      # no SingularVertex: the blocks depend on the fan only, and the seed passed
             checkpoint(x, real, g_t)
             scale = support_scale(x)
             res_area = real.areas - g_t
@@ -312,10 +309,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
                 if np.any(np.sign(real.areas) != np.sign(g_t)):
                     raise _Abort(SolveStatus.DEGENERATED, "path left the orientation class")
                 return x, real
-            try:
-                jac = full_jacobian(x, real)
-            except ProbeFailed as exc:
-                raise _Abort(SolveStatus.DEGENERATED, str(exc))
+            jac = full_jacobian(x, real)
             rhs = -np.concatenate([res_area, res_cons])
             x = gauge_fix(fan, x + _newton_step(jac, rhs, fan.equipment))
         return None
@@ -325,7 +319,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             jac = full_jacobian(x, real)
             tangent = _newton_step(jac, np.concatenate([g - f0, np.zeros(cons.shape[0])]), fan.equipment)
             return gauge_fix(fan, x + dt * tangent)
-        except (ProbeFailed, _Abort):
+        except _Abort:
             return x
 
     t = 0.0
