@@ -44,6 +44,7 @@ from .geometry import (
 )
 
 RANK_CUTOFF = 1e-10          # singular values below this (relative) count as null
+_PROBE_STRIDES = np.array([(5 ** 0.5 - 1) / 2, 2 ** 0.5 - 1])   # of the condition-estimate probes
 CONSISTENCY_SOLVE_TOL = 1e-10
 
 
@@ -221,9 +222,10 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray) -> np.
     with J E = 0 for the equipment E, and by the uniqueness theorem its
     rank is m - 3, so B = [[J, wE], [wE^T, 0]] with w = |J|_F / sqrt(m) is
     nonsingular and one LU solve gives the least-squares step.  B is solved
-    for rhs and two fixed probe columns p together: max |B^-1 p| / |p| is a
-    lower bound on |B^-1|, typically within a factor sqrt(m), and times
-    |J|_F (at least sigma_1(J)) it estimates cond(B), which is at least
+    for rhs and two fixed probe columns p (Weyl sequences, so numpy.random
+    stays unloaded) together: max |B^-1 p| / |p| is a lower bound on
+    |B^-1|, typically within a factor sqrt(m), and times |J|_F (at least
+    sigma_1(J)) it estimates cond(B), which is at least
     sigma_1(J) / sigma_{m-3}(J).  When the solve fails, is not finite or
     the estimate exceeds 1e-4 / RANK_CUTOFF, and for every jac with
     consistency rows, rank-cutoff least squares decides; a rank more than 3
@@ -234,7 +236,7 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray) -> np.
         jnorm = float(np.linalg.norm(jac))
         border = jnorm / np.sqrt(m) * equipment
         bordered = np.block([[jac, border], [border.T, np.zeros((3, 3))]])
-        probes = np.random.default_rng(0).standard_normal((m + 3, 2))
+        probes = np.modf(np.arange(1, m + 4)[:, None] * _PROBE_STRIDES)[0] - 0.5
         try:
             sol = np.linalg.solve(bordered, np.column_stack([np.concatenate([rhs, np.zeros(3)]), probes]))
         except np.linalg.LinAlgError:

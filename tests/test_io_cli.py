@@ -137,11 +137,11 @@ steps["cli congruent"] = scipy()
 assert cli.main(["validate", sys.argv[3]]) == 0
 steps["cli validate"] = scipy() + loaded("numpy.ma")
 assert cli.main(["solve", sys.argv[3], "--seed", sys.argv[4], "--target", sys.argv[5], "--allow-non-general"]) == 0
-steps["cli solve"] = scipy() + loaded("numpy.ma")
+steps["cli solve"] = scipy() + loaded("numpy.ma") + loaded("numpy.random")
 cube = builders.cube()
 opts = SolveOptions(allow_non_general_position=True, jacobian_mode="fd")
 assert solve_minkowski(cube.fan, cube.h, np.full(6, 2.25), opts).converged
-steps["fd solve_minkowski"] = scipy() + loaded("numpy.ma")
+steps["fd solve_minkowski"] = scipy() + loaded("numpy.ma") + loaded("numpy.random")
 print(json.dumps(steps))
 """
 
