@@ -420,9 +420,9 @@ def is_general_position(fan: Fan) -> bool:
     (with min |c| in place of |c_k|), which also covers the rounding of the
     cross products and angles.  The determinant of every pair in a window is
     computed as np.linalg.det of the rows (i, j, k), and it alone decides.
-    The faces i are swept in blocks of about SCAN_BLOCK pairs (i, j), so
-    memory stays O(m + SCAN_BLOCK) beside the window pairs, which are few
-    unless many triples nearly fail.  Non-finite equipment is never in
+    The faces i are swept in blocks of at most SCAN_BLOCK pairs (i, j), or
+    one face, so memory stays O(m + SCAN_BLOCK) beside the window pairs,
+    which are few unless many triples nearly fail.  Non-finite equipment is never in
     general position.
     """
     eq = fan.equipment
@@ -431,12 +431,10 @@ def is_general_position(fan: Fan) -> bool:
     m = len(eq)
     norms = np.linalg.norm(eq, axis=1)
     tol = GENERAL_POSITION_TOL + 64.0 * np.finfo(float).eps * float(np.max(norms, initial=0.0)) ** 3
-    ends = np.cumsum(np.arange(m - 1, 1, -1))      # pairs (i, j > i) up to face i, for i < m - 2
-    i0 = 0
-    while i0 < m - 2:
-        done = int(ends[i0 - 1]) if i0 else 0
-        i1 = min(max(i0 + 1, int(np.searchsorted(ends, done + SCAN_BLOCK, side="right"))), m - 2)
-        count = m - 1 - np.arange(i0, i1)          # one segment of pairs per face i
+    per_block = max(1, SCAN_BLOCK // max(m, 1))    # faces i per block, each with fewer than m pairs
+    for i0 in range(0, m - 2, per_block):
+        i1 = min(i0 + per_block, m - 2)
+        count = m - 1 - np.arange(i0, i1)          # one segment of pairs (i, j > i) per face i
         seg_start = np.cumsum(count) - count
         seg = np.repeat(np.arange(len(count)), count)
         face = i0 + seg
@@ -451,17 +449,17 @@ def is_general_position(fan: Fan) -> bool:
                 _rowdot(cross, np.cross(eq[i0:i1], u)[seg]) / norms[face], _rowdot(cross, u[seg])), np.pi)
             width = np.minimum(SWEEP_SLACK * tol * norms[face] / (r * np.minimum.reduceat(r, seg_start)[seg]),
                                np.pi / 2)
+        # sorting within segments leaves seg, seg_start and count valid
         order = np.lexsort((np.nan_to_num(phi), seg))
         phi = np.nan_to_num(phi)[order]
         width = np.nan_to_num(width, nan=np.pi / 2)[order] + 1e-12
-        # forward windows over each face's angles and their copies shifted by pi,
-        # searched in one sorted array of (face, angle) keys
-        rank = np.arange(len(seg)) - seg_start[seg]
+        # forward windows over each face's angles and their copies shifted by
+        # pi, searched in one sorted array of complex (face, angle) keys
+        slot = seg_start[seg] + np.arange(len(seg))
         keys = np.empty(2 * len(seg), dtype=complex)
-        keys[seg_start[seg] + seg_start[seg] + rank] = seg + 1j * phi
-        keys[seg_start[seg] + seg_start[seg] + count[seg] + rank] = seg + 1j * (phi + np.pi)
-        counts = np.searchsorted(keys, seg + 1j * (phi + width), side="right") - 2 * seg_start[seg] - rank - 1
-        i0 = i1
+        keys[slot] = seg + 1j * phi
+        keys[slot + count[seg]] = seg + 1j * (phi + np.pi)
+        counts = np.searchsorted(keys, seg + 1j * (phi + width), side="right") - slot - 1
         if not counts.any():
             continue
         first, second = _window_pairs(counts)
