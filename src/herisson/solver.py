@@ -44,7 +44,7 @@ from .geometry import (
 )
 
 RANK_CUTOFF = 1e-10          # singular values below this (relative) count as null
-_PROBE_STRIDES = np.array([(5 ** 0.5 - 1) / 2, 2 ** 0.5 - 1])   # of the condition-estimate probes
+_PROBE_STRIDES = np.array([(5 ** 0.5 - 1) / 2, 2 ** 0.5 - 1])   # Weyl strides of the condition probes
 CONSISTENCY_SOLVE_TOL = 1e-10
 
 
@@ -148,8 +148,8 @@ def jacobian(fan: Fan, h, mode: str = "analytic", fd_step: float | None = None) 
 
     The analytic mode differentiates the reconstruction exactly; the fd
     mode runs central differences with step fd_step*scale (default 1e-6),
-    all 2m probes in one batched pass, and raises ProbeFailed for the
-    lowest h[j] whose probe flips the sign of a face.  Both annihilate
+    realizing the 2m probes in a few batches, and raises ProbeFailed for
+    the lowest h[j] whose probe flips the sign of a face.  Both annihilate
     translations and satisfy J h = 2 phi(h).  On fans whose cells are all
     simple J is symmetric of rank m - 3 (the area map is injective modulo
     translations), which is what lets the solver take its Newton steps
