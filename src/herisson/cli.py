@@ -8,6 +8,7 @@ inputs.  Passing --json switches stdout to machine-readable JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -65,18 +66,21 @@ def _cmd_areas(args) -> int:
 
 
 def _read_vector(path: str, keys) -> np.ndarray:
-    data = _load(path, io.load)
-    if isinstance(data, list):
+    def read(p: str) -> np.ndarray:
+        data = io.load(p)
+        if isinstance(data, dict):
+            data = next((data[key] for key in keys if key in data), None)
+        if not isinstance(data, list):
+            raise ValueError(f"expected one of {keys} or a plain list")
         return np.array(data, dtype=float)
-    for key in keys:
-        if key in data:
-            return np.array(data[key], dtype=float)
-    raise _InputError(f"{path}: expected one of {keys} or a plain list")
+    return _load(path, read)
 
 
 def _cmd_solve(args) -> int:
     fan = _load(args.fan, io.load_fan)
     h0 = _read_vector(args.seed, ("h",))
+    if h0.shape != (fan.m,) or not np.all(np.isfinite(h0)):
+        raise _InputError(f"{args.seed}: expected {fan.m} finite support numbers")
     g = _read_vector(args.target, ("g", "areas", "f"))
     opts = SolveOptions(
         tol_area=args.tol,
@@ -90,7 +94,7 @@ def _cmd_solve(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for record in outcome.trace:
-                fh.write(json.dumps(record.as_dict()) + "\n")
+                fh.write(json.dumps(dataclasses.asdict(record)) + "\n")
     payload = {
         "status": outcome.status.value,
         "t_reached": outcome.t_reached,

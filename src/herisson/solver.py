@@ -14,10 +14,14 @@ in the Newton system so iterates stay on the realizability locus, and that
 system, like a bordered matrix that is singular or badly conditioned, goes
 to rank-cutoff least squares, which alone names a rank drop.
 
+Steps in t start at 1/HOMOTOPY_STEPS, halve when MAX_NEWTON_ITERS corrector
+iterations do not converge, and end the walk below MIN_STEP.  The fd
+Jacobian probes h +- FD_STEP * scale e_j, and checks that no probe flips a face.
+
 Failure modes are part of the contract: the path may hit the boundary of
-the orientation class (an edge or an area degenerates) or run away (support
-norms or face perimeters blow past the compactness sentinel, the expected
-outcome outside general position).
+the orientation class (an edge or an area degenerates, or an fd probe flips
+a face) or run away (support norms or face perimeters blow past the
+compactness sentinel, the expected outcome outside general position).
 """
 
 from __future__ import annotations
@@ -46,6 +50,11 @@ from .geometry import (
 RANK_CUTOFF = 1e-10          # singular values below this (relative) count as null
 _PROBE_STRIDES = np.array([(5 ** 0.5 - 1) / 2, 2 ** 0.5 - 1])   # Weyl strides of the condition probes
 CONSISTENCY_SOLVE_TOL = 1e-10
+MAX_NEWTON_ITERS = 50        # corrector iterations before the step in t is halved
+HOMOTOPY_STEPS = 16          # the first step in t is 1/HOMOTOPY_STEPS, and no step grows past it
+MIN_STEP = 1e-6              # a step in t halved below this ends the walk as MAX_ITERATIONS
+DIVERGENCE_BOUND_FACTOR = 1e3   # diverged once |h| or a perimeter exceeds this times its reference
+FD_STEP = 1e-6               # central-difference step, relative to the support scale
 
 
 class SolveStatus(enum.Enum):
@@ -57,15 +66,10 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs of the continuation; defaults match the documented contract."""
+    """Settings of the continuation; step control is fixed by the module constants."""
 
     tol_area: float = 1e-10              # relative to scale**2, sup norm
-    max_newton_iters: int = 50
-    homotopy_steps: int = 16             # initial uniform step count
-    min_step: float = 1e-6
-    divergence_bound_factor: float = 1e3
-    jacobian_mode: str = "analytic"      # "analytic" | "fd"
-    fd_step: float = 1e-6                # relative to scale
+    jacobian_mode: str = "analytic"      # "analytic" | "fd", whose probes end the path on a face flip
     allow_non_general_position: bool = False
 
 
@@ -75,14 +79,6 @@ class TraceRecord:
     residual: float
     min_abs_area: float
     max_perimeter: float
-
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "residual": self.residual,
-            "min_abs_area": self.min_abs_area,
-            "max_perimeter": self.max_perimeter,
-        }
 
 
 @dataclass
@@ -103,12 +99,12 @@ def area_map(fan: Fan, h) -> np.ndarray:
     return reconstruct(fan, h).oriented_areas
 
 
-def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float, base_signs=None) -> np.ndarray:
+def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float, base_signs: np.ndarray) -> np.ndarray:
     """Central differences of the area map, probed with the lenient model.
 
     Probes do not enforce the multi-plane consistency of non-simple cells
-    (a finite step always violates it), but a probe that flips the sign of
-    some face has crossed the boundary of the orientation class and raises
+    (a finite step always violates it), but a probe whose face signs differ
+    from base_signs has crossed the boundary of the orientation class and raises
     ProbeFailed, naming the lowest such h[j].  The 2m probes h +- step e_j
     are realized together, in blocks of about SCAN_BLOCK ring positions, by
     the arithmetic of the realization layer, so the columns equal those of
@@ -130,10 +126,9 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float, base_signs=None) -> 
         vertices = np.linalg.solve(blocks, probes[:, idx.first3][..., None])[..., 0]
         areas = _oriented_areas(fan, vertices)
         plus, minus = areas[:n], areas[n:]
-        if base_signs is not None:
-            flipped = np.any(np.sign(plus) != base_signs, axis=1) | np.any(np.sign(minus) != base_signs, axis=1)
-            if flipped.any():
-                raise ProbeFailed(f"probe along h[{j[np.argmax(flipped)]}] left the orientation class")
+        flipped = np.any(np.sign(plus) != base_signs, axis=1) | np.any(np.sign(minus) != base_signs, axis=1)
+        if flipped.any():
+            raise ProbeFailed(f"probe along h[{j[np.argmax(flipped)]}] left the orientation class")
         jac[:, j] = ((plus - minus) / (2.0 * step)).T
     return jac
 
@@ -143,38 +138,46 @@ def _check_jacobian_mode(mode: str) -> None:
         raise ValueError(f"unknown jacobian mode {mode!r}")
 
 
-def jacobian(fan: Fan, h, mode: str = "analytic", fd_step: float | None = None) -> np.ndarray:
+def _jacobian(fan: Fan, h: np.ndarray, vertices: np.ndarray, signs: np.ndarray, mode: str) -> np.ndarray:
+    """Area Jacobian at h (realized as vertices, with face signs) in the given mode."""
+    if mode == "analytic":
+        return _area_jacobian(fan, vertices)
+    return _fd_area_jacobian(fan, h, FD_STEP * support_scale(h), signs)
+
+
+def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
     """Jacobian d(area)/d(support), either analytic or finite-difference.
 
     The analytic mode differentiates the reconstruction exactly; the fd
-    mode runs central differences with step fd_step*scale (default 1e-6),
-    realizing the 2m probes in a few batches, and raises ProbeFailed for
-    the lowest h[j] whose probe flips the sign of a face.  Both annihilate
+    mode runs central differences with step FD_STEP * scale, realizing the
+    2m probes in a few batches, and raises ProbeFailed for the lowest h[j]
+    whose probe flips the sign of a face.  Both annihilate
     translations and satisfy J h = 2 phi(h).  On fans whose cells are all
     simple J is symmetric of rank m - 3 (the area map is injective modulo
     translations), which is what lets the solver take its Newton steps
     from the bordered system [[J, wE], [wE^T, 0]]; see _newton_step.
     """
     _check_jacobian_mode(mode)
-    h = np.asarray(h, dtype=float)
     base = reconstruct(fan, h)
-    if mode == "analytic":
-        return _area_jacobian(fan, base.vertices)
-    step = (fd_step if fd_step is not None else 1e-6) * support_scale(h)
-    return _fd_area_jacobian(fan, h, step, base_signs=base.signs)
+    return _jacobian(fan, base.h, base.vertices, base.signs, mode)
 
 
 def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -> ValidationReport:
     """Check a target area vector against the seed's orientation class.
 
-    Conditions: componentwise sign agreement with the seed areas, balance of
-    the target, and (unless waived) general position of the fan.
+    Conditions: finite target entries, componentwise sign agreement with the
+    seed areas, balance of the target, and (unless waived) general position
+    of the fan.  Non-finite entries are reported alone, by index.
     """
     f0 = np.asarray(f0, dtype=float)
     g = np.asarray(g, dtype=float)
     report = ValidationReport()
     if f0.shape != g.shape or f0.shape != (fan.m,):
         report.add("sign agreement", "length mismatch between areas and fan")
+        return report
+    for j in np.nonzero(~np.isfinite(g))[0]:
+        report.add("finite target", f"g[{j}] = {float(g[j])!r} is not finite")
+    if not report.ok:
         return report
     bad = np.nonzero(f0 * g <= 0.0)[0]
     for j in bad:
@@ -271,10 +274,8 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     cons = _consistency_matrix(fan)
     alpha = _min_edge_line_angle(fan)
     max_sides = int(np.diff(fan.ring_index.start).max())
-    bound_factor = opts.divergence_bound_factor
     h = gauge_fix(fan, np.asarray(h0, dtype=float))
     href = max(float(np.linalg.norm(h)), 1e-12)
-    use_fd = opts.jacobian_mode == "fd"
 
     def checkpoint(x: np.ndarray, real: Realization, g_t: np.ndarray) -> None:
         scale = support_scale(x)
@@ -282,23 +283,20 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             raise _Abort(SolveStatus.DEGENERATED, f"edge length {real.min_edge:.3e} hit the boundary")
         if float(np.min(np.abs(real.areas))) <= AREA_TOL * scale**2:
             raise _Abort(SolveStatus.DEGENERATED, "an oriented area hit the boundary")
-        if float(np.linalg.norm(x)) > bound_factor * href:
+        if float(np.linalg.norm(x)) > DIVERGENCE_BOUND_FACTOR * href:
             raise _Abort(SolveStatus.DIVERGED, "support norm exceeded the divergence sentinel")
         if alpha is not None:
-            limit = max_sides * perimeter_bound(max(float(np.max(np.abs(g_t))), 1e-300), min(alpha, np.pi / 2 - 1e-9)) * bound_factor
+            limit = max_sides * perimeter_bound(max(float(np.max(np.abs(g_t))), 1e-300), min(alpha, np.pi / 2 - 1e-9)) * DIVERGENCE_BOUND_FACTOR
             if float(np.max(real.perimeters)) > limit:
                 raise _Abort(SolveStatus.DIVERGED, "face perimeter exceeded the divergence sentinel")
 
     def full_jacobian(x: np.ndarray, real: Realization) -> np.ndarray:
-        if use_fd:
-            areas_jac = _fd_area_jacobian(fan, x, opts.fd_step * support_scale(x))
-        else:
-            areas_jac = _area_jacobian(fan, real.vertices)
+        areas_jac = _jacobian(fan, x, real.vertices, np.sign(real.areas), opts.jacobian_mode)
         return np.vstack([areas_jac, cons]) if cons.size else areas_jac
 
     def correct(x0: np.ndarray, g_t: np.ndarray):
         x = x0
-        for _ in range(opts.max_newton_iters):
+        for _ in range(MAX_NEWTON_ITERS):
             real = _realize(fan, x)      # no SingularVertex: the blocks depend on the fan only, and the seed passed
             checkpoint(x, real, g_t)
             scale = support_scale(x)
@@ -317,15 +315,12 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
         return None
 
     def predict(x: np.ndarray, real: Realization, dt: float) -> np.ndarray:
-        try:
-            jac = full_jacobian(x, real)
-            tangent = _newton_step(jac, np.concatenate([g - f0, np.zeros(cons.shape[0])]), fan.equipment)
-            return gauge_fix(fan, x + dt * tangent)
-        except _Abort:
-            return x
+        jac = full_jacobian(x, real)
+        tangent = _newton_step(jac, np.concatenate([g - f0, np.zeros(cons.shape[0])]), fan.equipment)
+        return gauge_fix(fan, x + dt * tangent)
 
     t = 0.0
-    step0 = 1.0 / opts.homotopy_steps
+    step0 = 1.0 / HOMOTOPY_STEPS
     step = step0
     real_now = _realize(fan, h)
     trace = [TraceRecord(0.0, 0.0, float(np.min(np.abs(f0))), float(np.max(real_now.perimeters)))]
@@ -341,12 +336,14 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             result = correct(predict(h, real_now, t_next - t), g_t)
         except _Abort as abort:
             return SolveOutcome(abort.status, h, t, trace, abort.message)
+        except ProbeFailed as exc:
+            return SolveOutcome(SolveStatus.DEGENERATED, h, t, trace, str(exc))
         if result is None:
             step /= 2.0
-            if step < opts.min_step:
+            if step < MIN_STEP:
                 return SolveOutcome(
                     SolveStatus.MAX_ITERATIONS, h, t, trace,
-                    f"corrector stalled at t={t!r} with step below {opts.min_step}",
+                    f"corrector stalled at t={t!r} with step below {MIN_STEP}",
                 )
             continue
         h, real_now = result
@@ -361,7 +358,4 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
         )
         step = min(step * 2.0, step0)
 
-    final = reconstruct(fan, h)    # strict check of the end point
-    if np.any(np.sign(final.oriented_areas) != np.sign(g)):
-        return SolveOutcome(SolveStatus.DEGENERATED, h, t, trace, "end point left the orientation class")
     return SolveOutcome(SolveStatus.CONVERGED, h, 1.0, trace)

@@ -10,6 +10,7 @@ import pytest
 import herisson
 from helpers import double_tetrahedron_fan
 from herisson import cli, io
+from herisson.solver import SolveOptions, solve_minkowski
 
 
 def _write(path, data):
@@ -107,6 +108,48 @@ class TestExitCodes:
         cube_fan = _write(tmp_path / "cube_fan.json", io.fan_to_dict(cube.fan))
         short_target = _write(tmp_path / "short_target.json", {"g": [4.0] * 5})
         assert cli.main(["solve", cube_fan, "--seed", seed, "--target", short_target]) == 1
+        capsys.readouterr()
+        bad_inputs = [
+            ("seed", "short_seed.json", {"h": [1.0] * 5}),
+            ("seed", "nan_seed.json", {"h": [float("nan")] + [1.0] * 5}),
+            ("target", "scalar_target.json", 4.0),
+            ("target", "word_target.json", {"g": ["four"] * 6}),
+        ]
+        for role, name, data in bad_inputs:
+            path = _write(tmp_path / name, data)
+            files = {"seed": seed, "target": target, role: path}
+            assert cli.main(["solve", cube_fan, "--seed", files["seed"], "--target", files["target"]]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_target(self, cube, value, tmp_path, capfd):
+        fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))
+        seed = _write(tmp_path / "seed.json", {"h": [1.0] * 6})
+        target = _write(tmp_path / "target.json", {"g": [9.0] * 5 + [value]})
+        assert cli.main(["solve", fan, "--seed", seed, "--target", target, "--allow-non-general"]) == 1
+        err = capfd.readouterr().err
+        assert err == f"target rejected:\nfinite target: g[5] = {value!r} is not finite\n"
+
+    def test_solve_trace_jsonl(self, cube, tmp_path, capsys):
+        fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))
+        seed = _write(tmp_path / "seed.json", {"h": [1.0] * 6})
+        g = [6.0, 6.0, 3.0, 3.0, 2.0, 2.0]
+        target = _write(tmp_path / "target.json", {"g": g})
+        trace = tmp_path / "trace.jsonl"
+        argv = ["solve", fan, "--seed", seed, "--target", target, "--allow-non-general", "--trace", str(trace)]
+        assert cli.main(argv) == 0
+        outcome = solve_minkowski(cube.fan, np.ones(6), g, SolveOptions(allow_non_general_position=True))
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(outcome.trace) > 2
+        records = [json.loads(line) for line in lines]
+        assert all(list(r) == ["t", "residual", "min_abs_area", "max_perimeter"] for r in records)
+        assert records[0]["t"] == 0.0 and records[-1]["t"] == 1.0
+        expected = "".join(
+            json.dumps({"t": r.t, "residual": r.residual, "min_abs_area": r.min_abs_area,
+                        "max_perimeter": r.max_perimeter}) + "\n"
+            for r in outcome.trace
+        )
+        assert trace.read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize("label", [7, -1])
     def test_svg_label_out_of_range(self, cube, label, tmp_path, capsys):
