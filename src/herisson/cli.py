@@ -82,10 +82,10 @@ def _cmd_solve(args) -> int:
     if h0.shape != (fan.m,) or not np.all(np.isfinite(h0)):
         raise _InputError(f"{args.seed}: expected {fan.m} finite support numbers")
     g = _read_vector(args.target, ("g", "areas", "f"))
-    opts = SolveOptions(
-        tol_area=args.tol,
-        allow_non_general_position=args.allow_non_general,
-    )
+    try:
+        opts = SolveOptions(tol_area=args.tol, allow_non_general_position=args.allow_non_general)
+    except ValueError as exc:
+        raise _InputError(f"--tol: {exc}") from exc
     try:
         outcome = solve_minkowski(fan, h0, g, opts)
     except ValueError as exc:

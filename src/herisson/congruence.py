@@ -5,15 +5,16 @@ coincide up to translation: a circuit-counting lemma on sphere-homeomorphic
 complexes (Cauchy) and an edge labeling of parallel polygon pairs
 (Alexandrov).  Parallel herissons share their fan, so each pair of parallel
 faces shares its edge normals: only the longer/shorter rule of the polygon
-labeling ever fires, and its labels are the arc labels of edge_labeling read
-around each face's ring.  Whether a face fits inside its mate by a
-translation is read from the same ring: edge p of face j has the outward
-normal u_p in the plane of face j, and the face of h1 fits inside that of h2
-iff the translations c in that plane with u_p . c <= h2(u_p) - h1(u_p) for
-every p form a non-empty set; on convex faces the right-hand sides are the
-in-plane supports of the virtual polytope h2 - h1.  Edge lengths and fits
-are both measured against one scale, the larger support scale of the two
-herissons.
+labeling ever fires.  Its labels live on the (face, edge) incidences, which
+are the positions of the fan's face rings; the two positions of one arc
+carry the same label, and edge_labeling lists it once per arc.  Whether a
+face fits inside its mate by a translation is read from the same ring: edge
+p of face j has the outward normal u_p in the plane of face j, and the face
+of h1 fits inside that of h2 iff the translations c in that plane with
+u_p . c <= h2(u_p) - h1(u_p) for every p form a non-empty set; on convex
+faces the right-hand sides are the in-plane supports of the virtual
+polytope h2 - h1.  Edge lengths and fits are both measured against one
+scale, the larger support scale of the two herissons.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import NotSameClass
 from .fan import SCAN_BLOCK, Fan, arc_key
-from .geometry import Herisson
+from .geometry import Herisson, _ring_edge_lengths
 
 LENGTH_TOL = 1e-9       # relative, rule-(iv) equality
 FIT_TOL = 1e-9          # relative, containment slack
@@ -52,12 +53,6 @@ class CauchyVerdict:
     index: int | None = None
 
 
-def _ring_labels(fan: Fan, j: int, labels) -> list[int]:
-    """The labels of the arcs around face j, in ring order."""
-    idx = fan.ring_index
-    return [labels[arc_key(j, k)] for k in idx.neighbor[idx.start[j]:idx.start[j + 1]].tolist()]
-
-
 def cauchy_verdict(fan: Fan, labels) -> CauchyVerdict:
     """Apply the circuit lemma to a labeled fan.
 
@@ -73,8 +68,10 @@ def cauchy_verdict(fan: Fan, labels) -> CauchyVerdict:
         raise ValueError(f"labeling misses arcs {missing}")
     if not any(lab[arc] for arc in arcs):
         return CauchyVerdict(CauchyStatus.ALL_ZERO)
+    idx = fan.ring_index
+    rings = [lab[arc_key(j, k)] for j, k in zip(idx.owner.tolist(), idx.neighbor.tolist())]
     for j in range(fan.m):
-        ring = _ring_labels(fan, j, lab)
+        ring = rings[idx.start[j]:idx.start[j + 1]]
         if not any(ring):
             continue
         index = sign_changes(ring)
@@ -87,21 +84,22 @@ def cauchy_verdict(fan: Fan, labels) -> CauchyVerdict:
 # whole-herisson comparison
 
 
+def _position_labels(h1: Herisson, h2: Herisson) -> np.ndarray:
+    """Rule-(iv) label at every ring position, +1 where h1's edge is longer;
+    the two positions of an arc hold opposite edge vectors, hence one label."""
+    d = _ring_edge_lengths(h1.fan, h1.vertices) - _ring_edge_lengths(h2.fan, h2.vertices)
+    return np.where(np.abs(d) <= LENGTH_TOL * max(h1.scale, h2.scale), 0, np.where(d > 0, 1, -1))
+
+
 def edge_labeling(h1: Herisson, h2: Herisson) -> dict[tuple[int, int], int]:
     """Rule-(iv) labels on every arc: +1 where h1's edge is longer.
 
     Antisymmetric under swapping the herissons.  All zero is the ALL_ZERO
     outcome of cauchy_verdict on the fan; congruent_and_parallel decides
-    from these labels.
+    from the same labels, read at the ring positions.
     """
-    l1 = h1.edge_lengths()
-    l2 = h2.edge_lengths()
-    tol = LENGTH_TOL * max(h1.scale, h2.scale)
-    out = {}
-    for arc in sorted(l1):
-        d = l1[arc] - l2[arc]
-        out[arc] = 0 if abs(d) <= tol else (1 if d > 0 else -1)
-    return out
+    labels = _position_labels(h1, h2)[h1.fan.ring_index.arc_pos]
+    return dict(zip(map(tuple, h1.fan.arcs.tolist()), labels.tolist()))
 
 
 class CongruenceStatus(enum.Enum):
@@ -205,27 +203,27 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     """Decide whether two parallel same-orientation herissons are translates.
 
     Refuses with NotSameClass when the inputs are not parallel and of the
-    same orientation.  When every arc label of edge_labeling is 0, face 0's
-    centroids give the translation c carrying the first herisson onto the
-    second, and one check over all vertices confirms it (CONGRUENT) or names
-    the lowest face holding a vertex off by more than 1e-8*scale (DISTINCT).
-    Otherwise the faces whose rings carry a nonzero label are tested in
-    order, the first herisson's face moved into the second's before the
-    reverse, for one that fits inside its parallel mate by a translation
-    (HYPOTHESIS_FAILURE: the uniqueness hypothesis breaks down).  The test
-    reads the ring and the supports of h2 - h1 (see _fits) and stops at the
-    first block of faces holding a fit; a face whose ring labels are all 0
-    is a translate of its mate and is not tested.  If no face fits,
-    DISTINCT names the lowest face whose ring carries a nonzero label, with
-    index the sign-change count of that ring.  Edge lengths and fits are
-    compared within 1e-9 times max(h1.scale, h2.scale).
+    same orientation.  When every ring label is 0, face 0's centroids give
+    the translation c carrying the first herisson onto the second, and one
+    check over all vertices confirms it (CONGRUENT) or names the lowest face
+    holding a vertex off by more than 1e-8*scale (DISTINCT).  Otherwise the
+    faces whose rings carry a nonzero label are tested in order, the first
+    herisson's face moved into the second's before the reverse, for one that
+    fits inside its parallel mate by a translation (HYPOTHESIS_FAILURE: the
+    uniqueness hypothesis breaks down).  The test reads the ring and the
+    supports of h2 - h1 (see _fits) and stops at the first block of faces
+    holding a fit; a face whose ring labels are all 0 is a translate of its
+    mate and is not tested.  If no face fits, DISTINCT names the lowest face
+    whose ring carries a nonzero label, with index the sign-change count of
+    that ring.  Edge lengths and fits are compared within 1e-9 times
+    max(h1.scale, h2.scale).
     """
     _check_same_class(h1, h2)
-    labels = edge_labeling(h1, h2)
-    if not any(labels.values()):
+    ring = _position_labels(h1, h2)
+    idx = h1.fan.ring_index
+    if not ring.any():
         c = h2.face_polygon(0).mean(axis=0) - h1.face_polygon(0).mean(axis=0)
         dev = np.linalg.norm(h1.vertices + c - h2.vertices, axis=1)
-        idx = h1.fan.ring_index
         off = idx.owner[dev[idx.cell] > 1e-8 * max(h1.scale, h2.scale)]
         if not off.size:
             return CongruenceVerdict(CongruenceStatus.CONGRUENT, translation=c)
@@ -236,8 +234,8 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
             detail=f"face {j} fails to coincide after superposition (dev {worst:.2e})",
         )
 
-    labeled = sorted({face for arc, label in labels.items() if label for face in arc})
-    for face, direction in _fits(h1, h2, np.array(labeled), FIT_TOL * max(h1.scale, h2.scale)):
+    labeled = np.flatnonzero(np.add.reduceat(np.abs(ring), idx.start[:-1]))
+    for face, direction in _fits(h1, h2, labeled, FIT_TOL * max(h1.scale, h2.scale)):
         if face.size:
             j = int(face[0])
             moved, receiving = ("second", "first") if direction[0] else ("first", "second")
@@ -245,8 +243,8 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
                 CongruenceStatus.HYPOTHESIS_FAILURE, face=j,
                 detail=f"face {j} of the {moved} fits inside the {receiving}",
             )
-    j = labeled[0]
-    index = sign_changes(_ring_labels(h1.fan, j, labels))
+    j = int(labeled[0])
+    index = sign_changes(ring[idx.start[j]:idx.start[j + 1]].tolist())
     return CongruenceVerdict(
         CongruenceStatus.DISTINCT, face=j, index=index, detail=f"face {j} pair has index {index}",
     )

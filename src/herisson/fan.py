@@ -22,9 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MalformedFan
+from .errors import MalformedFan, SingularVertex
 
 UNIT_TOL = 1e-12
+VERTEX_DET_TOL = 1e-12
 ANTIPODAL_TOL = 1e-9
 CONVEXITY_TOL = 1e-10
 TOUCH_TOL = 1e-10          # radians: arc contacts closer than this count as endpoints
@@ -150,10 +151,22 @@ class Fan:
         )
 
     @cached_property
+    def vertex_blocks(self) -> np.ndarray:
+        """(V, 3, 3) normals of each cell's first three faces, whose planes
+        meet at the cell's vertex.  Raises SingularVertex for the first cell
+        whose block has |det| below VERTEX_DET_TOL."""
+        blocks = self.equipment[self.ring_index.first3]
+        singular = np.flatnonzero(np.abs(np.linalg.det(blocks)) < VERTEX_DET_TOL)
+        if singular.size:
+            ci = int(singular[0])
+            raise SingularVertex(f"cell {ci}: faces {self.cells[ci][:3]} have coplanar normals")
+        blocks.setflags(write=False)
+        return blocks
+
+    @cached_property
     def block_inverses(self) -> np.ndarray:
-        """(V, 3, 3) inverses of the cells' first-three-face normal blocks, read
-        only after a realization ruled out singular ones (np.linalg.inv raises)."""
-        return np.linalg.inv(self.equipment[self.ring_index.first3])
+        """(V, 3, 3) inverses of vertex_blocks."""
+        return np.linalg.inv(self.vertex_blocks)
 
     def __eq__(self, other):
         if not isinstance(other, Fan):

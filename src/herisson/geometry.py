@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateEquipment,
-    DegenerateFace,
-    FanMismatch,
-    InconsistentVertex,
-    SingularVertex,
-)
+from .errors import DegenerateEquipment, DegenerateFace, FanMismatch, InconsistentVertex
 from .fan import Fan
 
-VERTEX_DET_TOL = 1e-12
 CONSISTENCY_TOL = 1e-8     # relative to scale, cells with more than 3 faces
 EDGE_TOL = 1e-9            # relative to scale
 AREA_TOL = 1e-12           # relative to scale**2
@@ -61,8 +54,6 @@ class Realization:
     areas: np.ndarray                  # (m,) oriented
     perimeters: np.ndarray             # (m,)
     min_edge: float
-    consistency: float                 # max |extra-plane residual|, 0.0 if all simple
-    consistency_where: tuple[int, int] | None   # (cell, face) of the worst residual
 
 
 def _ring_edge_lengths(fan: Fan, vertices: np.ndarray) -> np.ndarray:
@@ -90,34 +81,16 @@ def _oriented_areas(fan: Fan, vertices: np.ndarray) -> np.ndarray:
 
 def _realize(fan: Fan, h) -> Realization:
     h = np.asarray(h, dtype=float)
-    eq = fan.equipment
     if h.shape != (fan.m,):
         raise ValueError(f"support vector has length {h.shape}, fan has m={fan.m}")
-
     idx = fan.ring_index
-    blocks = eq[idx.first3]
-    singular = np.nonzero(np.abs(np.linalg.det(blocks)) < VERTEX_DET_TOL)[0]
-    if singular.size:
-        ci = int(singular[0])
-        raise SingularVertex(f"cell {ci}: faces {fan.cells[ci][:3]} have coplanar normals")
-    vertices = np.linalg.solve(blocks, h[idx.first3][..., None])[..., 0]
-
-    planes = np.einsum("ij,ij->i", eq[idx.extra_face], vertices[idx.extra_cell])
-    residuals = np.abs(planes - h[idx.extra_face])
-    worst = float(np.max(residuals, initial=0.0))
-    worst_where = None
-    if worst > 0.0:
-        k = int(np.argmax(residuals))      # first (cell, face) holding the maximum
-        worst_where = (int(idx.extra_cell[k]), int(idx.extra_face[k]))
-
+    vertices = np.linalg.solve(fan.vertex_blocks, h[idx.first3][..., None])[..., 0]
     lens = _ring_edge_lengths(fan, vertices)
     return Realization(
         vertices=vertices,
         areas=_oriented_areas(fan, vertices[None])[0],
         perimeters=np.add.reduceat(lens, idx.start[:-1]),
         min_edge=float(lens.min()),
-        consistency=worst,
-        consistency_where=worst_where,
     )
 
 
@@ -209,10 +182,14 @@ def reconstruct(fan: Fan, h) -> Herisson:
         raise ValueError("support numbers must be finite")
     real = _realize(fan, h)
     scale = support_scale(h)
-    if real.consistency > CONSISTENCY_TOL * scale:
-        ci, f = real.consistency_where
+    idx = fan.ring_index
+    misses = np.abs(np.einsum("ij,ij->i", fan.equipment[idx.extra_face], real.vertices[idx.extra_cell])
+                    - h[idx.extra_face])
+    worst = float(np.max(misses, initial=0.0))
+    if worst > CONSISTENCY_TOL * scale:
+        k = int(np.argmax(misses))      # the first (cell, face) pair holding the maximum
         raise InconsistentVertex(
-            f"cell {ci}: plane of face {f} misses the vertex by {real.consistency:.3e}"
+            f"cell {idx.extra_cell[k]}: plane of face {idx.extra_face[k]} misses the vertex by {worst:.3e}"
         )
     if real.min_edge <= EDGE_TOL * scale:
         raise DegenerateFace(f"shortest edge {real.min_edge:.3e} below tolerance")

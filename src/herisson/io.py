@@ -14,6 +14,8 @@ import numpy as np
 from .fan import Fan
 from .geometry import Herisson, face_frame, reconstruct
 
+SVG_SIZE = 600.0       # width and height of the SVG chart
+
 
 def fan_to_dict(fan: Fan) -> dict:
     return {
@@ -146,7 +148,7 @@ def _arc_path(p1: np.ndarray, pm: np.ndarray, p2: np.ndarray) -> str:
     )
 
 
-def export_svg(fan: Fan, size: float = 600.0) -> str:
+def export_svg(fan: Fan) -> str:
     """Stereographic chart of the sphere partition, arcs as circular arcs."""
     face = fan.corners[0]
     outside = face[(face < 0) | (face >= fan.m)]
@@ -169,7 +171,7 @@ def export_svg(fan: Fan, size: float = 600.0) -> str:
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(size)}" height="{_fmt(size)}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(SVG_SIZE)}" height="{_fmt(SVG_SIZE)}" '
         f'viewBox="{_fmt(view[0])} {_fmt(view[1])} {_fmt(view[2])} {_fmt(view[3])}">',
         f"<!-- stereographic pole: {float(pole[0])!r} {float(pole[1])!r} {float(pole[2])!r} -->",
     ]

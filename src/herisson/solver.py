@@ -68,9 +68,13 @@ class SolveStatus(enum.Enum):
 class SolveOptions:
     """Settings of the continuation; step control is fixed by the module constants."""
 
-    tol_area: float = 1e-10              # relative to scale**2, sup norm
+    tol_area: float = 1e-10              # relative to scale**2, sup norm; finite and positive
     jacobian_mode: str = "analytic"      # "analytic" | "fd", whose probes end the path on a face flip
     allow_non_general_position: bool = False
+
+    def __post_init__(self):
+        if not 0.0 < self.tol_area < np.inf:
+            raise ValueError(f"tol_area must be finite and positive, got {self.tol_area!r}")
 
 
 @dataclass(frozen=True)
@@ -106,15 +110,14 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float, base_signs: np.ndarr
     (a finite step always violates it), but a probe whose face signs differ
     from base_signs has crossed the boundary of the orientation class and raises
     ProbeFailed, naming the lowest such h[j].  The 2m probes h +- step e_j
-    are realized together, in blocks of about SCAN_BLOCK ring positions, by
-    the arithmetic of the realization layer, so the columns equal those of
-    one realization per probe bit for bit.  Vertex blocks depend only on
-    the equipment: once h itself has been realized, no probe can meet a
-    singular vertex.
+    are realized together, in blocks of about SCAN_BLOCK ring positions,
+    against the fan's vertex_blocks by the arithmetic of the realization
+    layer, so the columns equal those of one realization per probe bit for
+    bit.
     """
     idx = fan.ring_index
     m, ring = fan.m, len(idx.cell)
-    blocks = fan.equipment[idx.first3][None]
+    blocks = fan.vertex_blocks[None]
     per_block = max(1, SCAN_BLOCK // (2 * ring))     # probe pairs per block
     jac = np.empty((m, m))
     for j0 in range(0, m, per_block):
@@ -165,9 +168,10 @@ def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
 def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -> ValidationReport:
     """Check a target area vector against the seed's orientation class.
 
-    Conditions: finite target entries, componentwise sign agreement with the
-    seed areas, balance of the target, and (unless waived) general position
-    of the fan.  Non-finite entries are reported alone, by index.
+    Conditions: finite seed areas and target entries, componentwise sign
+    agreement with the seed areas, balance of the target, and (unless
+    waived) general position of the fan.  Non-finite entries are reported
+    alone, by index.
     """
     f0 = np.asarray(f0, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -175,6 +179,8 @@ def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -
     if f0.shape != g.shape or f0.shape != (fan.m,):
         report.add("sign agreement", "length mismatch between areas and fan")
         return report
+    for j in np.nonzero(~np.isfinite(f0))[0]:
+        report.add("finite areas", f"f0[{j}] = {float(f0[j])!r} is not finite")
     for j in np.nonzero(~np.isfinite(g))[0]:
         report.add("finite target", f"g[{j}] = {float(g[j])!r} is not finite")
     if not report.ok:
@@ -297,7 +303,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     def correct(x0: np.ndarray, g_t: np.ndarray):
         x = x0
         for _ in range(MAX_NEWTON_ITERS):
-            real = _realize(fan, x)      # no SingularVertex: the blocks depend on the fan only, and the seed passed
+            real = _realize(fan, x)
             checkpoint(x, real, g_t)
             scale = support_scale(x)
             res_area = real.areas - g_t

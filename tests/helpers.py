@@ -547,6 +547,18 @@ def label_parallel_faces(f1, f2) -> PolygonLabeling:
     )
 
 
+def edge_labeling_loop(h1: Herisson, h2: Herisson) -> dict[tuple[int, int], int]:
+    """Rule-(iv) arc labels from the per-arc edge-length dicts, arc by arc."""
+    l1 = h1.edge_lengths()
+    l2 = h2.edge_lengths()
+    tol = LENGTH_TOL * max(h1.scale, h2.scale)
+    out = {}
+    for arc in sorted(l1):
+        d = l1[arc] - l2[arc]
+        out[arc] = 0 if abs(d) <= tol else (1 if d > 0 else -1)
+    return out
+
+
 def face_polygon_2d(h: Herisson, j: int) -> np.ndarray:
     """Face j's polygon in the deterministic coordinates of its plane."""
     u, v = face_frame(h.fan.equipment[j])

@@ -10,6 +10,7 @@ import helpers
 from helpers import (
     NotComparable,
     can_translate_inside,
+    edge_labeling_loop,
     face_polygon_2d,
     fit_slack,
     grid_fit_exists,
@@ -216,7 +217,7 @@ class TestCongruentAndParallel:
     def test_superposition_failure_names_lowest_face(self, cube, monkeypatch):
         # zero labels force the superposition: face 0 coincides after the
         # shift c = (1, 0, 0), the vertices at x = -1 stay 2 off
-        monkeypatch.setattr(congruence, "edge_labeling", lambda a, _b: dict.fromkeys(_arcs(a.fan), 0))
+        monkeypatch.setattr(congruence, "_position_labels", lambda a, _b: np.zeros(len(a.fan.ring_index.cell), dtype=int))
         verdict = congruent_and_parallel(cube, builders.box(4.0, 2.0, 2.0))
         assert verdict.status is CongruenceStatus.DISTINCT
         assert (verdict.face, verdict.detail) == (1, "face 1 fails to coincide after superposition (dev 2.00e+00)")
@@ -309,6 +310,25 @@ def _same_class_pairs():
             h = factor * np.ones(m) + fan.equipment @ rng.uniform(-1, 1, 3) + noise * rng.uniform(-1, 1, m)
             pairs.append((reconstruct(fan, np.ones(m)), reconstruct(fan, h)))
     return [(a, b) for a, b in pairs if np.array_equal(a.signs, b.signs)]
+
+
+def test_edge_labeling_matches_the_dict_oracle():
+    # fixtures, perturbed pairs, exact translates and near-translates whose
+    # support noise puts edge-length differences around the 1e-9 band
+    pairs = _same_class_pairs()
+    rng = np.random.default_rng(20261019)
+    for m in (20, 40, 60):
+        for noise in (0.0, 1e-11, 1e-10, 3e-10, 1e-9):
+            fan = polar_fan(rng, m)
+            h = np.ones(m) + fan.equipment @ rng.uniform(-1, 1, 3) + noise * rng.uniform(-1, 1, m)
+            pairs.append((reconstruct(fan, np.ones(m)), reconstruct(fan, h)))
+    seen = set()
+    for first, second in pairs:
+        for a, b in ((first, second), (second, first)):
+            labels = edge_labeling(a, b)
+            assert list(labels.items()) == list(edge_labeling_loop(a, b).items())
+            seen |= set(labels.values())
+    assert seen == {-1, 0, 1}
 
 
 def test_fits_match_the_linear_programs():

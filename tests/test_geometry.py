@@ -20,6 +20,12 @@ from herisson.geometry import (
 SQRT3 = np.sqrt(3.0)
 
 
+def _singular_fan():
+    """A fan whose cell 0 holds the opposite normals of faces 0 and 1."""
+    eq = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    return Fan(equipment=eq, cells=((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)))
+
+
 class TestReconstruct:
     def test_cube_unit_supports(self, cube):
         assert np.allclose(cube.oriented_areas, 4.0, atol=1e-12)
@@ -61,10 +67,12 @@ class TestReconstruct:
                     assert res <= 1e-9 * scale
 
     def test_singular_vertex(self):
-        eq = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-        fan = Fan(equipment=eq, cells=((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)))
-        with pytest.raises(SingularVertex):
-            reconstruct(fan, np.ones(4))
+        with pytest.raises(SingularVertex, match=r"^cell 0: faces \(0, 1, 2\) have coplanar normals$"):
+            reconstruct(_singular_fan(), np.ones(4))
+
+    def test_block_inverses_refuse_a_singular_block(self):
+        with pytest.raises(SingularVertex, match=r"^cell 0: faces \(0, 1, 2\) have coplanar normals$"):
+            _singular_fan().block_inverses
 
     def test_inconsistent_vertex_names_cell_and_face(self, bowtie):
         # the bowtie's waist cells have four faces; move the fourth plane

@@ -130,6 +130,16 @@ class TestExitCodes:
         err = capfd.readouterr().err
         assert err == f"target rejected:\nfinite target: g[5] = {value!r} is not finite\n"
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_bad_tolerance(self, cube, tol, tmp_path, capsys):
+        fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))
+        seed = _write(tmp_path / "seed.json", {"h": [1.0] * 6})
+        target = _write(tmp_path / "target.json", {"g": [9.0] * 6})
+        assert cli.main(["solve", fan, "--seed", seed, "--target", target, "--allow-non-general", "--tol", tol]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --tol: tol_area must be finite and positive, got {float(tol)!r}\n"
+
     def test_solve_trace_jsonl(self, cube, tmp_path, capsys):
         fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))
         seed = _write(tmp_path / "seed.json", {"h": [1.0] * 6})
@@ -174,9 +184,9 @@ def scipy():
 
 steps = {"import": scipy()}
 congruent_and_parallel(builders.cube(), builders.box(4.0, 4.0, 4.0))
-steps["congruent_and_parallel"] = scipy()
+steps["congruent_and_parallel"] = scipy() + loaded("numpy.ma")
 assert cli.main(["congruent", sys.argv[1], sys.argv[2]]) == 1
-steps["cli congruent"] = scipy()
+steps["cli congruent"] = scipy() + loaded("numpy.ma")
 assert cli.main(["validate", sys.argv[3]]) == 0
 steps["cli validate"] = scipy() + loaded("numpy.ma")
 assert cli.main(["solve", sys.argv[3], "--seed", sys.argv[4], "--target", sys.argv[5], "--allow-non-general"]) == 0

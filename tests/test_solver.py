@@ -225,6 +225,13 @@ class TestValidateTarget:
         with pytest.raises(ValueError, match=r"^target rejected:\nfinite target: g\[2\] = "):
             solve_minkowski(tetra.fan, tetra.h, g)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_seed_areas_reported(self, tetra, value):
+        f0 = np.array(tetra.oriented_areas)
+        f0[1] = value
+        report = validate_target(tetra.fan, f0, tetra.oriented_areas)
+        assert report.entries == [("finite areas", f"f0[1] = {value!r} is not finite")]
+
     def test_every_non_finite_entry_named(self, tetra):
         g = np.array([np.inf, 1.0, np.nan, -np.inf])
         report = validate_target(tetra.fan, tetra.oriented_areas, g)
@@ -239,6 +246,12 @@ class TestValidateTarget:
             waisted.fan, waisted.oriented_areas, WAIST_TARGET, allow_non_general_position=True
         )
         assert relaxed.ok
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, 0.0])
+def test_tol_area_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match=r"^tol_area must be finite and positive, got "):
+        SolveOptions(tol_area=tol)
 
 
 class TestSolve:
