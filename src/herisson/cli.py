@@ -163,15 +163,12 @@ def _cmd_example(args) -> int:
 def _cmd_export(args) -> int:
     data = _load(args.input, io.load)
     if args.obj:
-        herisson = _load(args.input, io.load_herisson)
+        herisson = _load(args.input, lambda _: io.herisson_from_dict(data))
         with open(args.obj, "w", encoding="utf-8") as fh:
             fh.write(io.export_obj(herisson))
         _emit(args, {"written": args.obj}, f"wrote {args.obj}")
     if args.svg:
-        try:
-            svg = io.export_svg(io.fan_from_dict(data))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise _InputError(f"{args.input}: {exc}") from exc
+        svg = _load(args.input, lambda _: io.export_svg(io.fan_from_dict(data)))
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
         _emit(args, {"written": args.svg}, f"wrote {args.svg}")

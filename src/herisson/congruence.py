@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotSameClass
 from .fan import SCAN_BLOCK, Fan, arc_key
-from .geometry import Herisson, _ring_edge_lengths
+from .geometry import Herisson, _class_mismatch, _ring_edge_lengths
 
 LENGTH_TOL = 1e-9       # relative, rule-(iv) equality
 FIT_TOL = 1e-9          # relative, containment slack
@@ -121,17 +121,6 @@ class CongruenceVerdict:
         return self.status is CongruenceStatus.CONGRUENT
 
 
-def _check_same_class(h1: Herisson, h2: Herisson) -> None:
-    if h1.fan.equipment.shape != h2.fan.equipment.shape or not np.allclose(
-        h1.fan.equipment, h2.fan.equipment, rtol=0.0, atol=1e-9
-    ):
-        raise NotSameClass("equipments differ")
-    if h1.fan.cells != h2.fan.cells:
-        raise NotSameClass("sphere partitions differ")
-    if not np.array_equal(h1.signs, h2.signs):
-        raise NotSameClass("face signs differ")
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
@@ -202,12 +191,13 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
 def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     """Decide whether two parallel same-orientation herissons are translates.
 
-    Refuses with NotSameClass when the inputs are not parallel and of the
-    same orientation.  When every ring label is 0, face 0's centroids give
-    the translation c carrying the first herisson onto the second, and one
-    check over all vertices confirms it (CONGRUENT) or names the lowest face
-    holding a vertex off by more than 1e-8*scale (DISTINCT).  Otherwise the
-    faces whose rings carry a nonzero label are tested in order, the first
+    Refuses with NotSameClass, naming the reason, when the inputs are not
+    parallel and of the same orientation (geometry._class_mismatch).  When
+    every ring label is 0, face 0's centroids give the translation c
+    carrying the first herisson onto the second, and one check over all
+    vertices confirms it (CONGRUENT) or names the lowest face holding a
+    vertex off by more than 1e-8*scale (DISTINCT).  Otherwise the faces
+    whose rings carry a nonzero label are tested in order, the first
     herisson's face moved into the second's before the reverse, for one that
     fits inside its parallel mate by a translation (HYPOTHESIS_FAILURE: the
     uniqueness hypothesis breaks down).  The test reads the ring and the
@@ -218,7 +208,8 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     that ring.  Edge lengths and fits are compared within 1e-9 times
     max(h1.scale, h2.scale).
     """
-    _check_same_class(h1, h2)
+    if reason := _class_mismatch(h1, h2):
+        raise NotSameClass(reason)
     ring = _position_labels(h1, h2)
     idx = h1.fan.ring_index
     if not ring.any():

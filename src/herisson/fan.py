@@ -154,12 +154,15 @@ class Fan:
     def vertex_blocks(self) -> np.ndarray:
         """(V, 3, 3) normals of each cell's first three faces, whose planes
         meet at the cell's vertex.  Raises SingularVertex for the first cell
-        whose block has |det| below VERTEX_DET_TOL."""
+        whose block is not finite or has |det| below VERTEX_DET_TOL."""
         blocks = self.equipment[self.ring_index.first3]
-        singular = np.flatnonzero(np.abs(np.linalg.det(blocks)) < VERTEX_DET_TOL)
-        if singular.size:
-            ci = int(singular[0])
-            raise SingularVertex(f"cell {ci}: faces {self.cells[ci][:3]} have coplanar normals")
+        finite = np.isfinite(blocks).all(axis=(1, 2))
+        det = np.linalg.det(np.where(finite[:, None, None], blocks, 0.0))   # no det of a NaN: numpy warns
+        bad = np.flatnonzero(~finite | (np.abs(det) < VERTEX_DET_TOL))
+        if bad.size:
+            ci = int(bad[0])
+            kind = "coplanar" if finite[ci] else "non-finite"
+            raise SingularVertex(f"cell {ci}: faces {self.cells[ci][:3]} have {kind} normals")
         blocks.setflags(write=False)
         return blocks
 

@@ -94,6 +94,16 @@ def _realize(fan: Fan, h) -> Realization:
     )
 
 
+def _check_boundary(real: Realization, scale: float) -> None:
+    """Raise DegenerateFace for an edge at or below EDGE_TOL*scale or an
+    oriented area at or below AREA_TOL*scale**2: the class boundary."""
+    if real.min_edge <= EDGE_TOL * scale:
+        raise DegenerateFace(f"shortest edge {real.min_edge:.3e} below tolerance")
+    amin = float(np.min(np.abs(real.areas)))
+    if amin <= AREA_TOL * scale**2:
+        raise DegenerateFace(f"smallest |oriented area| {amin:.3e} below tolerance")
+
+
 def _consistency_matrix(fan: Fan) -> np.ndarray:
     """Linear rows K with K h = extra-plane residuals of non-simple cells."""
     idx = fan.ring_index
@@ -191,11 +201,7 @@ def reconstruct(fan: Fan, h) -> Herisson:
         raise InconsistentVertex(
             f"cell {idx.extra_cell[k]}: plane of face {idx.extra_face[k]} misses the vertex by {worst:.3e}"
         )
-    if real.min_edge <= EDGE_TOL * scale:
-        raise DegenerateFace(f"shortest edge {real.min_edge:.3e} below tolerance")
-    amin = float(np.min(np.abs(real.areas)))
-    if amin <= AREA_TOL * scale**2:
-        raise DegenerateFace(f"smallest |oriented area| {amin:.3e} below tolerance")
+    _check_boundary(real, scale)
     return Herisson(
         fan=fan,
         h=h,
@@ -203,6 +209,20 @@ def reconstruct(fan: Fan, h) -> Herisson:
         signs=np.sign(real.areas).astype(int),
         oriented_areas=real.areas,
     )
+
+
+def _class_mismatch(h1: Herisson, h2: Herisson) -> str:
+    """Why h1 and h2 are not of one orientation class, or "": equipments of one
+    shape within 1e-9 entrywise, equal cells and equal face signs, in turn."""
+    if h1.fan.equipment.shape != h2.fan.equipment.shape or not np.allclose(
+        h1.fan.equipment, h2.fan.equipment, rtol=0.0, atol=1e-9
+    ):
+        return "equipments differ"
+    if h1.fan.cells != h2.fan.cells:
+        return "sphere partitions differ"
+    if not np.array_equal(h1.signs, h2.signs):
+        return "face signs differ"
+    return ""
 
 
 def balance_residual(f, fan: Fan) -> np.ndarray:
@@ -232,16 +252,12 @@ def gauge_fix(fan: Fan, h) -> np.ndarray:
 def minkowski_sum(h1: Herisson, h2: Herisson) -> Herisson:
     """Minkowski sum of two herissons over one fan: supports add.
 
-    Requires identical fans and matching face signs; every face of the
-    result is the planar Minkowski sum of the parallel input faces, and
-    edge lengths add arc by arc.
+    Raises FanMismatch with the reason unless the operands are of one class
+    (_class_mismatch); every face of the result is the planar Minkowski sum
+    of the parallel input faces, and edge lengths add arc by arc.
     """
-    if h1.fan.cells != h2.fan.cells or not np.allclose(
-        h1.fan.equipment, h2.fan.equipment, rtol=0.0, atol=1e-12
-    ):
-        raise FanMismatch("operands are not built on the same fan")
-    if not np.array_equal(h1.signs, h2.signs):
-        raise FanMismatch("parallel faces carry different signs")
+    if reason := _class_mismatch(h1, h2):
+        raise FanMismatch(reason)
     return reconstruct(h1.fan, h1.h + h2.h)
 
 

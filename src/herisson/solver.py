@@ -5,18 +5,18 @@ the balance plane are reached by walking g(t) = (1-t) f0 + t g from the
 seed's areas, correcting with Gauss-Newton at each step.  Translations form
 a known 3-dimensional null space, handled by gauge fixing.  On fans whose
 cells are all simple the Jacobian J is symmetric with J E = 0 for the
-equipment E, and by the uniqueness theorem (the area map is injective
-modulo translations) it has rank m - 3; so the bordered matrix
-[[J, wE], [wE^T, 0]] is nonsingular and each Newton or predictor step is one
-LU solve of it, which is the least-squares step.  Cells with more than
-three faces constrain the support vector linearly; those rows ride along
-in the Newton system so iterates stay on the realizability locus, and that
-system, like a bordered matrix that is singular or badly conditioned, goes
-to rank-cutoff least squares, which alone names a rank drop.
+equipment E.  Away from folds of the area map (turning points of the
+homotopy) J has rank m - 3, the bordered matrix [[J, wE], [wE^T, 0]] is
+nonsingular, and each Newton or predictor step is one LU solve of it, which
+is the least-squares step.  At a fold J loses rank and the step goes to
+rank-cutoff least squares, which names the drop; so does the Newton system
+of cells with more than three faces, whose linear constraints on the
+supports ride along as rows to keep iterates on the realizability locus.
 
 Steps in t start at 1/HOMOTOPY_STEPS, halve when MAX_NEWTON_ITERS corrector
-iterations do not converge, and end the walk below MIN_STEP.  The fd
-Jacobian probes h +- FD_STEP * scale e_j, and checks that no probe flips a face.
+iterations do not converge, and end the walk below MIN_STEP or after
+MAX_STEPS tries.  The fd Jacobian probes h +- FD_STEP * scale e_j, and
+checks that no probe flips a face.
 
 Failure modes are part of the contract: the path may hit the boundary of
 the orientation class (an edge or an area degenerates, or an fd probe flips
@@ -31,13 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProbeFailed
+from .errors import DegenerateFace, ProbeFailed
 from .fan import SCAN_BLOCK, Fan, ValidationReport, _rowdot, _window_pairs, is_general_position
 from .geometry import (
-    AREA_TOL,
-    EDGE_TOL,
     Realization,
     _area_jacobian,
+    _check_boundary,
     _consistency_matrix,
     _oriented_areas,
     _realize,
@@ -53,6 +52,7 @@ CONSISTENCY_SOLVE_TOL = 1e-10
 MAX_NEWTON_ITERS = 50        # corrector iterations before the step in t is halved
 HOMOTOPY_STEPS = 16          # the first step in t is 1/HOMOTOPY_STEPS, and no step grows past it
 MIN_STEP = 1e-6              # a step in t halved below this ends the walk as MAX_ITERATIONS
+MAX_STEPS = 100_000          # attempted steps in t before the walk ends as MAX_ITERATIONS
 DIVERGENCE_BOUND_FACTOR = 1e3   # diverged once |h| or a perimeter exceeds this times its reference
 FD_STEP = 1e-6               # central-difference step, relative to the support scale
 
@@ -156,9 +156,9 @@ def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
     2m probes in a few batches, and raises ProbeFailed for the lowest h[j]
     whose probe flips the sign of a face.  Both annihilate
     translations and satisfy J h = 2 phi(h).  On fans whose cells are all
-    simple J is symmetric of rank m - 3 (the area map is injective modulo
-    translations), which is what lets the solver take its Newton steps
-    from the bordered system [[J, wE], [wE^T, 0]]; see _newton_step.
+    simple J is symmetric, of rank m - 3 away from folds of the area map,
+    which lets the solver take its Newton steps from the bordered system
+    [[J, wE], [wE^T, 0]]; at a fold least squares names the rank drop.
     """
     _check_jacobian_mode(mode)
     base = reconstruct(fan, h)
@@ -221,15 +221,14 @@ class _Abort(Exception):
     def __init__(self, status: SolveStatus, message: str):
         super().__init__(message)
         self.status = status
-        self.message = message
 
 
 def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of jac @ delta = rhs, orthogonal to translations.
 
     A square jac (no consistency rows) is the symmetric area Jacobian J
-    with J E = 0 for the equipment E, and by the uniqueness theorem its
-    rank is m - 3, so B = [[J, wE], [wE^T, 0]] with w = |J|_F / sqrt(m) is
+    with J E = 0 for the equipment E, of rank m - 3 away from folds of the
+    area map; there B = [[J, wE], [wE^T, 0]] with w = |J|_F / sqrt(m) is
     nonsingular and one LU solve gives the least-squares step.  B is solved
     for rhs and two fixed probe columns p (Weyl sequences, so numpy.random
     stays unloaded) together: max |B^-1 p| / |p| is a lower bound on
@@ -266,7 +265,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     Preconditions (a realizable seed and a valid target) are checked up
     front and raise ValueError.  The outcome reports Converged with the
     gauge-fixed support numbers, or the failure mode with the last homotopy
-    parameter reached and a per-step trace.
+    parameter reached, the supports accepted there and a per-step trace.
     """
     opts = opts or SolveOptions()
     _check_jacobian_mode(opts.jacobian_mode)
@@ -283,12 +282,8 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     h = gauge_fix(fan, np.asarray(h0, dtype=float))
     href = max(float(np.linalg.norm(h)), 1e-12)
 
-    def checkpoint(x: np.ndarray, real: Realization, g_t: np.ndarray) -> None:
-        scale = support_scale(x)
-        if real.min_edge <= EDGE_TOL * scale:
-            raise _Abort(SolveStatus.DEGENERATED, f"edge length {real.min_edge:.3e} hit the boundary")
-        if float(np.min(np.abs(real.areas))) <= AREA_TOL * scale**2:
-            raise _Abort(SolveStatus.DEGENERATED, "an oriented area hit the boundary")
+    def checkpoint(x: np.ndarray, real: Realization, g_t: np.ndarray, scale: float) -> None:
+        _check_boundary(real, scale)
         if float(np.linalg.norm(x)) > DIVERGENCE_BOUND_FACTOR * href:
             raise _Abort(SolveStatus.DIVERGED, "support norm exceeded the divergence sentinel")
         if alpha is not None:
@@ -304,8 +299,8 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
         x = x0
         for _ in range(MAX_NEWTON_ITERS):
             real = _realize(fan, x)
-            checkpoint(x, real, g_t)
             scale = support_scale(x)
+            checkpoint(x, real, g_t, scale)
             res_area = real.areas - g_t
             res_cons = cons @ x if cons.size else np.zeros(0)
             if (
@@ -331,37 +326,34 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     real_now = _realize(fan, h)
     trace = [TraceRecord(0.0, 0.0, float(np.min(np.abs(f0))), float(np.max(real_now.perimeters)))]
 
-    guard = 0
-    while t < 1.0 - 1e-15:
-        guard += 1
-        if guard > 100_000:
-            return SolveOutcome(SolveStatus.MAX_ITERATIONS, h, t, trace, "step budget exhausted")
-        t_next = min(1.0, t + step)
-        g_t = (1.0 - t_next) * f0 + t_next * g
-        try:
+    attempts = 0
+    try:
+        while t < 1.0 - 1e-15:
+            attempts += 1
+            if attempts > MAX_STEPS:
+                raise _Abort(SolveStatus.MAX_ITERATIONS, "step budget exhausted")
+            t_next = min(1.0, t + step)
+            g_t = (1.0 - t_next) * f0 + t_next * g
             result = correct(predict(h, real_now, t_next - t), g_t)
-        except _Abort as abort:
-            return SolveOutcome(abort.status, h, t, trace, abort.message)
-        except ProbeFailed as exc:
-            return SolveOutcome(SolveStatus.DEGENERATED, h, t, trace, str(exc))
-        if result is None:
-            step /= 2.0
-            if step < MIN_STEP:
-                return SolveOutcome(
-                    SolveStatus.MAX_ITERATIONS, h, t, trace,
-                    f"corrector stalled at t={t!r} with step below {MIN_STEP}",
+            if result is None:
+                step /= 2.0
+                if step < MIN_STEP:
+                    raise _Abort(SolveStatus.MAX_ITERATIONS,
+                                 f"corrector stalled at t={t!r} with step below {MIN_STEP}")
+                continue
+            h, real_now = result
+            t = t_next
+            trace.append(
+                TraceRecord(
+                    t,
+                    float(np.max(np.abs(real_now.areas - g_t))),
+                    float(np.min(np.abs(real_now.areas))),
+                    float(np.max(real_now.perimeters)),
                 )
-            continue
-        h, real_now = result
-        t = t_next
-        trace.append(
-            TraceRecord(
-                t,
-                float(np.max(np.abs(real_now.areas - g_t))),
-                float(np.min(np.abs(real_now.areas))),
-                float(np.max(real_now.perimeters)),
             )
-        )
-        step = min(step * 2.0, step0)
-
+            step = min(step * 2.0, step0)
+    except _Abort as abort:
+        return SolveOutcome(abort.status, h, t, trace, str(abort))
+    except (DegenerateFace, ProbeFailed) as exc:      # the path met the boundary of the class
+        return SolveOutcome(SolveStatus.DEGENERATED, h, t, trace, str(exc))
     return SolveOutcome(SolveStatus.CONVERGED, h, 1.0, trace)

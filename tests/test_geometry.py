@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from helpers import halfspace_vertices, match_point_sets, random_hull_fan, shoelace_area
 from herisson import builders
-from herisson.errors import DegenerateFace, FanMismatch, InconsistentVertex, SingularVertex
+from herisson.congruence import congruent_and_parallel
+from herisson.errors import DegenerateFace, FanMismatch, InconsistentVertex, NotSameClass, SingularVertex
 from herisson.fan import Fan
 from herisson.geometry import (
     _consistency_matrix,
@@ -73,6 +74,15 @@ class TestReconstruct:
     def test_block_inverses_refuse_a_singular_block(self):
         with pytest.raises(SingularVertex, match=r"^cell 0: faces \(0, 1, 2\) have coplanar normals$"):
             _singular_fan().block_inverses
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_normal_is_a_singular_vertex(self, cube, value):
+        # no determinant is taken of a non-finite block, so numpy warns of
+        # nothing (the test configuration turns RuntimeWarning into an error)
+        eq = np.array(cube.fan.equipment)
+        eq[0, 0] = value
+        with pytest.raises(SingularVertex, match=r"^cell 0: faces \(0, 2, 4\) have non-finite normals$"):
+            reconstruct(Fan(equipment=eq, cells=cube.fan.cells), np.ones(6))
 
     def test_inconsistent_vertex_names_cell_and_face(self, bowtie):
         # the bowtie's waist cells have four faces; move the fourth plane
@@ -176,15 +186,47 @@ class TestMinkowskiSum:
             assert length == pytest.approx(la[arc] + lb[arc], abs=1e-10)
 
     def test_fan_mismatch(self, cube, tetra):
-        with pytest.raises(FanMismatch):
+        with pytest.raises(FanMismatch, match="^equipments differ$"):
             minkowski_sum(cube, tetra)
 
     def test_sign_mismatch(self, cube):
         # a box with one negative extent realizes a different orientation class
         mixed = reconstruct(cube.fan, np.array([0.5, 0.5, -1.0, 0.5, 1.0, 1.0]))
         assert set(mixed.signs) == {-1, 1}
-        with pytest.raises(FanMismatch):
+        with pytest.raises(FanMismatch, match="^face signs differ$"):
             minkowski_sum(cube, mixed)
+
+
+def _nudged_cube(cube, delta):
+    eq = np.array(cube.fan.equipment)
+    eq[0, 1] += delta
+    return reconstruct(Fan(equipment=eq, cells=cube.fan.cells), cube.h)
+
+
+class TestSameClass:
+    """minkowski_sum and congruent_and_parallel share one rule for one class."""
+
+    def test_equipment_within_tolerance_is_accepted(self, cube):
+        nudged = _nudged_cube(cube, 1e-10)
+        assert np.allclose(minkowski_sum(cube, nudged).oriented_areas, 16.0, atol=1e-8)
+        assert congruent_and_parallel(cube, nudged).is_congruent
+
+    def test_equipment_beyond_tolerance_is_refused(self, cube):
+        nudged = _nudged_cube(cube, 1e-6)
+        with pytest.raises(FanMismatch, match="^equipments differ$"):
+            minkowski_sum(cube, nudged)
+        with pytest.raises(NotSameClass, match="^equipments differ$"):
+            congruent_and_parallel(cube, nudged)
+
+    def test_partitions_differ(self, cube):
+        # the same normals, every cell listed from another corner: equal
+        # cyclic orders, but not equal cells
+        turned = Fan(equipment=cube.fan.equipment, cells=tuple(c[1:] + c[:1] for c in cube.fan.cells))
+        other = reconstruct(turned, cube.h)
+        with pytest.raises(FanMismatch, match="^sphere partitions differ$"):
+            minkowski_sum(cube, other)
+        with pytest.raises(NotSameClass, match="^sphere partitions differ$"):
+            congruent_and_parallel(cube, other)
 
 
 class TestPerimeterBound:

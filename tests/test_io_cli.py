@@ -47,6 +47,21 @@ class TestExports:
         assert outputs[0][0].startswith(b"# polyhedral hedgehog surface")
         assert outputs[0][1].startswith(b'<?xml version="1.0"')
 
+    def test_obj_exit_codes(self, cube, tmp_path, capsys):
+        # the herisson comes from the one parse of the input file
+        src, obj = _write(tmp_path / "cube.json", io.herisson_to_dict(cube)), tmp_path / "cube.obj"
+        assert cli.main(["export", src, "--obj", str(obj)]) == 0
+        assert obj.read_text(encoding="utf-8") == io.export_obj(cube)
+        short = io.herisson_to_dict(cube)
+        short["h"] = short["h"][:-1]
+        bad = _write(tmp_path / "short.json", short)
+        assert cli.main(["export", bad, "--obj", str(tmp_path / "short.obj")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        flat = io.herisson_to_dict(cube)
+        flat["h"][5] = -1.0     # a box of zero height
+        assert cli.main(["export", _write(tmp_path / "flat.json", flat), "--obj", str(tmp_path / "flat.obj")]) == 1
+        assert capsys.readouterr().err == "error: shortest edge 0.000e+00 below tolerance\n"
+
     def test_tetra_svg(self, tmp_path, capsys):
         # the fallback pole, opposite the first cell, is a face normal here
         src, svg = str(tmp_path / "tetra.json"), tmp_path / "tetra.svg"
@@ -72,6 +87,32 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["status"] == "congruent"
         assert cli.main(["--json", "congruent", a, c]) == 1
         assert json.loads(capsys.readouterr().out)["status"] != "congruent"
+
+    def test_sum(self, cube, box123, tetra, tmp_path, capsys):
+        a = _write(tmp_path / "a.json", io.herisson_to_dict(cube))
+        b = _write(tmp_path / "b.json", io.herisson_to_dict(box123))
+        c = _write(tmp_path / "c.json", io.herisson_to_dict(tetra))
+        out = tmp_path / "sum.json"
+        assert cli.main(["sum", a, b, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        total = io.load_herisson(str(out))
+        assert np.allclose(total.oriented_areas, [20, 20, 15, 15, 12, 12], rtol=0.0, atol=1e-12)
+        assert cli.main(["sum", a, c, "-o", str(tmp_path / "none.json")]) == 1
+        assert capsys.readouterr().err == "error: equipments differ\n"
+        assert not (tmp_path / "none.json").exists()
+
+    def test_json_congruent_not_same_class(self, cube, tetra, tmp_path, capsys):
+        a = _write(tmp_path / "a.json", io.herisson_to_dict(cube))
+        c = _write(tmp_path / "c.json", io.herisson_to_dict(tetra))
+        assert cli.main(["--json", "congruent", a, c]) == 1
+        assert json.loads(capsys.readouterr().out) == {"status": "not_same_class", "detail": "equipments differ"}
+
+    def test_json_areas(self, box123, tmp_path, capsys):
+        assert cli.main(["--json", "areas", _write(tmp_path / "box.json", io.herisson_to_dict(box123))]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["areas"] == [float(x) for x in box123.oriented_areas]
+        assert payload["signs"] == [1] * 6
+        assert np.max(np.abs(payload["balance_residual"])) <= 1e-12
 
     def test_malformed_input(self, cube, tmp_path, capsys):
         missing = io.fan_to_dict(cube.fan)

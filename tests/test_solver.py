@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from helpers import fd_jacobian_loop, polar_fan, random_hull_fan, random_simple_fan
-from herisson import builders, solver
+from herisson import builders, geometry, solver
 from herisson.errors import ProbeFailed
 from herisson.fan import Fan
 from herisson.geometry import _area_jacobian, gauge_fix, reconstruct, support_scale
@@ -170,7 +171,7 @@ class TestNewtonStep:
         with pytest.raises(_Abort) as info:
             _newton_step(dropped, rng.standard_normal(40), fan.equipment)
         assert info.value.status is SolveStatus.DEGENERATED
-        assert info.value.message == "jacobian rank dropped to 36 (expected 37)"
+        assert str(info.value) == "jacobian rank dropped to 36 (expected 37)"
 
 
 def min_edge_line_angle_loop(fan):
@@ -353,3 +354,46 @@ class TestSolve:
         out = solve_minkowski(cube.fan, cube.h, np.full(6, 2.25), opts)
         assert out.status is SolveStatus.CONVERGED
         assert np.max(np.abs(out.h_final - 0.75)) <= 1e-8
+
+
+class TestEndings:
+    """Every non-converged ending of the walk, each reported at the last accepted point."""
+
+    @pytest.mark.parametrize("module, name, value, supports, status, message", [
+        # the boundary of the class, raised high enough to meet on the way to the box
+        (geometry, "EDGE_TOL", 1.0, [0.5, 0.5, 1, 1, 1.5, 1.5], "degenerated",
+         r"shortest edge \d\.\d{3}e\+00 below tolerance"),
+        (geometry, "AREA_TOL", 1.0, [0.5, 0.5, 1, 1, 1.5, 1.5], "degenerated",
+         r"smallest \|oriented area\| \d\.\d{3}e\+00 below tolerance"),
+        # support norm: the target cube is 1.5 times the seed
+        (solver, "DIVERGENCE_BOUND_FACTOR", 1.2, [1.5] * 6, "diverged",
+         r"support norm exceeded the divergence sentinel"),
+        # face perimeter: a needle whose long faces have small area
+        (solver, "DIVERGENCE_BOUND_FACTOR", 2.0, [2, 2, 0.025, 0.025, 0.025, 0.025], "diverged",
+         r"face perimeter exceeded the divergence sentinel"),
+        # no corrector iteration converges, so the step halves below MIN_STEP at t = 0
+        (solver, "MAX_NEWTON_ITERS", 0, [0.5, 0.5, 1, 1, 1.5, 1.5], "max_iterations",
+         r"corrector stalled at t=0\.0 with step below 1e-06"),
+        (solver, "MAX_STEPS", 3, [0.5, 0.5, 1, 1, 1.5, 1.5], "max_iterations", r"step budget exhausted"),
+    ], ids=["edge", "area", "support-norm", "perimeter", "stall", "step-budget"])
+    def test_ending(self, cube, monkeypatch, module, name, value, supports, status, message):
+        g = area_map(cube.fan, np.array(supports, dtype=float))
+        monkeypatch.setattr(module, name, value)
+        out = solve_minkowski(cube.fan, cube.h, g, FREE)
+        assert out.status is SolveStatus(status)
+        assert out.t_reached < 1.0 and out.trace[-1].t == out.t_reached
+        assert re.fullmatch(message, out.message)
+        # h_final is the point accepted at t_reached
+        g_t = (1.0 - out.t_reached) * cube.oriented_areas + out.t_reached * g
+        assert np.max(np.abs(area_map(cube.fan, out.h_final) - g_t)) <= 1e-9
+
+    def test_path_leaves_the_orientation_class(self, cube, monkeypatch):
+        # one tangent step from the cube toward a thin slab overshoots the
+        # x extent through zero, and a loose tolerance accepts that point
+        monkeypatch.setattr(solver, "HOMOTOPY_STEPS", 1)
+        target = area_map(cube.fan, np.array([0.05, 0.05, 2.0, 2.0, 2.0, 2.0]))
+        opts = SolveOptions(tol_area=1e6, allow_non_general_position=True)
+        out = solve_minkowski(cube.fan, cube.h, target, opts)
+        assert out.status is SolveStatus.DEGENERATED
+        assert out.t_reached == 0.0 and len(out.trace) == 1
+        assert out.message == "path left the orientation class"
