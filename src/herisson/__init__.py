@@ -20,7 +20,6 @@ from .congruence import (
 from .errors import (
     DegenerateEquipment,
     DegenerateFace,
-    FanMismatch,
     HerissonError,
     InconsistentVertex,
     MalformedFan,
@@ -67,7 +66,6 @@ __all__ = [
     "sign_changes",
     "DegenerateEquipment",
     "DegenerateFace",
-    "FanMismatch",
     "HerissonError",
     "InconsistentVertex",
     "MalformedFan",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success and affirmative verdicts, 1 on negative verdicts
 (invalid fan, non-congruent pair, non-converged solve), 2 on malformed
-inputs.  Passing --json switches stdout to machine-readable JSON.
+inputs and unwritable outputs.  Passing --json switches stdout to
+machine-readable JSON.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class _InputError(Exception):
 def _load(path: str, loader):
     try:
         return loader(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
@@ -65,23 +66,12 @@ def _cmd_areas(args) -> int:
     return 0
 
 
-def _read_vector(path: str, keys) -> np.ndarray:
-    def read(p: str) -> np.ndarray:
-        data = io.load(p)
-        if isinstance(data, dict):
-            data = next((data[key] for key in keys if key in data), None)
-        if not isinstance(data, list):
-            raise ValueError(f"expected one of {keys} or a plain list")
-        return np.array(data, dtype=float)
-    return _load(path, read)
-
-
 def _cmd_solve(args) -> int:
     fan = _load(args.fan, io.load_fan)
-    h0 = _read_vector(args.seed, ("h",))
+    h0 = _load(args.seed, lambda p: io.load_vector(p, ("h",)))
     if h0.shape != (fan.m,) or not np.all(np.isfinite(h0)):
         raise _InputError(f"{args.seed}: expected {fan.m} finite support numbers")
-    g = _read_vector(args.target, ("g", "areas", "f"))
+    g = _load(args.target, lambda p: io.load_vector(p, ("g", "areas", "f")))
     try:
         opts = SolveOptions(tol_area=args.tol, allow_non_general_position=args.allow_non_general)
     except ValueError as exc:
@@ -232,7 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_InputError, MalformedFan) as exc:
+    except (_InputError, MalformedFan, OSError) as exc:      # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HerissonError as exc:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotSameClass
 from .fan import SCAN_BLOCK, Fan, arc_key
-from .geometry import Herisson, _class_mismatch, _ring_edge_lengths
+from .geometry import Herisson, _class_mismatch
 
 LENGTH_TOL = 1e-9       # relative, rule-(iv) equality
 FIT_TOL = 1e-9          # relative, containment slack
@@ -87,7 +87,7 @@ def cauchy_verdict(fan: Fan, labels) -> CauchyVerdict:
 def _position_labels(h1: Herisson, h2: Herisson) -> np.ndarray:
     """Rule-(iv) label at every ring position, +1 where h1's edge is longer;
     the two positions of an arc hold opposite edge vectors, hence one label."""
-    d = _ring_edge_lengths(h1.fan, h1.vertices) - _ring_edge_lengths(h2.fan, h2.vertices)
+    d = h1.ring_lengths - h2.ring_lengths
     return np.where(np.abs(d) <= LENGTH_TOL * max(h1.scale, h2.scale), 0, np.where(d > 0, 1, -1))
 
 
@@ -131,7 +131,8 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     Direction 0 moves face j of h1 into face j of h2, direction 1 the
     reverse.  A row is one ring position p of the receiving face j, with the
     edge e_p = V[succ] - V[cell] and the outward normal
-    u_p = eps_j (e_p x n_j) / |e_p| in the plane of face j; its right-hand
+    u_p = eps_j (e_p x n_j) / |e_p| in the plane of face j, |e_p| read
+    from the receiving surface's ring_lengths; its right-hand
     side beta_p is the max over the ring of u_p . (receiving vertex) minus
     the same max over the moved vertices, plus tol (the maxima keep
     non-convex faces right).  The face fits iff {c : u_p . c <= beta_p} is
@@ -150,8 +151,9 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     pos = idx.start[seg_face[row_seg]] + np.arange(len(row_seg)) - seg_row[row_seg]
     verts = np.stack([h2.vertices, h1.vertices])    # verts[d] receives in direction d
     edge = verts[d, idx.succ[pos]] - verts[d, idx.cell[pos]]
+    length = np.stack([h2.ring_lengths, h1.ring_lengths])[d, pos]
     normal = h1.fan.equipment[idx.owner[pos]]
-    u = np.cross(edge, normal) * (h1.signs[idx.owner[pos]] / np.sqrt(_dot(edge, edge)))[:, None]
+    u = np.cross(edge, normal) * (h1.signs[idx.owner[pos]] / length)[:, None]
     along = np.cross(normal, u)
 
     def items(r0, r1):

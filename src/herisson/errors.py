@@ -25,12 +25,8 @@ class DegenerateEquipment(HerissonError):
     """Equipment vectors do not span 3-space (defensive; valid fans always do)."""
 
 
-class FanMismatch(HerissonError):
-    """Operands do not share the same fan or orientation class."""
-
-
 class NotSameClass(HerissonError):
-    """Herissons are not parallel and of the same orientation."""
+    """Herissons are not parallel and of the same orientation (one fan, one class)."""
 
 
 class ProbeFailed(HerissonError):

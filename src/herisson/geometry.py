@@ -6,15 +6,20 @@ face polygons by walking the cells around each face in the fan-induced
 order, and reads oriented areas off the signed shoelace sum.  The sign
 convention comes from the counterclockwise orientation of the spherical
 cells: an outward-equipped convex body gets positive areas everywhere.
+
+_realize gives the unchecked surface and reconstruct the checked one, both a
+Herisson, which measures its edge lengths once (ring_lengths) for every length,
+perimeter and boundary test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateEquipment, DegenerateFace, FanMismatch, InconsistentVertex
+from .errors import DegenerateEquipment, DegenerateFace, InconsistentVertex, NotSameClass
 from .fan import Fan
 
 CONSISTENCY_TOL = 1e-8     # relative to scale, cells with more than 3 faces
@@ -46,22 +51,6 @@ def face_frame(normal):
     return u, v
 
 
-@dataclass(frozen=True)
-class Realization:
-    """Raw geometry of (fan, h) before any strictness checks."""
-
-    vertices: np.ndarray               # (V, 3), one point per cell
-    areas: np.ndarray                  # (m,) oriented
-    perimeters: np.ndarray             # (m,)
-    min_edge: float
-
-
-def _ring_edge_lengths(fan: Fan, vertices: np.ndarray) -> np.ndarray:
-    """Length of the polygon edge at every position of the fan's face rings."""
-    idx = fan.ring_index
-    return np.linalg.norm(vertices[idx.succ] - vertices[idx.cell], axis=1)
-
-
 def _oriented_areas(fan: Fan, vertices: np.ndarray) -> np.ndarray:
     """Oriented face areas (P, m) of a stack of vertex sets (P, V, 3).
 
@@ -79,27 +68,24 @@ def _oriented_areas(fan: Fan, vertices: np.ndarray) -> np.ndarray:
     return 0.5 * np.add.reduceat(twice_areas, starts).reshape(count, fan.m)
 
 
-def _realize(fan: Fan, h) -> Realization:
+def _realize(fan: Fan, h) -> Herisson:
+    """The surface of (fan, h) before any strictness checks (see reconstruct)."""
     h = np.asarray(h, dtype=float)
     if h.shape != (fan.m,):
         raise ValueError(f"support vector has length {h.shape}, fan has m={fan.m}")
-    idx = fan.ring_index
-    vertices = np.linalg.solve(fan.vertex_blocks, h[idx.first3][..., None])[..., 0]
-    lens = _ring_edge_lengths(fan, vertices)
-    return Realization(
-        vertices=vertices,
-        areas=_oriented_areas(fan, vertices[None])[0],
-        perimeters=np.add.reduceat(lens, idx.start[:-1]),
-        min_edge=float(lens.min()),
-    )
+    vertices = np.linalg.solve(fan.vertex_blocks, h[fan.ring_index.first3][..., None])[..., 0]
+    areas = _oriented_areas(fan, vertices[None])[0]
+    return Herisson(fan, h, vertices, np.sign(areas).astype(int), areas)
 
 
-def _check_boundary(real: Realization, scale: float) -> None:
+def _check_boundary(surface: Herisson) -> None:
     """Raise DegenerateFace for an edge at or below EDGE_TOL*scale or an
     oriented area at or below AREA_TOL*scale**2: the class boundary."""
-    if real.min_edge <= EDGE_TOL * scale:
-        raise DegenerateFace(f"shortest edge {real.min_edge:.3e} below tolerance")
-    amin = float(np.min(np.abs(real.areas)))
+    scale = surface.scale
+    min_edge = float(surface.ring_lengths.min())
+    if min_edge <= EDGE_TOL * scale:
+        raise DegenerateFace(f"shortest edge {min_edge:.3e} below tolerance")
+    amin = float(np.min(np.abs(surface.oriented_areas)))
     if amin <= AREA_TOL * scale**2:
         raise DegenerateFace(f"smallest |oriented area| {amin:.3e} below tolerance")
 
@@ -134,7 +120,7 @@ def _area_jacobian(fan: Fan, vertices: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Herisson:
-    """A realized hedgehog surface: fan, supports, vertices, signed areas."""
+    """A realized hedgehog surface: fan, supports, vertices, signs, oriented areas."""
 
     fan: Fan
     h: np.ndarray
@@ -156,8 +142,24 @@ class Herisson:
     def scale(self) -> float:
         return support_scale(self.h)
 
+    @cached_property
+    def ring_lengths(self) -> np.ndarray:
+        """(R,) read-only length of the polygon edge at every ring position;
+        the two positions of an arc hold the same length."""
+        idx = self.fan.ring_index
+        lengths = np.linalg.norm(self.vertices[idx.succ] - self.vertices[idx.cell], axis=1)
+        lengths.setflags(write=False)
+        return lengths
+
+    @property
+    def perimeters(self) -> np.ndarray:
+        """(m,) sum of the edge lengths around each face."""
+        return np.add.reduceat(self.ring_lengths, self.fan.ring_index.start[:-1])
+
     def face_cycle(self, j: int) -> tuple[int, ...]:
-        """Cell indices around face j, in boundary order."""
+        """Cell indices around face j, in boundary order; IndexError unless 0 <= j < m."""
+        if not 0 <= j < self.m:
+            raise IndexError(f"face {j} is outside 0..{self.m - 1}")
         idx = self.fan.ring_index
         return tuple(idx.cell[idx.start[j]:idx.start[j + 1]].tolist())
 
@@ -167,7 +169,7 @@ class Herisson:
 
     def edge_lengths(self) -> dict[tuple[int, int], float]:
         """Length of the shared edge dual to each arc."""
-        lens = _ring_edge_lengths(self.fan, self.vertices)[self.fan.ring_index.arc_pos]
+        lens = self.ring_lengths[self.fan.ring_index.arc_pos]
         return {(a, b): float(x) for (a, b), x in zip(self.fan.arcs.tolist(), lens)}
 
     def translated(self, c) -> "Herisson":
@@ -190,25 +192,18 @@ def reconstruct(fan: Fan, h) -> Herisson:
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("support numbers must be finite")
-    real = _realize(fan, h)
-    scale = support_scale(h)
+    surface = _realize(fan, h)
     idx = fan.ring_index
-    misses = np.abs(np.einsum("ij,ij->i", fan.equipment[idx.extra_face], real.vertices[idx.extra_cell])
+    misses = np.abs(np.einsum("ij,ij->i", fan.equipment[idx.extra_face], surface.vertices[idx.extra_cell])
                     - h[idx.extra_face])
     worst = float(np.max(misses, initial=0.0))
-    if worst > CONSISTENCY_TOL * scale:
+    if worst > CONSISTENCY_TOL * surface.scale:
         k = int(np.argmax(misses))      # the first (cell, face) pair holding the maximum
         raise InconsistentVertex(
             f"cell {idx.extra_cell[k]}: plane of face {idx.extra_face[k]} misses the vertex by {worst:.3e}"
         )
-    _check_boundary(real, scale)
-    return Herisson(
-        fan=fan,
-        h=h,
-        vertices=real.vertices,
-        signs=np.sign(real.areas).astype(int),
-        oriented_areas=real.areas,
-    )
+    _check_boundary(surface)
+    return surface
 
 
 def _class_mismatch(h1: Herisson, h2: Herisson) -> str:
@@ -252,12 +247,13 @@ def gauge_fix(fan: Fan, h) -> np.ndarray:
 def minkowski_sum(h1: Herisson, h2: Herisson) -> Herisson:
     """Minkowski sum of two herissons over one fan: supports add.
 
-    Raises FanMismatch with the reason unless the operands are of one class
-    (_class_mismatch); every face of the result is the planar Minkowski sum
-    of the parallel input faces, and edge lengths add arc by arc.
+    Raises NotSameClass with the reason unless the operands are of one class
+    (_class_mismatch), as congruent_and_parallel does; every face of the
+    result is the planar Minkowski sum of the parallel input faces, and edge
+    lengths add arc by arc.
     """
     if reason := _class_mismatch(h1, h2):
-        raise FanMismatch(reason)
+        raise NotSameClass(reason)
     return reconstruct(h1.fan, h1.h + h2.h)
 
 

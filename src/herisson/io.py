@@ -24,11 +24,30 @@ def fan_to_dict(fan: Fan) -> dict:
     }
 
 
+_KINDS = {int: "an integer", (int, float): "a number", list: "a list"}      # JSON bools are none of these
+
+
+def _entries(values, kind, what: str) -> list:
+    """values if it is a JSON list of kind entries; else ValueError naming the first bad one."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list")
+    for i, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, kind):
+            raise ValueError(f"{what}[{i}] = {x!r} is not {_KINDS[kind]}")
+    return values
+
+
+def _vector(values, what: str) -> np.ndarray:
+    return np.array(_entries(values, (int, float), what), dtype=float)
+
+
 def fan_from_dict(data: dict) -> Fan:
-    equipment = np.array(data["equipment"], dtype=float)
+    rows = _entries(data["equipment"], list, "equipment")
+    equipment = np.array([_vector(row, f"equipment[{i}]") for i, row in enumerate(rows)])
     if equipment.ndim != 2 or equipment.shape[1] != 3:
         raise ValueError("equipment must be a list of 3-vectors")
-    cells = tuple(tuple(int(i) for i in cell) for cell in data["cells"])
+    cells = tuple(tuple(_entries(cell, int, f"cells[{k}]"))
+                  for k, cell in enumerate(_entries(data["cells"], list, "cells")))
     return Fan(equipment=equipment, cells=cells)
 
 
@@ -42,9 +61,7 @@ def herisson_to_dict(h: Herisson) -> dict:
 
 
 def herisson_from_dict(data: dict) -> Herisson:
-    fan = fan_from_dict(data)
-    h = np.array(data["h"], dtype=float)
-    return reconstruct(fan, h)
+    return reconstruct(fan_from_dict(data), _vector(data["h"], "h"))
 
 
 def dumps(data: dict) -> str:
@@ -67,6 +84,17 @@ def load_fan(path: str) -> Fan:
 
 def load_herisson(path: str) -> Herisson:
     return herisson_from_dict(load(path))
+
+
+def load_vector(path: str, keys) -> np.ndarray:
+    """The number list under the first of keys present, or the file's plain list."""
+    data, what = load(path), "vector"
+    if isinstance(data, dict):
+        what = next((key for key in keys if key in data), None)
+        data = data[what] if what else None
+    if not isinstance(data, list):
+        raise ValueError(f"expected one of {keys} or a plain list")
+    return _vector(data, what)
 
 
 # ---------------------------------------------------------------------------

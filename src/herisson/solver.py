@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DegenerateFace, ProbeFailed
 from .fan import SCAN_BLOCK, Fan, ValidationReport, _rowdot, _window_pairs, is_general_position
 from .geometry import (
-    Realization,
+    Herisson,
     _area_jacobian,
     _check_boundary,
     _consistency_matrix,
@@ -43,7 +43,6 @@ from .geometry import (
     gauge_fix,
     perimeter_bound,
     reconstruct,
-    support_scale,
 )
 
 RANK_CUTOFF = 1e-10          # singular values below this (relative) count as null
@@ -141,11 +140,11 @@ def _check_jacobian_mode(mode: str) -> None:
         raise ValueError(f"unknown jacobian mode {mode!r}")
 
 
-def _jacobian(fan: Fan, h: np.ndarray, vertices: np.ndarray, signs: np.ndarray, mode: str) -> np.ndarray:
-    """Area Jacobian at h (realized as vertices, with face signs) in the given mode."""
+def _jacobian(surface: Herisson, mode: str) -> np.ndarray:
+    """Area Jacobian at the surface's supports in the given mode."""
     if mode == "analytic":
-        return _area_jacobian(fan, vertices)
-    return _fd_area_jacobian(fan, h, FD_STEP * support_scale(h), signs)
+        return _area_jacobian(surface.fan, surface.vertices)
+    return _fd_area_jacobian(surface.fan, surface.h, FD_STEP * surface.scale, surface.signs)
 
 
 def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
@@ -161,8 +160,7 @@ def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
     [[J, wE], [wE^T, 0]]; at a fold least squares names the rank drop.
     """
     _check_jacobian_mode(mode)
-    base = reconstruct(fan, h)
-    return _jacobian(fan, base.h, base.vertices, base.signs, mode)
+    return _jacobian(reconstruct(fan, h), mode)
 
 
 def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -> ValidationReport:
@@ -270,7 +268,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     opts = opts or SolveOptions()
     _check_jacobian_mode(opts.jacobian_mode)
     g = np.asarray(g, dtype=float)
-    seed = reconstruct(fan, np.asarray(h0, dtype=float))
+    seed = reconstruct(fan, h0)
     f0 = seed.oriented_areas
     report = validate_target(fan, f0, g, opts.allow_non_general_position)
     if not report.ok:
@@ -279,54 +277,52 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     cons = _consistency_matrix(fan)
     alpha = _min_edge_line_angle(fan)
     max_sides = int(np.diff(fan.ring_index.start).max())
-    h = gauge_fix(fan, np.asarray(h0, dtype=float))
-    href = max(float(np.linalg.norm(h)), 1e-12)
+    now = _realize(fan, gauge_fix(fan, seed.h))     # the last accepted surface
+    href = max(float(np.linalg.norm(now.h)), 1e-12)
 
-    def checkpoint(x: np.ndarray, real: Realization, g_t: np.ndarray, scale: float) -> None:
-        _check_boundary(real, scale)
-        if float(np.linalg.norm(x)) > DIVERGENCE_BOUND_FACTOR * href:
+    def checkpoint(surface: Herisson, g_t: np.ndarray) -> None:
+        _check_boundary(surface)
+        if float(np.linalg.norm(surface.h)) > DIVERGENCE_BOUND_FACTOR * href:
             raise _Abort(SolveStatus.DIVERGED, "support norm exceeded the divergence sentinel")
         if alpha is not None:
             limit = max_sides * perimeter_bound(max(float(np.max(np.abs(g_t))), 1e-300), min(alpha, np.pi / 2 - 1e-9)) * DIVERGENCE_BOUND_FACTOR
-            if float(np.max(real.perimeters)) > limit:
+            if float(np.max(surface.perimeters)) > limit:
                 raise _Abort(SolveStatus.DIVERGED, "face perimeter exceeded the divergence sentinel")
 
-    def full_jacobian(x: np.ndarray, real: Realization) -> np.ndarray:
-        areas_jac = _jacobian(fan, x, real.vertices, np.sign(real.areas), opts.jacobian_mode)
+    def full_jacobian(surface: Herisson) -> np.ndarray:
+        areas_jac = _jacobian(surface, opts.jacobian_mode)
         return np.vstack([areas_jac, cons]) if cons.size else areas_jac
 
-    def correct(x0: np.ndarray, g_t: np.ndarray):
-        x = x0
+    def correct(x: np.ndarray, g_t: np.ndarray) -> Herisson | None:
         for _ in range(MAX_NEWTON_ITERS):
-            real = _realize(fan, x)
-            scale = support_scale(x)
-            checkpoint(x, real, g_t, scale)
-            res_area = real.areas - g_t
+            surface = _realize(fan, x)
+            checkpoint(surface, g_t)
+            scale = surface.scale
+            res_area = surface.oriented_areas - g_t
             res_cons = cons @ x if cons.size else np.zeros(0)
             if (
                 float(np.max(np.abs(res_area))) <= opts.tol_area * scale**2
                 and (res_cons.size == 0 or float(np.max(np.abs(res_cons))) <= CONSISTENCY_SOLVE_TOL * scale)
             ):
-                if np.any(np.sign(real.areas) != np.sign(g_t)):
+                if np.any(surface.signs != np.sign(g_t)):
                     raise _Abort(SolveStatus.DEGENERATED, "path left the orientation class")
-                return x, real
-            jac = full_jacobian(x, real)
+                return surface
             rhs = -np.concatenate([res_area, res_cons])
-            x = gauge_fix(fan, x + _newton_step(jac, rhs, fan.equipment))
+            x = gauge_fix(fan, x + _newton_step(full_jacobian(surface), rhs, fan.equipment))
         return None
 
-    def predict(x: np.ndarray, real: Realization, dt: float) -> np.ndarray:
-        jac = full_jacobian(x, real)
-        tangent = _newton_step(jac, np.concatenate([g - f0, np.zeros(cons.shape[0])]), fan.equipment)
-        return gauge_fix(fan, x + dt * tangent)
+    def predict(surface: Herisson, dt: float) -> np.ndarray:
+        rhs = np.concatenate([g - f0, np.zeros(cons.shape[0])])
+        tangent = _newton_step(full_jacobian(surface), rhs, fan.equipment)
+        return gauge_fix(fan, surface.h + dt * tangent)
 
     t = 0.0
     step0 = 1.0 / HOMOTOPY_STEPS
     step = step0
-    real_now = _realize(fan, h)
-    trace = [TraceRecord(0.0, 0.0, float(np.min(np.abs(f0))), float(np.max(real_now.perimeters)))]
+    trace = [TraceRecord(0.0, 0.0, float(np.min(np.abs(f0))), float(np.max(now.perimeters)))]
 
     attempts = 0
+    status, message = SolveStatus.CONVERGED, ""
     try:
         while t < 1.0 - 1e-15:
             attempts += 1
@@ -334,26 +330,19 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
                 raise _Abort(SolveStatus.MAX_ITERATIONS, "step budget exhausted")
             t_next = min(1.0, t + step)
             g_t = (1.0 - t_next) * f0 + t_next * g
-            result = correct(predict(h, real_now, t_next - t), g_t)
+            result = correct(predict(now, t_next - t), g_t)
             if result is None:
                 step /= 2.0
                 if step < MIN_STEP:
                     raise _Abort(SolveStatus.MAX_ITERATIONS,
                                  f"corrector stalled at t={t!r} with step below {MIN_STEP}")
                 continue
-            h, real_now = result
-            t = t_next
-            trace.append(
-                TraceRecord(
-                    t,
-                    float(np.max(np.abs(real_now.areas - g_t))),
-                    float(np.min(np.abs(real_now.areas))),
-                    float(np.max(real_now.perimeters)),
-                )
-            )
+            now, t = result, t_next
+            trace.append(TraceRecord(t, float(np.max(np.abs(now.oriented_areas - g_t))),
+                                     float(np.min(np.abs(now.oriented_areas))), float(np.max(now.perimeters))))
             step = min(step * 2.0, step0)
     except _Abort as abort:
-        return SolveOutcome(abort.status, h, t, trace, str(abort))
+        status, message = abort.status, str(abort)
     except (DegenerateFace, ProbeFailed) as exc:      # the path met the boundary of the class
-        return SolveOutcome(SolveStatus.DEGENERATED, h, t, trace, str(exc))
-    return SolveOutcome(SolveStatus.CONVERGED, h, 1.0, trace)
+        status, message = SolveStatus.DEGENERATED, str(exc)
+    return SolveOutcome(status, np.array(now.h), t, trace, message)

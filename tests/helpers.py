@@ -605,8 +605,8 @@ def fd_jacobian_loop(fan, h, step, base_signs=None):
     for j in range(fan.m):
         probe = np.zeros(fan.m)
         probe[j] = step
-        plus = _realize(fan, h + probe).areas
-        minus = _realize(fan, h - probe).areas
+        plus = _realize(fan, h + probe).oriented_areas
+        minus = _realize(fan, h - probe).oriented_areas
         if base_signs is not None and (
             np.any(np.sign(plus) != base_signs) or np.any(np.sign(minus) != base_signs)
         ):

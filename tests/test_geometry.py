@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import halfspace_vertices, match_point_sets, random_hull_fan, shoelace_area
+from helpers import halfspace_vertices, match_point_sets, polar_fan, random_hull_fan, shoelace_area
 from herisson import builders
 from herisson.congruence import congruent_and_parallel
-from herisson.errors import DegenerateFace, FanMismatch, InconsistentVertex, NotSameClass, SingularVertex
+from herisson.errors import DegenerateEquipment, DegenerateFace, InconsistentVertex, NotSameClass, SingularVertex
 from herisson.fan import Fan
 from herisson.geometry import (
     _consistency_matrix,
@@ -157,6 +157,64 @@ class TestGaugeFix:
         a = reconstruct(waisted.fan, fixed)
         assert np.allclose(a.oriented_areas, waisted.oriented_areas, atol=1e-12)
 
+    def test_equipment_not_spanning_space(self):
+        # gauge_fix reads only the equipment, here four normals in one plane
+        flat = Fan(equipment=[[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], cells=((0, 1, 2), (0, 2, 3)))
+        with pytest.raises(DegenerateEquipment, match="^equipment does not span 3-space$"):
+            gauge_fix(flat, np.ones(4))
+
+
+FIXTURES = ("cube", "box123", "tetra", "bowtie", "waisted", "tiling")
+
+
+@pytest.fixture(params=[*FIXTURES, "polar8", "polar40", "polar120"])
+def body(request):
+    if request.param in FIXTURES:
+        return request.getfixturevalue(request.param)
+    m = int(request.param[len("polar"):])
+    return reconstruct(polar_fan(np.random.default_rng(m), m), np.ones(m))
+
+
+class TestRingLengths:
+    """Each surface measures its edge lengths once, in ring_lengths."""
+
+    def test_read_only_and_computed_once(self, body):
+        lengths = body.ring_lengths
+        assert lengths is body.ring_lengths
+        assert not lengths.flags.writeable
+        with pytest.raises(ValueError):
+            lengths[0] = 1.0
+
+    def test_match_face_polygons(self, body):
+        starts = body.fan.ring_index.start
+        for j in range(body.m):
+            poly = body.face_polygon(j)
+            sides = np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)
+            assert np.array_equal(body.ring_lengths[starts[j]:starts[j + 1]], sides)
+            assert body.perimeters[j] == pytest.approx(sides.sum(), rel=1e-15)
+
+    def test_both_positions_of_an_arc_agree(self, body):
+        # the edge vectors at the two positions are exact negatives, so
+        # edge_lengths may read either position
+        idx = body.fan.ring_index
+        at = {(a, b): p for p, (a, b) in enumerate(zip(idx.owner.tolist(), idx.neighbor.tolist()))}
+        mate = np.array([at[b, a] for a, b in zip(idx.owner.tolist(), idx.neighbor.tolist())])
+        assert not np.array_equal(mate, np.arange(len(mate)))
+        assert np.array_equal(body.ring_lengths, body.ring_lengths[mate])
+        assert np.array_equal(list(body.edge_lengths().values()), body.ring_lengths[idx.arc_pos])
+
+
+class TestFaceIndex:
+    @pytest.mark.parametrize("j", [-1, 6, 100])
+    def test_out_of_range_face_raises(self, cube, j):
+        with pytest.raises(IndexError, match=f"^face {j} is outside 0..5$"):
+            cube.face_cycle(j)
+        with pytest.raises(IndexError, match=f"^face {j} is outside 0..5$"):
+            cube.face_polygon(j)
+
+    def test_every_face_in_range(self, cube):
+        assert [len(cube.face_cycle(j)) for j in range(cube.m)] == [4] * 6
+
 
 class TestMinkowskiSum:
     def test_cube_plus_cube(self, cube):
@@ -186,14 +244,14 @@ class TestMinkowskiSum:
             assert length == pytest.approx(la[arc] + lb[arc], abs=1e-10)
 
     def test_fan_mismatch(self, cube, tetra):
-        with pytest.raises(FanMismatch, match="^equipments differ$"):
+        with pytest.raises(NotSameClass, match="^equipments differ$"):
             minkowski_sum(cube, tetra)
 
     def test_sign_mismatch(self, cube):
         # a box with one negative extent realizes a different orientation class
         mixed = reconstruct(cube.fan, np.array([0.5, 0.5, -1.0, 0.5, 1.0, 1.0]))
         assert set(mixed.signs) == {-1, 1}
-        with pytest.raises(FanMismatch, match="^face signs differ$"):
+        with pytest.raises(NotSameClass, match="^face signs differ$"):
             minkowski_sum(cube, mixed)
 
 
@@ -213,7 +271,7 @@ class TestSameClass:
 
     def test_equipment_beyond_tolerance_is_refused(self, cube):
         nudged = _nudged_cube(cube, 1e-6)
-        with pytest.raises(FanMismatch, match="^equipments differ$"):
+        with pytest.raises(NotSameClass, match="^equipments differ$"):
             minkowski_sum(cube, nudged)
         with pytest.raises(NotSameClass, match="^equipments differ$"):
             congruent_and_parallel(cube, nudged)
@@ -223,7 +281,7 @@ class TestSameClass:
         # cyclic orders, but not equal cells
         turned = Fan(equipment=cube.fan.equipment, cells=tuple(c[1:] + c[:1] for c in cube.fan.cells))
         other = reconstruct(turned, cube.h)
-        with pytest.raises(FanMismatch, match="^sphere partitions differ$"):
+        with pytest.raises(NotSameClass, match="^sphere partitions differ$"):
             minkowski_sum(cube, other)
         with pytest.raises(NotSameClass, match="^sphere partitions differ$"):
             congruent_and_parallel(cube, other)

@@ -162,6 +162,66 @@ class TestExitCodes:
             assert cli.main(["solve", cube_fan, "--seed", files["seed"], "--target", files["target"]]) == 2
             assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("where, value, message", [
+        ("cell", 0.9, "cells[0][0] = 0.9 is not an integer"),
+        ("cell", 0.0, "cells[0][0] = 0.0 is not an integer"),
+        ("cell", "0", "cells[0][0] = '0' is not an integer"),
+        ("cell", False, "cells[0][0] = False is not an integer"),
+        ("cells", {"0": [0, 2, 4]}, "cells must be a list"),
+        ("row", 5, "equipment[0] = 5 is not a list"),
+        ("equipment", "1", "equipment[0][0] = '1' is not a number"),
+        ("equipment", True, "equipment[0][0] = True is not a number"),
+        ("equipment", None, "equipment[0][0] = None is not a number"),
+        pytest.param("equipment", 10**400, "int too large to convert to float", id="equipment-beyond-double"),
+        ("h", "1", "h[0] = '1' is not a number"),
+        ("seed", "1", "h[0] = '1' is not a number"),
+        ("target", True, "g[0] = True is not a number"),
+        ("target", [9.0], "g[0] = [9.0] is not a number"),
+    ])
+    def test_malformed_entry_types(self, cube, where, value, message, tmp_path, capsys):
+        # only JSON integers are labels and only JSON numbers are vector entries
+        body, seed, target = io.herisson_to_dict(cube), {"h": [1.0] * 6}, {"g": [9.0] * 6}
+        if where == "cell":
+            body["cells"][0][0] = value
+        elif where == "cells":
+            body["cells"] = value
+        elif where == "row":
+            body["equipment"][0] = value
+        elif where == "equipment":
+            body["equipment"][0][0] = value
+        else:
+            {"h": body["h"], "seed": seed["h"], "target": target["g"]}[where][0] = value
+        path = _write(tmp_path / "body.json", body)
+        if where in ("seed", "target"):
+            files = {"seed": _write(tmp_path / "seed.json", seed), "target": _write(tmp_path / "target.json", target)}
+            path = files[where]
+            argv = ["solve", _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan)),
+                    "--seed", files["seed"], "--target", files["target"], "--allow-non-general"]
+        else:
+            argv = ["areas" if where == "h" else "validate", path]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["example", "sum", "obj", "svg", "trace"])
+    def test_unwritable_output(self, cube, command, tmp_path, capsys):
+        cube_file = _write(tmp_path / "cube.json", io.herisson_to_dict(cube))
+        target = _write(tmp_path / "target.json", {"g": [9.0] * 6})
+        out = str(tmp_path / "missing" / "out")
+        argv = {
+            "example": ["example", "cube", "-o", out],
+            "sum": ["sum", cube_file, cube_file, "-o", out],
+            "obj": ["export", cube_file, "--obj", out],
+            "svg": ["export", cube_file, "--svg", out],
+            "trace": ["solve", cube_file, "--seed", cube_file, "--target", target, "--allow-non-general",
+                      "--trace", out],
+        }[command]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_target(self, cube, value, tmp_path, capfd):
         fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))
