@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success and affirmative verdicts, 1 on negative verdicts
 (invalid fan, non-congruent pair, non-converged solve), 2 on malformed
-inputs and unwritable outputs.  Passing --json switches stdout to
-machine-readable JSON.
+inputs and unwritable outputs (export then leaves none of its outputs
+behind).  Passing --json switches stdout to machine-readable JSON.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -152,18 +153,25 @@ def _cmd_example(args) -> int:
 
 def _cmd_export(args) -> int:
     data = _load(args.input, io.load)
+    outputs = []        # (path, text): every output is rendered before any is written
     if args.obj:
-        herisson = _load(args.input, lambda _: io.herisson_from_dict(data))
-        with open(args.obj, "w", encoding="utf-8") as fh:
-            fh.write(io.export_obj(herisson))
-        _emit(args, {"written": args.obj}, f"wrote {args.obj}")
+        outputs.append((args.obj, io.export_obj(_load(args.input, lambda _: io.herisson_from_dict(data)))))
     if args.svg:
-        svg = _load(args.input, lambda _: io.export_svg(io.fan_from_dict(data)))
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        _emit(args, {"written": args.svg}, f"wrote {args.svg}")
-    if not (args.obj or args.svg):
+        outputs.append((args.svg, _load(args.input, lambda _: io.export_svg(io.fan_from_dict(data)))))
+    if not outputs:
         raise _InputError("export: pass --obj and/or --svg")
+    written = []
+    try:
+        for path, text in outputs:
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError:
+        for path in written:        # a failed call leaves no output behind
+            os.remove(path)
+        raise
+    for path in written:
+        _emit(args, {"written": path}, f"wrote {path}")
     return 0
 
 

@@ -63,7 +63,12 @@ class Fan:
         eq = np.array(self.equipment, dtype=float)
         eq.setflags(write=False)
         object.__setattr__(self, "equipment", eq)
-        cells = tuple(tuple(int(i) for i in c) for c in self.cells)
+        cells = tuple(tuple(c) for c in self.cells)
+        for k, c in enumerate(cells):
+            for i, label in enumerate(c):
+                if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+                    raise ValueError(f"cells[{k}][{i}] = {label!r} is not an integer")
+        cells = tuple(tuple(int(i) for i in c) for c in cells)
         if any(abs(i) >= 2**63 for c in cells for i in c):    # the corner table holds int64
             raise ValueError("a cell names a face index beyond 64 bits")
         object.__setattr__(self, "cells", cells)

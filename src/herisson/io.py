@@ -24,7 +24,7 @@ def fan_to_dict(fan: Fan) -> dict:
     }
 
 
-_KINDS = {int: "an integer", (int, float): "a number", list: "a list"}      # JSON bools are none of these
+_KINDS = {(int, float): "a number", list: "a list"}      # JSON bools are neither; Fan checks cell labels
 
 
 def _entries(values, kind, what: str) -> list:
@@ -46,9 +46,7 @@ def fan_from_dict(data: dict) -> Fan:
     equipment = np.array([_vector(row, f"equipment[{i}]") for i, row in enumerate(rows)])
     if equipment.ndim != 2 or equipment.shape[1] != 3:
         raise ValueError("equipment must be a list of 3-vectors")
-    cells = tuple(tuple(_entries(cell, int, f"cells[{k}]"))
-                  for k, cell in enumerate(_entries(data["cells"], list, "cells")))
-    return Fan(equipment=equipment, cells=cells)
+    return Fan(equipment=equipment, cells=_entries(data["cells"], list, "cells"))
 
 
 def herisson_to_dict(h: Herisson) -> dict:

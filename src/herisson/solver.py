@@ -13,10 +13,21 @@ rank-cutoff least squares, which names the drop; so does the Newton system
 of cells with more than three faces, whose linear constraints on the
 supports ride along as rows to keep iterates on the realizability locus.
 
-Steps in t start at 1/HOMOTOPY_STEPS, halve when MAX_NEWTON_ITERS corrector
-iterations do not converge, and end the walk below MIN_STEP or after
-MAX_STEPS tries.  The fd Jacobian probes h +- FD_STEP * scale e_j, and
-checks that no probe flips a face.
+Steps in t come from the area map itself.  Vertices are linear in the
+supports, so phi is an exact quadratic form: phi(h + s d) = phi(h) +
+s J(h) d + s^2 phi(d), and J(h) h = 2 phi(h) (the mixed-area structure of
+virtual polytopes).  At each accepted point one Jacobian gives the tangent
+d (J d = g - f0) and the second-order term e (J e = -phi(d)), and the step
+is the least of 1 - t, a cap, ROOT_FRACTION times the first positive s at
+which some face area phi(h + s d)_j reaches zero, and
+sqrt(CURVATURE_BUDGET |h| / |e|), which keeps dt^2 |e| within
+CURVATURE_BUDGET |h|.  The corrector starts from h + dt d + dt^2 e.  The
+cap starts at 1, is set to half the step when MAX_NEWTON_ITERS corrector
+iterations do not converge, doubles (up to 1) after each accepted step,
+and the walk ends once it falls below MIN_STEP or after MAX_STEPS tries.
+Edge lengths are not guarded: a path may pass an edge through zero length.
+The fd Jacobian probes h +- FD_STEP * scale e_j, and checks that no probe
+flips a face.
 
 Failure modes are part of the contract: the path may hit the boundary of
 the orientation class (an edge or an area degenerates, or an fd probe flips
@@ -48,9 +59,10 @@ from .geometry import (
 RANK_CUTOFF = 1e-10          # singular values below this (relative) count as null
 _PROBE_STRIDES = np.array([(5 ** 0.5 - 1) / 2, 2 ** 0.5 - 1])   # Weyl strides of the condition probes
 CONSISTENCY_SOLVE_TOL = 1e-10
-MAX_NEWTON_ITERS = 50        # corrector iterations before the step in t is halved
-HOMOTOPY_STEPS = 16          # the first step in t is 1/HOMOTOPY_STEPS, and no step grows past it
-MIN_STEP = 1e-6              # a step in t halved below this ends the walk as MAX_ITERATIONS
+MAX_NEWTON_ITERS = 50        # corrector iterations before the step cap is halved
+ROOT_FRACTION = 0.5          # a step in t covers at most this fraction of the model's first face sign change
+CURVATURE_BUDGET = 0.1       # dimensionless: dt**2 |e| stays within this fraction of |h|
+MIN_STEP = 1e-6              # a step cap in t halved below this ends the walk as MAX_ITERATIONS
 MAX_STEPS = 100_000          # attempted steps in t before the walk ends as MAX_ITERATIONS
 DIVERGENCE_BOUND_FACTOR = 1e3   # diverged once |h| or a perimeter exceeds this times its reference
 FD_STEP = 1e-6               # central-difference step, relative to the support scale
@@ -221,27 +233,32 @@ class _Abort(Exception):
         self.status = status
 
 
-def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray) -> np.ndarray:
+def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray, then=None):
     """Minimum-norm solution of jac @ delta = rhs, orthogonal to translations.
 
     A square jac (no consistency rows) is the symmetric area Jacobian J
     with J E = 0 for the equipment E, of rank m - 3 away from folds of the
-    area map; there B = [[J, wE], [wE^T, 0]] with w = |J|_F / sqrt(m) is
-    nonsingular and one LU solve gives the least-squares step.  B is solved
-    for rhs and two fixed probe columns p (Weyl sequences, so numpy.random
-    stays unloaded) together: max |B^-1 p| / |p| is a lower bound on
-    |B^-1|, typically within a factor sqrt(m), and times |J|_F (at least
-    sigma_1(J)) it estimates cond(B), which is at least
-    sigma_1(J) / sigma_{m-3}(J).  When the solve fails, is not finite or
-    the estimate exceeds 1e-4 / RANK_CUTOFF, and for every jac with
-    consistency rows, rank-cutoff least squares decides; a rank more than 3
-    short of m aborts as DEGENERATED.
+    area map; there B = [[J, wE], [wE^T, 0]] with w = |J|_F / sqrt(m),
+    written into one (m+3)^2 array, is nonsingular and one LU solve gives
+    the least-squares step.  B is solved for rhs and two fixed probe
+    columns p (Weyl sequences, so numpy.random stays unloaded) together:
+    max |B^-1 p| / |p| is a lower bound on |B^-1|, typically within a
+    factor sqrt(m), and times |J|_F (at least sigma_1(J)) it estimates
+    cond(B), which is at least sigma_1(J) / sigma_{m-3}(J).  When the solve
+    fails, is not finite or the estimate exceeds 1e-4 / RANK_CUTOFF, and
+    for every jac with consistency rows, rank-cutoff least squares decides;
+    a rank more than 3 short of m aborts as DEGENERATED.  With then, a
+    function of delta giving a second right-hand side, the pair (delta,
+    delta2) is returned, delta2 solving jac @ delta2 = then(delta) on the
+    same path and matrix, without a second condition verdict.
     """
     m = equipment.shape[0]
     if jac.shape[0] == m:
         jnorm = float(np.linalg.norm(jac))
-        border = jnorm / np.sqrt(m) * equipment
-        bordered = np.block([[jac, border], [border.T, np.zeros((3, 3))]])
+        bordered = np.zeros((m + 3, m + 3))
+        bordered[:m, :m] = jac
+        bordered[:m, m:] = jnorm / np.sqrt(m) * equipment
+        bordered[m:, :m] = bordered[:m, m:].T
         probes = np.modf(np.arange(1, m + 4)[:, None] * _PROBE_STRIDES)[0] - 0.5
         try:
             sol = np.linalg.solve(bordered, np.column_stack([np.concatenate([rhs, np.zeros(3)]), probes]))
@@ -250,11 +267,31 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray) -> np.
         if sol is not None and np.all(np.isfinite(sol)):
             inv_norm = float(np.max(np.linalg.norm(sol[:, 1:], axis=0) / np.linalg.norm(probes, axis=0)))
             if jnorm * inv_norm <= 1e-4 / RANK_CUTOFF:
-                return sol[:m, 0]
+                delta = sol[:m, 0]
+                if then is None:
+                    return delta
+                return delta, np.linalg.solve(bordered, np.concatenate([then(delta), np.zeros(3)]))[:m]
     delta, _res, rank, _sv = np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)
     if m - rank > 3:
         raise _Abort(SolveStatus.DEGENERATED, f"jacobian rank dropped to {rank} (expected {m - 3})")
-    return delta
+    if then is None:
+        return delta
+    return delta, np.linalg.lstsq(jac, then(delta), rcond=RANK_CUTOFF)[0]
+
+
+def _first_root(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> float:
+    """Least positive s with c + b s + a s^2 = 0 in any entry (inf when none), c nonzero.
+
+    The roots are q / a and c / q with q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2,
+    which loses no digits to cancellation; a = 0 leaves the linear root c / q.
+    """
+    disc = b * b - 4.0 * a * c
+    real = disc >= 0.0
+    q = -0.5 * (b + np.copysign(np.sqrt(np.where(real, disc, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.concatenate([(q / a)[real], (c / q)[real]])
+    roots = roots[np.isfinite(roots) & (roots > 0.0)]
+    return float(roots.min()) if roots.size else np.inf
 
 
 def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveOutcome:
@@ -311,36 +348,51 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             x = gauge_fix(fan, x + _newton_step(full_jacobian(surface), rhs, fan.equipment))
         return None
 
-    def predict(surface: Herisson, dt: float) -> np.ndarray:
-        rhs = np.concatenate([g - f0, np.zeros(cons.shape[0])])
-        tangent = _newton_step(full_jacobian(surface), rhs, fan.equipment)
-        return gauge_fix(fan, surface.h + dt * tangent)
+    def model(surface: Herisson):
+        """Tangent d, second-order term e and the model's limit on the step in t."""
+        pad = np.zeros(cons.shape[0])
+        jac = full_jacobian(surface)
+        quad = None     # phi(d), the s^2 coefficient of the areas along d
 
-    t = 0.0
-    step0 = 1.0 / HOMOTOPY_STEPS
-    step = step0
+        def curvature_rhs(d: np.ndarray) -> np.ndarray:
+            nonlocal quad
+            quad = _realize(fan, d).oriented_areas
+            return np.concatenate([-quad, pad])
+
+        d, e = _newton_step(jac, np.concatenate([g - f0, pad]), fan.equipment, then=curvature_rhs)
+        s_root = _first_root(surface.oriented_areas, jac[:fan.m] @ d, quad)
+        enorm = float(np.linalg.norm(e))
+        bend = float(np.sqrt(CURVATURE_BUDGET * np.linalg.norm(surface.h) / enorm)) if enorm > 0.0 else np.inf
+        return d, e, min(ROOT_FRACTION * s_root, bend)
+
+    t, cap = 0.0, 1.0
     trace = [TraceRecord(0.0, 0.0, float(np.min(np.abs(f0))), float(np.max(now.perimeters)))]
 
     attempts = 0
     status, message = SolveStatus.CONVERGED, ""
     try:
+        tangent = None      # the model at the last accepted point, built once per point
         while t < 1.0 - 1e-15:
             attempts += 1
             if attempts > MAX_STEPS:
                 raise _Abort(SolveStatus.MAX_ITERATIONS, "step budget exhausted")
-            t_next = min(1.0, t + step)
+            if tangent is None:
+                tangent = model(now)
+            d, e, limit = tangent
+            dt = min(1.0 - t, cap, limit)
+            t_next = 1.0 if dt == 1.0 - t else t + dt
             g_t = (1.0 - t_next) * f0 + t_next * g
-            result = correct(predict(now, t_next - t), g_t)
+            result = correct(gauge_fix(fan, now.h + dt * d + dt * dt * e), g_t)
             if result is None:
-                step /= 2.0
-                if step < MIN_STEP:
+                cap = dt / 2.0
+                if cap < MIN_STEP:
                     raise _Abort(SolveStatus.MAX_ITERATIONS,
                                  f"corrector stalled at t={t!r} with step below {MIN_STEP}")
                 continue
-            now, t = result, t_next
+            now, t, tangent = result, t_next, None
             trace.append(TraceRecord(t, float(np.max(np.abs(now.oriented_areas - g_t))),
                                      float(np.min(np.abs(now.oriented_areas))), float(np.max(now.perimeters))))
-            step = min(step * 2.0, step0)
+            cap = min(2.0 * cap, 1.0)
     except _Abort as abort:
         status, message = abort.status, str(abort)
     except (DegenerateFace, ProbeFailed) as exc:      # the path met the boundary of the class

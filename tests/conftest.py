@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from herisson import builders
+from herisson import builders, solver
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +37,17 @@ def tiling():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture()
+def newton_calls(monkeypatch):
+    """The arguments of every call of solver._newton_step during the test, in order."""
+    calls = []
+    step = solver._newton_step
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_newton_step", counted)
+    return calls

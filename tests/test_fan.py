@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -388,6 +389,21 @@ class TestRingWalk:
                 Fan(cube.fan.equipment, cells).ring_index
         with pytest.raises(MalformedFan, match="exactly the faces 0..6"):
             Fan(np.vstack([cube.fan.equipment, [[0.6, 0.8, 0.0]]]), cube.fan.cells).ring_index
+
+
+@pytest.mark.parametrize("label", [0.9, 0.0, 2.0, True, np.True_, "0", None, np.float64(1.0)])
+def test_non_integer_cell_label_rejected(cube, label):
+    # a label used to be cast with int(), so (0.9, 2, 4) became face 0 and validated
+    cells = ((label, 2, 4),) + cube.fan.cells[1:]
+    with pytest.raises(ValueError, match=rf"^cells\[0\]\[0\] = {re.escape(repr(label))} is not an integer$"):
+        Fan(cube.fan.equipment, cells)
+
+
+def test_numpy_integer_cell_labels_accepted(cube):
+    cells = tuple(tuple(np.array(c, dtype=np.int32)) for c in cube.fan.cells)
+    fan = Fan(cube.fan.equipment, cells)
+    assert fan.cells == cube.fan.cells and all(type(i) is int for c in fan.cells for i in c)
+    assert validate(fan).ok
 
 
 def test_public_names_resolve():

@@ -222,6 +222,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: [Errno 2] No such file or directory: {out!r}\n"
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_export_writes_both_outputs_or_neither(self, cube, json_flag, tmp_path, capsys):
+        # the OBJ path is writable and the SVG path is not: nothing is written
+        cube_file = _write(tmp_path / "cube.json", io.herisson_to_dict(cube))
+        obj, svg = tmp_path / "cube.obj", str(tmp_path / "missing" / "cube.svg")
+        assert cli.main(json_flag + ["export", cube_file, "--obj", str(obj), "--svg", svg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {svg!r}\n"
+        assert not obj.exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_target(self, cube, value, tmp_path, capfd):
         fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))

@@ -15,6 +15,7 @@ from herisson.solver import (
     SolveStatus,
     _Abort,
     _fd_area_jacobian,
+    _first_root,
     _min_edge_line_angle,
     _newton_step,
     area_map,
@@ -47,6 +48,42 @@ class TestAreaMap:
         f = area_map(waisted.fan, waisted.h)
         residual = np.linalg.norm(waisted.fan.equipment.T @ f)
         assert residual <= 1e-9 * np.sum(np.abs(f))
+
+
+class TestQuadraticModel:
+    """Vertices are linear in h, so phi(h + s d) = phi(h) + s J(h) d + s^2 phi(d)
+    exactly, and J(h) h = 2 phi(h); the step control rests on both."""
+
+    def bodies(self, cube, box123, tetra, bowtie, waisted, tiling):
+        rng = np.random.default_rng(8)
+        out = [(b.fan, np.array(b.h)) for b in (cube, box123, tetra, bowtie, waisted, tiling)]
+        return out + [(polar_fan(rng, m), rng.uniform(0.8, 1.2, m)) for m in (8, 20, 40, 120, 300)]
+
+    def test_expansion_and_euler_identity(self, cube, box123, tetra, bowtie, waisted, tiling):
+        rng = np.random.default_rng(13)
+        # bowtie and waisted have cells of four faces: the first-three-planes model
+        for fan, h in self.bodies(cube, box123, tetra, bowtie, waisted, tiling):
+            base = geometry._realize(fan, h)
+            jac = _area_jacobian(fan, base.vertices)
+            assert np.max(np.abs(jac @ h - 2.0 * base.oriented_areas)) <= 1e-12 * np.max(np.abs(base.oriented_areas))
+            for _ in range(5):
+                d, s = rng.standard_normal(fan.m), rng.uniform(-2.0, 2.0)
+                terms = [base.oriented_areas, s * (jac @ d), s * s * geometry._realize(fan, d).oriented_areas]
+                moved = geometry._realize(fan, h + s * d).oriented_areas
+                size = sum(np.max(np.abs(term)) for term in terms)
+                assert np.max(np.abs(moved - sum(terms))) <= 1e-12 * size
+
+    def test_first_root_matches_numpy_roots(self):
+        rng = np.random.default_rng(21)
+        c, b, a = rng.standard_normal((3, 50))
+        a[:5] = 0.0         # linear entries
+        expected = min(
+            (r.real for k in range(50) for r in np.roots([a[k], b[k], c[k]]) if abs(r.imag) == 0.0 and r.real > 0),
+            default=np.inf,
+        )
+        assert _first_root(c, b, a) == pytest.approx(expected, rel=1e-12)
+        assert _first_root(np.ones(3), np.ones(3), np.ones(3)) == np.inf       # no real root
+        assert _first_root(np.ones(2), np.array([1.0, -4.0]), np.array([0.0, 4.0])) == 0.5   # linear; double root
 
 
 class TestJacobian:
@@ -160,6 +197,32 @@ class TestNewtonStep:
         step = _newton_step(jac, rhs, fan.equipment)
         assert np.linalg.norm(_translation_free(fan.equipment, step - expected)) <= 1e-12 * np.linalg.norm(expected)
         assert np.linalg.norm(fan.equipment.T @ step) <= 1e-12 * np.linalg.norm(step)
+
+    @pytest.mark.parametrize("m", [20, 120])
+    def test_second_rhs_shares_the_bordered_matrix(self, m, monkeypatch):
+        # the predictor's second solve reuses the assembled matrix and its
+        # condition verdict: one more LU solve, no second build or probe
+        rng = np.random.default_rng(m)
+        fan = polar_fan(rng, m)
+        jac = _area_jacobian(fan, reconstruct(fan, rng.uniform(0.8, 1.2, m)).vertices)
+        rhs, second = (jac @ rng.standard_normal((m, 2))).T      # in the range of J, as area changes are
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append((a, b.shape)) or solve(a, b))
+        step, again = _newton_step(jac, rhs, fan.equipment, then=lambda delta: second + 0.0 * delta)
+        assert len(solves) == 2 and solves[1][0] is solves[0][0]
+        assert solves[0][1] == (m + 3, 3) and solves[1][1] == (m + 3,)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert np.array_equal(step, _newton_step(jac, rhs, fan.equipment))
+        expected = np.linalg.lstsq(jac, second, rcond=RANK_CUTOFF)[0]
+        assert np.linalg.norm(_translation_free(fan.equipment, again - expected)) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_second_rhs_on_the_least_squares_path(self, waisted):
+        jac = np.vstack([_area_jacobian(waisted.fan, waisted.vertices), geometry._consistency_matrix(waisted.fan)])
+        rhs, second = np.random.default_rng(3).standard_normal((2, len(jac)))
+        step, again = _newton_step(jac, rhs, waisted.fan.equipment, then=lambda delta: second)
+        assert np.array_equal(step, np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)[0])
+        assert np.array_equal(again, np.linalg.lstsq(jac, second, rcond=RANK_CUTOFF)[0])
 
     def test_rank_drop_falls_back_and_degenerates(self):
         rng = np.random.default_rng(40)
@@ -322,12 +385,27 @@ class TestSolve:
             assert record.min_abs_area > 0.0
 
     def test_nonexistence_family_fails_before_one(self, waisted):
-        # the consistency rows keep this fan on the least-squares path,
-        # whose rank verdict ends the walk one step short of the target
+        # the consistency rows keep this fan on the least-squares path; the
+        # model's steps shrink toward the fold, where the rank verdict ends
+        # the walk short of the target
         out = solve_minkowski(waisted.fan, waisted.h, WAIST_TARGET, FREE)
         assert out.status is SolveStatus.DEGENERATED
-        assert out.t_reached == 0.9375
+        assert out.t_reached == 0.9998957414997834 and len(out.trace) == 12
         assert out.message == "jacobian rank dropped to 7 (expected 8)"
+
+    @pytest.mark.parametrize("m, steps, solves", [(120, 1, 3), (40, 1, 3)])
+    def test_step_count_of_polar_solves(self, m, steps, solves, newton_calls):
+        # the quadratic model sizes the step: one step and two corrector
+        # iterations where the fixed grid of 1/16 took 16 steps, 32 solves
+        rng = np.random.default_rng(m)
+        fan = polar_fan(rng, m)
+        f0 = area_map(fan, np.ones(m))
+        balanced = lambda f: f - fan.equipment @ np.linalg.lstsq(fan.equipment, f, rcond=None)[0]  # noqa: E731
+        g = balanced(0.6 * f0 + 0.4 * balanced(rng.uniform(0.6, 1.4, m) * f0))
+        out = solve_minkowski(fan, np.ones(m), g)
+        assert out.status is SolveStatus.CONVERGED and out.t_reached == 1.0
+        assert np.max(np.abs(area_map(fan, out.h_final) - g)) <= 1e-10 * support_scale(out.h_final) ** 2
+        assert len(out.trace) - 1 == steps and len(newton_calls) == solves
 
     @pytest.mark.parametrize("mode", ["FD", "finite-difference"])
     def test_unknown_jacobian_mode_rejected(self, cube, mode):
@@ -374,7 +452,8 @@ class TestEndings:
         # no corrector iteration converges, so the step halves below MIN_STEP at t = 0
         (solver, "MAX_NEWTON_ITERS", 0, [0.5, 0.5, 1, 1, 1.5, 1.5], "max_iterations",
          r"corrector stalled at t=0\.0 with step below 1e-06"),
-        (solver, "MAX_STEPS", 3, [0.5, 0.5, 1, 1, 1.5, 1.5], "max_iterations", r"step budget exhausted"),
+        # the box takes two steps (to t = 0.8, then 1)
+        (solver, "MAX_STEPS", 1, [0.5, 0.5, 1, 1, 1.5, 1.5], "max_iterations", r"step budget exhausted"),
     ], ids=["edge", "area", "support-norm", "perimeter", "stall", "step-budget"])
     def test_ending(self, cube, monkeypatch, module, name, value, supports, status, message):
         g = area_map(cube.fan, np.array(supports, dtype=float))
@@ -387,13 +466,18 @@ class TestEndings:
         g_t = (1.0 - out.t_reached) * cube.oriented_areas + out.t_reached * g
         assert np.max(np.abs(area_map(cube.fan, out.h_final) - g_t)) <= 1e-9
 
-    def test_path_leaves_the_orientation_class(self, cube, monkeypatch):
-        # one tangent step from the cube toward a thin slab overshoots the
-        # x extent through zero, and a loose tolerance accepts that point
-        monkeypatch.setattr(solver, "HOMOTOPY_STEPS", 1)
-        target = area_map(cube.fan, np.array([0.05, 0.05, 2.0, 2.0, 2.0, 2.0]))
-        opts = SolveOptions(tol_area=1e6, allow_non_general_position=True)
-        out = solve_minkowski(cube.fan, cube.h, target, opts)
+    def test_path_leaves_the_orientation_class(self, monkeypatch):
+        # with the model's step limits lifted, one second-order step goes
+        # to t = 1 past the zero of a face area, and a loose tolerance
+        # accepts that point; within the limits the walk stays in class
+        fan = polar_fan(np.random.default_rng(0), 6)
+        target = area_map(fan, np.array([1.0, 1.0, 1.0, 1.0, 3.0, 1.0]))
+        opts = SolveOptions(tol_area=1e6)
+        within = solve_minkowski(fan, np.ones(6), target, opts)
+        assert within.status is SolveStatus.CONVERGED and len(within.trace) == 4
+        monkeypatch.setattr(solver, "ROOT_FRACTION", np.inf)
+        monkeypatch.setattr(solver, "CURVATURE_BUDGET", np.inf)
+        out = solve_minkowski(fan, np.ones(6), target, opts)
         assert out.status is SolveStatus.DEGENERATED
         assert out.t_reached == 0.0 and len(out.trace) == 1
         assert out.message == "path left the orientation class"
