@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSameClass
-from .fan import SCAN_BLOCK, Fan, arc_key
+from .fan import SCAN_BLOCK, Fan, _cross, arc_key
 from .geometry import Herisson, _class_mismatch
 
 LENGTH_TOL = 1e-9       # relative, rule-(iv) equality
@@ -153,8 +153,8 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     edge = verts[d, idx.succ[pos]] - verts[d, idx.cell[pos]]
     length = np.stack([h2.ring_lengths, h1.ring_lengths])[d, pos]
     normal = h1.fan.equipment[idx.owner[pos]]
-    u = np.cross(edge, normal) * (h1.signs[idx.owner[pos]] / length)[:, None]
-    along = np.cross(normal, u)
+    u = _cross(edge, normal) * (h1.signs[idx.owner[pos]] / length)[:, None]
+    along = _cross(normal, u)
 
     def items(r0, r1):
         """The row and the constraint row of every pair of rows r0..r1-1,

@@ -61,6 +61,8 @@ class Fan:
 
     def __post_init__(self):
         eq = np.array(self.equipment, dtype=float)
+        if eq.ndim != 2 or eq.shape[1] != 3:
+            raise ValueError("equipment must be a list of 3-vectors")
         eq.setflags(write=False)
         object.__setattr__(self, "equipment", eq)
         cells = tuple(tuple(c) for c in self.cells)
@@ -232,6 +234,15 @@ class ValidationReport:
         return "\n".join(f"{code}: {detail}" for code, detail in self.entries)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of 3-vectors on the last axis, bit for bit, without its axis handling."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products, rounded as the 1-D dot product of each row pair."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -262,7 +273,7 @@ def _crossing_pairs(eq: np.ndarray, keys: np.ndarray, skip: np.ndarray) -> list[
     """
     keep = np.nonzero(~skip)[0]
     P, Q = eq[keys[keep, 0]], eq[keys[keep, 1]]
-    normal, span = np.cross(P, Q), _angles(_rowdot(P, Q))
+    normal, span = _cross(P, Q), _angles(_rowdot(P, Q))
     n = len(keep)
     per_row = np.arange(n - 1, -1, -1)
     row_start, total = np.cumsum(per_row) - per_row, n * (n - 1) // 2
@@ -271,7 +282,7 @@ def _crossing_pairs(eq: np.ndarray, keys: np.ndarray, skip: np.ndarray) -> list[
         k = np.arange(k0, min(k0 + SCAN_BLOCK, total))
         i = np.searchsorted(row_start, k, side="right") - 1
         j = i + 1 + k - row_start[i]
-        d = np.cross(normal[i], normal[j])
+        d = _cross(normal[i], normal[j])
         nd = np.sqrt(_rowdot(d, d))
         cross = np.zeros(len(k), dtype=bool)
         same = np.nonzero(nd < 1e-12)[0]
@@ -316,7 +327,7 @@ def _bad_cells(eq: np.ndarray, cells, checked: list[int]) -> list[str]:
         convex = ~np.any(np.linalg.det(mats) <= -CONVEXITY_TOL, axis=(1, 2))
         # p_k . (vector area) sums the convexity determinants at p_k, so for a
         # convex cell it is positive exactly when the cell is in an open hemisphere
-        area = np.cross(pts, nxt).sum(axis=1)
+        area = _cross(pts, nxt).sum(axis=1)
         norm = np.sqrt(_rowdot(area, area))
         small = norm < 1e-12
         unit = area / np.where(small, 1.0, norm)[:, None]
@@ -333,7 +344,7 @@ def _excess_sum(eq: np.ndarray, cells) -> float:
     of each cell, in the Van Oosterom-Strackee form for unit vectors."""
     tris = np.array([(c[0], c[t], c[t + 1]) for c in cells for t in range(1, len(c) - 1)])
     a, b, c = eq[tris[:, 0]], eq[tris[:, 1]], eq[tris[:, 2]]
-    det = np.einsum("ij,ij->i", a, np.cross(b, c))
+    det = np.einsum("ij,ij->i", a, _cross(b, c))
     den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) + np.einsum("ij,ij->i", c, a)
     return float(2.0 * np.arctan2(det, den).sum())
 
@@ -427,66 +438,74 @@ def _window_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")   # windows that overflow clip to pi/2
+def _coplanar_triple(eq: np.ndarray) -> tuple[int, int, int] | None:
+    """The lexicographically least triple i < j < k failing is_general_position,
+    or None; with a zero or non-finite n_z, the least triple holding the first z."""
+    m = len(eq)
+    if m < 3:
+        return None
+    norms = np.linalg.norm(eq, axis=1)
+    bad = np.flatnonzero(~np.isfinite(eq).all(axis=1) | (norms == 0.0))
+    if bad.size:
+        return (0, 1, max(2, int(bad[0])))
+    tol = GENERAL_POSITION_TOL + 64.0 * np.finfo(float).eps * norms.max() ** 3    # inf: every pair a candidate
+    u = _cross(eq, np.eye(3)[np.argmin(np.abs(eq), axis=1)])
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    v = _cross(eq / norms[:, None], u)          # (u_i, v_i) spans the plane normal to n_i
+    for i0 in range(0, m - 2, max(1, SCAN_BLOCK // m)):
+        i1 = min(i0 + max(1, SCAN_BLOCK // m), m - 2)
+        rows, count = np.arange(i1 - i0), m - 1 - np.arange(i0, i1)    # count: the j > i of each row
+        x, y = u[i0:i1] @ eq[i0 + 1:].T, v[i0:i1] @ eq[i0 + 1:].T    # p_ij, columns j from i0 + 1
+        phi, r = np.arctan2(y, x), x * x + y * y
+        phi += np.pi * (phi < 0.0)
+        low = rows[:, None] > rows      # the columns j <= i
+        np.copyto(phi[:, :len(rows)], np.inf, where=low)
+        np.copyto(r[:, :len(rows)], np.inf, where=low)
+        r_min = np.sqrt(r.min(axis=1))
+        scale = SWEEP_SLACK * tol / (norms[i0:i1] * r_min)     # the window of p_ij is scale / |p_ij|
+        ring, wide = np.sort(phi, axis=1), np.fmin(scale / r_min, np.pi / 2) + 1e-12
+        short = (np.diff(ring, axis=1) <= wide[:, None]).any(axis=1)
+        rows = np.flatnonzero(short | (ring[:, 0] + np.pi - ring[rows, count - 1] <= wide))
+        if not rows.size:
+            continue
+        order, count = np.argsort(phi[rows], axis=1), count[rows]
+        ring = np.take_along_axis(phi[rows], order, axis=1)
+        width = np.fmin(scale[rows, None] / np.sqrt(np.take_along_axis(r[rows], order, axis=1)), np.pi / 2) + 1e-12
+        a, p = np.nonzero(np.arange(ring.shape[1]) < count[:, None])
+        found, step = [], 0
+        while a.size:       # the step-th successor of each angle, while in the angle's window
+            step += 1
+            q = (p + step) % count[a]
+            hit = (step < count[a]) & (ring[a, q] + np.pi * (q < p) - ring[a, p] <= width[a, p])
+            a, p, q = a[hit], p[hit], q[hit]
+            jk = np.sort(np.column_stack([order[a, p], order[a, q]]), axis=1) + i0 + 1
+            triples = np.column_stack([rows[a] + i0, jk])
+            fails = triples[np.abs(np.linalg.det(eq[triples])) <= GENERAL_POSITION_TOL]
+            found.append(fails[np.lexsort(fails.T[::-1])[:1]])
+        if len(found := np.concatenate(found)):
+            return tuple(found[np.lexsort(found.T[::-1])[0]].tolist())
+    return None
+
+
 def is_general_position(fan: Fan) -> bool:
     """True iff no three equipment vectors are coplanar: every triple i < j < k
     has |det(n_i, n_j, n_k)| > GENERAL_POSITION_TOL.
 
-    An angular sweep per face i, in O(m^2 log m) time, finds the triples that
-    can fail.  With c_j = n_i x n_j and phi_j its direction modulo pi in the
-    plane normal to n_i, |det| |n_i| = |c_j| |c_k| |sin(phi_k - phi_j)|
-    exactly, unit vectors or not.  So a pair (j, k) can fail only when its
-    angle gap is within arcsin(tol |n_i| / (|c_j| |c_k|)) of 0 modulo pi,
-    where tol adds a bound on the rounding of a 3x3 determinant to
-    GENERAL_POSITION_TOL; the windows taken are SWEEP_SLACK times that wide
-    (with min |c| in place of |c_k|), which also covers the rounding of the
-    cross products and angles.  The determinant of every pair in a window is
-    computed as np.linalg.det of the rows (i, j, k), and it alone decides.
-    The faces i are swept in blocks of at most SCAN_BLOCK pairs (i, j), or
-    one face, so memory stays O(m + SCAN_BLOCK) beside the window pairs,
-    which are few unless many triples nearly fail.  Non-finite equipment is never in
-    general position.
+    With (u_i, v_i) an orthonormal frame of the plane normal to n_i, n_j
+    projects to p_ij = (u_i . n_j, v_i . n_j); for phi_ij its direction modulo
+    pi, |det| = |n_i| |p_ij| |p_ik| |sin(phi_ik - phi_ij)| exactly.  So a pair
+    (j, k) can fail only when its angle gap is within its window, SWEEP_SLACK
+    tol / (|n_i| |p_ij| min_k |p_ik|) clipped at pi/2, where tol adds a bound on
+    the rounding of a 3x3 determinant to GENERAL_POSITION_TOL and the slack
+    covers the rounding of projections and angles.  A block of faces i gets its
+    p_ij, j > i, from two matrix products.  Once its rows are sorted by angle,
+    a row none of whose cyclic gaps is within its widest window has no
+    candidate pair; only the other rows walk each angle's forward window.
+    np.linalg.det of the rows (i, j, k) of every candidate alone decides.
+    Blocks hold SCAN_BLOCK // m faces and each step of the walk keeps one
+    failing triple, so memory stays O(m + SCAN_BLOCK); the time grows with the
+    candidates, which are few unless many triples nearly fail.  A zero or
+    non-finite normal is never in general position.
     """
-    eq = fan.equipment
-    if not np.all(np.isfinite(eq)):
-        return False
-    m = len(eq)
-    norms = np.linalg.norm(eq, axis=1)
-    tol = GENERAL_POSITION_TOL + 64.0 * np.finfo(float).eps * float(np.max(norms, initial=0.0)) ** 3
-    per_block = max(1, SCAN_BLOCK // max(m, 1))    # faces i per block, each with fewer than m pairs
-    for i0 in range(0, m - 2, per_block):
-        i1 = min(i0 + per_block, m - 2)
-        count = m - 1 - np.arange(i0, i1)          # one segment of pairs (i, j > i) per face i
-        seg_start = np.cumsum(count) - count
-        seg = np.repeat(np.arange(len(count)), count)
-        face = i0 + seg
-        other = face + 1 + np.arange(len(seg)) - seg_start[seg]
-        cross = np.cross(eq[face], eq[other])
-        r = np.linalg.norm(cross, axis=1)
-        hits = np.flatnonzero(r == np.maximum.reduceat(r, seg_start)[seg])
-        u = cross[hits[np.searchsorted(hits, seg_start)]]       # first longest c per face
-        # a zero n_i leaves phi and width undefined: every pair is then a candidate
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.mod(np.arctan2(
-                _rowdot(cross, np.cross(eq[i0:i1], u)[seg]) / norms[face], _rowdot(cross, u[seg])), np.pi)
-            width = np.minimum(SWEEP_SLACK * tol * norms[face] / (r * np.minimum.reduceat(r, seg_start)[seg]),
-                               np.pi / 2)
-        # sorting within segments leaves seg, seg_start and count valid
-        order = np.lexsort((np.nan_to_num(phi), seg))
-        phi = np.nan_to_num(phi)[order]
-        width = np.nan_to_num(width, nan=np.pi / 2)[order] + 1e-12
-        # forward windows over each face's angles and their copies shifted by
-        # pi, searched in one sorted array of complex (face, angle) keys
-        slot = seg_start[seg] + np.arange(len(seg))
-        keys = np.empty(2 * len(seg), dtype=complex)
-        keys[slot] = seg + 1j * phi
-        keys[slot + count[seg]] = seg + 1j * (phi + np.pi)
-        counts = np.searchsorted(keys, seg + 1j * (phi + width), side="right") - slot - 1
-        if not counts.any():
-            continue
-        first, second = _window_pairs(counts)
-        second = seg_start[seg[first]] + (second - seg_start[seg[first]]) % count[seg[first]]
-        j, k = other[order[first]], other[order[second]]
-        rows = np.column_stack([face[order[first]], np.minimum(j, k), np.maximum(j, k)])
-        if np.any(np.abs(np.linalg.det(eq[rows])) <= GENERAL_POSITION_TOL):
-            return False
-    return True
+    return _coplanar_triple(fan.equipment) is None

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateEquipment, DegenerateFace, InconsistentVertex, NotSameClass
-from .fan import Fan
+from .fan import Fan, _cross
 
 CONSISTENCY_TOL = 1e-8     # relative to scale, cells with more than 3 faces
 EDGE_TOL = 1e-9            # relative to scale
@@ -47,7 +47,7 @@ def face_frame(normal):
             break
     u = axis - (axis @ n) * n
     u = u / np.linalg.norm(u)
-    v = np.cross(n, u)
+    v = _cross(n, u)
     return u, v
 
 
@@ -62,7 +62,7 @@ def _oriented_areas(fan: Fan, vertices: np.ndarray) -> np.ndarray:
     count, nverts = vertices.shape[:2]
     flat = vertices.reshape(-1, 3)
     shift = nverts * np.arange(count)[:, None]
-    crosses = np.cross(flat[(idx.cell + shift).ravel()], flat[(idx.succ + shift).ravel()])
+    crosses = _cross(flat[(idx.cell + shift).ravel()], flat[(idx.succ + shift).ravel()])
     twice_areas = np.einsum("ij,ij->i", crosses, np.tile(fan.equipment[idx.owner], (count, 1)))
     starts = (idx.start[:-1] + len(idx.cell) * np.arange(count)[:, None]).ravel()
     return 0.5 * np.add.reduceat(twice_areas, starts).reshape(count, fan.m)
@@ -111,7 +111,7 @@ def _area_jacobian(fan: Fan, vertices: np.ndarray) -> np.ndarray:
     """
     idx = fan.ring_index
     n = fan.equipment[idx.owner]
-    grads = 0.5 * (np.cross(vertices[idx.succ], n) + np.cross(n, vertices[idx.pred]))
+    grads = 0.5 * (_cross(vertices[idx.succ], n) + _cross(n, vertices[idx.pred]))
     rows = np.einsum("ik,ikl->il", grads, fan.block_inverses[idx.cell])
     jac = np.zeros((fan.m, fan.m))
     np.add.at(jac, (idx.owner[:, None], idx.first3[idx.cell]), rows)

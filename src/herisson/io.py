@@ -44,8 +44,6 @@ def _vector(values, what: str) -> np.ndarray:
 def fan_from_dict(data: dict) -> Fan:
     rows = _entries(data["equipment"], list, "equipment")
     equipment = np.array([_vector(row, f"equipment[{i}]") for i, row in enumerate(rows)])
-    if equipment.ndim != 2 or equipment.shape[1] != 3:
-        raise ValueError("equipment must be a list of 3-vectors")
     return Fan(equipment=equipment, cells=_entries(data["cells"], list, "cells"))
 
 

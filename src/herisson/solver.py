@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFace, ProbeFailed
-from .fan import SCAN_BLOCK, Fan, ValidationReport, _rowdot, _window_pairs, is_general_position
+from .fan import SCAN_BLOCK, Fan, ValidationReport, _coplanar_triple, _cross, _rowdot, _window_pairs, is_general_position
 from .geometry import (
     Herisson,
     _area_jacobian,
@@ -203,7 +203,10 @@ def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -
     if residual > bound:
         report.add("balance", f"|sum g_j n_j| = {residual:.3e} exceeds {bound:.3e}")
     if not allow_non_general_position and not is_general_position(fan):
-        report.add("general position", "three equipment vectors are coplanar")
+        triple = _coplanar_triple(fan.equipment)    # a second sweep, on failure only, names the witness
+        with np.errstate(invalid="ignore"):     # a non-finite normal has no determinant
+            det = abs(float(np.linalg.det(fan.equipment[list(triple)])))
+        report.add("general position", "equipment vectors {}, {}, {} are coplanar (|det| = {:.3e})".format(*triple, det))
     return report
 
 
@@ -217,7 +220,7 @@ def _min_edge_line_angle(fan: Fan) -> float | None:
     """
     eq = fan.equipment
     face, other = fan.ring_index.owner, fan.ring_index.neighbor
-    dirs = np.cross(eq[face], eq[other])
+    dirs = _cross(eq[face], eq[other])
     norm = np.sqrt(_rowdot(dirs, dirs))
     keep = norm > 1e-12
     face, dirs = face[keep], dirs[keep] / norm[keep, None]

@@ -8,6 +8,7 @@ programs on planar polygons and from a brute-force grid of translations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -566,11 +567,30 @@ def face_polygon_2d(h: Herisson, j: int) -> np.ndarray:
     return np.column_stack([pts @ u, pts @ v])
 
 
+def brute_coplanar_triple(eq):
+    """The first triple, in itertools.combinations order, whose determinant
+    is at most GENERAL_POSITION_TOL in absolute value, or None."""
+    triples = np.array(list(itertools.combinations(range(len(eq)), 3)), dtype=int).reshape(-1, 3)
+    fails = np.flatnonzero(np.abs(np.linalg.det(eq[triples])) <= GENERAL_POSITION_TOL)
+    return tuple(triples[fails[0]].tolist()) if fails.size else None
+
+
+def planted(eq, a, b, c, factor):
+    """eq with n_c moved into the plane of n_a and n_b, then off it along
+    their normal w so that |det(n_a, n_b, n_c)| = factor * GENERAL_POSITION_TOL."""
+    eq = np.array(eq, dtype=float)
+    w = np.cross(eq[a], eq[b])
+    in_plane = 0.6 * eq[a] - 0.8 * eq[b]
+    eq[c] = in_plane / np.linalg.norm(in_plane) + factor * GENERAL_POSITION_TOL / (w @ w) * w
+    return eq
+
+
 # Scalar references for fan.is_general_position and the fd Jacobian of the
 # solver: one face i, and one probe pair, at a time.
 
 def general_position_loop(fan):
-    """The angular sweep of is_general_position, one face i at a time."""
+    """An angular sweep over the cross products n_i x n_j, one face i at a
+    time: the verdict of is_general_position without its projections or blocks."""
     eq = fan.equipment
     if not np.all(np.isfinite(eq)):
         return False

@@ -10,18 +10,20 @@ from scipy.spatial import ConvexHull
 
 import herisson
 from helpers import (
+    brute_coplanar_triple,
     convexity_entries,
     crossing_entries,
     double_tetrahedron_fan,
     general_position_loop,
     node_chains,
+    planted,
     polar_fan,
     random_hull_fan,
 )
 from herisson import builders
 from herisson import fan as fan_module
 from herisson.errors import MalformedFan
-from herisson.fan import GENERAL_POSITION_TOL, Fan, is_general_position, validate
+from herisson.fan import GENERAL_POSITION_TOL, SCAN_BLOCK, Fan, is_general_position, validate
 from herisson.geometry import reconstruct
 
 
@@ -109,7 +111,7 @@ def reference_entries(fan):
 
 def brute_general_position(eq):
     """Every C(m, 3) determinant, as the definition reads."""
-    triples = np.array(list(itertools.combinations(range(len(eq)), 3)))
+    triples = np.array(list(itertools.combinations(range(len(eq)), 3)), dtype=int).reshape(-1, 3)
     return bool(np.all(np.abs(np.linalg.det(eq[triples])) > GENERAL_POSITION_TOL))
 
 
@@ -254,8 +256,8 @@ class TestGeneralPosition:
 
 
     def test_blocked_sweep_matches_loop(self, cube, box123, tetra, bowtie, waisted, tiling):
-        # the blocked sweep against the per-face loop it replaced; polar fans
-        # up to m = 300 span several blocks of SCAN_BLOCK pairs
+        # the blocked sweep against the per-face loop; polar fans up to
+        # m = 300 span several blocks of faces
         rng = np.random.default_rng(17)
         inputs = [h.fan.equipment for h in (cube, box123, tetra, bowtie, waisted, tiling)]
         for m in (6, 7, 12, 40, 120, 300):
@@ -278,6 +280,125 @@ class TestGeneralPosition:
             verdicts.append(is_general_position(fan))
             assert verdicts[-1] == general_position_loop(fan)
         assert verdicts.count(True) >= 12 and verdicts.count(False) >= 12
+
+    def _agree(self, eq):
+        """The verdict of the sweep, checked against the loop and brute force."""
+        fan = Fan(equipment=eq, cells=())
+        verdict = is_general_position(fan)
+        assert verdict == general_position_loop(fan) == brute_general_position(eq)
+        assert fan_module._coplanar_triple(fan.equipment) == brute_coplanar_triple(fan.equipment)
+        return verdict
+
+    def test_parallel_and_antipodal_normals(self):
+        eq = np.array(polar_fan(np.random.default_rng(3), 20).equipment)
+        for sign in (1.0, -1.0):
+            for a, b in ((0, 1), (4, 17), (18, 19)):
+                twin = eq.copy()
+                twin[b] = sign * eq[a]
+                assert not self._agree(twin)
+
+    def test_planted_triple_at_the_tolerance(self):
+        rng = np.random.default_rng(23)
+        for m in (5, 12, 30):
+            eq = np.array(polar_fan(rng, m).equipment)
+            for a, b, c in ((0, 1, 2), (m - 3, m - 1, m - 2), tuple(rng.choice(m, 3, replace=False))):
+                for factor, general in ((0.5, False), (2.0, True)):
+                    moved = planted(eq, a, b, c, factor)
+                    assert abs(abs(np.linalg.det(moved[sorted((a, b, c))])) - factor * GENERAL_POSITION_TOL) < 1e-14
+                    assert self._agree(moved) is general
+                    assert self._agree(moved * rng.uniform(0.9, 1.1, (m, 1))) is general
+
+    def test_pair_across_the_angle_wrap(self):
+        # for n_0 = e_z the sweep measures angles from (0, 1, 0), so n_1 and
+        # n_2 lie on either side of the wrap from pi to 0
+        eq = np.vstack([[0.0, 0.0, 1.0], [-2.5e-11, 1.0, 0.3], [2.5e-11, 1.0, -0.2],
+                        polar_fan(np.random.default_rng(47), 12).equipment])
+        assert not self._agree(eq)
+        eq[2, 0] = 1e-9
+        assert self._agree(eq)
+
+    def test_many_coplanar_triples(self):
+        rng = np.random.default_rng(59)
+        for m in (9, 30):
+            angle = rng.uniform(0.0, 2.0 * np.pi, m)
+            circle = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(m)])
+            assert not self._agree(circle)
+            assert not self._agree(rng.integers(-2, 3, (m, 3)) + np.array([0.0, 0.0, 5.0]))
+
+    def test_zero_or_non_finite_normal(self):
+        eq = np.array(polar_fan(np.random.default_rng(53), 10).equipment)
+        for z, value in ((0, 0.0), (1, np.nan), (6, np.inf), (9, 0.0)):
+            bad = eq.copy()
+            bad[z] = value
+            fan = Fan(equipment=bad, cells=())
+            assert not is_general_position(fan) and not general_position_loop(fan)
+            assert fan_module._coplanar_triple(fan.equipment) == (0, 1, max(2, z))
+
+    def test_fewer_than_three_normals(self):
+        # an empty (0, 3) equipment is legal
+        for m in (0, 1, 2):
+            assert self._agree(np.eye(3)[:m])
+            assert self._agree(np.zeros((m, 3)))
+
+    def test_rescaled_normals(self):
+        rng = np.random.default_rng(29)
+        for m in (8, 40):
+            eq = np.array(polar_fan(rng, m).equipment)
+            verdicts = [self._agree(eq * rng.uniform(1e-2, 1e2, (m, 1))) for _ in range(3)]
+            verdicts += [self._agree(planted(eq * rng.uniform(1e-2, 1e2, (m, 1)), 1, 5, 3, 0.5))]
+            assert verdicts == [True, True, True, False]
+        # one normal at the ends of the float range: the loop oracle overflows
+        # on the cube of the largest norm, so brute force alone decides
+        for scale, general in ((1e-200, False), (1e-150, False), (1e150, True), (1e300, True)):
+            far = eq.copy()
+            far[3] *= scale
+            assert is_general_position(Fan(equipment=far, cells=())) is general is brute_general_position(far)
+            assert fan_module._coplanar_triple(far) == brute_coplanar_triple(far)
+
+    def test_many_row_blocks(self, monkeypatch):
+        # blocks of one face i each, so every block boundary is crossed
+        rng = np.random.default_rng(31)
+        monkeypatch.setattr(fan_module, "SCAN_BLOCK", 64)
+        verdicts = []
+        for m in (33, 47):
+            eq = np.array(polar_fan(rng, m).equipment)
+            verdicts.append(self._agree(eq))
+            for a, b, c in ((0, 1, m - 1), (m - 4, m - 3, m - 2), (m // 2, 3, m - 1)):
+                verdicts.append(self._agree(planted(eq, a, b, c, 0.5)))
+        assert verdicts == [True, False, False, False] * 2
+
+    def test_large_polar_fans_span_several_blocks(self):
+        rng = np.random.default_rng(37)
+        for m in (300, 700):
+            assert SCAN_BLOCK // m < m - 2
+            fan = polar_fan(rng, m)
+            eq = np.array(fan.equipment)
+            assert is_general_position(fan) and general_position_loop(fan)
+            for a, b, c in ((m - 3, m - 2, m - 1), (m // 2, 7, m - 5)):
+                moved = Fan(equipment=planted(eq, a, b, c, 0.5), cells=())
+                triple = fan_module._coplanar_triple(moved.equipment)
+                assert not is_general_position(moved) and not general_position_loop(moved)
+                assert triple[0] < triple[1] < triple[2] and c in triple
+                assert abs(np.linalg.det(moved.equipment[list(triple)])) <= GENERAL_POSITION_TOL
+
+
+def test_cross_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(41)
+    special = np.array([np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.5e-320, 0.0, -0.0])
+    for shape_a, shape_b in (((3,), (3,)), ((200, 3), (200, 3)), ((4, 50, 3), (4, 50, 3)), ((4, 50, 3), (50, 3)),
+                             ((1, 7, 3), (5, 1, 3))):
+        a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        for x in (a, b):
+            hit = rng.random(x.shape) < 0.3
+            x[hit] = rng.choice(special, int(hit.sum()))
+        with np.errstate(all="ignore"):
+            assert np.array_equal(fan_module._cross(a, b), np.cross(a, b), equal_nan=True)
+
+
+@pytest.mark.parametrize("equipment", [np.eye(2), np.ones(3), np.ones((4, 4)), np.ones((4, 2)), [], np.ones((2, 3, 3))])
+def test_equipment_must_be_three_vectors(equipment):
+    with pytest.raises(ValueError, match=r"^equipment must be a list of 3-vectors$"):
+        Fan(equipment=equipment, cells=())
 
 
 def test_thousand_face_fan_checks_quickly():

@@ -162,6 +162,14 @@ class TestExitCodes:
             assert cli.main(["solve", cube_fan, "--seed", files["seed"], "--target", files["target"]]) == 2
             assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("equipment", [[[1.0, 0.0, 0.0, 0.0]] * 6, [[1.0, 0.0]] * 6, []])
+    def test_equipment_rows_must_be_three_vectors(self, cube, equipment, tmp_path, capsys):
+        path = _write(tmp_path / "fan.json", {**io.fan_to_dict(cube.fan), "equipment": equipment})
+        assert cli.main(["validate", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {path}: equipment must be a list of 3-vectors\n"
+
     @pytest.mark.parametrize("where, value, message", [
         ("cell", 0.9, "cells[0][0] = 0.9 is not an integer"),
         ("cell", 0.0, "cells[0][0] = 0.0 is not an integer"),

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from helpers import fd_jacobian_loop, polar_fan, random_hull_fan, random_simple_fan
+from helpers import brute_coplanar_triple, fd_jacobian_loop, planted, polar_fan, random_hull_fan, random_simple_fan
 from herisson import builders, geometry, solver
 from herisson.errors import ProbeFailed
-from herisson.fan import Fan
+from herisson.fan import GENERAL_POSITION_TOL, Fan
 from herisson.geometry import _area_jacobian, gauge_fix, reconstruct, support_scale
 from herisson.solver import (
     RANK_CUTOFF,
@@ -310,6 +310,28 @@ class TestValidateTarget:
             waisted.fan, waisted.oriented_areas, WAIST_TARGET, allow_non_general_position=True
         )
         assert relaxed.ok
+
+    @pytest.mark.parametrize("name", ["cube", "waisted", "planted"])
+    def test_general_position_names_its_witness(self, name, cube, waisted):
+        if name == "planted":
+            fan = polar_fan(np.random.default_rng(43), 40)
+            fan = Fan(equipment=planted(fan.equipment, 29, 11, 17, 0.5), cells=fan.cells)
+        else:
+            fan = {"cube": cube, "waisted": waisted}[name].fan
+        areas = np.ones(fan.m)
+        report = validate_target(fan, areas, areas)
+        triple = brute_coplanar_triple(fan.equipment)
+        det = abs(np.linalg.det(fan.equipment[list(triple)]))
+        assert det <= GENERAL_POSITION_TOL
+        detail = "equipment vectors {}, {}, {} are coplanar (|det| = {:.3e})".format(*triple, det)
+        assert ("general position", detail) in report.entries
+        assert validate_target(fan, areas, areas).entries == report.entries
+
+    def test_non_finite_normal_is_named_without_warning(self, tetra):
+        eq = np.array(tetra.fan.equipment)
+        eq[3] = np.nan
+        report = validate_target(Fan(eq, tetra.fan.cells), tetra.oriented_areas, tetra.oriented_areas)
+        assert report.entries == [("general position", "equipment vectors 0, 1, 3 are coplanar (|det| = nan)")]
 
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, 0.0])
