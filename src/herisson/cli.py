@@ -113,7 +113,7 @@ def _cmd_congruent(args) -> int:
         payload["translation"] = [float(x) for x in verdict.translation]
         human = f"congruent: translation {payload['translation']!r}"
     else:
-        payload["face"] = verdict.face
+        payload.update(face=verdict.face, index=verdict.index, direction=verdict.direction)
         human = f"{verdict.status.value}: {verdict.detail}"
     _emit(args, payload, human)
     return 0 if verdict.is_congruent else 1

@@ -59,10 +59,17 @@ def cauchy_verdict(fan: Fan, labels) -> CauchyVerdict:
     labels maps every arc (unordered face pair) to +1, 0 or -1.  Either all
     arcs are 0, or some face on a nonzero arc has at most two sign changes
     around its ring; a labeling admitting neither outcome would contradict
-    the lemma and is reported as such.
+    the lemma and is reported as such.  A key that is not an arc of the fan
+    or a value other than -1, 0 and +1 raises ValueError naming the first.
     """
-    lab = {arc_key(*arc): int(value) for arc, value in labels.items()}
     arcs = [tuple(arc) for arc in fan.arcs.tolist()]
+    known, lab = set(arcs), {}
+    for arc, value in labels.items():
+        if (key := arc_key(*arc)) not in known:
+            raise ValueError(f"labeling has key {arc!r}, which is not an arc")
+        if value not in (-1, 0, 1):
+            raise ValueError(f"label {value!r} of arc {key} is not -1, 0 or +1")
+        lab[key] = int(value)
     missing = [arc for arc in arcs if arc not in lab]
     if missing:
         raise ValueError(f"labeling misses arcs {missing}")
@@ -115,6 +122,7 @@ class CongruenceVerdict:
     face: int | None = None
     index: int | None = None
     detail: str = ""
+    direction: int | None = None    # HYPOTHESIS_FAILURE: 0 moves h1's face into h2's, 1 the reverse
 
     @property
     def is_congruent(self) -> bool:
@@ -139,9 +147,13 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     non-empty.  That set is bounded, so it is non-empty iff the other
     constraints cut a non-empty interval from some line u_p . c = beta_p.
     Rows go face by face, direction 0 before 1, so the first row yielded
-    names the lowest face that fits.  The (row, constraint) pairs are walked
-    in blocks of about SCAN_BLOCK, each row whole in one block, and the
-    support maxima of a face are taken just before its first block.
+    names the lowest face that fits, and a caller that stops there has paid
+    for the rows up to that face.  The (row, constraint) pairs are walked in
+    blocks that grow geometrically: the first holds the k rows of faces[0]
+    in direction 0 (k^2 pairs), each later one four times as many pairs as
+    the one before, up to SCAN_BLOCK.  A block takes the rows that start
+    within its count of pairs, each row whole, and the support maxima of a
+    face are taken just before its first block.
     """
     idx = h1.fan.ring_index
     k = np.repeat(np.diff(idx.start)[faces], 2)      # segment s = 2i + d: faces[i] in direction d
@@ -156,29 +168,34 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     u = _cross(edge, normal) * (h1.signs[idx.owner[pos]] / length)[:, None]
     along = _cross(normal, u)
 
+    before = np.cumsum(row_k) - row_k             # pairs before each row
+    shift, cell = seg_row[row_seg] - before, idx.cell[pos]    # pair t of row r: constraint row shift[r] + t
+
     def items(r0, r1):
         """The row and the constraint row of every pair of rows r0..r1-1,
         and the rows' first pairs."""
-        n = row_k[r0:r1]
-        first = np.cumsum(n) - n
+        n, t0 = row_k[r0:r1], before[r0]
         row = np.repeat(np.arange(r0, r1), n)
-        return row, seg_row[row_seg[row]] + np.arange(len(row)) - np.repeat(first, n), first
+        return row, np.repeat(shift[r0:r1], n) + np.arange(t0, t0 + len(row)), before[r0:r1] - t0
 
-    before = np.cumsum(row_k) - row_k
-    cuts = np.flatnonzero(np.diff(before // SCAN_BLOCK, prepend=-1)).tolist()
-    blocks = list(zip(cuts, cuts[1:] + [len(row_k)]))
+    cuts, size = [0], min(int(k[0]) ** 2, SCAN_BLOCK) if len(k) else 0
+    while cuts[-1] < len(row_k):
+        cuts.append(int(np.searchsorted(before, before[cuts[-1]] + size)))
+        size = min(4 * size, SCAN_BLOCK)
+    blocks = list(zip(cuts, cuts[1:]))
     beta, pending, ready = np.empty(len(row_k)), iter(blocks), 0
     for r0, r1 in blocks:
         last = row_seg[r1 - 1]
         while ready < seg_row[last] + k[last]:
             s0, ready = next(pending)
             row, other, first = items(s0, ready)
-            up, cells, dr = u[row], idx.cell[pos[other]], d[row]
+            up, cells, dr = u[row], cell[other], d[row]
             beta[s0:ready] = (np.maximum.reduceat(_dot(up, verts[dr, cells]), first)
                               - np.maximum.reduceat(_dot(up, verts[1 - dr, cells]), first) + tol)
         row, other, first = items(r0, r1)
-        slope = _dot(u[other], along[row])
-        room = beta[other] - beta[row] * _dot(u[other], u[row])
+        uo = u[other]
+        slope = _dot(uo, along[row])
+        room = beta[other] - beta[row] * _dot(uo, u[row])
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = room / slope
         skip = other == row                       # the line's own constraint holds on it
@@ -202,10 +219,14 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     whose rings carry a nonzero label are tested in order, the first
     herisson's face moved into the second's before the reverse, for one that
     fits inside its parallel mate by a translation (HYPOTHESIS_FAILURE: the
-    uniqueness hypothesis breaks down).  The test reads the ring and the
-    supports of h2 - h1 (see _fits) and stops at the first block of faces
-    holding a fit; a face whose ring labels are all 0 is a translate of its
-    mate and is not tested.  If no face fits, DISTINCT names the lowest face
+    uniqueness hypothesis breaks down; direction is 0 when the first
+    herisson's face moves into the second's, 1 for the reverse).  One such
+    face is a witness, so the test, which reads the ring and the supports of
+    h2 - h1 (see _fits), stops at the first block holding a fit; its blocks
+    follow the face order and grow from the rows of the lowest tested face,
+    so a verdict costs work in proportion to the rows up to the face that
+    fits.  A face whose ring labels are all 0 is a translate of its mate and
+    is not tested.  If no face fits, DISTINCT names the lowest face
     whose ring carries a nonzero label, with index the sign-change count of
     that ring.  Edge lengths and fits are compared within 1e-9 times
     max(h1.scale, h2.scale).
@@ -230,10 +251,10 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     labeled = np.flatnonzero(np.add.reduceat(np.abs(ring), idx.start[:-1]))
     for face, direction in _fits(h1, h2, labeled, FIT_TOL * max(h1.scale, h2.scale)):
         if face.size:
-            j = int(face[0])
-            moved, receiving = ("second", "first") if direction[0] else ("first", "second")
+            j, way = int(face[0]), int(direction[0])
+            moved, receiving = ("second", "first") if way else ("first", "second")
             return CongruenceVerdict(
-                CongruenceStatus.HYPOTHESIS_FAILURE, face=j,
+                CongruenceStatus.HYPOTHESIS_FAILURE, face=j, direction=way,
                 detail=f"face {j} of the {moved} fits inside the {receiving}",
             )
     j = int(labeled[0])

@@ -33,7 +33,11 @@ HEMISPHERE_TOL = 1e-9
 GENERAL_POSITION_TOL = 1e-10
 COVER_TOL = 1e-6           # radians: slack of the excess sum around 4*pi (the next degree is 8*pi)
 SWEEP_SLACK = 8.0          # widens the angular windows of the general-position sweep for rounding
-SCAN_BLOCK = 1 << 15       # arc pairs per block of the crossing scan
+# Work per block of the blocked scans, which bounds their memory: arc pairs
+# in the crossing scan, (face, normal) projections in the general-position
+# sweep, ring positions of the fd probes realized together, and (row,
+# constraint) pairs of the congruence fits, up to one row more (rows stay whole).
+SCAN_BLOCK = 1 << 15
 
 
 def arc_key(a: int, b: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -90,6 +91,32 @@ class TestCauchyVerdict:
     def test_missing_label_rejected(self, tetra):
         with pytest.raises(ValueError, match="misses arcs"):
             cauchy_verdict(tetra.fan, {})
+
+    @pytest.mark.parametrize("bad", [0.5, 2, -2, float("nan"), None])
+    def test_label_outside_signs_rejected(self, tetra, bad):
+        # the first offending value is named, not rounded or read as a sign
+        labels = dict.fromkeys(_arcs(tetra.fan), 1)
+        first, second = _arcs(tetra.fan)[1:3]
+        labels[first], labels[second] = bad, 7
+        with pytest.raises(ValueError, match="^" + re.escape(f"label {bad!r} of arc {first} is not -1, 0 or +1") + "$"):
+            cauchy_verdict(tetra.fan, labels)
+
+    def test_halves_and_twos_no_longer_coerced(self, tetra):
+        with pytest.raises(ValueError, match="label 0.5 of arc"):
+            cauchy_verdict(tetra.fan, dict.fromkeys(_arcs(tetra.fan), 0.5))
+        arcs = _arcs(tetra.fan)
+        with pytest.raises(ValueError, match=re.escape(f"label 2 of arc {arcs[1]} ")):
+            cauchy_verdict(tetra.fan, {arc: 1 + (i % 2) for i, arc in enumerate(arcs)})
+
+    def test_key_outside_the_arcs_rejected(self, tetra):
+        labels = dict.fromkeys(_arcs(tetra.fan), 0)
+        for extra in ((0, 99), (2, 2), (99, 0)):
+            with pytest.raises(ValueError, match="^" + re.escape(f"labeling has key {extra}, which is not an arc") + "$"):
+                cauchy_verdict(tetra.fan, {**labels, extra: 1, (0, 98): 1})
+
+    def test_sign_like_values_and_either_key_order_accepted(self, tetra):
+        labels = {(b, a): v for (a, b), v in zip(_arcs(tetra.fan), (1.0, np.int64(-1), True, 0, -1, 1))}
+        assert cauchy_verdict(tetra.fan, labels).status is CauchyStatus.WITNESS
 
 
 SQ1 = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -256,6 +283,7 @@ class TestCongruentAndParallel:
             verdict = congruent_and_parallel(first, second)
             assert verdict.status is CongruenceStatus.HYPOTHESIS_FAILURE
             assert (verdict.face, verdict.index, verdict.detail) == (4, None, detail)
+            assert verdict.direction == (first is long)
 
     def test_not_same_class_equipment(self, cube, tetra):
         with pytest.raises(NotSameClass):
@@ -274,21 +302,65 @@ class TestCongruentAndParallel:
 
     def test_large_prism_pair_exits_early(self):
         # the 2000-gon caps are faces 0 and 1: face 0 fits after its own rows
-        fan = prism_fan(2000)
-        first = reconstruct(fan, np.ones(fan.m))
-        second = reconstruct(fan, np.r_[1.2, 1.2, np.full(2000, 1.05)])
-        tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            verdict = congruent_and_parallel(first, second)
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        first, second = _prism_pair()
+        verdict, peak, elapsed = _traced(lambda: congruent_and_parallel(first, second))
         assert verdict.status is CongruenceStatus.HYPOTHESIS_FAILURE
         assert (verdict.face, verdict.detail) == (0, "face 0 of the first fits inside the second")
         assert elapsed < 2.0
         assert peak < 64 * 2**20
+
+    def test_large_prism_pair_reversed(self, monkeypatch):
+        # direction 0 of face 0 fails on all 2000 rows, in blocks of less
+        # than SCAN_BLOCK pairs plus one row; direction 1 then fits
+        first, second = _prism_pair()
+        sizes, dot = [], congruence._dot
+        monkeypatch.setattr(congruence, "_dot", lambda a, b: sizes.append(len(a)) or dot(a, b))
+        verdict, peak, _elapsed = _traced(lambda: congruent_and_parallel(second, first))
+        assert verdict.status is CongruenceStatus.HYPOTHESIS_FAILURE
+        assert (verdict.face, verdict.direction, verdict.detail) == (0, 1, "face 0 of the second fits inside the first")
+        assert peak < 64 * 2**20
+        assert sum(sizes) > 4 * 2000**2 and max(sizes) < congruence.SCAN_BLOCK + 2000
+
+    def test_verdict_stops_at_the_first_fitting_face(self, monkeypatch):
+        # face 0 fits: the verdict reads that face's rows, not the whole fan
+        rng = np.random.default_rng([20261018, 0])
+        fan = polar_fan(rng, 60)
+        first = reconstruct(fan, np.ones(60))
+        second = reconstruct(fan, 1.05 * np.ones(60) + 0.01 * rng.uniform(-1, 1, 60))
+        rows = [0]
+        dot = congruence._dot
+
+        def counted(a, b):
+            rows[0] += len(a)
+            return dot(a, b)
+
+        monkeypatch.setattr(congruence, "_dot", counted)
+        verdict = congruent_and_parallel(first, second)
+        used, rows[0] = rows[0], 0
+        assert (verdict.status, verdict.face, verdict.direction) == (CongruenceStatus.HYPOTHESIS_FAILURE, 0, 0)
+        labeled = np.flatnonzero(np.add.reduceat(np.abs(congruence._position_labels(first, second)),
+                                                 fan.ring_index.start[:-1]))
+        for _ in congruence._fits(first, second, labeled, congruence.FIT_TOL * max(first.scale, second.scale)):
+            pass
+        assert 0 < used < 0.1 * rows[0]
+
+
+def _prism_pair():
+    fan = prism_fan(2000)
+    return reconstruct(fan, np.ones(fan.m)), reconstruct(fan, np.r_[1.2, 1.2, np.full(2000, 1.05)])
+
+
+def _traced(call):
+    """call's result, its tracemalloc peak in bytes and its wall time."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = call()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak, elapsed
 
 
 def _same_class_pairs():
@@ -331,14 +403,25 @@ def test_edge_labeling_matches_the_dict_oracle():
     assert seen == {-1, 0, 1}
 
 
-def test_fits_match_the_linear_programs():
-    # faces with all-zero ring labels are translates and never fit
+def test_fits_match_the_linear_programs(monkeypatch):
+    # faces with all-zero ring labels are translates and never fit; the fits
+    # come out in (face, direction) order, the same for one row per block,
+    # for 64-pair blocks (cut inside rings and between the directions) and
+    # for the default block size
     compared = 0
     for first, second in _same_class_pairs():
         scale = max(first.scale, second.scale)
         labeled = sorted({f for arc, label in edge_labeling(first, second).items() if label for f in arc})
+        runs = []
+        for block in (1, 64, congruence.SCAN_BLOCK):
+            monkeypatch.setattr(congruence, "SCAN_BLOCK", block)
+            runs.append([(f, d) for face, direction in congruence._fits(
+                first, second, np.array(labeled, dtype=int), congruence.FIT_TOL * scale)
+                for f, d in zip(face.tolist(), direction.tolist())])
+            monkeypatch.undo()
+        assert runs[0] == runs[1] == runs[2] == sorted(runs[2])
         fits = np.zeros((first.m, 2), dtype=bool)
-        for face, direction in congruence._fits(first, second, np.array(labeled, dtype=int), congruence.FIT_TOL * scale):
+        for face, direction in runs[2]:
             fits[face, direction] = True
         for j in range(first.m):
             p1, p2 = face_polygon_2d(first, j), face_polygon_2d(second, j)

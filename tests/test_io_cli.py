@@ -107,6 +107,22 @@ class TestExitCodes:
         assert cli.main(["--json", "congruent", a, c]) == 1
         assert json.loads(capsys.readouterr().out) == {"status": "not_same_class", "detail": "equipments differ"}
 
+    def test_json_congruent_payloads(self, cube, box123, tmp_path, capsys, monkeypatch):
+        a = _write(tmp_path / "a.json", io.herisson_to_dict(cube))
+        b = _write(tmp_path / "b.json", io.herisson_to_dict(cube.translated([0.5, 0.0, 0.0])))
+        c = _write(tmp_path / "c.json", io.herisson_to_dict(box123))
+        assert cli.main(["--json", "congruent", a, b]) == 0
+        assert json.loads(capsys.readouterr().out) == {"status": "congruent", "detail": "", "translation": [0.5, 0.0, 0.0]}
+        for first, second, direction, detail in ((a, c, 0, "face 0 of the first fits inside the second"),
+                                                 (c, a, 1, "face 0 of the second fits inside the first")):
+            assert cli.main(["--json", "congruent", first, second]) == 1
+            assert json.loads(capsys.readouterr().out) == {
+                "status": "hypothesis_failure", "detail": detail, "face": 0, "index": None, "direction": direction}
+        monkeypatch.setattr(herisson.congruence, "_fits", lambda *_args: iter(()))
+        assert cli.main(["--json", "congruent", a, c]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "distinct", "detail": "face 0 pair has index 0", "face": 0, "index": 0, "direction": None}
+
     def test_json_areas(self, box123, tmp_path, capsys):
         assert cli.main(["--json", "areas", _write(tmp_path / "box.json", io.herisson_to_dict(box123))]) == 0
         payload = json.loads(capsys.readouterr().out)
