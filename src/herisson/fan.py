@@ -32,11 +32,12 @@ TOUCH_TOL = 1e-10          # radians: arc contacts closer than this count as end
 HEMISPHERE_TOL = 1e-9
 GENERAL_POSITION_TOL = 1e-10
 COVER_TOL = 1e-6           # radians: slack of the excess sum around 4*pi (the next degree is 8*pi)
+CAP_SLACK = 1e-4           # radians: widens the arcs' bounding caps in the crossing scan (see _crossing_pairs)
 SWEEP_SLACK = 8.0          # widens the angular windows of the general-position sweep for rounding
-# Work per block of the blocked scans, which bounds their memory: arc pairs
-# in the crossing scan, (face, normal) projections in the general-position
-# sweep, ring positions of the fd probes realized together, and (row,
-# constraint) pairs of the congruence fits, up to one row more (rows stay whole).
+# Work per block of the blocked scans, which bounds their memory: cap tests and
+# candidate arc pairs in the crossing scan, (face, normal) projections in the
+# general-position sweep, ring positions of the fd probes realized together, and
+# (row, constraint) pairs of the congruence fits, up to one row more (rows stay whole).
 SCAN_BLOCK = 1 << 15
 
 
@@ -264,90 +265,108 @@ def _inside(px: np.ndarray, qx: np.ndarray, span: np.ndarray) -> np.ndarray:
     return (ap > TOUCH_TOL) & (aq > TOUCH_TOL) & (ap + aq <= span + 1e-9)
 
 
+def _near_pairs(centre: np.ndarray, radius: np.ndarray, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), i0 <= i < i1 and i < j, in row-major order, whose caps meet:
+    angle(centre[i], centre[j]) <= radius[i] + radius[j], or the angle is NaN."""
+    near = ~(np.arccos(centre[i0:i1] @ centre[i0 + 1:].T) - radius[i0 + 1:] > radius[i0:i1, None])
+    near[:, :i1 - i0] = np.triu(near[:, :i1 - i0])      # column c is arc i0 + 1 + c
+    i, j = np.nonzero(near)
+    return i + i0, j + i0 + 1
+
+
 @np.errstate(invalid="ignore")   # non-finite normals leave NaNs, which compare false
 def _crossing_pairs(eq: np.ndarray, keys: np.ndarray, skip: np.ndarray) -> list[tuple[int, int]]:
     """Pairs (i, j), i < j in row-major order, of arcs keys[i] and keys[j]
     that meet away from shared endpoints; arcs flagged in skip take no part.
 
-    The pairs are walked in blocks of SCAN_BLOCK, so memory stays
-    O(E + SCAN_BLOCK) for E arcs.  Arcs on different great circles cross iff
-    one of the circles' common points +-x is strictly inside both; arcs on one
-    great circle cross iff an endpoint of one is strictly inside the other or
-    the arcs coincide.  Dot products with -x are those with x negated, exactly.
+    Only pairs whose bounding caps meet (_near_pairs) get the exact test: arc
+    p-q lies within span/2 of c = (p + q)/|p + q|, so caps of radius r = (span
+    + CAP_SLACK)/2 meet when angle(c_i, c_j) <= r_i + r_j.  The slack covers
+    _inside's 1e-9 (ap + aq <= L puts x within L/2 of c while L/2 <= pi/2, as
+    cos d(x, c) 2cos(span/2) = p.x + q.x), TOUCH_TOL and rounding: normals
+    within UNIT_TOL give dot products off by e <= 2.1e-12, which moves arccos
+    by (pi/sqrt(2)) sqrt(e) = 3.2e-6 rad at most, under 3e-5 rad over the
+    angles of two arcs and their centres.  The cap of an arc that reaches a
+    hemisphere, or has an endpoint failing UNIT_TOL (the test is then not
+    geometric), is the sphere.  The exact test takes blocks of SCAN_BLOCK
+    candidates: arcs on different great circles cross iff one of the circles'
+    common points +-x is strictly inside both; arcs on one great circle cross
+    iff an endpoint of one is strictly inside the other or the arcs coincide.
+    Dot products with -x are those with x negated, exactly.
     """
     keep = np.nonzero(~skip)[0]
     P, Q = eq[keys[keep, 0]], eq[keys[keep, 1]]
     normal, span = _cross(P, Q), _angles(_rowdot(P, Q))
-    n = len(keep)
-    per_row = np.arange(n - 1, -1, -1)
-    row_start, total = np.cumsum(per_row) - per_row, n * (n - 1) // 2
-    found = []
-    for k0 in range(0, total, SCAN_BLOCK):
-        k = np.arange(k0, min(k0 + SCAN_BLOCK, total))
-        i = np.searchsorted(row_start, k, side="right") - 1
-        j = i + 1 + k - row_start[i]
-        d = _cross(normal[i], normal[j])
-        nd = np.sqrt(_rowdot(d, d))
-        cross = np.zeros(len(k), dtype=bool)
-        same = np.nonzero(nd < 1e-12)[0]
-        p, q, a, b = P[i[same]], Q[i[same]], P[j[same]], Q[j[same]]
-        si, sj = span[i[same]], span[j[same]]
-        pa, pb, qa, qb = _rowdot(p, a), _rowdot(p, b), _rowdot(q, a), _rowdot(q, b)
-        cross[same] = (
-            _inside(pa, qa, si) | _inside(pb, qb, si) | _inside(pa, pb, sj) | _inside(qa, qb, sj)
-            | ((_angles(pa) <= TOUCH_TOL) & (_angles(qb) <= TOUCH_TOL))
-            | ((_angles(pb) <= TOUCH_TOL) & (_angles(qa) <= TOUCH_TOL))
-        )
-        other = np.nonzero(nd >= 1e-12)[0]
-        gi, gj, x = i[other], j[other], d[other] / nd[other, None]
-        px, qx = _rowdot(P[gi], x), _rowdot(Q[gi], x)
-        for sign in (1.0, -1.0):
-            on = np.nonzero(_inside(sign * px, sign * qx, span[gi]))[0]
-            y = sign * x[on]
-            hit = _inside(_rowdot(P[gj[on]], y), _rowdot(Q[gj[on]], y), span[gj[on]])
-            cross[other[on[hit]]] = True
-        found += zip(keep[i[cross]].tolist(), keep[j[cross]].tolist())
+    centre = (P + Q) / np.linalg.norm(P + Q, axis=1)[:, None]
+    unit = (np.abs(np.linalg.norm(eq, axis=1) - 1.0) <= UNIT_TOL)[keys[keep]].all(axis=1)
+    radius = np.where(unit & (span + CAP_SLACK < np.pi), (span + CAP_SLACK) / 2, np.pi)
+    n, found, i0 = len(keep), [], 0
+    while i0 < n - 1:      # rows i0..i1 - 1: at most SCAN_BLOCK cap tests
+        i1 = i0 + max(1, SCAN_BLOCK // (n - 1 - i0))
+        near_i, near_j = _near_pairs(centre, radius, i0, i1)
+        for k0 in range(0, len(near_i), SCAN_BLOCK):
+            i, j = near_i[k0:k0 + SCAN_BLOCK], near_j[k0:k0 + SCAN_BLOCK]
+            d = _cross(normal[i], normal[j])
+            nd = np.sqrt(_rowdot(d, d))
+            cross = np.zeros(len(i), dtype=bool)
+            same = np.nonzero(nd < 1e-12)[0]
+            p, q, a, b = P[i[same]], Q[i[same]], P[j[same]], Q[j[same]]
+            si, sj = span[i[same]], span[j[same]]
+            pa, pb, qa, qb = _rowdot(p, a), _rowdot(p, b), _rowdot(q, a), _rowdot(q, b)
+            cross[same] = (
+                _inside(pa, qa, si) | _inside(pb, qb, si) | _inside(pa, pb, sj) | _inside(qa, qb, sj)
+                | ((_angles(pa) <= TOUCH_TOL) & (_angles(qb) <= TOUCH_TOL))
+                | ((_angles(pb) <= TOUCH_TOL) & (_angles(qa) <= TOUCH_TOL))
+            )
+            other = np.nonzero(nd >= 1e-12)[0]
+            gi, gj, x = i[other], j[other], d[other] / nd[other, None]
+            px, qx = _rowdot(P[gi], x), _rowdot(Q[gi], x)
+            for sign in (1.0, -1.0):
+                on = np.nonzero(_inside(sign * px, sign * qx, span[gi]))[0]
+                y = sign * x[on]
+                hit = _inside(_rowdot(P[gj[on]], y), _rowdot(Q[gj[on]], y), span[gj[on]])
+                cross[other[on[hit]]] = True
+            found += zip(keep[i[cross]].tolist(), keep[j[cross]].tolist())
+        i0 = i1
     return found
 
 
 @np.errstate(invalid="ignore")   # non-finite normals leave NaNs, which compare false
-def _bad_cells(eq: np.ndarray, cells, checked: list[int]) -> list[str]:
-    """Details, in cell order, of the cells in `checked` that are not CCW
-    convex spherical polygons inside an open hemisphere.
+def _bad_cells(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray, checked: np.ndarray) -> list[str]:
+    """Details, in cell order, of the cells flagged in `checked` that are not
+    CCW convex spherical polygons inside an open hemisphere.
 
     Cells of one size are checked together: one batched determinant over
     their (edge start, edge end, other corner) triples, n(n-2) for a cell of
     n faces, then the vector areas and the corners' products with them, all
     rounded as for one cell at a time.
     """
-    bad = {}
-    sizes = np.array([len(cells[ci]) for ci in checked], dtype=np.intp)
-    for n in sorted(set(sizes.tolist())):   # a plain np.unique imports numpy.ma
-        group = np.asarray(checked)[sizes == n]
-        pts = eq[np.array([cells[ci] for ci in group])]         # (C, n, 3)
-        nxt = np.roll(pts, -1, axis=1)
+    face, cell, succ, _ = corners
+    convex, pointed = np.ones(len(sizes), dtype=bool), np.ones(len(sizes), dtype=bool)
+    for n in sorted(set(sizes[checked].tolist())):   # a plain np.unique imports numpy.ma
+        at = np.flatnonzero(checked[cell] & (sizes[cell] == n)).reshape(-1, n)    # a cell's corners per row
+        group, pts, nxt = cell[at[:, 0]], eq[face[at]], eq[succ[at]]
         others = (np.arange(n)[:, None] + np.arange(2, n)) % n   # corners off edge i
         mats = np.stack(np.broadcast_arrays(pts[:, :, None], nxt[:, :, None], pts[:, others]), axis=-2)
-        convex = ~np.any(np.linalg.det(mats) <= -CONVEXITY_TOL, axis=(1, 2))
+        convex[group] = ~np.any(np.linalg.det(mats) <= -CONVEXITY_TOL, axis=(1, 2))
         # p_k . (vector area) sums the convexity determinants at p_k, so for a
         # convex cell it is positive exactly when the cell is in an open hemisphere
         area = _cross(pts, nxt).sum(axis=1)
         norm = np.sqrt(_rowdot(area, area))
         small = norm < 1e-12
         unit = area / np.where(small, 1.0, norm)[:, None]
-        low = np.min((pts @ unit[:, :, None])[:, :, 0], axis=1) <= HEMISPHERE_TOL
-        for ci in group[~convex].tolist():
-            bad[ci] = f"cell {ci} is not a CCW convex spherical polygon"
-        for ci in group[convex & (small | low)].tolist():
-            bad[ci] = f"cell {ci} is not inside an open hemisphere"
-    return [bad[ci] for ci in sorted(bad)]
+        pointed[group] = ~(small | (np.min((pts @ unit[:, :, None])[:, :, 0], axis=1) <= HEMISPHERE_TOL))
+    return [f"cell {ci} is not a CCW convex spherical polygon" if not convex[ci] else
+            f"cell {ci} is not inside an open hemisphere" for ci in np.flatnonzero(~(convex & pointed)).tolist()]
 
 
-def _excess_sum(eq: np.ndarray, cells) -> float:
+def _excess_sum(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray) -> float:
     """Sum of the cells' signed spherical excesses over a fan triangulation
     of each cell, in the Van Oosterom-Strackee form for unit vectors."""
-    tris = np.array([(c[0], c[t], c[t + 1]) for c in cells for t in range(1, len(c) - 1)])
-    a, b, c = eq[tris[:, 0]], eq[tris[:, 1]], eq[tris[:, 2]]
+    face, cell, succ, _ = corners
+    first = (np.cumsum(sizes) - sizes)[cell]        # each corner's cell starts there
+    t = np.flatnonzero((np.arange(len(face)) > first) & (np.arange(len(face)) < first + sizes[cell] - 1))
+    a, b, c = eq[face[first[t]]], eq[face[t]], eq[succ[t]]      # (c_0, c_t, c_t+1) from the corner at t
     det = np.einsum("ij,ij->i", a, _cross(b, c))
     den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) + np.einsum("ij,ij->i", c, a)
     return float(2.0 * np.arctan2(det, den).sum())
@@ -369,10 +388,10 @@ def validate(fan: Fan) -> ValidationReport:
     face or a second sheet takes the sum to 8*pi or more.  Only when the
     certificate fails, or an earlier rule did, does the arc scan run: it
     names the crossing arcs, the pairs of sorted arcs in row-major order,
-    antipodal arcs left out.  The scan is vectorized over blocks of
-    SCAN_BLOCK arc pairs, so it takes O(E^2) time but O(E + SCAN_BLOCK)
-    memory for E arcs.  Non-finite normals are reported as non-unit vectors
-    and fail no other test.
+    antipodal arcs left out.  For E arcs it makes O(E^2) cap tests, one matrix
+    product per block of rows, and exact tests only where caps meet (~8 per
+    arc on polar fans), in O(E + SCAN_BLOCK) memory (_crossing_pairs).
+    Non-finite normals are reported as non-unit vectors and fail no other test.
     """
     report = ValidationReport()
     eq = fan.equipment
@@ -384,12 +403,15 @@ def validate(fan: Fan) -> ValidationReport:
 
     # Manifold structure: every ordered pair of cyclically consecutive faces
     # must appear exactly once, and its reverse exactly once.
-    for ci, cell in enumerate(fan.cells):
-        if len(set(cell)) < 3:
+    face, cell, succ, _ = corners = fan.corners
+    sizes = np.bincount(cell, minlength=len(fan.cells))
+    f, c = corners[:2, np.lexsort((face, cell))]
+    distinct = sizes - np.bincount(c[1:][(f[1:] == f[:-1]) & (c[1:] == c[:-1])], minlength=len(sizes))
+    for ci in np.flatnonzero((distinct < 3) | (distinct != sizes)).tolist():
+        if distinct[ci] < 3:
             report.add("broken partition", f"cell {ci} has fewer than 3 distinct faces")
-        if len(set(cell)) != len(cell):
+        if distinct[ci] != sizes[ci]:
             report.add("broken partition", f"cell {ci} repeats a face")
-    face, _, succ, _ = fan.corners
     pairs, counts, labels = _pair_runs(face, face, succ)     # the ordered pairs, sorted
     k = len(labels)
     rev = pairs % k * k + pairs // k
@@ -405,33 +427,31 @@ def validate(fan: Fan) -> ValidationReport:
         return report
 
     keys = fan.arcs
-    arcs = [tuple(arc) for arc in keys.tolist()]
     ends = eq[keys[:, 0]] + eq[keys[:, 1]]
     antipodal = np.sqrt(_rowdot(ends, ends)) <= ANTIPODAL_TOL
-    for e in np.nonzero(antipodal)[0]:
-        report.add("antipodal adjacent pair", "faces {} and {}".format(*arcs[e]))
+    for a, b in keys[antipodal].tolist():
+        report.add("antipodal adjacent pair", f"faces {a} and {b}")
 
     degree = np.bincount(keys.ravel(), minlength=m)
     for j in np.nonzero(degree < 3)[0]:
         report.add("low face degree", f"face {j} lies on {degree[j]} arcs")
 
-    if len(fan.cells) - len(arcs) + m != 2:
+    if len(fan.cells) - len(keys) + m != 2:
         report.add(
             "Euler failure",
-            f"V-E+F = {len(fan.cells)}-{len(arcs)}+{m} = {len(fan.cells) - len(arcs) + m}",
+            f"V-E+F = {len(fan.cells)}-{len(keys)}+{m} = {len(fan.cells) - len(keys) + m}",
         )
 
     # Convex spherical cells, counterclockwise, inside an open hemisphere.
-    checked = [ci for ci, cell in enumerate(fan.cells) if len(set(cell)) == len(cell) >= 3]
-    for detail in _bad_cells(eq, fan.cells, checked):
+    for detail in _bad_cells(eq, corners, sizes, (distinct == sizes) & (sizes >= 3)):
         report.add("non-convex cell", detail)
 
-    if report.ok and abs(_excess_sum(eq, fan.cells) - 4.0 * np.pi) <= COVER_TOL:
+    if report.ok and abs(_excess_sum(eq, corners, sizes) - 4.0 * np.pi) <= COVER_TOL:
         return report
 
     # Arc crossings (touching at shared endpoints is allowed).
     for i, j in _crossing_pairs(eq, keys, antipodal):
-        report.add("crossing arcs", f"arcs {arcs[i]} and {arcs[j]}")
+        report.add("crossing arcs", f"arcs {tuple(keys[i].tolist())} and {tuple(keys[j].tolist())}")
 
     return report
 

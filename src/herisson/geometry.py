@@ -138,7 +138,7 @@ class Herisson:
     def m(self) -> int:
         return self.fan.m
 
-    @property
+    @cached_property
     def scale(self) -> float:
         return support_scale(self.h)
 
@@ -209,9 +209,9 @@ def reconstruct(fan: Fan, h) -> Herisson:
 def _class_mismatch(h1: Herisson, h2: Herisson) -> str:
     """Why h1 and h2 are not of one orientation class, or "": equipments of one
     shape within 1e-9 entrywise, equal cells and equal face signs, in turn."""
-    if h1.fan.equipment.shape != h2.fan.equipment.shape or not np.allclose(
-        h1.fan.equipment, h2.fan.equipment, rtol=0.0, atol=1e-9
-    ):
+    e1, e2 = h1.fan.equipment, h2.fan.equipment      # one Fan: close to itself unless it holds a NaN
+    if (np.isnan(e1).any() if h1.fan is h2.fan else
+            e1.shape != e2.shape or not np.allclose(e1, e2, rtol=0.0, atol=1e-9)):
         return "equipments differ"
     if h1.fan.cells != h2.fan.cells:
         return "sphere partitions differ"

@@ -21,7 +21,7 @@ from helpers import (
     random_normal_fan_2d,
     random_polygon_pair,
 )
-from herisson import builders, congruence
+from herisson import builders, congruence, geometry
 from herisson.congruence import (
     CauchyStatus,
     CongruenceStatus,
@@ -31,7 +31,8 @@ from herisson.congruence import (
     sign_changes,
 )
 from herisson.errors import NotSameClass
-from herisson.geometry import reconstruct
+from herisson.fan import Fan
+from herisson.geometry import Herisson, reconstruct
 
 
 class TestSignChanges:
@@ -293,6 +294,28 @@ class TestCongruentAndParallel:
         mixed = reconstruct(cube.fan, np.array([0.5, 0.5, -1.0, 0.5, 1.0, 1.0]))
         with pytest.raises(NotSameClass):
             congruent_and_parallel(cube, mixed)
+
+    def test_one_fan_costs_no_equipment_check(self, cube, monkeypatch):
+        # one Fan object skips np.allclose, and each fresh herisson measures its
+        # scale once however often the verdict reads it
+        scales, closes = [], []
+        support_scale, allclose = geometry.support_scale, np.allclose
+        monkeypatch.setattr(geometry, "support_scale", lambda h: scales.append(1) or support_scale(h))
+        monkeypatch.setattr(np, "allclose", lambda *a, **k: closes.append(1) or allclose(*a, **k))
+        box = reconstruct(cube.fan, np.array([0.5, 0.5, 1.0, 1.0, 1.5, 1.5]))
+        for other, status in ((cube.translated([0.3, 0.0, 0.0]), CongruenceStatus.CONGRUENT),
+                              (box, CongruenceStatus.HYPOTHESIS_FAILURE)):
+            h1, h2 = (Herisson(h.fan, h.h, h.vertices, h.signs, h.oriented_areas) for h in (cube, other))
+            scales.clear()
+            assert congruent_and_parallel(h1, h2).status is status
+            assert (len(scales), closes) == (2, [])
+            assert congruent_and_parallel(h1, h2).status is status
+            assert len(scales) == 2
+        # an equal Fan object of its own still takes the check, and passes it
+        twin = Fan(equipment=cube.fan.equipment.copy(), cells=cube.fan.cells)
+        moved = reconstruct(twin, cube.h + twin.equipment @ [0.3, 0.0, 0.0])
+        assert congruent_and_parallel(cube, moved).is_congruent
+        assert closes == [1]
 
     def test_self_congruent_fixture_sweep(self, cube, tetra, bowtie, waisted, tiling):
         for body in (cube, tetra, bowtie, waisted, tiling):

@@ -1,6 +1,7 @@
 import itertools
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,53 @@ def great_circle_cases():
     }
 
 
+def _along(angle, off=0.0):
+    """The point `angle` rad along the equator from (1, 0, 0) towards (0, 1, 0),
+    then turned `off` rad towards the south pole."""
+    return np.array([np.cos(angle) * np.cos(off), np.sin(angle) * np.cos(off), -np.sin(off)])
+
+
+def adversarial_arc_fans():
+    """Fans whose cells are single arcs (two-face cells, or one face twice for
+    a zero-length arc), placed where the cap bound of the crossing scan is
+    tight, each scene turned to its own place among random short arcs; then
+    with the normals scaled by 1.5, by 1 +- 1e-12 (just off unit after
+    rounding) and by 1 +- 0.9e-12 (unit), and with a NaN or an inf normal."""
+    rng = np.random.default_rng(16)
+    gaps = (-1e-9, -2e-10, -1e-10, -5e-11, 0.0, 5e-11, 1e-10, 2e-10, 1e-9)
+    bar = [(_along(0.0), _along(1.0))]
+    scenes = [
+        # T-junctions: stems from the north that end short of the bar, on it, or past it
+        bar + [(_along(0.1 * k + 0.05, -0.3), _along(0.1 * k + 0.05, g)) for k, g in enumerate(gaps)],
+        # arcs on the bar's great circle that overlap its end or stop short of it
+        bar + [(_along(1.0 + g), _along(1.6)) for g in gaps],
+        # arcs across the bar's great circle just inside or outside its end
+        bar + [(_along(1.0 + g, -0.2), _along(1.0 + g, 0.2)) for g in gaps],
+        # zero-length arcs on the bar, off it by 1e-10 and 1e-9 rad, and at its end
+        bar + [(p, p) for p in (_along(0.5), _along(0.5, 1e-10), _along(0.5, 1e-9), _along(1.0), _along(1.0 + 1e-9))],
+        # the bar repeated, forwards and backwards
+        bar * 2 + [bar[0][::-1]],
+    ]
+    for eps in (1.5e-9, 1e-5, 1e-4, 2e-4):
+        # arcs just short of pi, so |p + q| is just above ANTIPODAL_TOL, crossed
+        # near their middle and ends, and on the far half of their great circle
+        long = (_along(0.0), _along(np.pi - eps))
+        scenes.append([long] + [(_along(a, -0.1), _along(a, 0.1)) for a in (0.2, np.pi / 2, np.pi - 0.2, -np.pi / 2)])
+    scenes += [[(_along(0.0), _along(rng.uniform(0.05, 0.5)))] for _ in range(12)]
+    points, cells = [], []
+    for scene in scenes:
+        turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        for p, q in scene:
+            same = p is q
+            points += [turn @ p] if same else [turn @ p, turn @ q]
+            cells.append((len(points) - 1,) * 2 if same else (len(points) - 2, len(points) - 1))
+    eq = np.array(points)
+    nan, inf = eq.copy(), eq.copy()
+    nan[3], inf[7] = np.nan, np.inf
+    scaled = [s * eq for s in (1.5, 1 + 1e-12, 1 - 1e-12, 1 + 0.9e-12, 1 - 0.9e-12)]
+    return [Fan(equipment=e, cells=tuple(cells)) for e in [eq] + scaled + [nan, inf]]
+
+
 def reference_entries(fan):
     """validate's entries, with the cell checks and the crossing scan taken
     from the one-at-a-time references."""
@@ -113,6 +161,14 @@ def brute_general_position(eq):
     """Every C(m, 3) determinant, as the definition reads."""
     triples = np.array(list(itertools.combinations(range(len(eq)), 3)), dtype=int).reshape(-1, 3)
     return bool(np.all(np.abs(np.linalg.det(eq[triples])) > GENERAL_POSITION_TOL))
+
+
+@pytest.fixture(scope="module")
+def adversarial():
+    """The adversarial arc fans and their crossing entries from the pairwise scan."""
+    fans = adversarial_arc_fans()
+    with np.errstate(invalid="ignore"):     # the scalar scan meets the NaN and inf normals too
+        return fans, [crossing_entries(fan) for fan in fans]
 
 
 class TestValidate:
@@ -188,8 +244,14 @@ class TestValidate:
         fast = [validate(fan).entries for fan in fans]
         assert fast == [reference_entries(fan) for fan in fans]
         assert {"crossing arcs", "non-convex cell"} <= {code for entries in fast for code, _ in entries}
-        monkeypatch.setattr(fan_module, "_excess_sum", lambda eq, cells: float("nan"))
+        monkeypatch.setattr(fan_module, "_excess_sum", lambda *args: float("nan"))
         assert fast == [validate(fan).entries for fan in fans]
+
+    @pytest.mark.parametrize("block", [1, 64, SCAN_BLOCK])
+    def test_cap_pruned_scan_matches_pairwise_on_adversarial_arcs(self, monkeypatch, block, adversarial):
+        fans, expected = adversarial
+        monkeypatch.setattr(fan_module, "SCAN_BLOCK", block)   # row and candidate blocks cut everywhere
+        assert [[e for e in validate(fan).entries if e[0] == "crossing arcs"] for fan in fans] == expected
 
     @pytest.mark.parametrize("name", ["overlap", "repeated", "touching"])
     def test_same_great_circle_arcs(self, name):
@@ -411,18 +473,43 @@ def test_thousand_face_fan_checks_quickly():
 
 
 def test_thousand_face_invalid_fans_fail_cleanly():
-    # both run the arc scan over all C(2994, 2) arc pairs, in blocks
+    # both run the crossing scan: cap tests over the C(2994, 2) arc pairs in
+    # blocks of rows, exact tests only on the pairs whose caps meet
     fan = polar_fan(np.random.default_rng(5), 1000)
     dropped = Fan(equipment=fan.equipment, cells=fan.cells[1:])
     reversed_cells = Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in fan.cells))
     start = time.perf_counter()
-    report = validate(dropped)
-    assert [code for code, _ in report.entries] == ["broken partition"] * 3 + ["Euler failure"]
-    report = validate(reversed_cells)
+    tracemalloc.start()
+    try:
+        report = validate(dropped)
+        assert [code for code, _ in report.entries] == ["broken partition"] * 3 + ["Euler failure"]
+        report = validate(reversed_cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report.entries == [
         ("non-convex cell", f"cell {ci} is not a CCW convex spherical polygon") for ci in range(1996)
     ]
     assert time.perf_counter() - start < 20.0
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_exact_test_sees_linear_pairs(monkeypatch, seed):
+    # the caps leave the exact test about 8 pairs per arc, not all E(E-1)/2
+    fan = polar_fan(np.random.default_rng(seed), 300)
+    near_pairs, seen = fan_module._near_pairs, []
+
+    def counted(*args):
+        pairs = near_pairs(*args)
+        seen.append(len(pairs[0]))
+        return pairs
+    monkeypatch.setattr(fan_module, "_near_pairs", counted)
+    for cells in (tuple(c[::-1] for c in fan.cells), fan.cells[1:]):
+        variant = Fan(equipment=fan.equipment, cells=cells)
+        seen.clear()
+        assert not validate(variant).ok
+        assert 0 < sum(seen) <= 16 * len(variant.arcs)
 
 
 class TestDualComplex:

@@ -7,7 +7,7 @@ from helpers import halfspace_vertices, match_point_sets, polar_fan, random_hull
 from herisson import builders
 from herisson.congruence import congruent_and_parallel
 from herisson.errors import DegenerateEquipment, DegenerateFace, InconsistentVertex, NotSameClass, SingularVertex
-from herisson.fan import Fan
+from herisson.fan import Fan, validate
 from herisson.geometry import (
     _consistency_matrix,
     balance_residual,
@@ -275,6 +275,19 @@ class TestSameClass:
             minkowski_sum(cube, nudged)
         with pytest.raises(NotSameClass, match="^equipments differ$"):
             congruent_and_parallel(cube, nudged)
+
+    def test_nan_normal_differs_from_itself(self):
+        # the normal fan of the octahedron, every cell listing face 0 last: the
+        # vertices come from the first three planes, so a NaN normal 0 still
+        # realizes, and one Fan object with a NaN is not of one class with itself
+        eq = np.array([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]) / np.sqrt(3)
+        cells = ((2, 3, 1, 0), (6, 4, 5, 7), (1, 5, 4, 0), (3, 2, 6, 7), (4, 6, 2, 0), (5, 1, 3, 7))
+        assert validate(Fan(equipment=eq, cells=cells)).ok
+        eq[0] = np.nan
+        with np.errstate(invalid="ignore"):     # the sign of the NaN area
+            body = reconstruct(Fan(equipment=eq, cells=cells), np.ones(8))
+        with pytest.raises(NotSameClass, match="^equipments differ$"):
+            minkowski_sum(body, body)
 
     def test_partitions_differ(self, cube):
         # the same normals, every cell listed from another corner: equal

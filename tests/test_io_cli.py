@@ -10,7 +10,9 @@ import pytest
 import herisson
 from helpers import double_tetrahedron_fan
 from herisson import cli, io
+from herisson.fan import Fan
 from herisson.solver import SolveOptions, solve_minkowski
+from test_fan import double_cover_pentagram
 
 
 def _write(path, data):
@@ -77,6 +79,18 @@ class TestExitCodes:
         bad = io.fan_to_dict(cube.fan)
         bad["equipment"][2] = [-x for x in bad["equipment"][0]]   # antipodal neighbors
         assert cli.main(["validate", _write(tmp_path / "bad.json", bad)]) == 1
+
+    def test_json_validate_names_violations(self, cube, tmp_path, capsys):
+        # the report bytes of the crossing scan and of the cell rules
+        path = _write(tmp_path / "pentagram.json", io.fan_to_dict(double_cover_pentagram()))
+        assert cli.main(["--json", "validate", path]) == 1
+        crossings = ("(2, 3) and (4, 5)", "(2, 3) and (5, 6)", "(2, 6) and (3, 4)", "(2, 6) and (4, 5)", "(3, 4) and (5, 6)")
+        violations = [["crossing arcs", f"arcs {pair}"] for pair in crossings]
+        assert capsys.readouterr().out == json.dumps({"valid": False, "violations": violations}) + "\n"
+        turned = Fan(equipment=cube.fan.equipment, cells=tuple(c[::-1] for c in cube.fan.cells))
+        assert cli.main(["--json", "validate", _write(tmp_path / "turned.json", io.fan_to_dict(turned))]) == 1
+        violations = [["non-convex cell", f"cell {ci} is not a CCW convex spherical polygon"] for ci in range(8)]
+        assert capsys.readouterr().out == json.dumps({"valid": False, "violations": violations}) + "\n"
 
     def test_congruent(self, cube, box123, tmp_path, capsys):
         moved = cube.translated([0.3, -0.2, 0.1])
