@@ -13,6 +13,12 @@ MalformedFan when an ordered face pair appears twice, or, for the first
 failing face by first appearance, when it meets a pred that is no succ of
 the face ("open fan") or is not back at its start after exactly as many
 steps as the face has corners ("does not close").
+
+A Fan caches what it derives (see Fan), read-only, by one rule: a cached
+value depends only on `equipment`, `cells` and module constants.  A test
+that changes such a constant (VERTEX_DET_TOL for the vertex blocks;
+GENERAL_POSITION_TOL, SWEEP_SLACK or SCAN_BLOCK for the witness) builds a
+fresh Fan.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MalformedFan, SingularVertex
+from .errors import DegenerateEquipment, MalformedFan, SingularVertex
 
 UNIT_TOL = 1e-12
 VERTEX_DET_TOL = 1e-12
@@ -57,9 +63,17 @@ def _pair_runs(face: np.ndarray, a: np.ndarray, b: np.ndarray):
     return key[first], np.diff(first, append=len(key)), labels
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only, as every array a Fan caches."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Fan:
-    """Equipment plus sphere-partition cells; immutable after construction."""
+    """Equipment plus sphere-partition cells, immutable; it caches, by the module's rule, corners,
+    arcs, ring_index, vertex_blocks, block_inverses, ring_normals, ring_inverses, translation_gram,
+    coplanar_triple (the general-position witness) and min_edge_line_angle, once per Fan."""
 
     equipment: np.ndarray                  # (m, 3) unit directions
     cells: tuple[tuple[int, ...], ...]     # cyclic face lists, CCW from outside
@@ -93,18 +107,14 @@ class Fan:
         cell = np.repeat(np.arange(len(sizes)), sizes)
         first = np.repeat(np.cumsum(sizes) - sizes, sizes)
         pos, n = np.arange(len(face)) - first, sizes[cell]
-        table = np.stack([face, cell, face[first + (pos + 1) % n], face[first + (pos - 1) % n]])
-        table.setflags(write=False)
-        return table
+        return _frozen(np.stack([face, cell, face[first + (pos + 1) % n], face[first + (pos - 1) % n]]))
 
     @cached_property
     def arcs(self) -> np.ndarray:
         """(E, 2) arcs, as (low face, high face) rows in sorted order."""
         face, _, succ, _ = self.corners
         key, _, labels = _pair_runs(face, np.minimum(face, succ), np.maximum(face, succ))
-        arcs = labels[np.column_stack([key // len(labels), key % len(labels)])]
-        arcs.setflags(write=False)
-        return arcs
+        return _frozen(labels[np.column_stack([key // len(labels), key % len(labels)])])
 
     @cached_property
     def ring_index(self) -> RingIndex:
@@ -157,10 +167,10 @@ class Fan:
         ring_succ, ring_pred = cell[start[owner] + (k + 1) % size], cell[start[owner] + (k - 1) % size]
         # np.unique sorts stably when asked for indices: the first position wins
         _, arc_pos = np.unique(np.minimum(owner, neighbor) * m + np.maximum(owner, neighbor), return_index=True)
-        return RingIndex(
+        return RingIndex(*map(_frozen, (
             face[first[:, None] + np.arange(3)], in_cell[beyond], face[beyond], owner, cell, ring_succ, ring_pred,
-            neighbor, np.append(start, n), arc_pos,
-        )
+            neighbor, np.append(start, n), arc_pos, face[first[cell][:, None] + np.arange(3)],
+        )))
 
     @cached_property
     def vertex_blocks(self) -> np.ndarray:
@@ -175,13 +185,50 @@ class Fan:
             ci = int(bad[0])
             kind = "coplanar" if finite[ci] else "non-finite"
             raise SingularVertex(f"cell {ci}: faces {self.cells[ci][:3]} have {kind} normals")
-        blocks.setflags(write=False)
-        return blocks
+        return _frozen(blocks)
 
     @cached_property
     def block_inverses(self) -> np.ndarray:
         """(V, 3, 3) inverses of vertex_blocks."""
-        return np.linalg.inv(self.vertex_blocks)
+        return _frozen(np.linalg.inv(self.vertex_blocks))
+
+    @cached_property
+    def ring_normals(self) -> np.ndarray:
+        """(R, 3) normal of the face owning each ring position."""
+        return _frozen(self.equipment[self.ring_index.owner])
+
+    @cached_property
+    def ring_inverses(self) -> np.ndarray:
+        """(R, 3, 3) block inverse of the cell at each ring position."""
+        return _frozen(self.block_inverses[self.ring_index.cell])
+
+    @cached_property
+    def translation_gram(self) -> np.ndarray:
+        """(3, 3) E^T E of the equipment; a |det| below 1e-12 raises DegenerateEquipment on every read."""
+        gram = self.equipment.T @ self.equipment
+        if abs(float(np.linalg.det(gram))) < 1e-12:
+            raise DegenerateEquipment("equipment does not span 3-space")
+        return _frozen(gram)
+
+    @cached_property
+    def coplanar_triple(self) -> tuple[int, int, int] | None:
+        """The least triple failing is_general_position, or None (_coplanar_triple)."""
+        return _coplanar_triple(self.equipment)
+
+    @cached_property
+    def min_edge_line_angle(self) -> float | None:
+        """Smallest positive angle between edge lines within any face, or None: edge
+        directions n_j x n_k depend only on the equipment; parallel pairs are skipped."""
+        eq = self.equipment
+        face, other = self.ring_index.owner, self.ring_index.neighbor
+        dirs = _cross(eq[face], eq[other])
+        norm = np.sqrt(_rowdot(dirs, dirs))
+        keep = norm > 1e-12
+        face, dirs = face[keep], dirs[keep] / norm[keep, None]
+        first, second = _window_pairs(np.searchsorted(face, face, side="right") - np.arange(len(face)) - 1)
+        angles = np.arccos(np.minimum(1.0, np.abs(_rowdot(dirs[first], dirs[second]))))
+        angles = angles[angles > 1e-9]
+        return float(angles.min()) if angles.size else None
 
     def __eq__(self, other):
         if not isinstance(other, Fan):
@@ -214,6 +261,7 @@ class RingIndex:
     neighbor: np.ndarray     # (R,) face across the edge at the position
     start: np.ndarray        # (m + 1,) face j's ring is positions start[j]:start[j + 1]
     arc_pos: np.ndarray      # (E,) first position whose edge is dual to fan.arcs[e]
+    cell_first3: np.ndarray  # (R, 3) first three faces of the cell at the position
 
 
 @dataclass
@@ -372,6 +420,7 @@ def _excess_sum(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray) -> float
     return float(2.0 * np.arctan2(det, den).sum())
 
 
+@np.errstate(over="ignore")   # |n| past ~1e154 overflows to inf, which compares as a huge value would
 def validate(fan: Fan) -> ValidationReport:
     """Check every partition rule on raw input; problems go into the report.
 
@@ -532,4 +581,4 @@ def is_general_position(fan: Fan) -> bool:
     candidates, which are few unless many triples nearly fail.  A zero or
     non-finite normal is never in general position.
     """
-    return _coplanar_triple(fan.equipment) is None
+    return fan.coplanar_triple is None

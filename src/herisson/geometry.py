@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateEquipment, DegenerateFace, InconsistentVertex, NotSameClass
+from .errors import DegenerateFace, InconsistentVertex, NotSameClass
 from .fan import Fan, _cross
 
 CONSISTENCY_TOL = 1e-8     # relative to scale, cells with more than 3 faces
@@ -52,20 +52,11 @@ def face_frame(normal):
 
 
 def _oriented_areas(fan: Fan, vertices: np.ndarray) -> np.ndarray:
-    """Oriented face areas (P, m) of a stack of vertex sets (P, V, 3).
-
-    Signed shoelace: twice the area is the sum over edges of (p x q) . n.
-    The stack is flattened into one ring of P * V vertices, so every set is
-    summed exactly as it would be on its own.
-    """
+    """Oriented face areas (P, m) of a stack of vertex sets (P, V, 3), by the signed
+    shoelace (twice the area sums (p x q) . n over the edges), every set summed as on its own."""
     idx = fan.ring_index
-    count, nverts = vertices.shape[:2]
-    flat = vertices.reshape(-1, 3)
-    shift = nverts * np.arange(count)[:, None]
-    crosses = _cross(flat[(idx.cell + shift).ravel()], flat[(idx.succ + shift).ravel()])
-    twice_areas = np.einsum("ij,ij->i", crosses, np.tile(fan.equipment[idx.owner], (count, 1)))
-    starts = (idx.start[:-1] + len(idx.cell) * np.arange(count)[:, None]).ravel()
-    return 0.5 * np.add.reduceat(twice_areas, starts).reshape(count, fan.m)
+    crosses = _cross(vertices[:, idx.cell], vertices[:, idx.succ])
+    return 0.5 * np.add.reduceat(np.einsum("pij,ij->pi", crosses, fan.ring_normals), idx.start[:-1], axis=1)
 
 
 def _realize(fan: Fan, h) -> Herisson:
@@ -109,12 +100,11 @@ def _area_jacobian(fan: Fan, vertices: np.ndarray) -> np.ndarray:
     shared-edge length divided by sin of the angle between n_i and n_k, and
     the diagonal is the matching planar-polygon derivative.
     """
-    idx = fan.ring_index
-    n = fan.equipment[idx.owner]
+    idx, n = fan.ring_index, fan.ring_normals
     grads = 0.5 * (_cross(vertices[idx.succ], n) + _cross(n, vertices[idx.pred]))
-    rows = np.einsum("ik,ikl->il", grads, fan.block_inverses[idx.cell])
+    rows = np.einsum("ik,ikl->il", grads, fan.ring_inverses)
     jac = np.zeros((fan.m, fan.m))
-    np.add.at(jac, (idx.owner[:, None], idx.first3[idx.cell]), rows)
+    np.add.at(jac, (idx.owner[:, None], idx.cell_first3), rows)
     return jac
 
 
@@ -181,7 +171,8 @@ class Herisson:
 def reconstruct(fan: Fan, h) -> Herisson:
     """Realize the herisson with the given support numbers.
 
-    Raises SingularVertex for coplanar normals at a cell, InconsistentVertex
+    Raises SingularVertex for coplanar or non-finite normals at a cell,
+    ValueError for other non-finite normals or supports, InconsistentVertex
     when a fourth plane misses its vertex beyond 1e-8*scale, DegenerateFace
     when an edge or an oriented area falls under the degeneracy tolerances.
     Supports that flip the sign of some face are accepted without comment,
@@ -192,6 +183,9 @@ def reconstruct(fan: Fan, h) -> Herisson:
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("support numbers must be finite")
+    fan.vertex_blocks       # SingularVertex first, for the normals that place vertices
+    if (bad := np.flatnonzero(~np.isfinite(fan.equipment).all(axis=1))).size:
+        raise ValueError(f"face {bad[0]} has a non-finite normal")
     surface = _realize(fan, h)
     idx = fan.ring_index
     misses = np.abs(np.einsum("ij,ij->i", fan.equipment[idx.extra_face], surface.vertices[idx.extra_cell])
@@ -237,11 +231,7 @@ def gauge_fix(fan: Fan, h) -> np.ndarray:
     """
     h = np.asarray(h, dtype=float)
     eq = fan.equipment
-    gram = eq.T @ eq
-    if abs(float(np.linalg.det(gram))) < 1e-12:
-        raise DegenerateEquipment("equipment does not span 3-space")
-    c = np.linalg.solve(gram, eq.T @ h)
-    return h - eq @ c
+    return h - eq @ np.linalg.solve(fan.translation_gram, eq.T @ h)
 
 
 def minkowski_sum(h1: Herisson, h2: Herisson) -> Herisson:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFace, ProbeFailed
-from .fan import SCAN_BLOCK, Fan, ValidationReport, _coplanar_triple, _cross, _rowdot, _window_pairs, is_general_position
+from .fan import SCAN_BLOCK, Fan, ValidationReport, is_general_position
 from .geometry import (
     Herisson,
     _area_jacobian,
@@ -203,31 +203,11 @@ def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -
     if residual > bound:
         report.add("balance", f"|sum g_j n_j| = {residual:.3e} exceeds {bound:.3e}")
     if not allow_non_general_position and not is_general_position(fan):
-        triple = _coplanar_triple(fan.equipment)    # a second sweep, on failure only, names the witness
+        triple = fan.coplanar_triple
         with np.errstate(invalid="ignore"):     # a non-finite normal has no determinant
             det = abs(float(np.linalg.det(fan.equipment[list(triple)])))
         report.add("general position", "equipment vectors {}, {}, {} are coplanar (|det| = {:.3e})".format(*triple, det))
     return report
-
-
-def _min_edge_line_angle(fan: Fan) -> float | None:
-    """Smallest positive angle between edge lines within any face.
-
-    Edge directions depend only on the equipment (n_j x n_k over the arcs
-    at face j), so the bound is a property of the fan.  Parallel edge pairs
-    (possible outside general position) are skipped; None when no positive
-    angle exists.
-    """
-    eq = fan.equipment
-    face, other = fan.ring_index.owner, fan.ring_index.neighbor
-    dirs = _cross(eq[face], eq[other])
-    norm = np.sqrt(_rowdot(dirs, dirs))
-    keep = norm > 1e-12
-    face, dirs = face[keep], dirs[keep] / norm[keep, None]
-    first, second = _window_pairs(np.searchsorted(face, face, side="right") - np.arange(len(face)) - 1)
-    angles = np.arccos(np.minimum(1.0, np.abs(_rowdot(dirs[first], dirs[second]))))
-    angles = angles[angles > 1e-9]
-    return float(angles.min()) if angles.size else None
 
 
 class _Abort(Exception):
@@ -315,7 +295,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
         raise ValueError(f"target rejected:\n{report}")
 
     cons = _consistency_matrix(fan)
-    alpha = _min_edge_line_angle(fan)
+    alpha = fan.min_edge_line_angle
     max_sides = int(np.diff(fan.ring_index.start).max())
     now = _realize(fan, gauge_fix(fan, seed.h))     # the last accepted surface
     href = max(float(np.linalg.norm(now.h)), 1e-12)

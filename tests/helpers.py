@@ -8,8 +8,9 @@ programs on planar polygons and from a brute-force grid of translations.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -573,6 +574,14 @@ def brute_coplanar_triple(eq):
     triples = np.array(list(itertools.combinations(range(len(eq)), 3)), dtype=int).reshape(-1, 3)
     fails = np.flatnonzero(np.abs(np.linalg.det(eq[triples])) <= GENERAL_POSITION_TOL)
     return tuple(triples[fails[0]].tolist()) if fails.size else None
+
+
+def outcome_digest(outcome) -> str:
+    """sha256 of a SolveOutcome's status, t_reached, message and trace (floats
+    by repr, which round-trips) and the bytes of h_final."""
+    fields = (outcome.status.value, outcome.t_reached, outcome.message,
+              [astuple(record) for record in outcome.trace])
+    return hashlib.sha256(repr(fields).encode() + np.asarray(outcome.h_final).tobytes()).hexdigest()
 
 
 def planted(eq, a, b, c, factor):

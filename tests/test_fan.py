@@ -2,6 +2,7 @@ import itertools
 import re
 import time
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ class TestValidate:
             eq[0] = bad
             report = validate(Fan(equipment=eq, cells=cube.fan.cells))
             assert report.entries == [("non-unit vector", f"face 0 has norm {norm}")]
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200])
+    def test_huge_normals_are_non_unit_without_warning(self, scale):
+        # |n|^2 and |n_a + n_b|^2 overflow to inf, which warns of nothing
+        # (the test configuration turns RuntimeWarning into an error)
+        fan = polar_fan(np.random.default_rng(67), 20)
+        report = validate(Fan(equipment=scale * fan.equipment, cells=fan.cells))
+        named = [detail.split(" has norm ")[0] for code, detail in report.entries if code == "non-unit vector"]
+        assert named == [f"face {j}" for j in range(20)]
 
     def test_euler_failure_reported(self, cube):
         report = validate(Fan(equipment=cube.fan.equipment, cells=cube.fan.cells[:-1]))
@@ -418,7 +428,8 @@ class TestGeneralPosition:
             assert fan_module._coplanar_triple(far) == brute_coplanar_triple(far)
 
     def test_many_row_blocks(self, monkeypatch):
-        # blocks of one face i each, so every block boundary is crossed
+        # blocks of one face i each, so every block boundary is crossed; _agree
+        # builds a fresh Fan, whose cached witness sees the patched SCAN_BLOCK
         rng = np.random.default_rng(31)
         monkeypatch.setattr(fan_module, "SCAN_BLOCK", 64)
         verdicts = []
@@ -455,6 +466,18 @@ def test_cross_matches_numpy_bit_for_bit():
             x[hit] = rng.choice(special, int(hit.sum()))
         with np.errstate(all="ignore"):
             assert np.array_equal(fan_module._cross(a, b), np.cross(a, b), equal_nan=True)
+
+
+def test_cached_arrays_are_read_only(bowtie):
+    # every cached property, read once; a write to any array it holds raises
+    fan = Fan(equipment=bowtie.fan.equipment, cells=bowtie.fan.cells)
+    names = [name for name, attr in vars(Fan).items() if isinstance(attr, cached_property)]
+    values = [getattr(fan, name) for name in names]
+    arrays = [v for v in values if isinstance(v, np.ndarray)] + list(vars(fan.ring_index).values())
+    assert len(arrays) == 18 and all(isinstance(a, np.ndarray) for a in arrays)
+    for array in [fan.equipment, *arrays]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 @pytest.mark.parametrize("equipment", [np.eye(2), np.ones(3), np.ones((4, 4)), np.ones((4, 2)), [], np.ones((2, 3, 3))])

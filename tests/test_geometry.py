@@ -10,6 +10,7 @@ from herisson.errors import DegenerateEquipment, DegenerateFace, InconsistentVer
 from herisson.fan import Fan, validate
 from herisson.geometry import (
     _consistency_matrix,
+    _realize,
     balance_residual,
     gauge_fix,
     minkowski_sum,
@@ -25,6 +26,14 @@ def _singular_fan():
     """A fan whose cell 0 holds the opposite normals of faces 0 and 1."""
     eq = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     return Fan(equipment=eq, cells=((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)))
+
+
+def _octahedron_normal_fan():
+    """The normal fan of the octahedron, every cell listing faces 0 and 7
+    last: no vertex block holds their normals."""
+    eq = np.array([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]) / np.sqrt(3)
+    cells = ((2, 3, 1, 0), (6, 4, 5, 7), (1, 5, 4, 0), (3, 2, 6, 7), (4, 6, 2, 0), (5, 1, 3, 7))
+    return eq, cells
 
 
 class TestReconstruct:
@@ -83,6 +92,14 @@ class TestReconstruct:
         eq[0, 0] = value
         with pytest.raises(SingularVertex, match=r"^cell 0: faces \(0, 2, 4\) have non-finite normals$"):
             reconstruct(Fan(equipment=eq, cells=cube.fan.cells), np.ones(6))
+
+    @pytest.mark.parametrize("face, value", [(0, np.nan), (7, np.inf), (7, -np.inf)])
+    def test_non_finite_normal_outside_the_vertex_blocks(self, face, value):
+        # named before anything is realized, so no NaN area warns when cast to a sign
+        eq, cells = _octahedron_normal_fan()
+        eq[face, 1] = value
+        with pytest.raises(ValueError, match=f"^face {face} has a non-finite normal$"):
+            reconstruct(Fan(equipment=eq, cells=cells), np.ones(8))
 
     def test_inconsistent_vertex_names_cell_and_face(self, bowtie):
         # the bowtie's waist cells have four faces; move the fourth plane
@@ -158,10 +175,12 @@ class TestGaugeFix:
         assert np.allclose(a.oriented_areas, waisted.oriented_areas, atol=1e-12)
 
     def test_equipment_not_spanning_space(self):
-        # gauge_fix reads only the equipment, here four normals in one plane
+        # gauge_fix reads only the equipment, here four normals in one plane;
+        # the Fan caches no raise, so every call raises
         flat = Fan(equipment=[[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], cells=((0, 1, 2), (0, 2, 3)))
-        with pytest.raises(DegenerateEquipment, match="^equipment does not span 3-space$"):
-            gauge_fix(flat, np.ones(4))
+        for _ in range(2):
+            with pytest.raises(DegenerateEquipment, match="^equipment does not span 3-space$"):
+                gauge_fix(flat, np.ones(4))
 
 
 FIXTURES = ("cube", "box123", "tetra", "bowtie", "waisted", "tiling")
@@ -277,15 +296,14 @@ class TestSameClass:
             congruent_and_parallel(cube, nudged)
 
     def test_nan_normal_differs_from_itself(self):
-        # the normal fan of the octahedron, every cell listing face 0 last: the
-        # vertices come from the first three planes, so a NaN normal 0 still
-        # realizes, and one Fan object with a NaN is not of one class with itself
-        eq = np.array([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]) / np.sqrt(3)
-        cells = ((2, 3, 1, 0), (6, 4, 5, 7), (1, 5, 4, 0), (3, 2, 6, 7), (4, 6, 2, 0), (5, 1, 3, 7))
+        # the vertices come from the first three planes, so a NaN normal 0
+        # still realizes unchecked (reconstruct refuses it), and one Fan
+        # object with a NaN is not of one class with itself
+        eq, cells = _octahedron_normal_fan()
         assert validate(Fan(equipment=eq, cells=cells)).ok
         eq[0] = np.nan
         with np.errstate(invalid="ignore"):     # the sign of the NaN area
-            body = reconstruct(Fan(equipment=eq, cells=cells), np.ones(8))
+            body = _realize(Fan(equipment=eq, cells=cells), np.ones(8))
         with pytest.raises(NotSameClass, match="^equipments differ$"):
             minkowski_sum(body, body)
 

@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from helpers import brute_coplanar_triple, fd_jacobian_loop, planted, polar_fan, random_hull_fan, random_simple_fan
+from helpers import (
+    brute_coplanar_triple,
+    fd_jacobian_loop,
+    outcome_digest,
+    planted,
+    polar_fan,
+    random_simple_fan,
+)
 from herisson import builders, geometry, solver
 from herisson.errors import ProbeFailed
 from herisson.fan import GENERAL_POSITION_TOL, Fan
@@ -16,7 +23,6 @@ from herisson.solver import (
     _Abort,
     _fd_area_jacobian,
     _first_root,
-    _min_edge_line_angle,
     _newton_step,
     area_map,
     jacobian,
@@ -259,7 +265,7 @@ def test_min_edge_line_angle_matches_loop(cube, box123, tetra, bowtie, waisted, 
     fans = [h.fan for h in (cube, box123, tetra, bowtie, waisted, tiling)]
     fans += [polar_fan(rng, m) for m in (8, 20, 40, 120)]
     for fan in fans:
-        assert _min_edge_line_angle(fan) == pytest.approx(min_edge_line_angle_loop(fan), rel=1e-15, abs=0.0)
+        assert fan.min_edge_line_angle == pytest.approx(min_edge_line_angle_loop(fan), rel=1e-15, abs=0.0)
 
 
 class TestValidateTarget:
@@ -503,3 +509,48 @@ class TestEndings:
         assert out.status is SolveStatus.DEGENERATED
         assert out.t_reached == 0.0 and len(out.trace) == 1
         assert out.message == "path left the orientation class"
+
+
+class TestFanCache:
+    """A Fan computes its invariants once; a solve reads them from the cache."""
+
+    @staticmethod
+    def planted_fan():
+        fan = polar_fan(np.random.default_rng(43), 40)
+        return Fan(equipment=planted(fan.equipment, 29, 11, 17, 0.5), cells=fan.cells)
+
+    def test_repeated_solves_match_a_fresh_fan(self, cube, box123, tetra, bowtie, waisted, tiling):
+        rng = np.random.default_rng(61)
+        polar, off = polar_fan(rng, 20), self.planted_fan()
+        cases = [
+            (cube.fan, cube.h, area_map(cube.fan, np.array([0.5, 0.5, 1, 1, 1.5, 1.5])), FREE),
+            (box123.fan, box123.h, area_map(box123.fan, np.array([1.2, 0.8, 1.5, 1.1, 0.9, 1.4])), FREE),
+            (tetra.fan, tetra.h, area_map(tetra.fan, np.array([1.2, 0.9, 1.1, 1.0])), None),
+            (bowtie.fan, bowtie.h, area_map(bowtie.fan, builders.reflected_truncated_tetrahedron(0.35).h), FREE),
+            (waisted.fan, waisted.h, WAIST_TARGET, FREE),
+            (tiling.fan, tiling.h, area_map(tiling.fan, 1.3 * tiling.h), FREE),
+            (polar, np.ones(20), area_map(polar, rng.uniform(0.97, 1.03, 20)), SolveOptions(jacobian_mode="fd")),
+            (off, 1.1 * np.ones(40), area_map(off, np.ones(40)), FREE),     # not in general position
+        ]
+        statuses = []
+        for fan, h0, g, opts in cases:
+            fan = Fan(equipment=fan.equipment, cells=fan.cells)
+            first = solve_minkowski(fan, h0, g, opts)
+            assert {"ring_normals", "translation_gram", "min_edge_line_angle"} <= vars(fan).keys()
+            again = outcome_digest(solve_minkowski(fan, h0, g, opts))
+            fresh = outcome_digest(solve_minkowski(Fan(equipment=fan.equipment, cells=fan.cells), h0, g, opts))
+            assert outcome_digest(first) == again == fresh
+            statuses.append(first.status)
+        assert statuses == [SolveStatus.CONVERGED] * 4 + [SolveStatus.DEGENERATED] + [SolveStatus.CONVERGED] * 3
+
+    def test_witness_is_named_alike_on_every_solve(self):
+        fan = self.planted_fan()
+        triple = brute_coplanar_triple(fan.equipment)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^target rejected:\ngeneral position: ") as info:
+                solve_minkowski(fan, 1.1 * np.ones(40), area_map(fan, np.ones(40)))
+            messages.append(str(info.value))
+        assert fan.coplanar_triple == triple == (11, 17, 29)
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("target rejected:\ngeneral position: equipment vectors 11, 17, 29 are coplanar")
