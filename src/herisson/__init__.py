@@ -39,7 +39,6 @@ from .geometry import (
     face_frame,
     gauge_fix,
     minkowski_sum,
-    perimeter_bound,
     reconstruct,
     support_scale,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "face_frame",
     "gauge_fix",
     "minkowski_sum",
-    "perimeter_bound",
     "reconstruct",
     "support_scale",
     "SolveOptions",

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import builders, io
-from .congruence import CongruenceStatus, congruent_and_parallel
+from .congruence import congruent_and_parallel
 from .errors import HerissonError, MalformedFan, NotSameClass
 from .fan import validate
 from .geometry import balance_residual, minkowski_sum

@@ -72,8 +72,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Fan:
     """Equipment plus sphere-partition cells, immutable; it caches, by the module's rule, corners,
-    arcs, ring_index, vertex_blocks, block_inverses, ring_normals, ring_inverses, translation_gram,
-    coplanar_triple (the general-position witness) and min_edge_line_angle, once per Fan."""
+    arcs, ring_index, vertex_blocks, block_inverses, ring_normals, ring_inverses, translation_gram
+    and coplanar_triple (the general-position witness), once per Fan."""
 
     equipment: np.ndarray                  # (m, 3) unit directions
     cells: tuple[tuple[int, ...], ...]     # cyclic face lists, CCW from outside
@@ -214,21 +214,6 @@ class Fan:
     def coplanar_triple(self) -> tuple[int, int, int] | None:
         """The least triple failing is_general_position, or None (_coplanar_triple)."""
         return _coplanar_triple(self.equipment)
-
-    @cached_property
-    def min_edge_line_angle(self) -> float | None:
-        """Smallest positive angle between edge lines within any face, or None: edge
-        directions n_j x n_k depend only on the equipment; parallel pairs are skipped."""
-        eq = self.equipment
-        face, other = self.ring_index.owner, self.ring_index.neighbor
-        dirs = _cross(eq[face], eq[other])
-        norm = np.sqrt(_rowdot(dirs, dirs))
-        keep = norm > 1e-12
-        face, dirs = face[keep], dirs[keep] / norm[keep, None]
-        first, second = _window_pairs(np.searchsorted(face, face, side="right") - np.arange(len(face)) - 1)
-        angles = np.arccos(np.minimum(1.0, np.abs(_rowdot(dirs[first], dirs[second]))))
-        angles = angles[angles > 1e-9]
-        return float(angles.min()) if angles.size else None
 
     def __eq__(self, other):
         if not isinstance(other, Fan):
@@ -446,7 +431,8 @@ def validate(fan: Fan) -> ValidationReport:
     eq = fan.equipment
     m = fan.m
 
-    norms = np.linalg.norm(eq, axis=1)
+    exp = np.frexp(np.max(np.abs(eq), axis=1))[1]     # power-of-two row scales: huge norms stay finite, others exact
+    norms = np.ldexp(np.linalg.norm(np.ldexp(eq, -exp[:, None]), axis=1), exp)
     for j in np.nonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))[0]:   # NaN norms included
         report.add("non-unit vector", f"face {j} has norm {float(norms[j])!r}")
 
@@ -503,12 +489,6 @@ def validate(fan: Fan) -> ValidationReport:
         report.add("crossing arcs", f"arcs {tuple(keys[i].tolist())} and {tuple(keys[j].tolist())}")
 
     return report
-
-
-def _window_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (p, p + 1), ..., (p, p + counts[p]) for every position p."""
-    first = np.repeat(np.arange(len(counts)), counts)
-    return first, first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")   # windows that overflow clip to pi/2

@@ -8,8 +8,8 @@ convention comes from the counterclockwise orientation of the spherical
 cells: an outward-equipped convex body gets positive areas everywhere.
 
 _realize gives the unchecked surface and reconstruct the checked one, both a
-Herisson, which measures its edge lengths once (ring_lengths) for every length,
-perimeter and boundary test.
+Herisson, which measures its edge lengths once (ring_lengths) for every edge
+length, face perimeter and the boundary test.
 """
 
 from __future__ import annotations
@@ -245,20 +245,3 @@ def minkowski_sum(h1: Herisson, h2: Herisson) -> Herisson:
     if reason := _class_mismatch(h1, h2):
         raise NotSameClass(reason)
     return reconstruct(h1.fan, h1.h + h2.h)
-
-
-def perimeter_bound(target_area: float, min_angle: float) -> float:
-    """Longest side of a convex polygon with bounded area and edge-line angles.
-
-    For a polygon of area at most target_area whose distinct edge lines meet
-    at angles no smaller than min_angle (and with no parallel sides), any
-    side is at most 2*sqrt(area)/sin(angle): the isosceles triangle raised
-    on a side of length l with base angles a has area l^2 sin^2(a)/4 and
-    fits inside the polygon.  The solver multiplies this by the side count
-    as a divergence sentinel.
-    """
-    if not target_area > 0.0:
-        raise ValueError("target_area must be positive")
-    if not 0.0 < min_angle <= np.pi / 2:
-        raise ValueError("min_angle must lie in (0, pi/2]")
-    return 2.0 * float(np.sqrt(target_area)) / float(np.sin(min_angle))

@@ -28,7 +28,6 @@ from herisson.fan import (
     SWEEP_SLACK,
     TOUCH_TOL,
     Fan,
-    _window_pairs,
 )
 from herisson.geometry import Herisson, _realize, face_frame
 
@@ -596,6 +595,12 @@ def planted(eq, a, b, c, factor):
 
 # Scalar references for fan.is_general_position and the fd Jacobian of the
 # solver: one face i, and one probe pair, at a time.
+
+def _window_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (p, p + 1), ..., (p, p + counts[p]) for every position p."""
+    first = np.repeat(np.arange(len(counts)), counts)
+    return first, first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+
 
 def general_position_loop(fan):
     """An angular sweep over the cross products n_i x n_j, one face i at a

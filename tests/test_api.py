@@ -29,7 +29,6 @@ PUBLIC = [
     "face_frame",
     "gauge_fix",
     "minkowski_sum",
-    "perimeter_bound",
     "reconstruct",
     "support_scale",
     "SolveOptions",

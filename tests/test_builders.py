@@ -3,7 +3,7 @@ import pytest
 
 from herisson import builders, io
 from herisson.fan import validate
-from herisson.geometry import balance_residual, support_scale
+from herisson.geometry import balance_residual
 
 SQRT3 = np.sqrt(3.0)
 

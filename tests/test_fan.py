@@ -199,11 +199,14 @@ class TestValidate:
     @pytest.mark.parametrize("scale", [1e154, 1e200])
     def test_huge_normals_are_non_unit_without_warning(self, scale):
         # |n|^2 and |n_a + n_b|^2 overflow to inf, which warns of nothing
-        # (the test configuration turns RuntimeWarning into an error)
+        # (the test configuration turns RuntimeWarning into an error); each
+        # norm is named finite all the same
         fan = polar_fan(np.random.default_rng(67), 20)
         report = validate(Fan(equipment=scale * fan.equipment, cells=fan.cells))
-        named = [detail.split(" has norm ")[0] for code, detail in report.entries if code == "non-unit vector"]
-        assert named == [f"face {j}" for j in range(20)]
+        named = [detail.split(" has norm ") for code, detail in report.entries if code == "non-unit vector"]
+        assert [face for face, _ in named] == [f"face {j}" for j in range(20)]
+        norms = [float(norm) for _, norm in named]
+        assert norms == pytest.approx(scale * np.linalg.norm(fan.equipment, axis=1), rel=1e-15, abs=0.0)
 
     def test_euler_failure_reported(self, cube):
         report = validate(Fan(equipment=cube.fan.equipment, cells=cube.fan.cells[:-1]))

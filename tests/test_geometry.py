@@ -14,7 +14,6 @@ from herisson.geometry import (
     balance_residual,
     gauge_fix,
     minkowski_sum,
-    perimeter_bound,
     reconstruct,
     support_scale,
 )
@@ -318,41 +317,18 @@ class TestSameClass:
             congruent_and_parallel(cube, other)
 
 
-class TestPerimeterBound:
-    def test_right_angle(self):
-        assert perimeter_bound(1.0, np.pi / 2) == pytest.approx(2.0)
-
-    def test_extremal_isosceles_triangle(self):
-        # the inscribed isosceles triangle with base 1 and base angles pi/6
-        alpha = np.pi / 6
-        area = 0.25 * np.sin(alpha) ** 2
-        assert perimeter_bound(area, alpha) == pytest.approx(1.0, abs=1e-12)
-
-    def test_plugin_value(self):
-        assert perimeter_bound(4.0, np.pi / 4) == pytest.approx(4.0 / np.sin(np.pi / 4))
-
-    def test_brute_force_bound(self, rng):
-        # Random convex polygons with min edge-line angle >= pi/4; no side
-        # may exceed the bound for their area.
-        from helpers import polygon_from_supports
-
-        angles = np.deg2rad([0.0, 80.0, 170.0, 230.0, 310.0])
-        for _ in range(200):
-            poly = polygon_from_supports(angles, rng.uniform(0.5, 2.0, 5))
-            if poly is None:
-                continue
-            edges = np.roll(poly, -1, axis=0) - poly
-            lengths = np.linalg.norm(edges, axis=1)
-            area = 0.5 * abs(
-                float(np.sum(poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1]))
-            )
-            assert np.max(lengths) <= perimeter_bound(area, np.pi / 4) + 1e-9
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            perimeter_bound(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            perimeter_bound(1.0, 2.0)
+def test_perimeters_are_bounded_by_the_support_norm(cube, box123, tetra, bowtie, waisted, tiling):
+    # vertex c is B_c^-1 h on its cell's first three faces, so |v_c| <= |B_c^-1|_2 |h|,
+    # and a face of at most k_max sides has perimeter at most 2 k_max max_c |B_c^-1|_2 |h|
+    rng = np.random.default_rng(18)
+    fans = [body.fan for body in (cube, box123, tetra, bowtie, waisted, tiling)]
+    fans += [polar_fan(rng, m) for m in (8, 12, 20, 40, 80, 120)]
+    for fan in fans:
+        k_max = int(np.diff(fan.ring_index.start).max())
+        inverse = float(np.linalg.norm(fan.block_inverses, ord=2, axis=(1, 2)).max())
+        for _ in range(20):
+            h = 10.0 ** rng.uniform(-3.0, 3.0) * (1.0 + rng.uniform(0.0, 1.5) * rng.standard_normal(fan.m))
+            assert _realize(fan, h).perimeters.max() <= 2.0 * k_max * inverse * np.linalg.norm(h)
 
 
 @settings(max_examples=40, deadline=None)
