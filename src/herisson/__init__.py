@@ -24,7 +24,6 @@ from .errors import (
     InconsistentVertex,
     MalformedFan,
     NotSameClass,
-    ProbeFailed,
     SingularVertex,
 )
 from .fan import (
@@ -69,7 +68,6 @@ __all__ = [
     "InconsistentVertex",
     "MalformedFan",
     "NotSameClass",
-    "ProbeFailed",
     "SingularVertex",
     "Fan",
     "ValidationReport",

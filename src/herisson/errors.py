@@ -27,7 +27,3 @@ class DegenerateEquipment(HerissonError):
 
 class NotSameClass(HerissonError):
     """Herissons are not parallel and of the same orientation (one fan, one class)."""
-
-
-class ProbeFailed(HerissonError):
-    """A finite-difference probe point left the orientation class."""

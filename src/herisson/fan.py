@@ -405,7 +405,9 @@ def _excess_sum(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray) -> float
     return float(2.0 * np.arctan2(det, den).sum())
 
 
-@np.errstate(over="ignore")   # |n| past ~1e154 overflows to inf, which compares as a huge value would
+# |n| past ~1e154 overflows to inf, which compares as a huge value would; opposite
+# infinite normals sum to NaN, which compares false (they are reported as non-unit)
+@np.errstate(over="ignore", invalid="ignore")
 def validate(fan: Fan) -> ValidationReport:
     """Check every partition rule on raw input; problems go into the report.
 
@@ -477,8 +479,10 @@ def validate(fan: Fan) -> ValidationReport:
             f"V-E+F = {len(fan.cells)}-{len(keys)}+{m} = {len(fan.cells) - len(keys) + m}",
         )
 
-    # Convex spherical cells, counterclockwise, inside an open hemisphere.
-    for detail in _bad_cells(eq, corners, sizes, (distinct == sizes) & (sizes >= 3)):
+    # Convex spherical cells, counterclockwise, inside an open hemisphere;
+    # a cell holding a non-finite normal has no geometry to check.
+    finite = np.bincount(cell, weights=~np.isfinite(eq).all(axis=1)[face], minlength=len(sizes)) == 0
+    for detail in _bad_cells(eq, corners, sizes, (distinct == sizes) & (sizes >= 3) & finite):
         report.add("non-convex cell", detail)
 
     if report.ok and abs(_excess_sum(eq, corners, sizes) - 4.0 * np.pi) <= COVER_TOL:

@@ -7,9 +7,9 @@ order, and reads oriented areas off the signed shoelace sum.  The sign
 convention comes from the counterclockwise orientation of the spherical
 cells: an outward-equipped convex body gets positive areas everywhere.
 
-_realize gives the unchecked surface and reconstruct the checked one, both a
-Herisson, which measures its edge lengths once (ring_lengths) for every edge
-length, face perimeter and the boundary test.
+_realize gives the unchecked surface and reconstruct the checked one (the
+boundary test is reconstruct's alone), both a Herisson, which measures its
+edge lengths once (ring_lengths) for every edge length and face perimeter.
 """
 
 from __future__ import annotations
@@ -67,18 +67,6 @@ def _realize(fan: Fan, h) -> Herisson:
     vertices = np.linalg.solve(fan.vertex_blocks, h[fan.ring_index.first3][..., None])[..., 0]
     areas = _oriented_areas(fan, vertices[None])[0]
     return Herisson(fan, h, vertices, np.sign(areas).astype(int), areas)
-
-
-def _check_boundary(surface: Herisson) -> None:
-    """Raise DegenerateFace for an edge at or below EDGE_TOL*scale or an
-    oriented area at or below AREA_TOL*scale**2: the class boundary."""
-    scale = surface.scale
-    min_edge = float(surface.ring_lengths.min())
-    if min_edge <= EDGE_TOL * scale:
-        raise DegenerateFace(f"shortest edge {min_edge:.3e} below tolerance")
-    amin = float(np.min(np.abs(surface.oriented_areas)))
-    if amin <= AREA_TOL * scale**2:
-        raise DegenerateFace(f"smallest |oriented area| {amin:.3e} below tolerance")
 
 
 def _consistency_matrix(fan: Fan) -> np.ndarray:
@@ -196,7 +184,12 @@ def reconstruct(fan: Fan, h) -> Herisson:
         raise InconsistentVertex(
             f"cell {idx.extra_cell[k]}: plane of face {idx.extra_face[k]} misses the vertex by {worst:.3e}"
         )
-    _check_boundary(surface)
+    min_edge = float(surface.ring_lengths.min())
+    if min_edge <= EDGE_TOL * surface.scale:
+        raise DegenerateFace(f"shortest edge {min_edge:.3e} below tolerance")
+    amin = float(np.min(np.abs(surface.oriented_areas)))
+    if amin <= AREA_TOL * surface.scale**2:
+        raise DegenerateFace(f"smallest |oriented area| {amin:.3e} below tolerance")
     return surface
 
 
@@ -238,9 +231,9 @@ def minkowski_sum(h1: Herisson, h2: Herisson) -> Herisson:
     """Minkowski sum of two herissons over one fan: supports add.
 
     Raises NotSameClass with the reason unless the operands are of one class
-    (_class_mismatch), as congruent_and_parallel does; every face of the
-    result is the planar Minkowski sum of the parallel input faces, and edge
-    lengths add arc by arc.
+    (_class_mismatch), as congruent_and_parallel does.  Signed edge lengths
+    add arc by arc, but oriented areas (quadratic in h) do not, so a face of
+    the sum may change sign: the sum need not be of the operands' class.
     """
     if reason := _class_mismatch(h1, h2):
         raise NotSameClass(reason)

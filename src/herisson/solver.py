@@ -25,14 +25,17 @@ CURVATURE_BUDGET |h|.  The corrector starts from h + dt d + dt^2 e.  The
 cap starts at 1, is set to half the step when MAX_NEWTON_ITERS corrector
 iterations do not converge, doubles (up to 1) after each accepted step,
 and the walk ends once it falls below MIN_STEP or after MAX_STEPS tries.
-Edge lengths are not guarded: a path may pass an edge through zero length.
-The fd Jacobian probes h +- FD_STEP * scale e_j, and checks that no probe
-flips a face.
+Newton iterates and fd probes are left unchecked: phi is one quadratic form
+on all of R^m, so a short edge or a small area on the way, or a probe that
+flips a face, says nothing about the problem.  A path may pass an edge
+through zero length.
 
-Failure modes are part of the contract: the path may hit the boundary of
-the orientation class (an edge or an area degenerates, or an fd probe flips
-a face) or run away (|h| passes DIVERGENCE_BOUND_FACTOR times the seed's, the
-one divergence sentinel, the expected outcome outside general position).
+Failure modes are part of the contract: a converged point off the target's
+face signs, or a fold where J loses rank (DEGENERATED); a runaway (|h| past
+DIVERGENCE_BOUND_FACTOR times the seed's, the one divergence sentinel); a
+stalled corrector or a spent step budget (MAX_ITERATIONS).  g(t) keeps the
+sign of every entry and |g(t)_j| >= min(|f0_j|, |g_j|), so a converged
+point nears an area zero only where the target does.
 """
 
 from __future__ import annotations
@@ -42,12 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFace, ProbeFailed
 from .fan import SCAN_BLOCK, Fan, ValidationReport, is_general_position
 from .geometry import (
     Herisson,
     _area_jacobian,
-    _check_boundary,
     _consistency_matrix,
     _oriented_areas,
     _realize,
@@ -79,7 +80,7 @@ class SolveOptions:
     """Settings of the continuation; step control is fixed by the module constants."""
 
     tol_area: float = 1e-10              # relative to scale**2, sup norm; finite and positive
-    jacobian_mode: str = "analytic"      # "analytic" | "fd", whose probes end the path on a face flip
+    jacobian_mode: str = "analytic"      # "analytic" | "fd", central differences, exact on the quadratic phi
     allow_non_general_position: bool = False
 
     def __post_init__(self):
@@ -113,17 +114,16 @@ def area_map(fan: Fan, h) -> np.ndarray:
     return reconstruct(fan, h).oriented_areas
 
 
-def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float, base_signs: np.ndarray) -> np.ndarray:
+def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float) -> np.ndarray:
     """Central differences of the area map, probed with the lenient model.
 
-    Probes do not enforce the multi-plane consistency of non-simple cells
-    (a finite step always violates it), but a probe whose face signs differ
-    from base_signs has crossed the boundary of the orientation class and raises
-    ProbeFailed, naming the lowest such h[j].  The 2m probes h +- step e_j
-    are realized together, in blocks of about SCAN_BLOCK ring positions,
-    against the fan's vertex_blocks by the arithmetic of the realization
-    layer, so the columns equal those of one realization per probe bit for
-    bit.
+    Probes enforce neither the multi-plane consistency of non-simple cells
+    (a finite step always violates it) nor the face signs (phi is quadratic,
+    so a probe that flips a face gives the same exact difference).  The 2m
+    probes h +- step e_j are realized together, in blocks of about SCAN_BLOCK
+    ring positions, against the fan's vertex_blocks by the arithmetic of the
+    realization layer, so the columns equal those of one realization per
+    probe bit for bit.
     """
     idx = fan.ring_index
     m, ring = fan.m, len(idx.cell)
@@ -138,11 +138,7 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float, base_signs: np.ndarr
         probes[n + np.arange(n), j] = h[j] - step
         vertices = np.linalg.solve(blocks, probes[:, idx.first3][..., None])[..., 0]
         areas = _oriented_areas(fan, vertices)
-        plus, minus = areas[:n], areas[n:]
-        flipped = np.any(np.sign(plus) != base_signs, axis=1) | np.any(np.sign(minus) != base_signs, axis=1)
-        if flipped.any():
-            raise ProbeFailed(f"probe along h[{j[np.argmax(flipped)]}] left the orientation class")
-        jac[:, j] = ((plus - minus) / (2.0 * step)).T
+        jac[:, j] = ((areas[:n] - areas[n:]) / (2.0 * step)).T
     return jac
 
 
@@ -155,7 +151,7 @@ def _jacobian(surface: Herisson, mode: str) -> np.ndarray:
     """Area Jacobian at the surface's supports in the given mode."""
     if mode == "analytic":
         return _area_jacobian(surface.fan, surface.vertices)
-    return _fd_area_jacobian(surface.fan, surface.h, FD_STEP * surface.scale, surface.signs)
+    return _fd_area_jacobian(surface.fan, surface.h, FD_STEP * surface.scale)
 
 
 def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
@@ -163,8 +159,8 @@ def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
 
     The analytic mode differentiates the reconstruction exactly; the fd
     mode runs central differences with step FD_STEP * scale, realizing the
-    2m probes in a few batches, and raises ProbeFailed for the lowest h[j]
-    whose probe flips the sign of a face.  Both annihilate
+    2m probes in a few batches, which are exact up to rounding on the
+    quadratic area map whether or not a probe flips a face.  Both annihilate
     translations and satisfy J h = 2 phi(h).  On fans whose cells are all
     simple J is symmetric, of rank m - 3 away from folds of the area map,
     which lets the solver take its Newton steps from the bordered system
@@ -282,7 +278,8 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     Preconditions (a realizable seed and a valid target) are checked up
     front and raise ValueError.  The outcome reports Converged with the
     gauge-fixed support numbers, or the failure mode with the last homotopy
-    parameter reached, the supports accepted there and a per-step trace.
+    parameter reached, the supports accepted there and a per-step trace;
+    those supports may fall under reconstruct's edge or area tolerance.
     Divergence is watched on |h| alone: vertex c is B_c^-1 h on its cell's first
     three faces, so a face of k sides has perimeter at most 2 k max_c |B_c^-1|_2 |h|.
     """
@@ -306,7 +303,6 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     def correct(x: np.ndarray, g_t: np.ndarray) -> Herisson | None:
         for _ in range(MAX_NEWTON_ITERS):
             surface = _realize(fan, x)
-            _check_boundary(surface)
             if float(np.linalg.norm(surface.h)) > DIVERGENCE_BOUND_FACTOR * href:
                 raise _Abort(SolveStatus.DIVERGED, "support norm exceeded the divergence sentinel")
             scale = surface.scale
@@ -370,6 +366,4 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             cap = min(2.0 * cap, 1.0)
     except _Abort as abort:
         status, message = abort.status, str(abort)
-    except (DegenerateFace, ProbeFailed) as exc:      # the path met the boundary of the class
-        status, message = SolveStatus.DEGENERATED, str(exc)
     return SolveOutcome(status, np.array(now.h), t, trace, message)

@@ -18,7 +18,6 @@ PUBLIC = [
     "InconsistentVertex",
     "MalformedFan",
     "NotSameClass",
-    "ProbeFailed",
     "SingularVertex",
     "Fan",
     "ValidationReport",

@@ -195,6 +195,13 @@ class TestValidate:
             eq[0] = bad
             report = validate(Fan(equipment=eq, cells=cube.fan.cells))
             assert report.entries == [("non-unit vector", f"face 0 has norm {norm}")]
+        # two infinite normals on one arc: their sum is NaN, their cells go unchecked
+        fan = polar_fan(np.random.default_rng(1), 20)
+        a, b = fan.arcs[0]
+        eq = np.array(fan.equipment)
+        eq[[a, b]] = [(np.inf, 0.0, 0.0), (-np.inf, 1.0, 0.0)]
+        report = validate(Fan(equipment=eq, cells=fan.cells))
+        assert report.entries == [("non-unit vector", f"face {j} has norm inf") for j in sorted((a, b))]
 
     @pytest.mark.parametrize("scale", [1e154, 1e200])
     def test_huge_normals_are_non_unit_without_warning(self, scale):

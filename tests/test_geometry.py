@@ -261,6 +261,22 @@ class TestMinkowskiSum:
         for arc, length in total.edge_lengths().items():
             assert length == pytest.approx(la[arc] + lb[arc], abs=1e-10)
 
+    def test_face_signs_may_change(self):
+        # two herissons of one class whose sum flips two faces: supports add,
+        # areas (quadratic in the supports) do not
+        rng = np.random.default_rng(165)
+        fan = polar_fan(rng, 40)
+        for sigma, eps in ((0.3, 0.1), (0.3, 0.3), (0.6, 0.1), (0.6, 0.3)):
+            h1 = 1.0 + sigma * rng.standard_normal(40)
+            h2 = h1 + eps * sigma * rng.standard_normal(40)
+        a, b = reconstruct(fan, h1), reconstruct(fan, h2)
+        total = minkowski_sum(a, b)
+        assert np.array_equal(total.h, h1 + h2)
+        assert np.array_equal(a.signs, b.signs)
+        assert np.flatnonzero(total.signs != a.signs).tolist() == [34, 39]
+        areas = np.array([a.oriented_areas, b.oriented_areas, total.oriented_areas])[:, [34, 39]]
+        assert np.allclose(areas, [[-0.252, 2.461], [-0.193, 1.163], [0.187, -0.098]], rtol=0.0, atol=1e-3)
+
     def test_fan_mismatch(self, cube, tetra):
         with pytest.raises(NotSameClass, match="^equipments differ$"):
             minkowski_sum(cube, tetra)
