@@ -408,29 +408,53 @@ class TestSolve:
         assert np.max(np.abs(out.h_final - 0.75)) <= 1e-8
 
 
+def _cube():
+    cube = builders.cube()
+    return cube.fan, cube.h
+
+
+def _polar_six():
+    return polar_fan(np.random.default_rng(0), 6), np.ones(6)
+
+
 class TestEndings:
     """Every non-converged ending of the walk, each reported at the last accepted point."""
 
-    @pytest.mark.parametrize("module, name, value, supports, status, message", [
+    @pytest.mark.parametrize("start, patches, supports, opts, status, message", [
+        # an edge collapse: toward the box (1e-13, 1, 1) the x-edges shrink to
+        # nothing, and the walk ends at the fold where J loses rank
+        (_cube, [], [5e-14, 5e-14, 0.5, 0.5, 0.5, 0.5], FREE, "degenerated",
+         r"jacobian rank dropped to 2 \(expected 3\)"),
+        # a face area through zero: with the model's step limits lifted, one
+        # second-order step carries an area past zero, and a loose tolerance
+        # accepts that point
+        (_polar_six, [(solver, "ROOT_FRACTION", np.inf), (solver, "CURVATURE_BUDGET", np.inf)],
+         [1, 1, 1, 1, 3, 1], SolveOptions(tol_area=1e6), "degenerated", r"path left the orientation class"),
         # support norm: the target cube is 1.5 times the seed
-        (solver, "DIVERGENCE_BOUND_FACTOR", 1.2, [1.5] * 6, "diverged",
+        (_cube, [(solver, "DIVERGENCE_BOUND_FACTOR", 1.2)], [1.5] * 6, FREE, "diverged",
          r"support norm exceeded the divergence sentinel"),
         # no corrector iteration converges, so the step halves below MIN_STEP at t = 0
-        (solver, "MAX_NEWTON_ITERS", 0, [0.5, 0.5, 1, 1, 1.5, 1.5], "max_iterations",
+        (_cube, [(solver, "MAX_NEWTON_ITERS", 0)], [0.5, 0.5, 1, 1, 1.5, 1.5], FREE, "max_iterations",
          r"corrector stalled at t=0\.0 with step below 1e-06"),
         # the box takes two steps (to t = 0.8, then 1)
-        (solver, "MAX_STEPS", 1, [0.5, 0.5, 1, 1, 1.5, 1.5], "max_iterations", r"step budget exhausted"),
-    ], ids=["support-norm", "stall", "step-budget"])
-    def test_ending(self, cube, monkeypatch, module, name, value, supports, status, message):
-        g = area_map(cube.fan, np.array(supports, dtype=float))
-        monkeypatch.setattr(module, name, value)
-        out = solve_minkowski(cube.fan, cube.h, g, FREE)
+        (_cube, [(solver, "MAX_STEPS", 1)], [0.5, 0.5, 1, 1, 1.5, 1.5], FREE, "max_iterations",
+         r"step budget exhausted"),
+    ], ids=["edge", "area", "support-norm", "stall", "step-budget"])
+    def test_ending(self, monkeypatch, start, patches, supports, opts, status, message):
+        fan, h0 = start()
+        # the edge case's target is one that reconstruct refuses, so the
+        # areas come from the lenient model
+        f0 = geometry._realize(fan, h0).oriented_areas
+        g = geometry._realize(fan, np.array(supports, dtype=float)).oriented_areas
+        for module, name, value in patches:
+            monkeypatch.setattr(module, name, value)
+        out = solve_minkowski(fan, h0, g, opts)
         assert out.status is SolveStatus(status)
         assert out.t_reached < 1.0 and out.trace[-1].t == out.t_reached
         assert re.fullmatch(message, out.message)
         # h_final is the point accepted at t_reached
-        g_t = (1.0 - out.t_reached) * cube.oriented_areas + out.t_reached * g
-        assert np.max(np.abs(area_map(cube.fan, out.h_final) - g_t)) <= 1e-9
+        g_t = (1.0 - out.t_reached) * f0 + out.t_reached * g
+        assert np.max(np.abs(geometry._realize(fan, out.h_final).oriented_areas - g_t)) <= 1e-9
 
     def test_boundary_tolerances_are_not_an_ending(self, cube, monkeypatch):
         # the walk checks its iterates against no boundary tolerance: raised to
