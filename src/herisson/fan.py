@@ -16,9 +16,10 @@ steps as the face has corners ("does not close").
 
 A Fan caches what it derives (see Fan), read-only, by one rule: a cached
 value depends only on `equipment`, `cells` and module constants.  A test
-that changes such a constant (VERTEX_DET_TOL for the vertex blocks;
-GENERAL_POSITION_TOL, SWEEP_SLACK or SCAN_BLOCK for the witness) builds a
-fresh Fan.
+that changes such a constant (VERTEX_DET_TOL for the vertex blocks and the
+vertex map inverted from them; GENERAL_POSITION_TOL, SWEEP_SLACK or
+SCAN_BLOCK for the witness) builds a fresh Fan.  Every realization goes
+through the cached vertex map, so no per-call work factors the blocks again.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Fan:
     """Equipment plus sphere-partition cells, immutable; it caches, by the module's rule, corners,
-    arcs, ring_index, vertex_blocks, block_inverses, ring_normals, ring_inverses, translation_gram
-    and coplanar_triple (the general-position witness), once per Fan."""
+    arcs, ring_index, vertex_blocks, block_inverses (the vertex map), ring_normals, ring_inverses,
+    jacobian_scatter, translation_gram and coplanar_triple (the general-position witness), once per Fan."""
 
     equipment: np.ndarray                  # (m, 3) unit directions
     cells: tuple[tuple[int, ...], ...]     # cyclic face lists, CCW from outside
@@ -189,7 +190,10 @@ class Fan:
 
     @cached_property
     def block_inverses(self) -> np.ndarray:
-        """(V, 3, 3) inverses of vertex_blocks."""
+        """(V, 3, 3) inverses of vertex_blocks: the vertex map, which sends the
+        supports of a cell's first three faces to its vertex.  Realization,
+        the analytic area Jacobian and the consistency rows all read it.
+        Raises SingularVertex, from vertex_blocks, before anything is inverted."""
         return _frozen(np.linalg.inv(self.vertex_blocks))
 
     @cached_property
@@ -201,6 +205,13 @@ class Fan:
     def ring_inverses(self) -> np.ndarray:
         """(R, 3, 3) block inverse of the cell at each ring position."""
         return _frozen(self.block_inverses[self.ring_index.cell])
+
+    @cached_property
+    def jacobian_scatter(self) -> np.ndarray:
+        """(3R,) flat index owner * m + cell_first3 of the area-Jacobian entry
+        that each ring position's three row terms add to, in ring order."""
+        idx = self.ring_index
+        return _frozen((idx.owner[:, None] * self.m + idx.cell_first3).ravel())
 
     @cached_property
     def translation_gram(self) -> np.ndarray:

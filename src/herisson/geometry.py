@@ -60,11 +60,16 @@ def _oriented_areas(fan: Fan, vertices: np.ndarray) -> np.ndarray:
 
 
 def _realize(fan: Fan, h) -> Herisson:
-    """The surface of (fan, h) before any strictness checks (see reconstruct)."""
+    """The surface of (fan, h) before any strictness checks (see reconstruct).
+
+    Vertices come from the fan's vertex map, block_inverses applied to the
+    supports of each cell's first three faces: the linear map that
+    _area_jacobian differentiates.
+    """
     h = np.asarray(h, dtype=float)
     if h.shape != (fan.m,):
         raise ValueError(f"support vector has length {h.shape}, fan has m={fan.m}")
-    vertices = np.linalg.solve(fan.vertex_blocks, h[fan.ring_index.first3][..., None])[..., 0]
+    vertices = (fan.block_inverses @ h[fan.ring_index.first3][..., None])[..., 0]
     areas = _oriented_areas(fan, vertices[None])[0]
     return Herisson(fan, h, vertices, np.sign(areas).astype(int), areas)
 
@@ -91,9 +96,7 @@ def _area_jacobian(fan: Fan, vertices: np.ndarray) -> np.ndarray:
     idx, n = fan.ring_index, fan.ring_normals
     grads = 0.5 * (_cross(vertices[idx.succ], n) + _cross(n, vertices[idx.pred]))
     rows = np.einsum("ik,ikl->il", grads, fan.ring_inverses)
-    jac = np.zeros((fan.m, fan.m))
-    np.add.at(jac, (idx.owner[:, None], idx.cell_first3), rows)
-    return jac
+    return np.bincount(fan.jacobian_scatter, rows.ravel(), minlength=fan.m * fan.m).reshape(fan.m, fan.m)
 
 
 @dataclass(frozen=True)

@@ -121,13 +121,13 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float) -> np.ndarray:
     (a finite step always violates it) nor the face signs (phi is quadratic,
     so a probe that flips a face gives the same exact difference).  The 2m
     probes h +- step e_j are realized together, in blocks of about SCAN_BLOCK
-    ring positions, against the fan's vertex_blocks by the arithmetic of the
-    realization layer, so the columns equal those of one realization per
-    probe bit for bit.
+    ring positions, through the fan's vertex map (block_inverses) by the
+    arithmetic of the realization layer, so the columns equal those of one
+    realization per probe bit for bit.
     """
     idx = fan.ring_index
     m, ring = fan.m, len(idx.cell)
-    blocks = fan.vertex_blocks[None]
+    inverses = fan.block_inverses[None]
     per_block = max(1, SCAN_BLOCK // (2 * ring))     # probe pairs per block
     jac = np.empty((m, m))
     for j0 in range(0, m, per_block):
@@ -136,7 +136,7 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float) -> np.ndarray:
         probes = np.tile(h, (2 * n, 1))
         probes[np.arange(n), j] = h[j] + step
         probes[n + np.arange(n), j] = h[j] - step
-        vertices = np.linalg.solve(blocks, probes[:, idx.first3][..., None])[..., 0]
+        vertices = (inverses @ probes[:, idx.first3][..., None])[..., 0]
         areas = _oriented_areas(fan, vertices)
         jac[:, j] = ((areas[:n] - areas[n:]) / (2.0 * step)).T
     return jac

@@ -643,3 +643,22 @@ def fd_jacobian_loop(fan, h, step):
         minus = _realize(fan, h - probe).oriented_areas
         cols.append((plus - minus) / (2.0 * step))
     return np.column_stack(cols)
+
+
+# References for the realization layer: one 3x3 solve per cell in place of
+# the fan's vertex map, and the analytic Jacobian summed entry by entry.
+
+def vertex_solve_loop(fan, h):
+    """Vertices of (fan, h), each from np.linalg.solve on its cell's first three planes."""
+    h = np.asarray(h, dtype=float)
+    return np.array([np.linalg.solve(fan.equipment[list(cell[:3])], h[list(cell[:3])]) for cell in fan.cells])
+
+
+def area_jacobian_add_at(fan, vertices):
+    """The analytic area Jacobian with its row terms summed into J by np.add.at."""
+    idx, n = fan.ring_index, fan.ring_normals
+    grads = 0.5 * (np.cross(vertices[idx.succ], n) + np.cross(n, vertices[idx.pred]))
+    rows = np.einsum("ik,ikl->il", grads, fan.ring_inverses)
+    jac = np.zeros((fan.m, fan.m))
+    np.add.at(jac, (idx.owner[:, None], idx.cell_first3), rows)
+    return jac

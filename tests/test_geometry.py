@@ -3,12 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import halfspace_vertices, match_point_sets, polar_fan, random_hull_fan, shoelace_area
+from helpers import (
+    area_jacobian_add_at,
+    halfspace_vertices,
+    match_point_sets,
+    polar_fan,
+    random_hull_fan,
+    shoelace_area,
+    vertex_solve_loop,
+)
 from herisson import builders
 from herisson.congruence import congruent_and_parallel
 from herisson.errors import DegenerateEquipment, DegenerateFace, InconsistentVertex, NotSameClass, SingularVertex
 from herisson.fan import Fan, validate
 from herisson.geometry import (
+    _area_jacobian,
     _consistency_matrix,
     _realize,
     balance_residual,
@@ -331,6 +340,29 @@ class TestSameClass:
             minkowski_sum(cube, other)
         with pytest.raises(NotSameClass, match="^sphere partitions differ$"):
             congruent_and_parallel(cube, other)
+
+
+class TestVertexMap:
+    """Realization and the analytic Jacobian through the fan's cached vertex map."""
+
+    @pytest.fixture
+    def bodies(self, cube, box123, tetra, bowtie, waisted, tiling):
+        rng = np.random.default_rng(20)
+        bodies = [(b.fan, np.array(b.h)) for b in (cube, box123, tetra, bowtie, waisted, tiling)]
+        for m in (6, 8, 20, 40, 120, 300):
+            fan = polar_fan(rng, m)
+            bodies += [(fan, 10.0 ** e * rng.uniform(0.5, 1.5, m)) for e in (-2, 0, 2)]
+        return bodies
+
+    def test_vertices_match_per_cell_solves(self, bodies):
+        for fan, h in bodies:
+            err = np.max(np.abs(_realize(fan, h).vertices - vertex_solve_loop(fan, h)))
+            assert err <= 1e-12 * support_scale(h)
+
+    def test_jacobian_equals_add_at_bit_for_bit(self, bodies):
+        for fan, h in bodies:
+            vertices = _realize(fan, h).vertices
+            assert np.array_equal(_area_jacobian(fan, vertices), area_jacobian_add_at(fan, vertices))
 
 
 def test_perimeters_are_bounded_by_the_support_norm(cube, box123, tetra, bowtie, waisted, tiling):
