@@ -162,7 +162,7 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     row_k, d = k[row_seg], row_seg % 2
     pos = idx.start[seg_face[row_seg]] + np.arange(len(row_seg)) - seg_row[row_seg]
     verts = np.stack([h2.vertices, h1.vertices])    # verts[d] receives in direction d
-    edge = verts[d, idx.succ[pos]] - verts[d, idx.cell[pos]]
+    edge = verts[d, idx.cell[idx.next_pos[pos]]] - verts[d, idx.cell[pos]]
     length = np.stack([h2.ring_lengths, h1.ring_lengths])[d, pos]
     normal = h1.fan.equipment[idx.owner[pos]]
     u = _cross(edge, normal) * (h1.signs[idx.owner[pos]] / length)[:, None]

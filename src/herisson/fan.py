@@ -16,10 +16,10 @@ steps as the face has corners ("does not close").
 
 A Fan caches what it derives (see Fan), read-only, by one rule: a cached
 value depends only on `equipment`, `cells` and module constants.  A test
-that changes such a constant (VERTEX_DET_TOL for the vertex blocks and the
-vertex map inverted from them; GENERAL_POSITION_TOL, SWEEP_SLACK or
-SCAN_BLOCK for the witness) builds a fresh Fan.  Every realization goes
-through the cached vertex map, so no per-call work factors the blocks again.
+that changes such a constant (VERTEX_DET_TOL for the vertex map and the face
+frames built on it; GENERAL_POSITION_TOL, SWEEP_SLACK or SCAN_BLOCK for the
+witness) builds a fresh Fan.  Vertices and face areas go through these caches,
+so no per-call work factors a block or takes a cross product.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ CAP_SLACK = 1e-4           # radians: widens the arcs' bounding caps in the cros
 SWEEP_SLACK = 8.0          # widens the angular windows of the general-position sweep for rounding
 # Work per block of the blocked scans, which bounds their memory: cap tests and
 # candidate arc pairs in the crossing scan, (face, normal) projections in the
-# general-position sweep, ring positions of the fd probes realized together, and
+# general-position sweep, ring positions of the fd probes measured together, and
 # (row, constraint) pairs of the congruence fits, up to one row more (rows stay whole).
 SCAN_BLOCK = 1 << 15
 
@@ -73,8 +73,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Fan:
     """Equipment plus sphere-partition cells, immutable; it caches, by the module's rule, corners,
-    arcs, ring_index, vertex_blocks, block_inverses (the vertex map), ring_normals, ring_inverses,
-    jacobian_scatter, translation_gram and coplanar_triple (the general-position witness), once per Fan."""
+    arcs, ring_index, block_inverses (the vertex map), ring_frames (the face frames), jacobian_scatter,
+    translation_gram and coplanar_triple (the general-position witness), once per Fan."""
 
     equipment: np.ndarray                  # (m, 3) unit directions
     cells: tuple[tuple[int, ...], ...]     # cyclic face lists, CCW from outside
@@ -165,19 +165,19 @@ class Fan:
         corner = order[ring]
         owner, neighbor, cell = face[corner], pred[corner], in_cell[corner]
         k, size = np.arange(n) - start[owner], deg[owner]
-        ring_succ, ring_pred = cell[start[owner] + (k + 1) % size], cell[start[owner] + (k - 1) % size]
+        next_pos, prev_pos = start[owner] + (k + 1) % size, start[owner] + (k - 1) % size
         # np.unique sorts stably when asked for indices: the first position wins
         _, arc_pos = np.unique(np.minimum(owner, neighbor) * m + np.maximum(owner, neighbor), return_index=True)
         return RingIndex(*map(_frozen, (
-            face[first[:, None] + np.arange(3)], in_cell[beyond], face[beyond], owner, cell, ring_succ, ring_pred,
-            neighbor, np.append(start, n), arc_pos, face[first[cell][:, None] + np.arange(3)],
+            face[first[:, None] + np.arange(3)], in_cell[beyond], face[beyond], owner, cell, next_pos, prev_pos,
+            neighbor, np.append(start, n), arc_pos, face[first[cell] + np.arange(3)[:, None]],
         )))
 
     @cached_property
-    def vertex_blocks(self) -> np.ndarray:
-        """(V, 3, 3) normals of each cell's first three faces, whose planes
-        meet at the cell's vertex.  Raises SingularVertex for the first cell
-        whose block is not finite or has |det| below VERTEX_DET_TOL."""
+    def block_inverses(self) -> np.ndarray:
+        """(V, 3, 3) inverses of the normals of each cell's first three faces: the vertex map, which
+        sends their supports to the cell's vertex.  Raises SingularVertex, before anything is inverted,
+        for the first cell whose block is not finite or has |det| below VERTEX_DET_TOL."""
         blocks = self.equipment[self.ring_index.first3]
         finite = np.isfinite(blocks).all(axis=(1, 2))
         det = np.linalg.det(np.where(finite[:, None, None], blocks, 0.0))   # no det of a NaN: numpy warns
@@ -186,32 +186,22 @@ class Fan:
             ci = int(bad[0])
             kind = "coplanar" if finite[ci] else "non-finite"
             raise SingularVertex(f"cell {ci}: faces {self.cells[ci][:3]} have {kind} normals")
-        return _frozen(blocks)
+        return _frozen(np.linalg.inv(blocks))
 
     @cached_property
-    def block_inverses(self) -> np.ndarray:
-        """(V, 3, 3) inverses of vertex_blocks: the vertex map, which sends the
-        supports of a cell's first three faces to its vertex.  Realization,
-        the analytic area Jacobian and the consistency rows all read it.
-        Raises SingularVertex, from vertex_blocks, before anything is inverted."""
-        return _frozen(np.linalg.inv(self.vertex_blocks))
-
-    @cached_property
-    def ring_normals(self) -> np.ndarray:
-        """(R, 3) normal of the face owning each ring position."""
-        return _frozen(self.equipment[self.ring_index.owner])
-
-    @cached_property
-    def ring_inverses(self) -> np.ndarray:
-        """(R, 3, 3) block inverse of the cell at each ring position."""
-        return _frozen(self.block_inverses[self.ring_index.cell])
+    def ring_frames(self) -> np.ndarray:
+        """(3, 2, R) rows U_p = A_c^T u_j ([:, 0, p]) and W_p = A_c^T v_j ([:, 1, p]) of ring position p of
+        face j at cell c, A_c = block_inverses[c], u_j from _plane_units, v_j = n_j x u_j (u_j x v_j = n_j):
+        dotted with the supports of c's first three faces, the coordinates of p's vertex in j's frame."""
+        idx, u = self.ring_index, _plane_units(self.equipment)
+        frame = np.stack([u, _cross(self.equipment, u)], axis=1)[idx.owner]     # (R, 2, 3)
+        return _frozen(np.einsum("rfk,rkl->lfr", frame, self.block_inverses[idx.cell], order="C"))
 
     @cached_property
     def jacobian_scatter(self) -> np.ndarray:
-        """(3R,) flat index owner * m + cell_first3 of the area-Jacobian entry
-        that each ring position's three row terms add to, in ring order."""
+        """(3R,) flat index owner * m + cell_first3 of the J entry that each row term adds to."""
         idx = self.ring_index
-        return _frozen((idx.owner[:, None] * self.m + idx.cell_first3).ravel())
+        return _frozen((idx.owner * self.m + idx.cell_first3).ravel())
 
     @cached_property
     def translation_gram(self) -> np.ndarray:
@@ -241,7 +231,7 @@ class RingIndex:
 
     The face rings are concatenated face by face; ring position p is the
     corner cell[p] of face owner[p]'s polygon, and the polygon's edge at p
-    runs from cell[p] to succ[p], dual to the arc (owner[p], neighbor[p]).
+    runs from cell[p] to cell[next_pos[p]], dual to the arc (owner[p], neighbor[p]).
     Every vertex lies on the planes of the first three faces of its cell;
     the further faces of non-simple cells are the extra (cell, face) pairs,
     in cell order.  The module docstring says how the rings are walked.
@@ -252,12 +242,12 @@ class RingIndex:
     extra_face: np.ndarray   # (X,) face of that pair
     owner: np.ndarray        # (R,) face whose ring holds the position
     cell: np.ndarray         # (R,) cell at the position
-    succ: np.ndarray         # (R,) cell at the next position of the same ring
-    pred: np.ndarray         # (R,) cell at the previous position of the same ring
+    next_pos: np.ndarray     # (R,) next position of the same ring
+    prev_pos: np.ndarray     # (R,) previous position of the same ring
     neighbor: np.ndarray     # (R,) face across the edge at the position
     start: np.ndarray        # (m + 1,) face j's ring is positions start[j]:start[j + 1]
     arc_pos: np.ndarray      # (E,) first position whose edge is dual to fan.arcs[e]
-    cell_first3: np.ndarray  # (R, 3) first three faces of the cell at the position
+    cell_first3: np.ndarray  # (3, R) first three faces of the cell at each position, in cell order
 
 
 @dataclass
@@ -290,6 +280,12 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     return out
+
+
+def _plane_units(eq: np.ndarray) -> np.ndarray:
+    """(m, 3) unit vectors u_j normal to each n_j: n_j x e_k normalized, e_k the axis of n_j's least |component|."""
+    u = _cross(eq, np.eye(3)[np.argmin(np.abs(eq), axis=1)])
+    return u / np.linalg.norm(u, axis=1)[:, None]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -518,8 +514,7 @@ def _coplanar_triple(eq: np.ndarray) -> tuple[int, int, int] | None:
     if bad.size:
         return (0, 1, max(2, int(bad[0])))
     tol = GENERAL_POSITION_TOL + 64.0 * np.finfo(float).eps * norms.max() ** 3    # inf: every pair a candidate
-    u = _cross(eq, np.eye(3)[np.argmin(np.abs(eq), axis=1)])
-    u /= np.linalg.norm(u, axis=1)[:, None]
+    u = _plane_units(eq)
     v = _cross(eq / norms[:, None], u)          # (u_i, v_i) spans the plane normal to n_i
     for i0 in range(0, m - 2, max(1, SCAN_BLOCK // m)):
         i1 = min(i0 + max(1, SCAN_BLOCK // m), m - 2)

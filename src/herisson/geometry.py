@@ -1,11 +1,16 @@
 """Realize hedgehog surfaces from support numbers.
 
 Reconstruction places each surface vertex at the intersection of the
-planes (x, n_j) = h_j of the first three faces of its cell, assembles the
+planes (x, n_j) = h_j of the first three faces of its cell and assembles the
 face polygons by walking the cells around each face in the fan-induced
-order, and reads oriented areas off the signed shoelace sum.  The sign
-convention comes from the counterclockwise orientation of the spherical
-cells: an outward-equipped convex body gets positive areas everywhere.
+order.  Oriented areas skip the vertices: in face j's frame (u_j, v_j),
+u_j x v_j = n_j, the vertex at ring position p has the coordinates
+a_p = U_p . x_p and b_p = W_p . x_p (Fan.ring_frames), x_p the supports of
+its cell's first three faces, and phi_j = 1/2 sum_p (a_p b_p+ - a_p+ b_p),
+p+ (p-) the next (previous) position of the ring: the signed shoelace sum of
+(V_p x V_p+) . n_j / 2 in the same model.  The sign convention comes from the
+counterclockwise orientation of the spherical cells: an outward-equipped
+convex body gets positive areas everywhere.
 
 _realize gives the unchecked surface and reconstruct the checked one (the
 boundary test is reconstruct's alone), both a Herisson, which measures its
@@ -40,9 +45,7 @@ def face_frame(normal):
     parallel to the normal; v completes a right-handed triple (u, v, normal).
     """
     n = np.asarray(normal, dtype=float)
-    for k in range(3):
-        axis = np.zeros(3)
-        axis[k] = 1.0
+    for axis in np.eye(3):
         if 1.0 - abs(float(n @ axis)) > 1e-8:
             break
     u = axis - (axis @ n) * n
@@ -51,26 +54,31 @@ def face_frame(normal):
     return u, v
 
 
-def _oriented_areas(fan: Fan, vertices: np.ndarray) -> np.ndarray:
-    """Oriented face areas (P, m) of a stack of vertex sets (P, V, 3), by the signed
-    shoelace (twice the area sums (p x q) . n over the edges), every set summed as on its own."""
-    idx = fan.ring_index
-    crosses = _cross(vertices[:, idx.cell], vertices[:, idx.succ])
-    return 0.5 * np.add.reduceat(np.einsum("pij,ij->pi", crosses, fan.ring_normals), idx.start[:-1], axis=1)
+def _face_coordinates(fan: Fan, h: np.ndarray) -> np.ndarray:
+    """(..., 2, R) frame coordinates (a_p, b_p) of supports (..., m), each row rounded as on its own."""
+    x = np.take(h, fan.ring_index.cell_first3, axis=-1)[..., :, None, :]
+    return (x * fan.ring_frames).sum(axis=-3)
+
+
+def _oriented_areas(fan: Fan, h: np.ndarray) -> np.ndarray:
+    """Oriented face areas (..., m) of supports (..., m), by the shoelace in the face frames."""
+    idx, ab = fan.ring_index, _face_coordinates(fan, h)
+    after = np.take(ab, idx.next_pos, axis=-1)
+    twice = ab[..., 0, :] * after[..., 1, :] - after[..., 0, :] * ab[..., 1, :]
+    return 0.5 * np.add.reduceat(twice, idx.start[:-1], axis=-1)
 
 
 def _realize(fan: Fan, h) -> Herisson:
     """The surface of (fan, h) before any strictness checks (see reconstruct).
 
-    Vertices come from the fan's vertex map, block_inverses applied to the
-    supports of each cell's first three faces: the linear map that
-    _area_jacobian differentiates.
+    Vertices come from the fan's vertex map (block_inverses), areas from the
+    face frames of the same model, which _area_jacobian differentiates.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (fan.m,):
         raise ValueError(f"support vector has length {h.shape}, fan has m={fan.m}")
     vertices = (fan.block_inverses @ h[fan.ring_index.first3][..., None])[..., 0]
-    areas = _oriented_areas(fan, vertices[None])[0]
+    areas = _oriented_areas(fan, h)
     return Herisson(fan, h, vertices, np.sign(areas).astype(int), areas)
 
 
@@ -85,17 +93,20 @@ def _consistency_matrix(fan: Fan) -> np.ndarray:
     return cons
 
 
-def _area_jacobian(fan: Fan, vertices: np.ndarray) -> np.ndarray:
+def _area_jacobian(fan: Fan, h: np.ndarray) -> np.ndarray:
     """Exact gradient of the area map under the first-three-planes model.
 
-    On fans whose cells are all simple this reduces to the classical form:
-    the off-diagonal entry (i, k) for adjacent faces equals the signed
-    shared-edge length divided by sin of the angle between n_i and n_k, and
-    the diagonal is the matching planar-polygon derivative.
+    phi_j = 1/2 sum_p (a_p b_p+ - a_p+ b_p) (module docstring) has the gradient
+    1/2 (b_p+ - b_p-) U_p + 1/2 (a_p- - a_p+) W_p in x_p, and these row terms go
+    into J by one bincount over Fan.jacobian_scatter.  On fans whose cells are
+    all simple this is the classical form: the off-diagonal entry (i, k) for
+    adjacent faces is the signed shared-edge length over sin of the angle
+    between n_i and n_k, the diagonal the matching planar-polygon derivative.
     """
-    idx, n = fan.ring_index, fan.ring_normals
-    grads = 0.5 * (_cross(vertices[idx.succ], n) + _cross(n, vertices[idx.pred]))
-    rows = np.einsum("ik,ikl->il", grads, fan.ring_inverses)
+    idx, frames = fan.ring_index, fan.ring_frames
+    ab = _face_coordinates(fan, h)
+    turn = np.take(ab, idx.next_pos, axis=1) - np.take(ab, idx.prev_pos, axis=1)
+    rows = 0.5 * (turn[1] * frames[:, 0] - turn[0] * frames[:, 1])
     return np.bincount(fan.jacobian_scatter, rows.ravel(), minlength=fan.m * fan.m).reshape(fan.m, fan.m)
 
 
@@ -128,7 +139,7 @@ class Herisson:
         """(R,) read-only length of the polygon edge at every ring position;
         the two positions of an arc hold the same length."""
         idx = self.fan.ring_index
-        lengths = np.linalg.norm(self.vertices[idx.succ] - self.vertices[idx.cell], axis=1)
+        lengths = np.linalg.norm(self.vertices[idx.cell[idx.next_pos]] - self.vertices[idx.cell], axis=1)
         lengths.setflags(write=False)
         return lengths
 
@@ -174,7 +185,7 @@ def reconstruct(fan: Fan, h) -> Herisson:
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("support numbers must be finite")
-    fan.vertex_blocks       # SingularVertex first, for the normals that place vertices
+    fan.block_inverses      # SingularVertex first, for the normals that place vertices
     if (bad := np.flatnonzero(~np.isfinite(fan.equipment).all(axis=1))).size:
         raise ValueError(f"face {bad[0]} has a non-finite normal")
     surface = _realize(fan, h)

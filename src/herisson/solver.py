@@ -120,25 +120,19 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float) -> np.ndarray:
     Probes enforce neither the multi-plane consistency of non-simple cells
     (a finite step always violates it) nor the face signs (phi is quadratic,
     so a probe that flips a face gives the same exact difference).  The 2m
-    probes h +- step e_j are realized together, in blocks of about SCAN_BLOCK
-    ring positions, through the fan's vertex map (block_inverses) by the
-    arithmetic of the realization layer, so the columns equal those of one
-    realization per probe bit for bit.
+    probes h +- step e_j go to _oriented_areas as stacks of about SCAN_BLOCK
+    ring positions, each row summed as on its own: the columns equal those
+    of one realization per probe bit for bit.
     """
-    idx = fan.ring_index
-    m, ring = fan.m, len(idx.cell)
-    inverses = fan.block_inverses[None]
+    m, ring = fan.m, len(fan.ring_index.cell)
     per_block = max(1, SCAN_BLOCK // (2 * ring))     # probe pairs per block
     jac = np.empty((m, m))
     for j0 in range(0, m, per_block):
         j = np.arange(j0, min(j0 + per_block, m))
-        n = len(j)
-        probes = np.tile(h, (2 * n, 1))
-        probes[np.arange(n), j] = h[j] + step
-        probes[n + np.arange(n), j] = h[j] - step
-        vertices = (inverses @ probes[:, idx.first3][..., None])[..., 0]
-        areas = _oriented_areas(fan, vertices)
-        jac[:, j] = ((areas[:n] - areas[n:]) / (2.0 * step)).T
+        probes = np.tile(h, (2, len(j), 1))     # [0] the probes h + step e_j, [1] h - step e_j
+        probes[:, np.arange(len(j)), j] = h[j] + np.array([[step], [-step]])
+        plus, minus = _oriented_areas(fan, probes)
+        jac[:, j] = ((plus - minus) / (2.0 * step)).T
     return jac
 
 
@@ -150,17 +144,17 @@ def _check_jacobian_mode(mode: str) -> None:
 def _jacobian(surface: Herisson, mode: str) -> np.ndarray:
     """Area Jacobian at the surface's supports in the given mode."""
     if mode == "analytic":
-        return _area_jacobian(surface.fan, surface.vertices)
+        return _area_jacobian(surface.fan, surface.h)
     return _fd_area_jacobian(surface.fan, surface.h, FD_STEP * surface.scale)
 
 
 def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
     """Jacobian d(area)/d(support), either analytic or finite-difference.
 
-    The analytic mode differentiates the reconstruction exactly; the fd
-    mode runs central differences with step FD_STEP * scale, realizing the
-    2m probes in a few batches, which are exact up to rounding on the
-    quadratic area map whether or not a probe flips a face.  Both annihilate
+    The analytic mode differentiates the first-three-planes area map
+    exactly; the fd mode runs central differences with step FD_STEP * scale
+    on a few stacks of the 2m probes, exact up to rounding on the quadratic
+    area map whether or not a probe flips a face.  Both annihilate
     translations and satisfy J h = 2 phi(h).  On fans whose cells are all
     simple J is symmetric, of rank m - 3 away from folds of the area map,
     which lets the solver take its Newton steps from the bordered system
@@ -327,7 +321,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
 
         def curvature_rhs(d: np.ndarray) -> np.ndarray:
             nonlocal quad
-            quad = _realize(fan, d).oriented_areas
+            quad = _oriented_areas(fan, d)
             return np.concatenate([-quad, pad])
 
         d, e = _newton_step(jac, np.concatenate([g - f0, pad]), fan.equipment, then=curvature_rhs)

@@ -646,7 +646,9 @@ def fd_jacobian_loop(fan, h, step):
 
 
 # References for the realization layer: one 3x3 solve per cell in place of
-# the fan's vertex map, and the analytic Jacobian summed entry by entry.
+# the fan's vertex map, and the oriented areas and analytic Jacobian of the
+# first-three-planes model from cross products of its vertices, the Jacobian
+# summed entry by entry.
 
 def vertex_solve_loop(fan, h):
     """Vertices of (fan, h), each from np.linalg.solve on its cell's first three planes."""
@@ -654,11 +656,19 @@ def vertex_solve_loop(fan, h):
     return np.array([np.linalg.solve(fan.equipment[list(cell[:3])], h[list(cell[:3])]) for cell in fan.cells])
 
 
-def area_jacobian_add_at(fan, vertices):
-    """The analytic area Jacobian with its row terms summed into J by np.add.at."""
-    idx, n = fan.ring_index, fan.ring_normals
-    grads = 0.5 * (np.cross(vertices[idx.succ], n) + np.cross(n, vertices[idx.pred]))
-    rows = np.einsum("ik,ikl->il", grads, fan.ring_inverses)
+def oriented_areas_cross(fan, vertices):
+    """Oriented face areas, half the sums of (V_p x V_p+) . n_j over each ring."""
+    idx = fan.ring_index
+    crosses = np.cross(vertices[idx.cell], vertices[idx.cell[idx.next_pos]])
+    return 0.5 * np.add.reduceat(np.einsum("ij,ij->i", crosses, fan.equipment[idx.owner]), idx.start[:-1])
+
+
+def area_jacobian_cross(fan, vertices):
+    """The analytic area Jacobian from the gradients 1/2 (V_p+ x n_j + n_j x V_p-) of
+    the vertices, through each cell's block inverse, summed into J by np.add.at."""
+    idx, n = fan.ring_index, fan.equipment[fan.ring_index.owner]
+    grads = 0.5 * (np.cross(vertices[idx.cell[idx.next_pos]], n) + np.cross(n, vertices[idx.cell[idx.prev_pos]]))
+    rows = np.einsum("ik,ikl->il", grads, fan.block_inverses[idx.cell])
     jac = np.zeros((fan.m, fan.m))
-    np.add.at(jac, (idx.owner[:, None], idx.cell_first3), rows)
+    np.add.at(jac, (idx.owner[:, None], idx.cell_first3.T), rows)
     return jac

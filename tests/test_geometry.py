@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    area_jacobian_add_at,
+    area_jacobian_cross,
     halfspace_vertices,
     match_point_sets,
+    oriented_areas_cross,
     polar_fan,
     random_hull_fan,
     shoelace_area,
@@ -343,15 +344,17 @@ class TestSameClass:
 
 
 class TestVertexMap:
-    """Realization and the analytic Jacobian through the fan's cached vertex map."""
+    """Realization and the analytic Jacobian through the fan's cached vertex map and face frames."""
 
     @pytest.fixture
     def bodies(self, cube, box123, tetra, bowtie, waisted, tiling):
+        # the polar fans also with equipment x 1.5: the frames keep the (p x q) . n scaling
         rng = np.random.default_rng(20)
         bodies = [(b.fan, np.array(b.h)) for b in (cube, box123, tetra, bowtie, waisted, tiling)]
         for m in (6, 8, 20, 40, 120, 300):
             fan = polar_fan(rng, m)
-            bodies += [(fan, 10.0 ** e * rng.uniform(0.5, 1.5, m)) for e in (-2, 0, 2)]
+            for fan in (fan, Fan(equipment=1.5 * fan.equipment, cells=fan.cells)):
+                bodies += [(fan, 10.0 ** e * rng.uniform(0.5, 1.5, m)) for e in (-2, 0, 2)]
         return bodies
 
     def test_vertices_match_per_cell_solves(self, bodies):
@@ -359,10 +362,15 @@ class TestVertexMap:
             err = np.max(np.abs(_realize(fan, h).vertices - vertex_solve_loop(fan, h)))
             assert err <= 1e-12 * support_scale(h)
 
-    def test_jacobian_equals_add_at_bit_for_bit(self, bodies):
+    def test_areas_and_jacobian_match_the_cross_product_oracle(self, bodies):
+        # the frame kernels reorder the arithmetic of the cross products, so
+        # they agree with them to rounding, not bit for bit
         for fan, h in bodies:
-            vertices = _realize(fan, h).vertices
-            assert np.array_equal(_area_jacobian(fan, vertices), area_jacobian_add_at(fan, vertices))
+            surface = _realize(fan, h)
+            oracle = oriented_areas_cross(fan, surface.vertices)
+            assert np.max(np.abs(surface.oriented_areas - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+            oracle = area_jacobian_cross(fan, surface.vertices)
+            assert np.max(np.abs(_area_jacobian(fan, h) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 def test_perimeters_are_bounded_by_the_support_norm(cube, box123, tetra, bowtie, waisted, tiling):

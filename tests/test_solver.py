@@ -1,4 +1,5 @@
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ class TestQuadraticModel:
         # bowtie and waisted have cells of four faces: the first-three-planes model
         for fan, h in self.bodies(cube, box123, tetra, bowtie, waisted, tiling):
             base = geometry._realize(fan, h)
-            jac = _area_jacobian(fan, base.vertices)
+            jac = _area_jacobian(fan, base.h)
             assert np.max(np.abs(jac @ h - 2.0 * base.oriented_areas)) <= 1e-12 * np.max(np.abs(base.oriented_areas))
             for _ in range(5):
                 d, s = rng.standard_normal(fan.m), rng.uniform(-2.0, 2.0)
@@ -157,6 +158,19 @@ class TestBatchedProbes:
             step = 1e-6 * support_scale(h)
             assert np.array_equal(jacobian(fan, h, mode="fd"), fd_jacobian_loop(fan, h, step))
 
+    def test_stacked_areas_equal_single_rows(self, cube, box123, tetra, bowtie, waisted, tiling):
+        # the probes' columns rest on this: a stack of P supports, P = 1
+        # included, gives the areas of P single rows bit for bit
+        rng = np.random.default_rng(7)
+        fans = [b.fan for b in (cube, box123, tetra, bowtie, waisted, tiling)]
+        fans += [polar_fan(rng, m) for m in (6, 20, 40, 120, 300)]
+        for fan in fans:
+            stack = rng.uniform(0.5, 1.5, (5, fan.m))
+            areas = geometry._oriented_areas(fan, stack)
+            for row, h in zip(areas, stack):
+                assert np.array_equal(row, geometry._oriented_areas(fan, h))
+                assert np.array_equal(row, geometry._oriented_areas(fan, h[None])[0])
+
 
 def _translation_free(eq, d):
     return d - eq @ np.linalg.solve(eq.T @ eq, eq.T @ d)
@@ -169,7 +183,7 @@ class TestNewtonStep:
         fan = polar_fan(rng, m)
         h = rng.uniform(0.8, 1.2, m)
         base = reconstruct(fan, h)
-        jac = _area_jacobian(fan, base.vertices)
+        jac = _area_jacobian(fan, base.h)
         rhs = area_map(fan, h * rng.uniform(0.95, 1.05, m)) - base.oriented_areas
         expected = np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)[0]
         monkeypatch.setattr(np.linalg, "lstsq", None)      # the fallback must not run
@@ -183,7 +197,7 @@ class TestNewtonStep:
         # condition verdict: one more LU solve, no second build or probe
         rng = np.random.default_rng(m)
         fan = polar_fan(rng, m)
-        jac = _area_jacobian(fan, reconstruct(fan, rng.uniform(0.8, 1.2, m)).vertices)
+        jac = _area_jacobian(fan, reconstruct(fan, rng.uniform(0.8, 1.2, m)).h)
         rhs, second = (jac @ rng.standard_normal((m, 2))).T      # in the range of J, as area changes are
         solves = []
         solve = np.linalg.solve
@@ -197,7 +211,7 @@ class TestNewtonStep:
         assert np.linalg.norm(_translation_free(fan.equipment, again - expected)) <= 1e-12 * np.linalg.norm(expected)
 
     def test_second_rhs_on_the_least_squares_path(self, waisted):
-        jac = np.vstack([_area_jacobian(waisted.fan, waisted.vertices), geometry._consistency_matrix(waisted.fan)])
+        jac = np.vstack([_area_jacobian(waisted.fan, waisted.h), geometry._consistency_matrix(waisted.fan)])
         rhs, second = np.random.default_rng(3).standard_normal((2, len(jac)))
         step, again = _newton_step(jac, rhs, waisted.fan.equipment, then=lambda delta: second)
         assert np.array_equal(step, np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)[0])
@@ -206,7 +220,7 @@ class TestNewtonStep:
     def test_rank_drop_falls_back_and_degenerates(self):
         rng = np.random.default_rng(40)
         fan = polar_fan(rng, 40)
-        jac = _area_jacobian(fan, reconstruct(fan, np.ones(40)).vertices)
+        jac = _area_jacobian(fan, reconstruct(fan, np.ones(40)).h)
         values, vectors = np.linalg.eigh(0.5 * (jac + jac.T))
         values[np.argmax(np.abs(values))] = 0.0
         dropped = (vectors * values) @ vectors.T
@@ -366,7 +380,7 @@ class TestSolve:
         # the walk short of the target
         out = solve_minkowski(waisted.fan, waisted.h, WAIST_TARGET, FREE)
         assert out.status is SolveStatus.DEGENERATED
-        assert out.t_reached == 0.9998957415000382 and len(out.trace) == 12
+        assert out.t_reached == 0.9998957414998926 and len(out.trace) == 12
         assert out.message == "jacobian rank dropped to 7 (expected 8)"
 
     @pytest.mark.parametrize("m, steps, solves", [(120, 1, 3), (40, 1, 3)])
@@ -528,6 +542,16 @@ class TestEndings:
 class TestFanCache:
     """A Fan computes its invariants once; a solve reads them from the cache."""
 
+    # every cache the Fan docstring lists; a solve reads all of them but arcs
+    # (validate, the congruence labels and the exports read it)
+    SOLVE_CACHES = {"corners", "ring_index", "block_inverses", "ring_frames", "jacobian_scatter",
+                    "translation_gram", "coplanar_triple"}
+
+    def test_the_docstring_lists_every_cache(self):
+        caches = {name for name, attr in vars(Fan).items() if isinstance(attr, cached_property)}
+        assert caches == self.SOLVE_CACHES | {"arcs"}
+        assert caches <= set(re.findall(r"\w+", Fan.__doc__))
+
     @staticmethod
     def planted_fan():
         fan = polar_fan(np.random.default_rng(43), 40)
@@ -550,7 +574,10 @@ class TestFanCache:
         for fan, h0, g, opts in cases:
             fan = Fan(equipment=fan.equipment, cells=fan.cells)
             first = solve_minkowski(fan, h0, g, opts)
-            assert {"ring_normals", "translation_gram"} <= vars(fan).keys()
+            opts = opts or SolveOptions()
+            unread = {"coplanar_triple"} if opts.allow_non_general_position else set()
+            unread |= {"jacobian_scatter"} if opts.jacobian_mode == "fd" else set()
+            assert vars(fan).keys() == {"equipment", "cells"} | (self.SOLVE_CACHES - unread)
             again = outcome_digest(solve_minkowski(fan, h0, g, opts))
             fresh = outcome_digest(solve_minkowski(Fan(equipment=fan.equipment, cells=fan.cells), h0, g, opts))
             assert outcome_digest(first) == again == fresh
