@@ -16,10 +16,10 @@ steps as the face has corners ("does not close").
 
 A Fan caches what it derives (see Fan), read-only, by one rule: a cached
 value depends only on `equipment`, `cells` and module constants.  A test
-that changes such a constant (VERTEX_DET_TOL for the vertex map and the face
-frames built on it; GENERAL_POSITION_TOL, SWEEP_SLACK or SCAN_BLOCK for the
-witness) builds a fresh Fan.  Vertices and face areas go through these caches,
-so no per-call work factors a block or takes a cross product.
+that changes such a constant (VERTEX_DET_TOL for the vertex map and all built
+on it; GENERAL_POSITION_TOL, SWEEP_SLACK or SCAN_BLOCK for the witness) builds
+a fresh Fan.  Vertices and face areas go through these caches, so no
+per-call work factors a block or takes a cross product.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Fan:
     """Equipment plus sphere-partition cells, immutable; it caches, by the module's rule, corners,
-    arcs, ring_index, block_inverses (the vertex map), ring_frames (the face frames), jacobian_scatter,
-    translation_gram and coplanar_triple (the general-position witness), once per Fan."""
+    arcs, ring_index, block_inverses (the vertex map), ring_frames (the face frames), consistency_matrix,
+    jacobian_scatter, translation_gram and coplanar_triple (the general-position witness), once per Fan."""
 
     equipment: np.ndarray                  # (m, 3) unit directions
     cells: tuple[tuple[int, ...], ...]     # cyclic face lists, CCW from outside
@@ -196,6 +196,17 @@ class Fan:
         idx, u = self.ring_index, _plane_units(self.equipment)
         frame = np.stack([u, _cross(self.equipment, u)], axis=1)[idx.owner]     # (R, 2, 3)
         return _frozen(np.einsum("rfk,rkl->lfr", frame, self.block_inverses[idx.cell], order="C"))
+
+    @cached_property
+    def consistency_matrix(self) -> np.ndarray:
+        """(X, m) rows K, (K h)_k = (n_f, v_c) - h_f for the k-th extra (cell c, face f), v_c = c's vertex."""
+        idx = self.ring_index
+        rows = np.arange(len(idx.extra_face))
+        cons = np.zeros((len(rows), self.m))
+        coeffs = np.einsum("ik,ikl->il", self.equipment[idx.extra_face], self.block_inverses[idx.extra_cell])
+        cons[rows[:, None], idx.first3[idx.extra_cell]] = coeffs
+        cons[rows, idx.extra_face] -= 1.0
+        return _frozen(cons)
 
     @cached_property
     def jacobian_scatter(self) -> np.ndarray:

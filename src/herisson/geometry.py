@@ -60,9 +60,9 @@ def _face_coordinates(fan: Fan, h: np.ndarray) -> np.ndarray:
     return (x * fan.ring_frames).sum(axis=-3)
 
 
-def _oriented_areas(fan: Fan, h: np.ndarray) -> np.ndarray:
-    """Oriented face areas (..., m) of supports (..., m), by the shoelace in the face frames."""
-    idx, ab = fan.ring_index, _face_coordinates(fan, h)
+def _oriented_areas(fan: Fan, h: np.ndarray, ab: np.ndarray | None = None) -> np.ndarray:
+    """Oriented face areas (..., m) of supports h (..., m) by the shoelace, from their face coordinates ab if given."""
+    idx, ab = fan.ring_index, _face_coordinates(fan, h) if ab is None else ab
     after = np.take(ab, idx.next_pos, axis=-1)
     twice = ab[..., 0, :] * after[..., 1, :] - after[..., 0, :] * ab[..., 1, :]
     return 0.5 * np.add.reduceat(twice, idx.start[:-1], axis=-1)
@@ -82,18 +82,7 @@ def _realize(fan: Fan, h) -> Herisson:
     return Herisson(fan, h, vertices, np.sign(areas).astype(int), areas)
 
 
-def _consistency_matrix(fan: Fan) -> np.ndarray:
-    """Linear rows K with K h = extra-plane residuals of non-simple cells."""
-    idx = fan.ring_index
-    rows = np.arange(len(idx.extra_face))
-    cons = np.zeros((len(rows), fan.m))
-    coeffs = np.einsum("ik,ikl->il", fan.equipment[idx.extra_face], fan.block_inverses[idx.extra_cell])
-    cons[rows[:, None], idx.first3[idx.extra_cell]] = coeffs
-    cons[rows, idx.extra_face] -= 1.0
-    return cons
-
-
-def _area_jacobian(fan: Fan, h: np.ndarray) -> np.ndarray:
+def _area_jacobian(fan: Fan, h: np.ndarray, ab: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of the area map under the first-three-planes model.
 
     phi_j = 1/2 sum_p (a_p b_p+ - a_p+ b_p) (module docstring) has the gradient
@@ -101,10 +90,11 @@ def _area_jacobian(fan: Fan, h: np.ndarray) -> np.ndarray:
     into J by one bincount over Fan.jacobian_scatter.  On fans whose cells are
     all simple this is the classical form: the off-diagonal entry (i, k) for
     adjacent faces is the signed shared-edge length over sin of the angle
-    between n_i and n_k, the diagonal the matching planar-polygon derivative.
+    between n_i and n_k, the diagonal the matching planar-polygon derivative;
+    ab as in _oriented_areas.
     """
     idx, frames = fan.ring_index, fan.ring_frames
-    ab = _face_coordinates(fan, h)
+    ab = _face_coordinates(fan, h) if ab is None else ab
     turn = np.take(ab, idx.next_pos, axis=1) - np.take(ab, idx.prev_pos, axis=1)
     rows = 0.5 * (turn[1] * frames[:, 0] - turn[0] * frames[:, 1])
     return np.bincount(fan.jacobian_scatter, rows.ravel(), minlength=fan.m * fan.m).reshape(fan.m, fan.m)

@@ -2,16 +2,16 @@
 
 The area map phi sends support numbers to oriented face areas.  Targets on
 the balance plane are reached by walking g(t) = (1-t) f0 + t g from the
-seed's areas, correcting with Gauss-Newton at each step.  Translations form
-a known 3-dimensional null space, handled by gauge fixing.  On fans whose
-cells are all simple the Jacobian J is symmetric with J E = 0 for the
-equipment E.  Away from folds of the area map (turning points of the
-homotopy) J has rank m - 3, the bordered matrix [[J, wE], [wE^T, 0]] is
-nonsingular, and each Newton or predictor step is one LU solve of it, which
-is the least-squares step.  At a fold J loses rank and the step goes to
-rank-cutoff least squares, which names the drop; so does the Newton system
-of cells with more than three faces, whose linear constraints on the
-supports ride along as rows to keep iterates on the realizability locus.
+seed's areas, correcting with Gauss-Newton at each step.  The translations
+are the known null space: J E = 0 for the equipment E, and on fans whose
+cells are all simple J is symmetric.  Away from folds of the area map
+(turning points of the homotopy) J has rank m - 3, the bordered matrix
+[[J, wE], [wE^T, 0]] is nonsingular, and each Newton or predictor step is
+one LU solve of it, the least-squares step, which the border rows keep
+orthogonal to E.  At a fold J loses rank and the step goes to rank-cutoff
+least squares, which names the drop; so does the Newton system of cells
+with more than three faces, whose linear constraints on the supports ride
+along as rows to keep iterates on the realizability locus.
 
 Steps in t come from the area map itself.  Vertices are linear in the
 supports, so phi is an exact quadratic form: phi(h + s d) = phi(h) +
@@ -25,10 +25,12 @@ CURVATURE_BUDGET |h|.  The corrector starts from h + dt d + dt^2 e.  The
 cap starts at 1, is set to half the step when MAX_NEWTON_ITERS corrector
 iterations do not converge, doubles (up to 1) after each accepted step,
 and the walk ends once it falls below MIN_STEP or after MAX_STEPS tries.
-Newton iterates and fd probes are left unchecked: phi is one quadratic form
-on all of R^m, so a short edge or a small area on the way, or a probe that
-flips a face, says nothing about the problem.  A path may pass an edge
-through zero length.
+A corrector iterate is a support vector x and its areas: the sentinel reads
+|x| first, then one set of face coordinates gives phi(x) and the analytic J.
+Only the seed and accepted points are gauge-fixed and realized.  Iterates
+and fd probes go unchecked: phi is one quadratic form on all of R^m, so a
+short edge or a small area on the way, or a probe that flips a face, says
+nothing about the problem.  A path may pass an edge through zero length.
 
 Failure modes are part of the contract: a converged point off the target's
 face signs, or a fold where J loses rank (DEGENERATED); a runaway (|h| past
@@ -41,19 +43,22 @@ point nears an area zero only where the target does.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fan import SCAN_BLOCK, Fan, ValidationReport, is_general_position
+from .fan import SCAN_BLOCK, Fan, ValidationReport, _frozen, is_general_position
 from .geometry import (
     Herisson,
     _area_jacobian,
-    _consistency_matrix,
+    _face_coordinates,
     _oriented_areas,
     _realize,
     gauge_fix,
     reconstruct,
+    support_scale,
 )
 
 RANK_CUTOFF = 1e-10          # singular values below this (relative) count as null
@@ -141,11 +146,11 @@ def _check_jacobian_mode(mode: str) -> None:
         raise ValueError(f"unknown jacobian mode {mode!r}")
 
 
-def _jacobian(surface: Herisson, mode: str) -> np.ndarray:
-    """Area Jacobian at the surface's supports in the given mode."""
+def _jacobian(fan: Fan, h: np.ndarray, mode: str, ab: np.ndarray | None = None) -> np.ndarray:
+    """Area Jacobian at supports h in the given mode; the analytic one reads h's face coordinates ab if given."""
     if mode == "analytic":
-        return _area_jacobian(surface.fan, surface.h)
-    return _fd_area_jacobian(surface.fan, surface.h, FD_STEP * surface.scale)
+        return _area_jacobian(fan, h, ab)
+    return _fd_area_jacobian(fan, h, FD_STEP * support_scale(h))
 
 
 def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
@@ -161,7 +166,7 @@ def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
     [[J, wE], [wE^T, 0]]; at a fold least squares names the rank drop.
     """
     _check_jacobian_mode(mode)
-    return _jacobian(reconstruct(fan, h), mode)
+    return _jacobian(fan, reconstruct(fan, h).h, mode)
 
 
 def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -> ValidationReport:
@@ -205,6 +210,13 @@ class _Abort(Exception):
         self.status = status
 
 
+@functools.lru_cache
+def _condition_probes(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(size, 2) Weyl probe columns (numpy.random stays unloaded) and their norms, read-only, once per size."""
+    probes = np.modf(np.arange(1, size + 1)[:, None] * _PROBE_STRIDES)[0] - 0.5
+    return _frozen(probes), _frozen(np.linalg.norm(probes, axis=0))
+
+
 def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray, then=None):
     """Minimum-norm solution of jac @ delta = rhs, orthogonal to translations.
 
@@ -212,17 +224,17 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray, then=N
     with J E = 0 for the equipment E, of rank m - 3 away from folds of the
     area map; there B = [[J, wE], [wE^T, 0]] with w = |J|_F / sqrt(m),
     written into one (m+3)^2 array, is nonsingular and one LU solve gives
-    the least-squares step.  B is solved for rhs and two fixed probe
-    columns p (Weyl sequences, so numpy.random stays unloaded) together:
+    the least-squares step, its border rows E^T delta = 0.  B is solved for
+    one (m+3, 3) block: rhs and the two probe columns p of _condition_probes.
     max |B^-1 p| / |p| is a lower bound on |B^-1|, typically within a
     factor sqrt(m), and times |J|_F (at least sigma_1(J)) it estimates
     cond(B), which is at least sigma_1(J) / sigma_{m-3}(J).  When the solve
     fails, is not finite or the estimate exceeds 1e-4 / RANK_CUTOFF, and
-    for every jac with consistency rows, rank-cutoff least squares decides;
-    a rank more than 3 short of m aborts as DEGENERATED.  With then, a
-    function of delta giving a second right-hand side, the pair (delta,
-    delta2) is returned, delta2 solving jac @ delta2 = then(delta) on the
-    same path and matrix, without a second condition verdict.
+    for every jac with consistency rows, rank-cutoff least squares decides,
+    its minimum norm orthogonal to E, which jac annihilates; a rank more
+    than 3 short of m aborts as DEGENERATED.  With then, a function of delta
+    giving a second right-hand side, the pair (delta, delta2) is returned,
+    delta2 solving jac @ delta2 = then(delta) on the same path and matrix.
     """
     m = equipment.shape[0]
     if jac.shape[0] == m:
@@ -231,13 +243,15 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray, then=N
         bordered[:m, :m] = jac
         bordered[:m, m:] = jnorm / np.sqrt(m) * equipment
         bordered[m:, :m] = bordered[:m, m:].T
-        probes = np.modf(np.arange(1, m + 4)[:, None] * _PROBE_STRIDES)[0] - 0.5
+        probes, probe_norms = _condition_probes(m + 3)
+        block = np.zeros((m + 3, 3))
+        block[:m, 0], block[:, 1:] = rhs, probes
         try:
-            sol = np.linalg.solve(bordered, np.column_stack([np.concatenate([rhs, np.zeros(3)]), probes]))
+            sol = np.linalg.solve(bordered, block)
         except np.linalg.LinAlgError:
             sol = None
         if sol is not None and np.all(np.isfinite(sol)):
-            inv_norm = float(np.max(np.linalg.norm(sol[:, 1:], axis=0) / np.linalg.norm(probes, axis=0)))
+            inv_norm = float(np.max(np.linalg.norm(sol[:, 1:], axis=0) / probe_norms))
             if jnorm * inv_norm <= 1e-4 / RANK_CUTOFF:
                 delta = sol[:m, 0]
                 if then is None:
@@ -246,9 +260,7 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray, then=N
     delta, _res, rank, _sv = np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)
     if m - rank > 3:
         raise _Abort(SolveStatus.DEGENERATED, f"jacobian rank dropped to {rank} (expected {m - 3})")
-    if then is None:
-        return delta
-    return delta, np.linalg.lstsq(jac, then(delta), rcond=RANK_CUTOFF)[0]
+    return delta if then is None else (delta, np.linalg.lstsq(jac, then(delta), rcond=RANK_CUTOFF)[0])
 
 
 def _first_root(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> float:
@@ -257,11 +269,11 @@ def _first_root(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> float:
     The roots are q / a and c / q with q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2,
     which loses no digits to cancellation; a = 0 leaves the linear root c / q.
     """
-    disc = b * b - 4.0 * a * c
-    real = disc >= 0.0
-    q = -0.5 * (b + np.copysign(np.sqrt(np.where(real, disc, 0.0)), b))
+    real = b * b - 4.0 * a * c >= 0.0
+    c, b, a = c[real], b[real], a[real]
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
     with np.errstate(divide="ignore", invalid="ignore"):
-        roots = np.concatenate([(q / a)[real], (c / q)[real]])
+        roots = np.concatenate([q / a, c / q])
     roots = roots[np.isfinite(roots) & (roots > 0.0)]
     return float(roots.min()) if roots.size else np.inf
 
@@ -270,12 +282,12 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     """Continuation from the seed surface toward the target areas.
 
     Preconditions (a realizable seed and a valid target) are checked up
-    front and raise ValueError.  The outcome reports Converged with the
-    gauge-fixed support numbers, or the failure mode with the last homotopy
-    parameter reached, the supports accepted there and a per-step trace;
-    those supports may fall under reconstruct's edge or area tolerance.
-    Divergence is watched on |h| alone: vertex c is B_c^-1 h on its cell's first
-    three faces, so a face of k sides has perimeter at most 2 k max_c |B_c^-1|_2 |h|.
+    front and raise ValueError.  The outcome reports Converged or the failure
+    mode, the last homotopy parameter reached, the gauge-fixed supports
+    accepted there and a per-step trace; those supports may fall under
+    reconstruct's edge or area tolerance.  Divergence is watched on |x| of
+    each iterate alone, before its areas: vertex c is B_c^-1 x on its cell's
+    first three faces, so a k-gon face's perimeter is at most 2 k max_c |B_c^-1|_2 |x|.
     """
     opts = opts or SolveOptions()
     _check_jacobian_mode(opts.jacobian_mode)
@@ -286,37 +298,34 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     if not report.ok:
         raise ValueError(f"target rejected:\n{report}")
 
-    cons = _consistency_matrix(fan)
+    cons = fan.consistency_matrix
     now = _realize(fan, gauge_fix(fan, seed.h))     # the last accepted surface
     href = max(float(np.linalg.norm(now.h)), 1e-12)
 
-    def full_jacobian(surface: Herisson) -> np.ndarray:
-        areas_jac = _jacobian(surface, opts.jacobian_mode)
+    def full_jacobian(h: np.ndarray, ab: np.ndarray | None = None) -> np.ndarray:
+        areas_jac = _jacobian(fan, h, opts.jacobian_mode, ab)
         return np.vstack([areas_jac, cons]) if cons.size else areas_jac
 
     def correct(x: np.ndarray, g_t: np.ndarray) -> Herisson | None:
         for _ in range(MAX_NEWTON_ITERS):
-            surface = _realize(fan, x)
-            if float(np.linalg.norm(surface.h)) > DIVERGENCE_BOUND_FACTOR * href:
+            if math.hypot(*x.tolist()) > DIVERGENCE_BOUND_FACTOR * href:    # hypot: no overflow on a runaway
                 raise _Abort(SolveStatus.DIVERGED, "support norm exceeded the divergence sentinel")
-            scale = surface.scale
-            res_area = surface.oriented_areas - g_t
-            res_cons = cons @ x if cons.size else np.zeros(0)
-            if (
-                float(np.max(np.abs(res_area))) <= opts.tol_area * scale**2
-                and (res_cons.size == 0 or float(np.max(np.abs(res_cons))) <= CONSISTENCY_SOLVE_TOL * scale)
-            ):
-                if np.any(surface.signs != np.sign(g_t)):
+            ab, scale = _face_coordinates(fan, x), support_scale(x)
+            areas = _oriented_areas(fan, x, ab)
+            res_area, res_cons = areas - g_t, cons @ x
+            if (float(np.max(np.abs(res_area))) <= opts.tol_area * scale**2
+                    and float(np.max(np.abs(res_cons), initial=0.0)) <= CONSISTENCY_SOLVE_TOL * scale):
+                if np.any(np.sign(areas) != np.sign(g_t)):
                     raise _Abort(SolveStatus.DEGENERATED, "path left the orientation class")
-                return surface
+                return _realize(fan, gauge_fix(fan, x))
             rhs = -np.concatenate([res_area, res_cons])
-            x = gauge_fix(fan, x + _newton_step(full_jacobian(surface), rhs, fan.equipment))
+            x = x + _newton_step(full_jacobian(x, ab), rhs, fan.equipment)
         return None
 
     def model(surface: Herisson):
         """Tangent d, second-order term e and the model's limit on the step in t."""
         pad = np.zeros(cons.shape[0])
-        jac = full_jacobian(surface)
+        jac = full_jacobian(surface.h)
         quad = None     # phi(d), the s^2 coefficient of the areas along d
 
         def curvature_rhs(d: np.ndarray) -> np.ndarray:
@@ -347,7 +356,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             dt = min(1.0 - t, cap, limit)
             t_next = 1.0 if dt == 1.0 - t else t + dt
             g_t = (1.0 - t_next) * f0 + t_next * g
-            result = correct(gauge_fix(fan, now.h + dt * d + dt * dt * e), g_t)
+            result = correct(now.h + dt * d + dt * dt * e, g_t)
             if result is None:
                 cap = dt / 2.0
                 if cap < MIN_STEP:

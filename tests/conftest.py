@@ -40,14 +40,26 @@ def rng():
 
 
 @pytest.fixture()
-def newton_calls(monkeypatch):
-    """The arguments of every call of solver._newton_step during the test, in order."""
-    calls = []
-    step = solver._newton_step
+def calls_of(monkeypatch):
+    """calls_of(name, *modules) wraps the function `name`, which each module binds
+    alike, for the test, and returns the (args, kwargs) of its every call, in order."""
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return step(*args, **kwargs)
+    def count(name, *modules):
+        calls = []
+        func = getattr(modules[0], name)
 
-    monkeypatch.setattr(solver, "_newton_step", counted)
-    return calls
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return func(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count
+
+
+@pytest.fixture()
+def newton_calls(calls_of):
+    """The (args, kwargs) of every call of solver._newton_step during the test, in order."""
+    return calls_of("_newton_step", solver)

@@ -19,7 +19,6 @@ from herisson.errors import DegenerateEquipment, DegenerateFace, InconsistentVer
 from herisson.fan import Fan, validate
 from herisson.geometry import (
     _area_jacobian,
-    _consistency_matrix,
     _realize,
     balance_residual,
     gauge_fix,
@@ -122,7 +121,7 @@ class TestReconstruct:
     @pytest.mark.parametrize("fixture", ["bowtie", "waisted", "tiling"])
     def test_consistency_rows_vanish_on_realized_supports(self, fixture, request):
         body = request.getfixturevalue(fixture)
-        cons = _consistency_matrix(body.fan)
+        cons = body.fan.consistency_matrix
         extra = sum(len(cell) - 3 for cell in body.fan.cells)
         assert cons.shape == (extra, body.m)
         assert np.max(np.abs(cons @ body.h), initial=0.0) <= 1e-12 * support_scale(body.h)

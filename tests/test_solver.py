@@ -1,4 +1,5 @@
 import re
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +35,16 @@ FREE = SolveOptions(allow_non_general_position=True)
 WAIST_TARGET = np.array(
     [np.sqrt(3) / 4] + [-1 / 3] * 3 + [-np.sqrt(3) / 4] * 6 + [np.sqrt(3) / 4]
 )
+
+
+def _polar_problem(m, spread=0.4, width=0.4):
+    """A polar fan of m faces and a balanced target: 1 - spread of the unit seed's areas
+    plus spread of their multiple by uniform(1 - width, 1 + width) factors, projected."""
+    rng = np.random.default_rng(m)
+    fan = polar_fan(rng, m)
+    f0 = area_map(fan, np.ones(m))
+    balanced = lambda f: f - fan.equipment @ np.linalg.lstsq(fan.equipment, f, rcond=None)[0]  # noqa: E731
+    return fan, balanced((1.0 - spread) * f0 + spread * balanced(rng.uniform(1.0 - width, 1.0 + width, m) * f0))
 
 
 class TestAreaMap:
@@ -211,11 +222,20 @@ class TestNewtonStep:
         assert np.linalg.norm(_translation_free(fan.equipment, again - expected)) <= 1e-12 * np.linalg.norm(expected)
 
     def test_second_rhs_on_the_least_squares_path(self, waisted):
-        jac = np.vstack([_area_jacobian(waisted.fan, waisted.h), geometry._consistency_matrix(waisted.fan)])
+        jac = np.vstack([_area_jacobian(waisted.fan, waisted.h), waisted.fan.consistency_matrix])
         rhs, second = np.random.default_rng(3).standard_normal((2, len(jac)))
         step, again = _newton_step(jac, rhs, waisted.fan.equipment, then=lambda delta: second)
         assert np.array_equal(step, np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)[0])
         assert np.array_equal(again, np.linalg.lstsq(jac, second, rcond=RANK_CUTOFF)[0])
+
+    def test_least_squares_step_is_translation_free(self, waisted):
+        # J and the consistency rows annihilate the translations, so the
+        # minimum-norm step has no part along them: the walk projects no iterate
+        eq = waisted.fan.equipment
+        jac = np.vstack([_area_jacobian(waisted.fan, waisted.h), waisted.fan.consistency_matrix])
+        for rhs in np.random.default_rng(5).standard_normal((5, len(jac))):
+            step = _newton_step(jac, rhs, eq)
+            assert np.linalg.norm(eq.T @ step) <= 1e-12 * np.linalg.norm(step)
 
     def test_rank_drop_falls_back_and_degenerates(self):
         rng = np.random.default_rng(40)
@@ -380,22 +400,47 @@ class TestSolve:
         # the walk short of the target
         out = solve_minkowski(waisted.fan, waisted.h, WAIST_TARGET, FREE)
         assert out.status is SolveStatus.DEGENERATED
-        assert out.t_reached == 0.9998957414998926 and len(out.trace) == 12
+        assert out.t_reached == 0.9998957414998701 and len(out.trace) == 12
         assert out.message == "jacobian rank dropped to 7 (expected 8)"
 
     @pytest.mark.parametrize("m, steps, solves", [(120, 1, 3), (40, 1, 3)])
     def test_step_count_of_polar_solves(self, m, steps, solves, newton_calls):
         # the quadratic model sizes the step: one step and two corrector
         # iterations where the fixed grid of 1/16 took 16 steps, 32 solves
-        rng = np.random.default_rng(m)
-        fan = polar_fan(rng, m)
-        f0 = area_map(fan, np.ones(m))
-        balanced = lambda f: f - fan.equipment @ np.linalg.lstsq(fan.equipment, f, rcond=None)[0]  # noqa: E731
-        g = balanced(0.6 * f0 + 0.4 * balanced(rng.uniform(0.6, 1.4, m) * f0))
+        fan, g = _polar_problem(m)
         out = solve_minkowski(fan, np.ones(m), g)
         assert out.status is SolveStatus.CONVERGED and out.t_reached == 1.0
         assert np.max(np.abs(area_map(fan, out.h_final) - g)) <= 1e-10 * support_scale(out.h_final) ** 2
         assert len(out.trace) - 1 == steps and len(newton_calls) == solves
+
+    @pytest.mark.parametrize("spread, width, steps", [(0.4, 0.4, 1), (1.0, 0.7, 3)])
+    def test_iterates_are_support_vectors(self, spread, width, steps, calls_of, newton_calls):
+        # a corrector iterate is its supports and their face coordinates, from
+        # which it takes phi and J; _realize runs for the seed, the gauge-fixed
+        # start and each accepted point alone
+        fan, g = _polar_problem(40, spread, width)
+        realized = calls_of("_realize", geometry, solver)
+        coordinates = calls_of("_face_coordinates", geometry, solver)
+        out = solve_minkowski(fan, np.ones(40), g)
+        accepted = len(out.trace) - 1
+        models = sum("then" in kwargs for _args, kwargs in newton_calls)
+        iterates = len(newton_calls) - models + accepted      # every corrector step, and each converged iterate
+        assert out.converged and models == accepted == steps
+        assert len(realized) == 2 + accepted
+        # one per iterate, one per realization, and the model's J and phi(d)
+        assert len(coordinates) == iterates + len(realized) + 2 * models
+
+    def test_final_supports_are_gauge_fixed(self, waisted):
+        # the iterates go unprojected; gauge_fix runs at the seed and at each
+        # accepted point, so h_final is translation-free whatever the ending
+        cases = [(fan, np.ones(m), g, None) for m in (40, 120) for fan, g in [_polar_problem(m)]]
+        cases.append((waisted.fan, waisted.h, WAIST_TARGET, FREE))
+        statuses = []
+        for fan, h0, g, opts in cases:
+            out = solve_minkowski(fan, h0, g, opts)
+            statuses.append(out.status)
+            assert np.linalg.norm(fan.equipment.T @ out.h_final) <= 1e-13 * np.linalg.norm(out.h_final)
+        assert statuses == [SolveStatus.CONVERGED] * 2 + [SolveStatus.DEGENERATED]
 
     @pytest.mark.parametrize("mode", ["analytic", "fd"])
     def test_warm_fan_solves_no_stacked_system(self, mode, monkeypatch):
@@ -513,6 +558,19 @@ class TestEndings:
         with pytest.raises(DegenerateFace, match="shortest edge"):
             reconstruct(cube.fan, out.h_final)
 
+    def test_runaway_step_diverges_before_it_is_evaluated(self, cube, monkeypatch):
+        # the sentinel reads |x| before the iterate's areas are taken: a
+        # corrector step to 1e200 ends the walk with no overflow on the way
+        step = solver._newton_step
+        runaway = lambda jac, rhs, eq, then=None: step(jac, rhs, eq, then) if then else np.full(len(eq), 1e200)  # noqa: E731
+        monkeypatch.setattr(solver, "_newton_step", runaway)
+        g = area_map(cube.fan, np.array([0.5, 0.5, 1, 1, 1.5, 1.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = solve_minkowski(cube.fan, cube.h, g, FREE)
+        assert out.status is SolveStatus.DIVERGED and out.t_reached == 0.0
+        assert out.message == "support norm exceeded the divergence sentinel"
+
     def test_needle_is_not_an_ending(self, cube, monkeypatch):
         # a needle (long faces of small area) is reached with the factor at 2:
         # the sentinel watches |h| alone, which ends at 1.15 times the seed's
@@ -544,8 +602,8 @@ class TestFanCache:
 
     # every cache the Fan docstring lists; a solve reads all of them but arcs
     # (validate, the congruence labels and the exports read it)
-    SOLVE_CACHES = {"corners", "ring_index", "block_inverses", "ring_frames", "jacobian_scatter",
-                    "translation_gram", "coplanar_triple"}
+    SOLVE_CACHES = {"corners", "ring_index", "block_inverses", "ring_frames", "consistency_matrix",
+                    "jacobian_scatter", "translation_gram", "coplanar_triple"}
 
     def test_the_docstring_lists_every_cache(self):
         caches = {name for name, attr in vars(Fan).items() if isinstance(attr, cached_property)}
