@@ -14,7 +14,7 @@ convex body gets positive areas everywhere.
 
 _realize gives the unchecked surface and reconstruct the checked one (the
 boundary test is reconstruct's alone), both a Herisson, which measures its
-edge lengths once (ring_lengths) for every edge length and face perimeter.
+edge lengths once (ring_lengths).
 """
 
 from __future__ import annotations
@@ -132,11 +132,6 @@ class Herisson:
         lengths = np.linalg.norm(self.vertices[idx.cell[idx.next_pos]] - self.vertices[idx.cell], axis=1)
         lengths.setflags(write=False)
         return lengths
-
-    @property
-    def perimeters(self) -> np.ndarray:
-        """(m,) sum of the edge lengths around each face."""
-        return np.add.reduceat(self.ring_lengths, self.fan.ring_index.start[:-1])
 
     def face_cycle(self, j: int) -> tuple[int, ...]:
         """Cell indices around face j, in boundary order; IndexError unless 0 <= j < m."""

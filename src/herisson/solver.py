@@ -25,10 +25,13 @@ CURVATURE_BUDGET |h|.  The corrector starts from h + dt d + dt^2 e.  The
 cap starts at 1, is set to half the step when MAX_NEWTON_ITERS corrector
 iterations do not converge, doubles (up to 1) after each accepted step,
 and the walk ends once it falls below MIN_STEP or after MAX_STEPS tries.
-A corrector iterate is a support vector x and its areas: the sentinel reads
-|x| first, then one set of face coordinates gives phi(x) and the analytic J.
-Only the seed and accepted points are gauge-fixed and realized.  Iterates
-and fd probes go unchecked: phi is one quadratic form on all of R^m, so a
+A point of the walk is a support vector x, its face coordinates and its
+areas: the sentinel reads |x| first, then one set of face coordinates gives
+phi(x) and the analytic J, and an accepted point keeps them for its model.
+Only the seed is realized (reconstruct checks it), and gauge_fix runs on the
+seed and on the final supports alone: every step is orthogonal to E, so the
+points between stay translation-free up to rounding.  Iterates and fd
+probes go unchecked: phi is one quadratic form on all of R^m, so a
 short edge or a small area on the way, or a probe that flips a face, says
 nothing about the problem.  A path may pass an edge through zero length.
 
@@ -50,16 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fan import SCAN_BLOCK, Fan, ValidationReport, _frozen, is_general_position
-from .geometry import (
-    Herisson,
-    _area_jacobian,
-    _face_coordinates,
-    _oriented_areas,
-    _realize,
-    gauge_fix,
-    reconstruct,
-    support_scale,
-)
+from .geometry import _area_jacobian, _face_coordinates, _oriented_areas, gauge_fix, reconstruct, support_scale
 
 RANK_CUTOFF = 1e-10          # singular values below this (relative) count as null
 _PROBE_STRIDES = np.array([(5 ** 0.5 - 1) / 2, 2 ** 0.5 - 1])   # Weyl strides of the condition probes
@@ -95,10 +89,16 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One accepted point of the walk.
+
+    t is the homotopy parameter reached, residual the sup-norm area
+    residual max_j |phi(h)_j - g(t)_j| at the accepted iterate (0 at the
+    seed), and min_abs_area its least |phi(h)_j|, the in-class witness.
+    """
+
     t: float
     residual: float
     min_abs_area: float
-    max_perimeter: float
 
 
 @dataclass
@@ -283,8 +283,8 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
 
     Preconditions (a realizable seed and a valid target) are checked up
     front and raise ValueError.  The outcome reports Converged or the failure
-    mode, the last homotopy parameter reached, the gauge-fixed supports
-    accepted there and a per-step trace; those supports may fall under
+    mode, the last homotopy parameter reached, the supports accepted there,
+    gauge-fixed, and a per-step trace; those supports may fall under
     reconstruct's edge or area tolerance.  Divergence is watched on |x| of
     each iterate alone, before its areas: vertex c is B_c^-1 x on its cell's
     first three faces, so a k-gon face's perimeter is at most 2 k max_c |B_c^-1|_2 |x|.
@@ -299,14 +299,16 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
         raise ValueError(f"target rejected:\n{report}")
 
     cons = fan.consistency_matrix
-    now = _realize(fan, gauge_fix(fan, seed.h))     # the last accepted surface
-    href = max(float(np.linalg.norm(now.h)), 1e-12)
+    x0 = gauge_fix(fan, seed.h)
+    ab0 = _face_coordinates(fan, x0)
+    now = (x0, ab0, _oriented_areas(fan, x0, ab0))     # the last accepted point: supports, face coordinates, areas
+    href = max(float(np.linalg.norm(x0)), 1e-12)
 
-    def full_jacobian(h: np.ndarray, ab: np.ndarray | None = None) -> np.ndarray:
+    def full_jacobian(h: np.ndarray, ab: np.ndarray) -> np.ndarray:
         areas_jac = _jacobian(fan, h, opts.jacobian_mode, ab)
         return np.vstack([areas_jac, cons]) if cons.size else areas_jac
 
-    def correct(x: np.ndarray, g_t: np.ndarray) -> Herisson | None:
+    def correct(x: np.ndarray, g_t: np.ndarray):
         for _ in range(MAX_NEWTON_ITERS):
             if math.hypot(*x.tolist()) > DIVERGENCE_BOUND_FACTOR * href:    # hypot: no overflow on a runaway
                 raise _Abort(SolveStatus.DIVERGED, "support norm exceeded the divergence sentinel")
@@ -317,15 +319,15 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
                     and float(np.max(np.abs(res_cons), initial=0.0)) <= CONSISTENCY_SOLVE_TOL * scale):
                 if np.any(np.sign(areas) != np.sign(g_t)):
                     raise _Abort(SolveStatus.DEGENERATED, "path left the orientation class")
-                return _realize(fan, gauge_fix(fan, x))
+                return x, ab, areas
             rhs = -np.concatenate([res_area, res_cons])
             x = x + _newton_step(full_jacobian(x, ab), rhs, fan.equipment)
         return None
 
-    def model(surface: Herisson):
+    def model(x: np.ndarray, ab: np.ndarray, areas: np.ndarray):
         """Tangent d, second-order term e and the model's limit on the step in t."""
         pad = np.zeros(cons.shape[0])
-        jac = full_jacobian(surface.h)
+        jac = full_jacobian(x, ab)
         quad = None     # phi(d), the s^2 coefficient of the areas along d
 
         def curvature_rhs(d: np.ndarray) -> np.ndarray:
@@ -334,13 +336,13 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             return np.concatenate([-quad, pad])
 
         d, e = _newton_step(jac, np.concatenate([g - f0, pad]), fan.equipment, then=curvature_rhs)
-        s_root = _first_root(surface.oriented_areas, jac[:fan.m] @ d, quad)
+        s_root = _first_root(areas, jac[:fan.m] @ d, quad)
         enorm = float(np.linalg.norm(e))
-        bend = float(np.sqrt(CURVATURE_BUDGET * np.linalg.norm(surface.h) / enorm)) if enorm > 0.0 else np.inf
+        bend = float(np.sqrt(CURVATURE_BUDGET * np.linalg.norm(x) / enorm)) if enorm > 0.0 else np.inf
         return d, e, min(ROOT_FRACTION * s_root, bend)
 
     t, cap = 0.0, 1.0
-    trace = [TraceRecord(0.0, 0.0, float(np.min(np.abs(f0))), float(np.max(now.perimeters)))]
+    trace = [TraceRecord(0.0, 0.0, float(np.min(np.abs(f0))))]
 
     attempts = 0
     status, message = SolveStatus.CONVERGED, ""
@@ -351,12 +353,12 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             if attempts > MAX_STEPS:
                 raise _Abort(SolveStatus.MAX_ITERATIONS, "step budget exhausted")
             if tangent is None:
-                tangent = model(now)
+                tangent = model(*now)
             d, e, limit = tangent
             dt = min(1.0 - t, cap, limit)
             t_next = 1.0 if dt == 1.0 - t else t + dt
             g_t = (1.0 - t_next) * f0 + t_next * g
-            result = correct(now.h + dt * d + dt * dt * e, g_t)
+            result = correct(now[0] + dt * d + dt * dt * e, g_t)
             if result is None:
                 cap = dt / 2.0
                 if cap < MIN_STEP:
@@ -364,9 +366,8 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
                                  f"corrector stalled at t={t!r} with step below {MIN_STEP}")
                 continue
             now, t, tangent = result, t_next, None
-            trace.append(TraceRecord(t, float(np.max(np.abs(now.oriented_areas - g_t))),
-                                     float(np.min(np.abs(now.oriented_areas))), float(np.max(now.perimeters))))
+            trace.append(TraceRecord(t, float(np.max(np.abs(now[2] - g_t))), float(np.min(np.abs(now[2])))))
             cap = min(2.0 * cap, 1.0)
     except _Abort as abort:
         status, message = abort.status, str(abort)
-    return SolveOutcome(status, np.array(now.h), t, trace, message)
+    return SolveOutcome(status, gauge_fix(fan, now[0]), t, trace, message)

@@ -218,7 +218,6 @@ class TestRingLengths:
             poly = body.face_polygon(j)
             sides = np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)
             assert np.array_equal(body.ring_lengths[starts[j]:starts[j + 1]], sides)
-            assert body.perimeters[j] == pytest.approx(sides.sum(), rel=1e-15)
 
     def test_both_positions_of_an_arc_agree(self, body):
         # the edge vectors at the two positions are exact negatives, so
@@ -383,7 +382,8 @@ def test_perimeters_are_bounded_by_the_support_norm(cube, box123, tetra, bowtie,
         inverse = float(np.linalg.norm(fan.block_inverses, ord=2, axis=(1, 2)).max())
         for _ in range(20):
             h = 10.0 ** rng.uniform(-3.0, 3.0) * (1.0 + rng.uniform(0.0, 1.5) * rng.standard_normal(fan.m))
-            assert _realize(fan, h).perimeters.max() <= 2.0 * k_max * inverse * np.linalg.norm(h)
+            perimeters = np.add.reduceat(_realize(fan, h).ring_lengths, fan.ring_index.start[:-1])
+            assert perimeters.max() <= 2.0 * k_max * inverse * np.linalg.norm(h)
 
 
 @settings(max_examples=40, deadline=None)

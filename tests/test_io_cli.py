@@ -302,11 +302,10 @@ class TestExitCodes:
         lines = trace.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(outcome.trace) > 2
         records = [json.loads(line) for line in lines]
-        assert all(list(r) == ["t", "residual", "min_abs_area", "max_perimeter"] for r in records)
+        assert all(list(r) == ["t", "residual", "min_abs_area"] for r in records)
         assert records[0]["t"] == 0.0 and records[-1]["t"] == 1.0
         expected = "".join(
-            json.dumps({"t": r.t, "residual": r.residual, "min_abs_area": r.min_abs_area,
-                        "max_perimeter": r.max_perimeter}) + "\n"
+            json.dumps({"t": r.t, "residual": r.residual, "min_abs_area": r.min_abs_area}) + "\n"
             for r in outcome.trace
         )
         assert trace.read_bytes() == expected.encode("utf-8")

@@ -25,6 +25,22 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
     return [(line, name) for name, line in imported.items() if name not in used]
 
 
+def unused_private_functions(paths: list[Path]) -> list[tuple[str, str]]:
+    """(file, name) of each module-level _name function that no module in paths
+    references (a Name or an attribute) outside the function's own definition."""
+    trees = [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+    refs = [(id(node), node.id if isinstance(node, ast.Name) else node.attr)
+            for _path, tree in trees for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for path, tree in trees:
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef) and func.name.startswith("_") and not func.name.startswith("__"):
+                own = {id(node) for node in ast.walk(func)}
+                if not any(name == func.name and key not in own for key, name in refs):
+                    found.append((path.name, func.name))
+    return found
+
+
 def test_no_unused_imports():
     assert len(SOURCES) > 10
     found = [(str(path.relative_to(ROOT)), *entry) for path in SOURCES for entry in unused_imports(path)]
@@ -40,3 +56,16 @@ def test_unused_imports_are_found(tmp_path):
         "np.zeros(d)\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "b")]
+
+
+def test_no_unused_private_functions():
+    # a private helper that only tests read is dead code in the package
+    package = sorted((ROOT / "src" / "herisson").glob("*.py"))
+    assert len(package) > 5
+    assert unused_private_functions(package) == []
+
+
+def test_unused_private_functions_are_found(tmp_path):
+    (tmp_path / "a.py").write_text("def _used():\n    pass\n\n\ndef _recursive(n):\n    return _recursive(n - 1)\n")
+    (tmp_path / "b.py").write_text("import a\n\n\ndef __getattr__(name):\n    return a._used\n")
+    assert unused_private_functions([tmp_path / "a.py", tmp_path / "b.py"]) == [("a.py", "_recursive")]

@@ -400,7 +400,7 @@ class TestSolve:
         # the walk short of the target
         out = solve_minkowski(waisted.fan, waisted.h, WAIST_TARGET, FREE)
         assert out.status is SolveStatus.DEGENERATED
-        assert out.t_reached == 0.9998957414998701 and len(out.trace) == 12
+        assert out.t_reached == 0.9998957415003801 and len(out.trace) == 12
         assert out.message == "jacobian rank dropped to 7 (expected 8)"
 
     @pytest.mark.parametrize("m, steps, solves", [(120, 1, 3), (40, 1, 3)])
@@ -415,24 +415,25 @@ class TestSolve:
 
     @pytest.mark.parametrize("spread, width, steps", [(0.4, 0.4, 1), (1.0, 0.7, 3)])
     def test_iterates_are_support_vectors(self, spread, width, steps, calls_of, newton_calls):
-        # a corrector iterate is its supports and their face coordinates, from
-        # which it takes phi and J; _realize runs for the seed, the gauge-fixed
-        # start and each accepted point alone
+        # a point of the walk is its supports, face coordinates and areas: the
+        # model takes J from an accepted iterate's coordinates, _realize runs
+        # once (the seed's reconstruct) and gauge_fix at the seed and at the end
         fan, g = _polar_problem(40, spread, width)
-        realized = calls_of("_realize", geometry, solver)
+        realized = calls_of("_realize", geometry)
+        fixed = calls_of("gauge_fix", geometry, solver)
         coordinates = calls_of("_face_coordinates", geometry, solver)
         out = solve_minkowski(fan, np.ones(40), g)
         accepted = len(out.trace) - 1
         models = sum("then" in kwargs for _args, kwargs in newton_calls)
         iterates = len(newton_calls) - models + accepted      # every corrector step, and each converged iterate
         assert out.converged and models == accepted == steps
-        assert len(realized) == 2 + accepted
-        # one per iterate, one per realization, and the model's J and phi(d)
-        assert len(coordinates) == iterates + len(realized) + 2 * models
+        assert len(realized) == 1 and len(fixed) == 2
+        # one per iterate, the model's phi(d), and the seed's realization and its gauge-fixed start
+        assert len(coordinates) == iterates + models + 2
 
     def test_final_supports_are_gauge_fixed(self, waisted):
-        # the iterates go unprojected; gauge_fix runs at the seed and at each
-        # accepted point, so h_final is translation-free whatever the ending
+        # the iterates and accepted points go unprojected; gauge_fix runs at the
+        # seed and once on h_final, so it is translation-free whatever the ending
         cases = [(fan, np.ones(m), g, None) for m in (40, 120) for fan, g in [_polar_problem(m)]]
         cases.append((waisted.fan, waisted.h, WAIST_TARGET, FREE))
         statuses = []
@@ -530,6 +531,8 @@ class TestEndings:
         # h_final is the point accepted at t_reached
         g_t = (1.0 - out.t_reached) * f0 + out.t_reached * g
         assert np.max(np.abs(geometry._realize(fan, out.h_final).oriented_areas - g_t)) <= 1e-9
+        # and it is gauge-fixed on every ending
+        assert np.linalg.norm(fan.equipment.T @ out.h_final) <= 1e-13 * np.linalg.norm(out.h_final)
 
     def test_boundary_tolerances_are_not_an_ending(self, cube, monkeypatch):
         # the walk checks its iterates against no boundary tolerance: raised to
