@@ -3,7 +3,9 @@
 Convex bodies (box, regular tetrahedron), the reflected truncated
 tetrahedron ("bowtie"), the waisted bitetrahedron family whose elongation
 defeats existence outside general position, and the space-filling prism.
-All builders are deterministic and return fully realized surfaces.
+All builders are deterministic and return checked surfaces (reconstruct);
+the bowtie and the waisted bitetrahedron share their mirrored tetrahedron
+caps (_mirrored_caps).
 """
 
 from __future__ import annotations
@@ -92,38 +94,34 @@ def _plane_offset(normal, point) -> float:
     return float(np.asarray(normal) @ np.asarray(point))
 
 
+def _mirrored_caps(zb: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inward lateral normals (6, 3) and their supports (6,) of a unit-edge
+    regular tetrahedron cap with base plane z = zb (rows 0-2, face i opposite
+    base corner i) and of its mirror image in z = 0 (rows 3-5)."""
+    corners = _corner_dirs()
+    mirror = np.array([1.0, 1.0, -1.0])
+    outward = np.column_stack([_LATERAL_TILT * -corners, np.full(3, 1.0 / 3.0)])
+    normals = np.vstack([-outward, -(outward * mirror)])
+    base_pts = np.column_stack([(1.0 / _SQRT3) * corners, np.full(3, zb)])[[1, 2, 0]]   # corner i+1 is on face i
+    points = np.vstack([base_pts, base_pts * mirror])
+    return normals, np.array([_plane_offset(n, x) for n, x in zip(normals, points)])
+
+
 def reflected_truncated_tetrahedron(rho: float) -> Herisson:
     """Unit-edge regular tetrahedron truncated at height fraction rho and
     glued to its mirror image in the cutting plane.
 
     The two faces parallel to the cutting plane keep outward normals; all
-    six lateral trapezoids are equipped with inward normals, which makes the
-    surface a herisson with exactly two positive faces.  Face order:
-    bottom base, three bottom laterals, three top laterals, top base.
+    six lateral trapezoids are equipped with inward normals (_mirrored_caps),
+    which makes the surface a herisson with exactly two positive faces.  Face
+    order: bottom base, three bottom laterals, three top laterals, top base.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("truncation ratio must lie in (0, 1)")
-    corners = _corner_dirs()                  # base corner directions
-    lateral_dirs = -corners                   # face i sits opposite corner i
     zb = -(1.0 - rho) * _TETRA_HEIGHT         # bottom base plane, cut plane at z=0
-    circum = 1.0 / _SQRT3
-
-    equipment = np.zeros((8, 3))
-    equipment[0] = (0.0, 0.0, -1.0)
-    for i in range(3):
-        outward = np.array([*(_LATERAL_TILT * lateral_dirs[i]), 1.0 / 3.0])
-        equipment[1 + i] = -outward                      # bottom laterals, inward
-        equipment[4 + i] = -(outward * np.array([1.0, 1.0, -1.0]))   # mirrored
-    equipment[7] = (0.0, 0.0, 1.0)
-
-    base_pts = np.column_stack([circum * corners, np.full(3, zb)])
-    h = np.zeros(8)
-    h[0] = -zb
-    h[7] = -zb
-    for i in range(3):
-        j = (i + 1) % 3                       # corner j lies on lateral face i
-        h[1 + i] = _plane_offset(equipment[1 + i], base_pts[j])
-        h[4 + i] = _plane_offset(equipment[4 + i], base_pts[j] * np.array([1, 1, -1]))
+    lateral, offsets = _mirrored_caps(zb)
+    equipment = np.vstack([(0.0, 0.0, -1.0), lateral, (0.0, 0.0, 1.0)])
+    h = np.concatenate([[-zb], offsets, [-zb]])
 
     cells = []
     for i in range(3):                        # base corners, bottom then top
@@ -142,38 +140,19 @@ def waisted_bitetrahedron(k: int) -> Herisson:
     The prism waist has length k and an orthogonal cross-section of
     perimeter 1/k (side 1/(3k)), so each of the three waist rectangles has
     oriented area exactly -1/3.  Bases carry outward equipment, everything
-    else inward.  Face order: bottom base, three waist faces, three bottom
-    laterals, three top laterals, top base.
+    else inward; the caps' laterals come from _mirrored_caps.  Face order:
+    bottom base, three waist faces, three bottom laterals, three top
+    laterals, top base.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError("waist length k must be a positive integer")
     k = int(k)
     s = 1.0 / (3.0 * k)                       # waist triangle side
-    corners = _corner_dirs()
-    lateral_dirs = -corners
-    half = k / 2.0
-    zb = -half - (1.0 - s) * _TETRA_HEIGHT    # bottom base plane
-    circum = 1.0 / _SQRT3
-    waist_inradius = s / (2.0 * _SQRT3)
-
-    equipment = np.zeros((11, 3))
-    equipment[0] = (0.0, 0.0, -1.0)
-    for i in range(3):
-        equipment[1 + i] = (*(-lateral_dirs[i]), 0.0)     # waist, inward horizontal
-        outward = np.array([*(_LATERAL_TILT * lateral_dirs[i]), 1.0 / 3.0])
-        equipment[4 + i] = -outward
-        equipment[7 + i] = -(outward * np.array([1.0, 1.0, -1.0]))
-    equipment[10] = (0.0, 0.0, 1.0)
-
-    base_pts = np.column_stack([circum * corners, np.full(3, zb)])
-    h = np.zeros(11)
-    h[0] = -zb
-    h[10] = -zb
-    for i in range(3):
-        j = (i + 1) % 3
-        h[1 + i] = -waist_inradius
-        h[4 + i] = _plane_offset(equipment[4 + i], base_pts[j])
-        h[7 + i] = _plane_offset(equipment[7 + i], base_pts[j] * np.array([1, 1, -1]))
+    zb = -k / 2.0 - (1.0 - s) * _TETRA_HEIGHT   # bottom base plane
+    lateral, offsets = _mirrored_caps(zb)
+    waist = np.column_stack([_corner_dirs(), np.zeros(3)])     # inward horizontal, face i opposite corner i
+    equipment = np.vstack([(0.0, 0.0, -1.0), waist, lateral, (0.0, 0.0, 1.0)])
+    h = np.concatenate([[-zb], np.full(3, -s / (2.0 * _SQRT3)), offsets, [-zb]])
 
     cells = []
     for i in range(3):

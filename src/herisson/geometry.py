@@ -12,9 +12,11 @@ p+ (p-) the next (previous) position of the ring: the signed shoelace sum of
 counterclockwise orientation of the spherical cells: an outward-equipped
 convex body gets positive areas everywhere.
 
-_realize gives the unchecked surface and reconstruct the checked one (the
-boundary test is reconstruct's alone), both a Herisson, which measures its
-edge lengths once (ring_lengths).
+Herisson(fan, h) is the unchecked surface and reconstruct the checked one
+(the boundary test is reconstruct's alone).  A Herisson holds its fan and
+supports only; vertices, oriented areas, signs and edge lengths are
+functions of them, computed on first read and cached read-only, by the rule
+the Fan follows for what it derives.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateFace, InconsistentVertex, NotSameClass
-from .fan import Fan, _cross
+from .fan import Fan, _cross, _frozen
 
 CONSISTENCY_TOL = 1e-8     # relative to scale, cells with more than 3 faces
 EDGE_TOL = 1e-9            # relative to scale
@@ -60,41 +62,25 @@ def _face_coordinates(fan: Fan, h: np.ndarray) -> np.ndarray:
     return (x * fan.ring_frames).sum(axis=-3)
 
 
-def _oriented_areas(fan: Fan, h: np.ndarray, ab: np.ndarray | None = None) -> np.ndarray:
-    """Oriented face areas (..., m) of supports h (..., m) by the shoelace, from their face coordinates ab if given."""
-    idx, ab = fan.ring_index, _face_coordinates(fan, h) if ab is None else ab
+def _oriented_areas(fan: Fan, ab: np.ndarray) -> np.ndarray:
+    """Oriented face areas (..., m) by the shoelace on face coordinates ab (..., 2, R)."""
+    idx = fan.ring_index
     after = np.take(ab, idx.next_pos, axis=-1)
     twice = ab[..., 0, :] * after[..., 1, :] - after[..., 0, :] * ab[..., 1, :]
     return 0.5 * np.add.reduceat(twice, idx.start[:-1], axis=-1)
 
 
-def _realize(fan: Fan, h) -> Herisson:
-    """The surface of (fan, h) before any strictness checks (see reconstruct).
-
-    Vertices come from the fan's vertex map (block_inverses), areas from the
-    face frames of the same model, which _area_jacobian differentiates.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (fan.m,):
-        raise ValueError(f"support vector has length {h.shape}, fan has m={fan.m}")
-    vertices = (fan.block_inverses @ h[fan.ring_index.first3][..., None])[..., 0]
-    areas = _oriented_areas(fan, h)
-    return Herisson(fan, h, vertices, np.sign(areas).astype(int), areas)
-
-
-def _area_jacobian(fan: Fan, h: np.ndarray, ab: np.ndarray | None = None) -> np.ndarray:
-    """Exact gradient of the area map under the first-three-planes model.
+def _area_jacobian(fan: Fan, ab: np.ndarray) -> np.ndarray:
+    """Exact gradient of the area map under the first-three-planes model, at face coordinates ab (2, R).
 
     phi_j = 1/2 sum_p (a_p b_p+ - a_p+ b_p) (module docstring) has the gradient
     1/2 (b_p+ - b_p-) U_p + 1/2 (a_p- - a_p+) W_p in x_p, and these row terms go
     into J by one bincount over Fan.jacobian_scatter.  On fans whose cells are
     all simple this is the classical form: the off-diagonal entry (i, k) for
     adjacent faces is the signed shared-edge length over sin of the angle
-    between n_i and n_k, the diagonal the matching planar-polygon derivative;
-    ab as in _oriented_areas.
+    between n_i and n_k, the diagonal the matching planar-polygon derivative.
     """
     idx, frames = fan.ring_index, fan.ring_frames
-    ab = _face_coordinates(fan, h) if ab is None else ab
     turn = np.take(ab, idx.next_pos, axis=1) - np.take(ab, idx.prev_pos, axis=1)
     rows = 0.5 * (turn[1] * frames[:, 0] - turn[0] * frames[:, 1])
     return np.bincount(fan.jacobian_scatter, rows.ravel(), minlength=fan.m * fan.m).reshape(fan.m, fan.m)
@@ -102,19 +88,23 @@ def _area_jacobian(fan: Fan, h: np.ndarray, ab: np.ndarray | None = None) -> np.
 
 @dataclass(frozen=True)
 class Herisson:
-    """A realized hedgehog surface: fan, supports, vertices, signs, oriented areas."""
+    """The hedgehog surface of supports h on a fan, unchecked (see reconstruct).
+
+    h is copied to float and read-only; ValueError unless it has one entry
+    per face.  Every other array is a read-only cached_property of (fan, h):
+    vertices from the fan's vertex map (block_inverses), oriented areas from
+    the face frames of the same model, which _area_jacobian differentiates,
+    and signs from the areas.
+    """
 
     fan: Fan
     h: np.ndarray
-    vertices: np.ndarray
-    signs: np.ndarray
-    oriented_areas: np.ndarray
 
     def __post_init__(self):
-        for name in ("h", "vertices", "signs", "oriented_areas"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        h = np.array(self.h, dtype=float)
+        if h.shape != (self.fan.m,):
+            raise ValueError(f"support vector has length {h.shape}, fan has m={self.fan.m}")
+        object.__setattr__(self, "h", _frozen(h))
 
     @property
     def m(self) -> int:
@@ -125,13 +115,26 @@ class Herisson:
         return support_scale(self.h)
 
     @cached_property
+    def vertices(self) -> np.ndarray:
+        """(V, 3) vertex of every cell, on the planes of its first three faces."""
+        idx = self.fan.ring_index
+        return _frozen((self.fan.block_inverses @ self.h[idx.first3][..., None])[..., 0])
+
+    @cached_property
+    def oriented_areas(self) -> np.ndarray:
+        return _frozen(_oriented_areas(self.fan, _face_coordinates(self.fan, self.h)))
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """(m,) int sign of every oriented area."""
+        return _frozen(np.sign(self.oriented_areas).astype(int))
+
+    @cached_property
     def ring_lengths(self) -> np.ndarray:
         """(R,) read-only length of the polygon edge at every ring position;
         the two positions of an arc hold the same length."""
         idx = self.fan.ring_index
-        lengths = np.linalg.norm(self.vertices[idx.cell[idx.next_pos]] - self.vertices[idx.cell], axis=1)
-        lengths.setflags(write=False)
-        return lengths
+        return _frozen(np.linalg.norm(self.vertices[idx.cell[idx.next_pos]] - self.vertices[idx.cell], axis=1))
 
     def face_cycle(self, j: int) -> tuple[int, ...]:
         """Cell indices around face j, in boundary order; IndexError unless 0 <= j < m."""
@@ -156,7 +159,7 @@ class Herisson:
 
 
 def reconstruct(fan: Fan, h) -> Herisson:
-    """Realize the herisson with the given support numbers.
+    """The checked surface: Herisson(fan, h), once it passes the tests below.
 
     Raises SingularVertex for coplanar or non-finite normals at a cell,
     ValueError for other non-finite normals or supports, InconsistentVertex
@@ -173,7 +176,7 @@ def reconstruct(fan: Fan, h) -> Herisson:
     fan.block_inverses      # SingularVertex first, for the normals that place vertices
     if (bad := np.flatnonzero(~np.isfinite(fan.equipment).all(axis=1))).size:
         raise ValueError(f"face {bad[0]} has a non-finite normal")
-    surface = _realize(fan, h)
+    surface = Herisson(fan, h)
     idx = fan.ring_index
     misses = np.abs(np.einsum("ij,ij->i", fan.equipment[idx.extra_face], surface.vertices[idx.extra_cell])
                     - h[idx.extra_face])

@@ -85,6 +85,7 @@ class SolveOptions:
     def __post_init__(self):
         if not 0.0 < self.tol_area < np.inf:
             raise ValueError(f"tol_area must be finite and positive, got {self.tol_area!r}")
+        _check_jacobian_mode(self.jacobian_mode)
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,9 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float) -> np.ndarray:
     Probes enforce neither the multi-plane consistency of non-simple cells
     (a finite step always violates it) nor the face signs (phi is quadratic,
     so a probe that flips a face gives the same exact difference).  The 2m
-    probes h +- step e_j go to _oriented_areas as stacks of about SCAN_BLOCK
-    ring positions, each row summed as on its own: the columns equal those
-    of one realization per probe bit for bit.
+    probes h +- step e_j go to _face_coordinates and _oriented_areas as
+    stacks of about SCAN_BLOCK ring positions, each row summed as on its own:
+    the columns equal those of one realization per probe bit for bit.
     """
     m, ring = fan.m, len(fan.ring_index.cell)
     per_block = max(1, SCAN_BLOCK // (2 * ring))     # probe pairs per block
@@ -136,7 +137,7 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float) -> np.ndarray:
         j = np.arange(j0, min(j0 + per_block, m))
         probes = np.tile(h, (2, len(j), 1))     # [0] the probes h + step e_j, [1] h - step e_j
         probes[:, np.arange(len(j)), j] = h[j] + np.array([[step], [-step]])
-        plus, minus = _oriented_areas(fan, probes)
+        plus, minus = _oriented_areas(fan, _face_coordinates(fan, probes))
         jac[:, j] = ((plus - minus) / (2.0 * step)).T
     return jac
 
@@ -146,10 +147,10 @@ def _check_jacobian_mode(mode: str) -> None:
         raise ValueError(f"unknown jacobian mode {mode!r}")
 
 
-def _jacobian(fan: Fan, h: np.ndarray, mode: str, ab: np.ndarray | None = None) -> np.ndarray:
-    """Area Jacobian at supports h in the given mode; the analytic one reads h's face coordinates ab if given."""
+def _jacobian(fan: Fan, h: np.ndarray, ab: np.ndarray, mode: str) -> np.ndarray:
+    """Area Jacobian at supports h with face coordinates ab in the given mode; fd probes h, analytic reads ab."""
     if mode == "analytic":
-        return _area_jacobian(fan, h, ab)
+        return _area_jacobian(fan, ab)
     return _fd_area_jacobian(fan, h, FD_STEP * support_scale(h))
 
 
@@ -166,7 +167,8 @@ def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
     [[J, wE], [wE^T, 0]]; at a fold least squares names the rank drop.
     """
     _check_jacobian_mode(mode)
-    return _jacobian(fan, reconstruct(fan, h).h, mode)
+    h = reconstruct(fan, h).h
+    return _jacobian(fan, h, _face_coordinates(fan, h), mode)
 
 
 def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -> ValidationReport:
@@ -290,7 +292,6 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     first three faces, so a k-gon face's perimeter is at most 2 k max_c |B_c^-1|_2 |x|.
     """
     opts = opts or SolveOptions()
-    _check_jacobian_mode(opts.jacobian_mode)
     g = np.asarray(g, dtype=float)
     seed = reconstruct(fan, h0)
     f0 = seed.oriented_areas
@@ -301,11 +302,11 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     cons = fan.consistency_matrix
     x0 = gauge_fix(fan, seed.h)
     ab0 = _face_coordinates(fan, x0)
-    now = (x0, ab0, _oriented_areas(fan, x0, ab0))     # the last accepted point: supports, face coordinates, areas
+    now = (x0, ab0, _oriented_areas(fan, ab0))     # the last accepted point: supports, face coordinates, areas
     href = max(float(np.linalg.norm(x0)), 1e-12)
 
     def full_jacobian(h: np.ndarray, ab: np.ndarray) -> np.ndarray:
-        areas_jac = _jacobian(fan, h, opts.jacobian_mode, ab)
+        areas_jac = _jacobian(fan, h, ab, opts.jacobian_mode)
         return np.vstack([areas_jac, cons]) if cons.size else areas_jac
 
     def correct(x: np.ndarray, g_t: np.ndarray):
@@ -313,7 +314,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             if math.hypot(*x.tolist()) > DIVERGENCE_BOUND_FACTOR * href:    # hypot: no overflow on a runaway
                 raise _Abort(SolveStatus.DIVERGED, "support norm exceeded the divergence sentinel")
             ab, scale = _face_coordinates(fan, x), support_scale(x)
-            areas = _oriented_areas(fan, x, ab)
+            areas = _oriented_areas(fan, ab)
             res_area, res_cons = areas - g_t, cons @ x
             if (float(np.max(np.abs(res_area))) <= opts.tol_area * scale**2
                     and float(np.max(np.abs(res_cons), initial=0.0)) <= CONSISTENCY_SOLVE_TOL * scale):
@@ -332,7 +333,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
 
         def curvature_rhs(d: np.ndarray) -> np.ndarray:
             nonlocal quad
-            quad = _oriented_areas(fan, d)
+            quad = _oriented_areas(fan, _face_coordinates(fan, d))
             return np.concatenate([-quad, pad])
 
         d, e = _newton_step(jac, np.concatenate([g - f0, pad]), fan.equipment, then=curvature_rhs)

@@ -29,7 +29,7 @@ from herisson.fan import (
     TOUCH_TOL,
     Fan,
 )
-from herisson.geometry import Herisson, _realize, face_frame
+from herisson.geometry import Herisson, face_frame
 
 
 def halfspace_vertices(normals, offsets, interior_point=None):
@@ -639,8 +639,8 @@ def fd_jacobian_loop(fan, h, step):
     for j in range(fan.m):
         probe = np.zeros(fan.m)
         probe[j] = step
-        plus = _realize(fan, h + probe).oriented_areas
-        minus = _realize(fan, h - probe).oriented_areas
+        plus = Herisson(fan, h + probe).oriented_areas
+        minus = Herisson(fan, h - probe).oriented_areas
         cols.append((plus - minus) / (2.0 * step))
     return np.column_stack(cols)
 

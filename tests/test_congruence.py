@@ -305,7 +305,7 @@ class TestCongruentAndParallel:
         box = reconstruct(cube.fan, np.array([0.5, 0.5, 1.0, 1.0, 1.5, 1.5]))
         for other, status in ((cube.translated([0.3, 0.0, 0.0]), CongruenceStatus.CONGRUENT),
                               (box, CongruenceStatus.HYPOTHESIS_FAILURE)):
-            h1, h2 = (Herisson(h.fan, h.h, h.vertices, h.signs, h.oriented_areas) for h in (cube, other))
+            h1, h2 = (Herisson(h.fan, h.h) for h in (cube, other))
             scales.clear()
             assert congruent_and_parallel(h1, h2).status is status
             assert (len(scales), closes) == (2, [])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,14 @@ from helpers import (
     shoelace_area,
     vertex_solve_loop,
 )
-from herisson import builders
+from herisson import builders, geometry
 from herisson.congruence import congruent_and_parallel
 from herisson.errors import DegenerateEquipment, DegenerateFace, InconsistentVertex, NotSameClass, SingularVertex
 from herisson.fan import Fan, validate
 from herisson.geometry import (
+    Herisson,
     _area_jacobian,
-    _realize,
+    _face_coordinates,
     balance_residual,
     gauge_fix,
     minkowski_sum,
@@ -161,6 +164,37 @@ class TestReconstruct:
             assert np.all(body.signs == 1)
             oracle = halfspace_vertices(fan.equipment, h)
             assert match_point_sets(body.vertices, oracle, 1e-8)
+
+
+class TestSurface:
+    """Herisson(fan, h) holds the fan and the supports; every other array derives from them."""
+
+    def test_fields_are_fan_and_supports(self, bowtie):
+        body = Herisson(bowtie.fan, bowtie.h.tolist())
+        assert [f.name for f in dataclasses.fields(Herisson)] == ["fan", "h"]
+        assert vars(body).keys() == {"fan", "h"}
+        assert body.h.dtype == float and not body.h.flags.writeable
+        assert np.array_equal(body.h, bowtie.h) and body.h is not bowtie.h
+
+    def test_derived_arrays_are_read_only_and_computed_once(self, bowtie, calls_of):
+        coordinates = calls_of("_face_coordinates", geometry)
+        body = Herisson(bowtie.fan, bowtie.h)
+        for name in ("vertices", "oriented_areas", "signs"):
+            value = getattr(body, name)
+            assert getattr(body, name) is value and not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(body, name, value)
+        assert len(coordinates) == 1      # signs read the cached areas
+        assert vars(body).keys() == {"fan", "h", "vertices", "oriented_areas", "signs"}
+        assert body.vertices.shape == (len(bowtie.fan.cells), 3) and body.vertices.flags.c_contiguous
+        assert np.array_equal(body.signs, np.sign(body.oriented_areas)) and body.signs.dtype == int
+
+    @pytest.mark.parametrize("build", [Herisson, reconstruct])
+    def test_supports_of_the_wrong_length_are_refused(self, cube, build):
+        with pytest.raises(ValueError, match=r"^support vector has length \(5,\), fan has m=6$"):
+            build(cube.fan, np.ones(5))
 
 
 class TestGaugeFix:
@@ -325,8 +359,9 @@ class TestSameClass:
         eq, cells = _octahedron_normal_fan()
         assert validate(Fan(equipment=eq, cells=cells)).ok
         eq[0] = np.nan
+        body = Herisson(Fan(equipment=eq, cells=cells), np.ones(8))
         with np.errstate(invalid="ignore"):     # the sign of the NaN area
-            body = _realize(Fan(equipment=eq, cells=cells), np.ones(8))
+            assert np.isfinite(body.vertices).all() and body.signs.shape == (8,)
         with pytest.raises(NotSameClass, match="^equipments differ$"):
             minkowski_sum(body, body)
 
@@ -357,18 +392,19 @@ class TestVertexMap:
 
     def test_vertices_match_per_cell_solves(self, bodies):
         for fan, h in bodies:
-            err = np.max(np.abs(_realize(fan, h).vertices - vertex_solve_loop(fan, h)))
+            err = np.max(np.abs(Herisson(fan, h).vertices - vertex_solve_loop(fan, h)))
             assert err <= 1e-12 * support_scale(h)
 
     def test_areas_and_jacobian_match_the_cross_product_oracle(self, bodies):
         # the frame kernels reorder the arithmetic of the cross products, so
         # they agree with them to rounding, not bit for bit
         for fan, h in bodies:
-            surface = _realize(fan, h)
+            surface = Herisson(fan, h)
             oracle = oriented_areas_cross(fan, surface.vertices)
             assert np.max(np.abs(surface.oriented_areas - oracle)) <= 1e-14 * np.max(np.abs(oracle))
             oracle = area_jacobian_cross(fan, surface.vertices)
-            assert np.max(np.abs(_area_jacobian(fan, h) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+            jac = _area_jacobian(fan, _face_coordinates(fan, h))
+            assert np.max(np.abs(jac - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 def test_perimeters_are_bounded_by_the_support_norm(cube, box123, tetra, bowtie, waisted, tiling):
@@ -382,7 +418,7 @@ def test_perimeters_are_bounded_by_the_support_norm(cube, box123, tetra, bowtie,
         inverse = float(np.linalg.norm(fan.block_inverses, ord=2, axis=(1, 2)).max())
         for _ in range(20):
             h = 10.0 ** rng.uniform(-3.0, 3.0) * (1.0 + rng.uniform(0.0, 1.5) * rng.standard_normal(fan.m))
-            perimeters = np.add.reduceat(_realize(fan, h).ring_lengths, fan.ring_index.start[:-1])
+            perimeters = np.add.reduceat(Herisson(fan, h).ring_lengths, fan.ring_index.start[:-1])
             assert perimeters.max() <= 2.0 * k_max * inverse * np.linalg.norm(h)
 
 

@@ -25,19 +25,34 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
     return [(line, name) for name, line in imported.items() if name not in used]
 
 
-def unused_private_functions(paths: list[Path]) -> list[tuple[str, str]]:
-    """(file, name) of each module-level _name function that no module in paths
-    references (a Name or an attribute) outside the function's own definition."""
+def _private_definitions(tree: ast.Module):
+    """(name, statement) of each module-level _name function, class or assigned constant."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def unused_private_names(paths: list[Path]) -> list[tuple[str, str]]:
+    """(file, name) of each module-level _name function, class or constant that no
+    module in paths reads (a Name or an attribute) outside its own definition."""
     trees = [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
     refs = [(id(node), node.id if isinstance(node, ast.Name) else node.attr)
-            for _path, tree in trees for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+            for _path, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
     found = []
     for path, tree in trees:
-        for func in tree.body:
-            if isinstance(func, ast.FunctionDef) and func.name.startswith("_") and not func.name.startswith("__"):
-                own = {id(node) for node in ast.walk(func)}
-                if not any(name == func.name and key not in own for key, name in refs):
-                    found.append((path.name, func.name))
+        for name, stmt in _private_definitions(tree):
+            own = {id(node) for node in ast.walk(stmt)}
+            if not any(ref == name and key not in own for key, ref in refs):
+                found.append((path.name, name))
     return found
 
 
@@ -59,13 +74,24 @@ def test_unused_imports_are_found(tmp_path):
 
 
 def test_no_unused_private_functions():
-    # a private helper that only tests read is dead code in the package
+    # a private helper, constant or class that only tests read is dead code in the package
     package = sorted((ROOT / "src" / "herisson").glob("*.py"))
     assert len(package) > 5
-    assert unused_private_functions(package) == []
+    private = [name for path in package for name, _stmt in _private_definitions(ast.parse(path.read_text()))]
+    assert {"_PROBE_STRIDES", "_KINDS", "_Abort", "_InputError"} <= set(private)
+    assert unused_private_names(package) == []
 
 
 def test_unused_private_functions_are_found(tmp_path):
     (tmp_path / "a.py").write_text("def _used():\n    pass\n\n\ndef _recursive(n):\n    return _recursive(n - 1)\n")
     (tmp_path / "b.py").write_text("import a\n\n\ndef __getattr__(name):\n    return a._used\n")
-    assert unused_private_functions([tmp_path / "a.py", tmp_path / "b.py"]) == [("a.py", "_recursive")]
+    assert unused_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [("a.py", "_recursive")]
+
+
+def test_unused_private_constants_and_classes_are_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_READ = 1\n_STORED = _READ\n_TYPED: int = 3\n__dunder__ = 4\n\n\n"
+        "class _Raised(Exception):\n    pass\n\n\nclass _Unused(_Raised):\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text("import a\n\n\ndef f():\n    raise a._Raised(a._TYPED)\n")
+    assert unused_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [("a.py", "_STORED"), ("a.py", "_Unused")]

@@ -16,7 +16,7 @@ from helpers import (
 from herisson import builders, geometry, solver
 from herisson.errors import DegenerateFace
 from herisson.fan import GENERAL_POSITION_TOL, Fan
-from herisson.geometry import _area_jacobian, reconstruct, support_scale
+from herisson.geometry import Herisson, _area_jacobian, _face_coordinates, _oriented_areas, reconstruct, support_scale
 from herisson.solver import (
     RANK_CUTOFF,
     SolveOptions,
@@ -79,13 +79,13 @@ class TestQuadraticModel:
         rng = np.random.default_rng(13)
         # bowtie and waisted have cells of four faces: the first-three-planes model
         for fan, h in self.bodies(cube, box123, tetra, bowtie, waisted, tiling):
-            base = geometry._realize(fan, h)
-            jac = _area_jacobian(fan, base.h)
+            base = Herisson(fan, h)
+            jac = _area_jacobian(fan, _face_coordinates(fan, h))
             assert np.max(np.abs(jac @ h - 2.0 * base.oriented_areas)) <= 1e-12 * np.max(np.abs(base.oriented_areas))
             for _ in range(5):
                 d, s = rng.standard_normal(fan.m), rng.uniform(-2.0, 2.0)
-                terms = [base.oriented_areas, s * (jac @ d), s * s * geometry._realize(fan, d).oriented_areas]
-                moved = geometry._realize(fan, h + s * d).oriented_areas
+                terms = [base.oriented_areas, s * (jac @ d), s * s * Herisson(fan, d).oriented_areas]
+                moved = Herisson(fan, h + s * d).oriented_areas
                 size = sum(np.max(np.abs(term)) for term in terms)
                 assert np.max(np.abs(moved - sum(terms))) <= 1e-12 * size
 
@@ -177,10 +177,10 @@ class TestBatchedProbes:
         fans += [polar_fan(rng, m) for m in (6, 20, 40, 120, 300)]
         for fan in fans:
             stack = rng.uniform(0.5, 1.5, (5, fan.m))
-            areas = geometry._oriented_areas(fan, stack)
+            areas = _oriented_areas(fan, _face_coordinates(fan, stack))
             for row, h in zip(areas, stack):
-                assert np.array_equal(row, geometry._oriented_areas(fan, h))
-                assert np.array_equal(row, geometry._oriented_areas(fan, h[None])[0])
+                assert np.array_equal(row, _oriented_areas(fan, _face_coordinates(fan, h)))
+                assert np.array_equal(row, _oriented_areas(fan, _face_coordinates(fan, h[None]))[0])
 
 
 def _translation_free(eq, d):
@@ -194,7 +194,7 @@ class TestNewtonStep:
         fan = polar_fan(rng, m)
         h = rng.uniform(0.8, 1.2, m)
         base = reconstruct(fan, h)
-        jac = _area_jacobian(fan, base.h)
+        jac = jacobian(fan, h)
         rhs = area_map(fan, h * rng.uniform(0.95, 1.05, m)) - base.oriented_areas
         expected = np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)[0]
         monkeypatch.setattr(np.linalg, "lstsq", None)      # the fallback must not run
@@ -208,7 +208,7 @@ class TestNewtonStep:
         # condition verdict: one more LU solve, no second build or probe
         rng = np.random.default_rng(m)
         fan = polar_fan(rng, m)
-        jac = _area_jacobian(fan, reconstruct(fan, rng.uniform(0.8, 1.2, m)).h)
+        jac = jacobian(fan, rng.uniform(0.8, 1.2, m))
         rhs, second = (jac @ rng.standard_normal((m, 2))).T      # in the range of J, as area changes are
         solves = []
         solve = np.linalg.solve
@@ -222,7 +222,7 @@ class TestNewtonStep:
         assert np.linalg.norm(_translation_free(fan.equipment, again - expected)) <= 1e-12 * np.linalg.norm(expected)
 
     def test_second_rhs_on_the_least_squares_path(self, waisted):
-        jac = np.vstack([_area_jacobian(waisted.fan, waisted.h), waisted.fan.consistency_matrix])
+        jac = np.vstack([jacobian(waisted.fan, waisted.h), waisted.fan.consistency_matrix])
         rhs, second = np.random.default_rng(3).standard_normal((2, len(jac)))
         step, again = _newton_step(jac, rhs, waisted.fan.equipment, then=lambda delta: second)
         assert np.array_equal(step, np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)[0])
@@ -232,7 +232,7 @@ class TestNewtonStep:
         # J and the consistency rows annihilate the translations, so the
         # minimum-norm step has no part along them: the walk projects no iterate
         eq = waisted.fan.equipment
-        jac = np.vstack([_area_jacobian(waisted.fan, waisted.h), waisted.fan.consistency_matrix])
+        jac = np.vstack([jacobian(waisted.fan, waisted.h), waisted.fan.consistency_matrix])
         for rhs in np.random.default_rng(5).standard_normal((5, len(jac))):
             step = _newton_step(jac, rhs, eq)
             assert np.linalg.norm(eq.T @ step) <= 1e-12 * np.linalg.norm(step)
@@ -240,7 +240,7 @@ class TestNewtonStep:
     def test_rank_drop_falls_back_and_degenerates(self):
         rng = np.random.default_rng(40)
         fan = polar_fan(rng, 40)
-        jac = _area_jacobian(fan, reconstruct(fan, np.ones(40)).h)
+        jac = jacobian(fan, np.ones(40))
         values, vectors = np.linalg.eigh(0.5 * (jac + jac.T))
         values[np.argmax(np.abs(values))] = 0.0
         dropped = (vectors * values) @ vectors.T
@@ -416,10 +416,10 @@ class TestSolve:
     @pytest.mark.parametrize("spread, width, steps", [(0.4, 0.4, 1), (1.0, 0.7, 3)])
     def test_iterates_are_support_vectors(self, spread, width, steps, calls_of, newton_calls):
         # a point of the walk is its supports, face coordinates and areas: the
-        # model takes J from an accepted iterate's coordinates, _realize runs
-        # once (the seed's reconstruct) and gauge_fix at the seed and at the end
+        # model takes J from an accepted iterate's coordinates, reconstruct runs
+        # once (on the seed) and gauge_fix at the seed and at the end
         fan, g = _polar_problem(40, spread, width)
-        realized = calls_of("_realize", geometry)
+        realized = calls_of("reconstruct", geometry, solver)
         fixed = calls_of("gauge_fix", geometry, solver)
         coordinates = calls_of("_face_coordinates", geometry, solver)
         out = solve_minkowski(fan, np.ones(40), g)
@@ -463,9 +463,8 @@ class TestSolve:
     def test_unknown_jacobian_mode_rejected(self, cube, mode):
         with pytest.raises(ValueError, match="unknown jacobian mode"):
             jacobian(cube.fan, cube.h, mode=mode)
-        opts = SolveOptions(allow_non_general_position=True, jacobian_mode=mode)
-        with pytest.raises(ValueError, match="unknown jacobian mode"):
-            solve_minkowski(cube.fan, cube.h, np.full(6, 9.0), opts)
+        with pytest.raises(ValueError, match="unknown jacobian mode"):     # when the options are built
+            SolveOptions(allow_non_general_position=True, jacobian_mode=mode)
 
     def test_fd_probe_flip_is_not_an_ending(self, cube):
         # a surface thinner than the probe step: the fd probes at the seed
@@ -520,8 +519,8 @@ class TestEndings:
         fan, h0 = start()
         # the edge case's target is one that reconstruct refuses, so the
         # areas come from the lenient model
-        f0 = geometry._realize(fan, h0).oriented_areas
-        g = geometry._realize(fan, np.array(supports, dtype=float)).oriented_areas
+        f0 = Herisson(fan, h0).oriented_areas
+        g = Herisson(fan, supports).oriented_areas
         for module, name, value in patches:
             monkeypatch.setattr(module, name, value)
         out = solve_minkowski(fan, h0, g, opts)
@@ -530,7 +529,7 @@ class TestEndings:
         assert re.fullmatch(message, out.message)
         # h_final is the point accepted at t_reached
         g_t = (1.0 - out.t_reached) * f0 + out.t_reached * g
-        assert np.max(np.abs(geometry._realize(fan, out.h_final).oriented_areas - g_t)) <= 1e-9
+        assert np.max(np.abs(Herisson(fan, out.h_final).oriented_areas - g_t)) <= 1e-9
         # and it is gauge-fixed on every ending
         assert np.linalg.norm(fan.equipment.T @ out.h_final) <= 1e-13 * np.linalg.norm(out.h_final)
 
@@ -552,12 +551,12 @@ class TestEndings:
         # toward the box (width, 1, 1) the x-edges collapse below EDGE_TOL: the
         # walk ends at a fold before t = 1 or reaches the box, and either way
         # at supports that reconstruct refuses
-        g = geometry._realize(cube.fan, np.array([width / 2, width / 2, 0.5, 0.5, 0.5, 0.5])).oriented_areas
+        g = Herisson(cube.fan, [width / 2, width / 2, 0.5, 0.5, 0.5, 0.5]).oriented_areas
         out = solve_minkowski(cube.fan, cube.h, g, FREE)
         assert out.status is SolveStatus(status) and out.message == message
         assert (out.t_reached < 1.0) is (status == "degenerated")
         g_t = (1.0 - out.t_reached) * cube.oriented_areas + out.t_reached * g
-        assert np.max(np.abs(geometry._realize(cube.fan, out.h_final).oriented_areas - g_t)) <= 1e-9
+        assert np.max(np.abs(Herisson(cube.fan, out.h_final).oriented_areas - g_t)) <= 1e-9
         with pytest.raises(DegenerateFace, match="shortest edge"):
             reconstruct(cube.fan, out.h_final)
 
