@@ -13,8 +13,11 @@ p of face j has the outward normal u_p in the plane of face j, and the face
 of h1 fits inside that of h2 iff the translations c in that plane with
 u_p . c <= h2(u_p) - h1(u_p) for every p form a non-empty set; on convex
 faces the right-hand sides are the in-plane supports of the virtual
-polytope h2 - h1.  Edge lengths and fits are both measured against one
-scale, the larger support scale of the two herissons.
+polytope h2 - h1.  One face that fits is a witness, so the search stops
+at the first one: a verdict pays for the rings of the faces it tests, up to
+that face, and nothing for the faces after it.  Edge lengths and fits are
+both measured against one scale, the larger support scale of the two
+herissons.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ class CongruenceStatus(enum.Enum):
     HYPOTHESIS_FAILURE = "hypothesis_failure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CongruenceVerdict:
     status: CongruenceStatus
     translation: np.ndarray | None = None
@@ -145,66 +148,124 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     the same max over the moved vertices, plus tol (the maxima keep
     non-convex faces right).  The face fits iff {c : u_p . c <= beta_p} is
     non-empty.  That set is bounded, so it is non-empty iff the other
-    constraints cut a non-empty interval from some line u_p . c = beta_p.
-    Rows go face by face, direction 0 before 1, so the first row yielded
-    names the lowest face that fits, and a caller that stops there has paid
-    for the rows up to that face.  The (row, constraint) pairs are walked in
-    blocks that grow geometrically: the first holds the k rows of faces[0]
-    in direction 0 (k^2 pairs), each later one four times as many pairs as
-    the one before, up to SCAN_BLOCK.  A block takes the rows that start
-    within its count of pairs, each row whole, and the support maxima of a
-    face are taken just before its first block.
+    constraints cut a non-empty interval from some line u_p . c = beta_p,
+    which runs along n_j x u_p.
+
+    The rows come in segments s = 2i + d, the k rows of faces[i] in
+    direction d, face by face and direction 0 before 1, so the first row
+    yielded names the lowest face that fits.  Each row is paired with the k
+    constraints of its segment.  The pairs are walked in blocks that grow
+    geometrically: the first holds the k rows of faces[0] in direction 0
+    (k^2 pairs), each later one four times as many pairs as the one before,
+    up to SCAN_BLOCK.  A block takes the rows that start within its count
+    of pairs, each row whole.  Only the segments (a few numbers per face)
+    are laid out in advance, beside empty buffers for the rows; every
+    per-row quantity (ring position, u_p, the line's direction, beta_p) is
+    computed when a block first needs it.  A block's rows need beta_p of
+    every row of their segments, so reaching a block computes u_p and the
+    line's direction up to the end of the segment of its last row, and
+    beta_p from its first row to that end, at most SCAN_BLOCK pairs at a
+    time; the block's own pairs are the head of those.  What a caller that
+    stops at the first block holding a fit pays thus grows with the rows up
+    to the end of that block's last segment, and not with the faces after
+    it.
     """
-    idx = h1.fan.ring_index
-    k = np.repeat(np.diff(idx.start)[faces], 2)      # segment s = 2i + d: faces[i] in direction d
-    seg_row, seg_face = np.cumsum(k) - k, np.repeat(faces, 2)
-    row_seg = np.repeat(np.arange(len(k)), k)
-    row_k, d = k[row_seg], row_seg % 2
-    pos = idx.start[seg_face[row_seg]] + np.arange(len(row_seg)) - seg_row[row_seg]
-    verts = np.stack([h2.vertices, h1.vertices])    # verts[d] receives in direction d
-    edge = verts[d, idx.cell[idx.next_pos[pos]]] - verts[d, idx.cell[pos]]
-    length = np.stack([h2.ring_lengths, h1.ring_lengths])[d, pos]
-    normal = h1.fan.equipment[idx.owner[pos]]
-    u = _cross(edge, normal) * (h1.signs[idx.owner[pos]] / length)[:, None]
-    along = _cross(normal, u)
+    if not len(faces):
+        return
+    idx, nv, d = h1.fan.ring_index, len(h1.vertices), np.arange(2 * len(faces)) % 2
+    k = np.repeat(idx.start[faces + 1] - idx.start[faces], 2)      # segment s = 2i + d: faces[i] in direction d
+    seg_face, seg_end = np.repeat(faces, 2), np.cumsum(k)
+    seg_row, pairs_before = seg_end - k, np.cumsum(k * k) - k * k
+    seg_pos = idx.start[seg_face] - seg_row      # row r of segment s is at ring position seg_pos[s] + r
+    # in direction d a cell's (receiving, moved) vertices are both[d * V + cell], and the
+    # receiving edge lengths are lengths[d * R + ring position]
+    seg_vert, seg_len = d * nv, seg_pos + d * len(idx.cell)
+    both = np.concatenate([np.concatenate([h2.vertices, h1.vertices], axis=1),
+                           np.concatenate([h1.vertices, h2.vertices], axis=1)]).reshape(-1, 2, 3)
+    verts, lengths = both[:, 0], np.concatenate([h2.ring_lengths, h1.ring_lengths])
+    normal, sign = h1.fan.equipment[seg_face], h1.signs[seg_face]
+    rows = seg_end[-1]
+    ua, beta = np.empty((rows, 2, 3)), np.empty(rows)    # ua[r] = (line direction, u) of row r
+    u, along = ua[:, 1], ua[:, 0]
+    vert = np.empty(rows, dtype=int)              # the receiving vertex of each row's cell
 
-    before = np.cumsum(row_k) - row_k             # pairs before each row
-    shift, cell = seg_row[row_seg] - before, idx.cell[pos]    # pair t of row r: constraint row shift[r] + t
+    def cut(r0, t0, size):
+        """The end r1 of the rows from r0 on that start within size pairs of
+        row r0, which t0 pairs come before, the pairs before r1 and the end
+        of the segment of row r1 - 1."""
+        s = min(int(np.searchsorted(pairs_before, t0 + size, side="right")) - 1, len(k) - 1)
+        i = min(-(-(t0 + size - pairs_before[s]) // k[s]), k[s])   # the first row at or after pair t0 + size
+        return seg_row[s] + i, pairs_before[s] + i * k[s], seg_end[s] if i else seg_row[s]
 
-    def items(r0, r1):
-        """The row and the constraint row of every pair of rows r0..r1-1,
-        and the rows' first pairs."""
-        n, t0 = row_k[r0:r1], before[r0]
-        row = np.repeat(np.arange(r0, r1), n)
-        return row, np.repeat(shift[r0:r1], n) + np.arange(t0, t0 + len(row)), before[r0:r1] - t0
+    def geometry(r0, r1):
+        """u, the line direction and the receiving vertex of rows r0..r1-1."""
+        r = np.arange(r0, r1)
+        s = np.searchsorted(seg_end, r, side="right")
+        pos, dv, n = seg_pos[s] + r, seg_vert[s], normal[s]
+        v = vert[r0:r1] = dv + idx.cell[pos]
+        edge = verts[dv + idx.cell[idx.next_pos[pos]]] - verts[v]
+        ur = u[r0:r1] = _cross(edge, n) * (sign[s] / lengths[seg_len[s] + r])[:, None]
+        along[r0:r1] = _cross(n, ur)
 
-    cuts, size = [0], min(int(k[0]) ** 2, SCAN_BLOCK) if len(k) else 0
-    while cuts[-1] < len(row_k):
-        cuts.append(int(np.searchsorted(before, before[cuts[-1]] + size)))
-        size = min(4 * size, SCAN_BLOCK)
-    blocks = list(zip(cuts, cuts[1:]))
-    beta, pending, ready = np.empty(len(row_k)), iter(blocks), 0
-    for r0, r1 in blocks:
-        last = row_seg[r1 - 1]
-        while ready < seg_row[last] + k[last]:
-            s0, ready = next(pending)
-            row, other, first = items(s0, ready)
-            up, cells, dr = u[row], cell[other], d[row]
-            beta[s0:ready] = (np.maximum.reduceat(_dot(up, verts[dr, cells]), first)
-                              - np.maximum.reduceat(_dot(up, verts[1 - dr, cells]), first) + tol)
-        row, other, first = items(r0, r1)
-        uo = u[other]
-        slope = _dot(uo, along[row])
-        room = beta[other] - beta[row] * _dot(uo, u[row])
+    def pairs(r0, r1):
+        """The segment of each row r0..r1-1 and the offset of its first pair,
+        and the row and the constraint row of every pair."""
+        r = np.arange(r0, r1)
+        s = np.searchsorted(seg_end, r, side="right")
+        n = k[s]
+        first = np.cumsum(n) - n
+        return s, first, np.repeat(r, n), np.repeat(seg_row[s] - first, n) + np.arange(first[-1] + n[-1])
+
+    # beta_of and meet are functions so that their gathered arrays die on return: memory
+    # stays near one piece of at most SCAN_BLOCK pairs
+    def beta_of(r0, r1):
+        """Take beta of rows r0..r1-1, whose segments have their geometry, and return their pairs."""
+        found = _s, first, row, other = pairs(r0, r1)
+        up, rm = u[row], both[vert[other]]
+        beta[r0:r1] = (np.maximum.reduceat(_dot(up, rm[:, 0]), first)
+                       - np.maximum.reduceat(_dot(up, rm[:, 1]), first) + tol)
+        return found
+
+    def meet(row, other):
+        """The slope u_o . (n x u_r) and the room beta_o - beta_r u_o . u_r of
+        constraint o along the line of row r, for every pair (r, o)."""
+        uo, line = u[other], ua[row]
+        return _dot(uo, line[:, 0]), beta[other] - beta[row] * _dot(uo, line[:, 1])
+
+    ready = r0 = t0 = 0                           # the rows before ready have u, lines and beta
+    size = min(int(k[0]) ** 2, SCAN_BLOCK)
+    while r0 < rows:
+        r1, t1, end = cut(r0, t0, size)           # the block: rows r0..r1-1
+        whole = None                              # the pairs of rows r0..end-1, if taken at once
+        if ready < end:
+            # the constraints of a row are the rows of its segment, so beta is needed up to
+            # end; it is taken for rows r0..end-1 at most SCAN_BLOCK pairs at a time, rows whole
+            geometry(ready, end)
+            c0, tc = r0, t0
+            while c0 < end:
+                c1, tc, _end = cut(c0, tc, SCAN_BLOCK)
+                c1 = min(c1, end)
+                whole = beta_of(c0, c1)           # dropped at once unless it holds all the rows
+                if (c0, c1) != (r0, end):
+                    whole = None
+                c0 = c1
+            ready = end
+        s, first, row, other = whole or pairs(r0, r1)
+        if r1 - r0 < len(first):                  # the block is the head of the rows r0..end-1
+            head = first[r1 - r0]
+            s, first, row, other = s[:r1 - r0], first[:r1 - r0], row[:head], other[:head]
+        slope, room = meet(row, other)
+        own = first + np.arange(r0, r1) - seg_row[s]
+        slope[own] = room[own] = 0.0              # the line's own constraint holds on it
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = room / slope
-        skip = other == row                       # the line's own constraint holds on it
-        lo = np.where(skip | (slope >= 0), -np.inf, bound)
-        hi = np.where(skip | (slope <= 0), np.inf, bound)
-        miss = ~skip & (slope == 0) & (room < 0)   # a parallel constraint the line violates
+        lo = np.where(slope >= 0, -np.inf, bound)
+        hi = np.where(slope <= 0, np.inf, bound)
+        miss = (slope == 0) & (room < 0)          # a parallel constraint the line violates
         lo[miss], hi[miss] = np.inf, -np.inf
-        hit = row_seg[r0 + np.flatnonzero(np.maximum.reduceat(lo, first) <= np.minimum.reduceat(hi, first))]
+        hit = s[np.flatnonzero(np.maximum.reduceat(lo, first) <= np.minimum.reduceat(hi, first))]
         yield seg_face[hit], hit % 2
+        r0, t0, size = r1, t1, min(4 * size, SCAN_BLOCK)
 
 
 def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
@@ -222,13 +283,16 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     uniqueness hypothesis breaks down; direction is 0 when the first
     herisson's face moves into the second's, 1 for the reverse).  One such
     face is a witness, so the test, which reads the ring and the supports of
-    h2 - h1 (see _fits), stops at the first block holding a fit; its blocks
-    follow the face order and grow from the rows of the lowest tested face,
-    so a verdict costs work in proportion to the rows up to the face that
-    fits.  A face whose ring labels are all 0 is a translate of its mate and
-    is not tested.  If no face fits, DISTINCT names the lowest face
-    whose ring carries a nonzero label, with index the sign-change count of
-    that ring.  Edge lengths and fits are compared within 1e-9 times
+    h2 - h1 (see _fits), stops at the first block holding a fit.  Its blocks
+    follow the face order and grow fourfold from the rows of the lowest
+    tested face, and each row is read only when a block needs it.  So when
+    the lowest tested face of the first herisson fits into the second's,
+    the verdict reads that one ring; any other fit reads the rings up to the
+    end of the block that holds it, and DISTINCT reads them all.  A face
+    whose ring labels are all 0 is a translate of its mate and is not
+    tested.  If no face fits, DISTINCT names the lowest face whose ring
+    carries a nonzero label, with index the sign-change count of that ring.
+    Edge lengths and fits are compared within 1e-9 times
     max(h1.scale, h2.scale).
     """
     if reason := _class_mismatch(h1, h2):

@@ -286,7 +286,7 @@ class ValidationReport:
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.cross of 3-vectors on the last axis, bit for bit, without its axis handling."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(np.broadcast(a, b).shape)
     out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]

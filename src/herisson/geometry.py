@@ -86,7 +86,7 @@ def _area_jacobian(fan: Fan, ab: np.ndarray) -> np.ndarray:
     return np.bincount(fan.jacobian_scatter, rows.ravel(), minlength=fan.m * fan.m).reshape(fan.m, fan.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Herisson:
     """The hedgehog surface of supports h on a fan, unchecked (see reconstruct).
 

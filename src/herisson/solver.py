@@ -102,7 +102,7 @@ class TraceRecord:
     min_abs_area: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveOutcome:
     status: SolveStatus
     h_final: np.ndarray

@@ -242,6 +242,13 @@ class TestCongruentAndParallel:
             assert verdict.status is CongruenceStatus.CONGRUENT
             assert np.max(np.abs(verdict.translation - c)) <= 1e-9
 
+    def test_verdict_equality_is_identity(self, cube):
+        # equal fields would compare translation arrays, which have no single truth value
+        moved = cube.translated([0.3, 0.0, 0.0])
+        first, second = congruent_and_parallel(cube, moved), congruent_and_parallel(cube, moved)
+        assert first == first and first != second and not first == second
+        assert hash(first) == hash(first) and len({first, second}) == 2
+
     def test_superposition_failure_names_lowest_face(self, cube, monkeypatch):
         # zero labels force the superposition: face 0 coincides after the
         # shift c = (1, 0, 0), the vertices at x = -1 stay 2 off
@@ -345,27 +352,31 @@ class TestCongruentAndParallel:
         assert sum(sizes) > 4 * 2000**2 and max(sizes) < congruence.SCAN_BLOCK + 2000
 
     def test_verdict_stops_at_the_first_fitting_face(self, monkeypatch):
-        # face 0 fits: the verdict reads that face's rows, not the whole fan
+        # face 0 fits, in direction 0 for (first, second) and in direction 1 for
+        # (second, first): the verdict reads that face's rows and the rows of
+        # the blocks up to it, not the whole fan, in the geometry of the rows
+        # (_cross) as in their tests (_dot)
         rng = np.random.default_rng([20261018, 0])
         fan = polar_fan(rng, 60)
         first = reconstruct(fan, np.ones(60))
         second = reconstruct(fan, 1.05 * np.ones(60) + 0.01 * rng.uniform(-1, 1, 60))
-        rows = [0]
-        dot = congruence._dot
-
-        def counted(a, b):
-            rows[0] += len(a)
-            return dot(a, b)
-
-        monkeypatch.setattr(congruence, "_dot", counted)
-        verdict = congruent_and_parallel(first, second)
-        used, rows[0] = rows[0], 0
-        assert (verdict.status, verdict.face, verdict.direction) == (CongruenceStatus.HYPOTHESIS_FAILURE, 0, 0)
+        rows = {"_cross": 0, "_dot": 0}
+        for name in rows:
+            kernel = getattr(congruence, name)
+            monkeypatch.setattr(congruence, name, lambda a, b, name=name, kernel=kernel:
+                                rows.__setitem__(name, rows[name] + len(a)) or kernel(a, b))
         labeled = np.flatnonzero(np.add.reduceat(np.abs(congruence._position_labels(first, second)),
                                                  fan.ring_index.start[:-1]))
-        for _ in congruence._fits(first, second, labeled, congruence.FIT_TOL * max(first.scale, second.scale)):
-            pass
-        assert 0 < used < 0.1 * rows[0]
+        for direction, (h1, h2) in enumerate(((first, second), (second, first))):
+            rows.update(_cross=0, _dot=0)
+            verdict = congruent_and_parallel(h1, h2)
+            used = dict(rows)
+            assert (verdict.status, verdict.face, verdict.direction) == (
+                CongruenceStatus.HYPOTHESIS_FAILURE, 0, direction)
+            rows.update(_cross=0, _dot=0)
+            for _ in congruence._fits(h1, h2, labeled, congruence.FIT_TOL * max(h1.scale, h2.scale)):
+                pass
+            assert all(0 < used[name] < 0.1 * rows[name] for name in rows), (direction, used, rows)
 
 
 def _prism_pair():
@@ -429,22 +440,24 @@ def test_edge_labeling_matches_the_dict_oracle():
 def test_fits_match_the_linear_programs(monkeypatch):
     # faces with all-zero ring labels are translates and never fit; the fits
     # come out in (face, direction) order, the same for one row per block,
-    # for 64-pair blocks (cut inside rings and between the directions) and
-    # for the default block size
+    # for 20-pair blocks (under k^2 from five edges on, so the first block
+    # ends inside the ring of faces[0] and the beta of its last rows comes
+    # from rows past the block), for 64-pair blocks (cut inside rings and
+    # between the directions) and for the default block size
     compared = 0
     for first, second in _same_class_pairs():
         scale = max(first.scale, second.scale)
         labeled = sorted({f for arc, label in edge_labeling(first, second).items() if label for f in arc})
         runs = []
-        for block in (1, 64, congruence.SCAN_BLOCK):
+        for block in (1, 20, 64, congruence.SCAN_BLOCK):
             monkeypatch.setattr(congruence, "SCAN_BLOCK", block)
             runs.append([(f, d) for face, direction in congruence._fits(
                 first, second, np.array(labeled, dtype=int), congruence.FIT_TOL * scale)
                 for f, d in zip(face.tolist(), direction.tolist())])
             monkeypatch.undo()
-        assert runs[0] == runs[1] == runs[2] == sorted(runs[2])
+        assert runs[0] == runs[1] == runs[2] == runs[3] == sorted(runs[3])
         fits = np.zeros((first.m, 2), dtype=bool)
-        for face, direction in runs[2]:
+        for face, direction in runs[3]:
             fits[face, direction] = True
         for j in range(first.m):
             p1, p2 = face_polygon_2d(first, j), face_polygon_2d(second, j)
@@ -453,3 +466,58 @@ def test_fits_match_the_linear_programs(monkeypatch):
                     assert fits[j, direction] == can_translate_inside(moved, receiving), (first.m, j, direction)
                     compared += 1
     assert compared >= 1200
+
+
+def _fit_table(first, second):
+    """Whether face j of first fits inside face j of second, and the reverse, by the linear programs."""
+    polygons = [(face_polygon_2d(first, j), face_polygon_2d(second, j)) for j in range(first.m)]
+    return [(can_translate_inside(p, q), can_translate_inside(q, p)) for p, q in polygons]
+
+
+def _pinned_pairs():
+    """(name, first, second, the oracle's fit table) of seeded same-class pairs whose
+    first fit comes late, and of one in which no face fits."""
+    rng = np.random.default_rng([20261025, 888])
+    fan = polar_fan(rng, 60)
+    first, second = reconstruct(fan, np.ones(60)), reconstruct(fan, np.ones(60) + 0.01 * rng.uniform(-1, 1, 60))
+    yield "face 5", first, second, _fit_table(first, second)
+    # faces relabeled so that the ones that fit in neither direction come first
+    rng = np.random.default_rng([20261025, 21, 2])
+    fan = polar_fan(rng, 60)
+    h = np.ones(60) + 0.01 * rng.uniform(-1, 1, 60)
+    table = _fit_table(reconstruct(fan, np.ones(60)), reconstruct(fan, h))
+    order = np.argsort([any(fit) for fit in table], kind="stable")      # new face j is old face order[j]
+    new = np.argsort(order)
+    fan = Fan(equipment=fan.equipment[order], cells=tuple(tuple(int(new[i]) for i in cell) for cell in fan.cells))
+    yield "face 27", reconstruct(fan, np.ones(60)), reconstruct(fan, h[order]), [table[j] for j in order]
+    # non-convex: supports of both signs on a six-face fan
+    rng = np.random.default_rng([20261025, 7, 1641])
+    fan = polar_fan(rng, int(rng.integers(5, 10)))
+    first, second = reconstruct(fan, rng.uniform(-1, 1, fan.m)), reconstruct(fan, rng.uniform(-1, 1, fan.m))
+    yield "distinct", first, second, _fit_table(first, second)
+
+
+PINNED = {
+    "face 5": [(CongruenceStatus.HYPOTHESIS_FAILURE, 5, 0, None, "face 5 of the first fits inside the second"),
+               (CongruenceStatus.HYPOTHESIS_FAILURE, 5, 1, None, "face 5 of the second fits inside the first")],
+    "face 27": [(CongruenceStatus.HYPOTHESIS_FAILURE, 27, 1, None, "face 27 of the second fits inside the first"),
+                (CongruenceStatus.HYPOTHESIS_FAILURE, 27, 0, None, "face 27 of the first fits inside the second")],
+    "distinct": [(CongruenceStatus.DISTINCT, 0, None, 4, "face 0 pair has index 4")] * 2,
+}
+
+
+def test_late_fits_and_distinct_are_pinned():
+    # the verdicts, in both orders, name the lowest face that fits by the
+    # linear programs and the direction it fits in, direction 0 first; the
+    # non-convex pair has no face that fits either way
+    for name, first, second, table in _pinned_pairs():
+        assert np.array_equal(first.signs, second.signs)
+        for order, (h1, h2) in enumerate(((first, second), (second, first))):
+            v = congruent_and_parallel(h1, h2)
+            assert (v.status, v.face, v.direction, v.index, v.detail) == PINNED[name][order]
+            fits = [fit[::-1] if order else fit for fit in table]
+            lowest = next((j for j, fit in enumerate(fits) if any(fit)), None)
+            if v.status is CongruenceStatus.DISTINCT:
+                assert lowest is None
+            else:
+                assert lowest == v.face and fits[lowest].index(True) == v.direction

@@ -191,6 +191,12 @@ class TestSurface:
         assert body.vertices.shape == (len(bowtie.fan.cells), 3) and body.vertices.flags.c_contiguous
         assert np.array_equal(body.signs, np.sign(body.oriented_areas)) and body.signs.dtype == int
 
+    def test_equality_is_identity(self):
+        # equal fields would compare arrays, which have no single truth value
+        first, second = builders.box(1.0, 1.0, 1.0), builders.box(1.0, 1.0, 1.0)
+        assert first == first and first != second and not first == second
+        assert hash(first) == hash(first) and len({first, second}) == 2
+
     @pytest.mark.parametrize("build", [Herisson, reconstruct])
     def test_supports_of_the_wrong_length_are_refused(self, cube, build):
         with pytest.raises(ValueError, match=r"^support vector has length \(5,\), fan has m=6$"):

@@ -56,6 +56,63 @@ def unused_private_names(paths: list[Path]) -> list[tuple[str, str]]:
     return found
 
 
+def _names_an_array(annotation) -> bool:
+    """Whether an annotation is np.ndarray, alone or in a union (X | Y, Optional[X], Union[X, Y])."""
+    if isinstance(annotation, (ast.Attribute, ast.Name)):
+        return (annotation.attr if isinstance(annotation, ast.Attribute) else annotation.id) == "ndarray"
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        return _names_an_array(annotation.left) or _names_an_array(annotation.right)
+    if isinstance(annotation, ast.Subscript) and ast.unparse(annotation.value).split(".")[-1] in ("Optional", "Union"):
+        inner = annotation.slice
+        return any(map(_names_an_array, inner.elts if isinstance(inner, ast.Tuple) else [inner]))
+    return False
+
+
+def array_dataclasses(path: Path) -> list[tuple[str, bool]]:
+    """(name, compared by value) of each @dataclass class with a field annotated np.ndarray.
+    Compared by value means the generated __eq__, which compares the arrays, whose truth value
+    is ambiguous: such a class must pass eq=False or define __eq__."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            if ast.unparse(call.func if call else deco).split(".")[-1] != "dataclass":
+                continue
+            if any(isinstance(stmt, ast.AnnAssign) and _names_an_array(stmt.annotation) for stmt in node.body):
+                identity = call is not None and any(
+                    kw.arg == "eq" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+                    for kw in call.keywords)
+                own_eq = any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__eq__" for stmt in node.body)
+                found.append((node.name, not identity and not own_eq))
+    return found
+
+
+def test_no_array_dataclass_compares_by_value():
+    package = sorted((ROOT / "src" / "herisson").glob("*.py"))
+    found = dict(entry for path in package for entry in array_dataclasses(path))
+    assert {"Fan", "RingIndex", "Herisson", "CongruenceVerdict", "SolveOutcome"} <= found.keys()
+    assert [name for name, by_value in found.items() if by_value] == []
+
+
+def test_array_dataclasses_compared_by_value_are_found(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\nfrom typing import Optional\nimport numpy as np\n\n\n"
+        "@dataclass\nclass Plain:\n    a: np.ndarray\n\n\n"
+        "@dataclass(frozen=True)\nclass InUnion:\n    a: int\n    b: np.ndarray | None = None\n\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass InOptional:\n    b: Optional[np.ndarray] = None\n\n\n"
+        "@dataclass(frozen=True, eq=False)\nclass Identity:\n    a: np.ndarray\n\n\n"
+        "@dataclass(eq=True)\nclass OwnEq:\n    a: np.ndarray\n\n"
+        "    def __eq__(self, other):\n        return self is other\n\n\n"
+        "@dataclass\nclass NoArrays:\n    a: list[int]\n\n\n"
+        "class NotADataclass:\n    a: np.ndarray\n"
+    )
+    assert array_dataclasses(source) == [
+        ("Plain", True), ("InUnion", True), ("InOptional", True), ("Identity", False), ("OwnEq", False)]
+
+
 def test_no_unused_imports():
     assert len(SOURCES) > 10
     found = [(str(path.relative_to(ROOT)), *entry) for path in SOURCES for entry in unused_imports(path)]

@@ -334,6 +334,12 @@ class TestSolve:
         assert out.status is SolveStatus.CONVERGED
         assert np.max(np.abs(out.h_final - 1.5)) <= 1e-8
 
+    def test_outcome_equality_is_identity(self, cube):
+        # equal fields would compare h_final arrays, which have no single truth value
+        first, second = (solve_minkowski(cube.fan, cube.h, np.full(6, 9.0), FREE) for _ in range(2))
+        assert first == first and first != second and not first == second
+        assert hash(first) == hash(first) and len({first, second}) == 2
+
     def test_cube_to_box(self, cube):
         out = solve_minkowski(cube.fan, cube.h, np.array([6.0, 6.0, 3.0, 3.0, 2.0, 2.0]), FREE)
         assert out.status is SolveStatus.CONVERGED
