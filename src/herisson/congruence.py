@@ -31,8 +31,8 @@ from .errors import NotSameClass
 from .fan import SCAN_BLOCK, Fan, _cross, arc_key
 from .geometry import Herisson, _class_mismatch
 
-LENGTH_TOL = 1e-9       # relative, rule-(iv) equality
-FIT_TOL = 1e-9          # relative, containment slack
+LENGTH_TOL = 1e-9       # relative to scale: rule-(iv) equality
+FIT_TOL = 1e-9          # relative to scale: containment slack
 
 
 def sign_changes(labels) -> int:

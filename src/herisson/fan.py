@@ -31,13 +31,13 @@ import numpy as np
 
 from .errors import DegenerateEquipment, MalformedFan, SingularVertex
 
-UNIT_TOL = 1e-12
-VERTEX_DET_TOL = 1e-12
-ANTIPODAL_TOL = 1e-9
-CONVEXITY_TOL = 1e-10
+UNIT_TOL = 1e-12           # absolute: slack of a normal's norm around 1
+VERTEX_DET_TOL = 1e-12     # absolute: least |det| of a cell's first three normals
+ANTIPODAL_TOL = 1e-9       # absolute: least |n_a + n_b| of the ends of an arc
+CONVEXITY_TOL = 1e-10      # absolute: corner determinants det(n_i, n_i+1, n_k) down to -this pass
 TOUCH_TOL = 1e-10          # radians: arc contacts closer than this count as endpoints
-HEMISPHERE_TOL = 1e-9
-GENERAL_POSITION_TOL = 1e-10
+HEMISPHERE_TOL = 1e-9      # absolute: least n_k . (unit vector area) of a cell inside a hemisphere
+GENERAL_POSITION_TOL = 1e-10   # absolute: least |det| of three normals in general position
 COVER_TOL = 1e-6           # radians: slack of the excess sum around 4*pi (the next degree is 8*pi)
 CAP_SLACK = 1e-4           # radians: widens the arcs' bounding caps in the crossing scan (see _crossing_pairs)
 SWEEP_SLACK = 8.0          # widens the angular windows of the general-position sweep for rounding
@@ -360,49 +360,55 @@ def _crossing_pairs(eq: np.ndarray, keys: np.ndarray, skip: np.ndarray) -> list[
             d = _cross(normal[i], normal[j])
             nd = np.sqrt(_rowdot(d, d))
             cross = np.zeros(len(i), dtype=bool)
-            same = np.nonzero(nd < 1e-12)[0]
-            p, q, a, b = P[i[same]], Q[i[same]], P[j[same]], Q[j[same]]
-            si, sj = span[i[same]], span[j[same]]
-            pa, pb, qa, qb = _rowdot(p, a), _rowdot(p, b), _rowdot(q, a), _rowdot(q, b)
-            cross[same] = (
-                _inside(pa, qa, si) | _inside(pb, qb, si) | _inside(pa, pb, sj) | _inside(qa, qb, sj)
-                | ((_angles(pa) <= TOUCH_TOL) & (_angles(qb) <= TOUCH_TOL))
-                | ((_angles(pb) <= TOUCH_TOL) & (_angles(qa) <= TOUCH_TOL))
-            )
-            other = np.nonzero(nd >= 1e-12)[0]
-            gi, gj, x = i[other], j[other], d[other] / nd[other, None]
-            px, qx = _rowdot(P[gi], x), _rowdot(Q[gi], x)
-            for sign in (1.0, -1.0):
-                on = np.nonzero(_inside(sign * px, sign * qx, span[gi]))[0]
-                y = sign * x[on]
-                hit = _inside(_rowdot(P[gj[on]], y), _rowdot(Q[gj[on]], y), span[gj[on]])
-                cross[other[on[hit]]] = True
+            same, other = np.nonzero(nd < 1e-12)[0], np.nonzero(nd >= 1e-12)[0]
+            if same.size:       # rare: most candidates lie on two great circles
+                p, q, a, b = P[i[same]], Q[i[same]], P[j[same]], Q[j[same]]
+                si, sj = span[i[same]], span[j[same]]
+                pa, pb, qa, qb = _rowdot(p, a), _rowdot(p, b), _rowdot(q, a), _rowdot(q, b)
+                cross[same] = (
+                    _inside(pa, qa, si) | _inside(pb, qb, si) | _inside(pa, pb, sj) | _inside(qa, qb, sj)
+                    | ((_angles(pa) <= TOUCH_TOL) & (_angles(qb) <= TOUCH_TOL))
+                    | ((_angles(pb) <= TOUCH_TOL) & (_angles(qa) <= TOUCH_TOL))
+                )
+            if other.size:
+                gi, gj, x = i[other], j[other], d[other] / nd[other, None]
+                px, qx = _rowdot(P[gi], x), _rowdot(Q[gi], x)
+                for sign in (1.0, -1.0):
+                    on = np.nonzero(_inside(sign * px, sign * qx, span[gi]))[0]
+                    y = sign * x[on]
+                    hit = _inside(_rowdot(P[gj[on]], y), _rowdot(Q[gj[on]], y), span[gj[on]])
+                    cross[other[on[hit]]] = True
             found += zip(keep[i[cross]].tolist(), keep[j[cross]].tolist())
         i0 = i1
     return found
 
 
 @np.errstate(invalid="ignore")   # non-finite normals leave NaNs, which compare false
-def _bad_cells(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray, checked: np.ndarray) -> list[str]:
+def _bad_cells(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray, checked: np.ndarray,
+               turn: np.ndarray) -> list[str]:
     """Details, in cell order, of the cells flagged in `checked` that are not
     CCW convex spherical polygons inside an open hemisphere.
 
-    Cells of one size are checked together: one batched determinant over
-    their (edge start, edge end, other corner) triples, n(n-2) for a cell of
-    n faces, then the vector areas and the corners' products with them, all
-    rounded as for one cell at a time.
+    Cells of one size are checked together from the corner products turn[i] = n_i x n_i+1:
+    the determinants det(n_i, n_i+1, n_k) = turn[i] . n_k of the corners k off each edge,
+    then the vector areas (sums of turn rows) and the corners' products with them.  A cell
+    whose triple products overflow takes np.linalg.det of its (n_i, n_i+1, n_k) instead.
     """
     face, cell, succ, _ = corners
     convex, pointed = np.ones(len(sizes), dtype=bool), np.ones(len(sizes), dtype=bool)
     for n in sorted(set(sizes[checked].tolist())):   # a plain np.unique imports numpy.ma
         at = np.flatnonzero(checked[cell] & (sizes[cell] == n)).reshape(-1, n)    # a cell's corners per row
-        group, pts, nxt = cell[at[:, 0]], eq[face[at]], eq[succ[at]]
+        group, pts, turns = cell[at[:, 0]], eq[face[at]], turn[at]
         others = (np.arange(n)[:, None] + np.arange(2, n)) % n   # corners off edge i
-        mats = np.stack(np.broadcast_arrays(pts[:, :, None], nxt[:, :, None], pts[:, others]), axis=-2)
-        convex[group] = ~np.any(np.linalg.det(mats) <= -CONVEXITY_TOL, axis=(1, 2))
+        det = np.einsum("gikx,gix->gik", pts[:, others], turns)
+        if (over := np.flatnonzero(~np.isfinite(det).all(axis=(1, 2)))).size:     # overflowed: LU keeps the signs
+            p = pts[over]
+            det[over] = np.linalg.det(np.stack(np.broadcast_arrays(
+                p[:, :, None], eq[succ[at[over]]][:, :, None], p[:, others]), axis=-2))
+        convex[group] = ~np.any(det <= -CONVEXITY_TOL, axis=(1, 2))
         # p_k . (vector area) sums the convexity determinants at p_k, so for a
         # convex cell it is positive exactly when the cell is in an open hemisphere
-        area = _cross(pts, nxt).sum(axis=1)
+        area = turns.sum(axis=1)
         norm = np.sqrt(_rowdot(area, area))
         small = norm < 1e-12
         unit = area / np.where(small, 1.0, norm)[:, None]
@@ -411,16 +417,16 @@ def _bad_cells(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray, checked: 
             f"cell {ci} is not inside an open hemisphere" for ci in np.flatnonzero(~(convex & pointed)).tolist()]
 
 
-def _excess_sum(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray) -> float:
+def _excess_sum(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray, turn: np.ndarray) -> float:
     """Sum of the cells' signed spherical excesses over a fan triangulation
-    of each cell, in the Van Oosterom-Strackee form for unit vectors."""
+    of each cell, in the Van Oosterom-Strackee form for unit vectors, whose
+    numerator det(c_0, c_t, c_t+1) is c_0 . turn[t]."""
     face, cell, succ, _ = corners
     first = (np.cumsum(sizes) - sizes)[cell]        # each corner's cell starts there
     t = np.flatnonzero((np.arange(len(face)) > first) & (np.arange(len(face)) < first + sizes[cell] - 1))
     a, b, c = eq[face[first[t]]], eq[face[t]], eq[succ[t]]      # (c_0, c_t, c_t+1) from the corner at t
-    det = np.einsum("ij,ij->i", a, _cross(b, c))
-    den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) + np.einsum("ij,ij->i", c, a)
-    return float(2.0 * np.arctan2(det, den).sum())
+    den = 1.0 + _rowdot(a, b) + _rowdot(b, c) + _rowdot(c, a)
+    return float(2.0 * np.arctan2(_rowdot(a, turn[t]), den).sum())
 
 
 # |n| past ~1e154 overflows to inf, which compares as a huge value would; opposite
@@ -431,7 +437,8 @@ def validate(fan: Fan) -> ValidationReport:
 
     Codes emitted: "non-unit vector", "antipodal adjacent pair",
     "crossing arcs", "non-convex cell", "Euler failure", "low face degree",
-    "broken partition".  Deterministic and idempotent.
+    "broken partition".  Deterministic and idempotent.  The cell checks and
+    the certificate below read one table of the N corner products n_i x n_i+1.
 
     Crossings are ruled out by a degree-one certificate when every other
     rule holds.  The cells then close up into a surface with V-E+F = 2 whose
@@ -480,6 +487,7 @@ def validate(fan: Fan) -> ValidationReport:
     if np.any((face < 0) | (face >= m)):
         report.add("broken partition", "cell references a face index out of range")
         return report
+    turn = _cross(eq[face], eq[succ])      # every index is valid from here on
 
     keys = fan.arcs
     ends = eq[keys[:, 0]] + eq[keys[:, 1]]
@@ -500,10 +508,10 @@ def validate(fan: Fan) -> ValidationReport:
     # Convex spherical cells, counterclockwise, inside an open hemisphere;
     # a cell holding a non-finite normal has no geometry to check.
     finite = np.bincount(cell, weights=~np.isfinite(eq).all(axis=1)[face], minlength=len(sizes)) == 0
-    for detail in _bad_cells(eq, corners, sizes, (distinct == sizes) & (sizes >= 3) & finite):
+    for detail in _bad_cells(eq, corners, sizes, (distinct == sizes) & (sizes >= 3) & finite, turn):
         report.add("non-convex cell", detail)
 
-    if report.ok and abs(_excess_sum(eq, corners, sizes) - 4.0 * np.pi) <= COVER_TOL:
+    if report.ok and abs(_excess_sum(eq, corners, sizes, turn) - 4.0 * np.pi) <= COVER_TOL:
         return report
 
     # Arc crossings (touching at shared endpoints is allowed).

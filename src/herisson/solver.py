@@ -55,9 +55,9 @@ import numpy as np
 from .fan import SCAN_BLOCK, Fan, ValidationReport, _frozen, is_general_position
 from .geometry import _area_jacobian, _face_coordinates, _oriented_areas, gauge_fix, reconstruct, support_scale
 
-RANK_CUTOFF = 1e-10          # singular values below this (relative) count as null
+RANK_CUTOFF = 1e-10          # relative to the largest singular value: smaller ones count as null
 _PROBE_STRIDES = np.array([(5 ** 0.5 - 1) / 2, 2 ** 0.5 - 1])   # Weyl strides of the condition probes
-CONSISTENCY_SOLVE_TOL = 1e-10
+CONSISTENCY_SOLVE_TOL = 1e-10   # relative to scale: extra-plane residuals of a converged point
 MAX_NEWTON_ITERS = 50        # corrector iterations before the step cap is halved
 ROOT_FRACTION = 0.5          # a step in t covers at most this fraction of the model's first face sign change
 CURVATURE_BUDGET = 0.1       # dimensionless: dt**2 |e| stays within this fraction of |h|

@@ -25,7 +25,15 @@ from helpers import (
 from herisson import builders
 from herisson import fan as fan_module
 from herisson.errors import MalformedFan
-from herisson.fan import GENERAL_POSITION_TOL, SCAN_BLOCK, Fan, is_general_position, validate
+from herisson.fan import (
+    CONVEXITY_TOL,
+    GENERAL_POSITION_TOL,
+    HEMISPHERE_TOL,
+    SCAN_BLOCK,
+    Fan,
+    is_general_position,
+    validate,
+)
 from herisson.geometry import reconstruct
 
 
@@ -151,6 +159,37 @@ def adversarial_arc_fans():
     return [Fan(equipment=e, cells=tuple(cells)) for e in [eq] + scaled + [nan, inf]]
 
 
+def _turned(points, rng):
+    """points under a random rotation (a proper one: orientations stay)."""
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return points @ (np.sign(np.linalg.det(q)) * q).T
+
+
+def _ring(rng, n, height):
+    """n unit vectors at the given height, counterclockwise around the pole."""
+    t = 2 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, n)) / n
+    r = np.sqrt(1 - height * height)
+    return np.column_stack([r * np.cos(t), r * np.sin(t), np.full(n, height)])
+
+
+def convexity_tie_cell(rng, factor, n):
+    """n unit normals of one CCW cell whose least corner determinant is
+    det(n_0, n_1, n_2) = -factor * CONVEXITY_TOL: the others on a circle
+    around the pole, n_1 just inside the arc n_0-n_2; turned at random."""
+    ring = _ring(rng, n - 1, np.cos(rng.uniform(0.3, 0.6)))
+    w = np.cross(ring[0], ring[1])
+    mid = (ring[0] + ring[1]) / np.linalg.norm(ring[0] + ring[1])
+    e = np.arcsin(factor * CONVEXITY_TOL / np.linalg.norm(w))
+    return _turned(np.insert(ring, 1, np.cos(e) * mid + np.sin(e) * w / np.linalg.norm(w), axis=0), rng)
+
+
+def hemisphere_tie_cell(rng, factor, n):
+    """n unit normals of one CCW cell at height factor * HEMISPHERE_TOL around
+    the pole, turned at random: its vector area points at the pole, so that
+    height is its hemisphere margin."""
+    return _turned(_ring(rng, n, factor * HEMISPHERE_TOL), rng)
+
+
 def reference_entries(fan):
     """validate's entries, with the cell checks and the crossing scan taken
     from the one-at-a-time references."""
@@ -266,6 +305,59 @@ class TestValidate:
         assert {"crossing arcs", "non-convex cell"} <= {code for entries in fast for code, _ in entries}
         monkeypatch.setattr(fan_module, "_excess_sum", lambda *args: float("nan"))
         assert fast == [validate(fan).entries for fan in fans]
+
+    @pytest.mark.parametrize("scale", [1e120, 1e154])
+    def test_overflowing_cells_match_pairwise_scan(self, scale):
+        # the corners' triple products overflow to NaN, where LU keeps the signs; each
+        # fan as drawn, with every cell reversed and with one cell reversed
+        rng = np.random.default_rng([26, int(np.log10(scale))])
+        fans = []
+        for _ in range(15):
+            fan = polar_fan(rng, int(rng.integers(6, 13)))
+            cells, k = fan.cells, int(rng.integers(len(fan.cells)))
+            for form in (cells, tuple(c[::-1] for c in cells), cells[:k] + (cells[k][::-1],) + cells[k + 1:]):
+                fans.append(Fan(equipment=scale * fan.equipment, cells=form))
+        with np.errstate(over="ignore", invalid="ignore"):     # the references overflow too
+            expected = [reference_entries(fan) for fan in fans]
+        assert [validate(fan).entries for fan in fans] == expected
+        assert {"non-unit vector", "non-convex cell"} <= {code for entries in expected for code, _ in entries}
+
+    def test_planted_near_ties_match_pairwise_scan(self):
+        # a cell's least corner determinant 1e-3 off -CONVEXITY_TOL, or its
+        # hemisphere margin 1e-3 off HEMISPHERE_TOL: triple products and the
+        # reference's LU round differently, but far inside that gap
+        rng = np.random.default_rng(26)
+        for factor in (1 - 1e-3, 1 + 1e-3):
+            for n in (4, 5, 6) * 4:
+                pts = convexity_tie_cell(rng, factor, n)
+                dets = sorted(np.linalg.det(pts[[i, (i + 1) % n, k]])
+                              for i in range(n) for k in range(n) if k not in (i, (i + 1) % n))
+                assert dets[:2] == pytest.approx([-factor * CONVEXITY_TOL] * 2, rel=1e-6) and dets[2] > 1e-3
+                convex = Fan(equipment=pts, cells=(tuple(range(n)),))
+                hemisphere = Fan(equipment=hemisphere_tie_cell(rng, factor, n), cells=(tuple(range(n)),))
+                for fan, flagged, detail in ((convex, factor > 1, "not a CCW convex spherical polygon"),
+                                             (hemisphere, factor < 1, "not inside an open hemisphere")):
+                    entries = validate(fan).entries
+                    assert entries == reference_entries(fan)
+                    cell = [e for e in entries if e[0] == "non-convex cell"]
+                    assert cell == ([("non-convex cell", f"cell 0 is {detail}")] if flagged else [])
+
+    def test_corner_products_taken_once(self, monkeypatch):
+        # one _cross over the N corners serves the cell checks and the
+        # certificate; at ordinary scales no np.linalg.det runs
+        fan = polar_fan(np.random.default_rng(26), 40)
+        fans = [fan] + polar_variants(26, count=2) + perturbed_polar_fans(26, count=2)
+        expected = [reference_entries(f) for f in fans]
+        rows = []
+        kernel = fan_module._cross
+        monkeypatch.setattr(fan_module, "_cross", lambda a, b: rows.append(np.broadcast(a, b).shape) or kernel(a, b))
+        assert validate(fan).ok
+        assert rows == [(3 * len(fan.cells), 3)]
+
+        def no_det(*args):
+            raise AssertionError("np.linalg.det called")
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        assert [validate(f).entries for f in fans] == expected
 
     @pytest.mark.parametrize("block", [1, 64, SCAN_BLOCK])
     def test_cap_pruned_scan_matches_pairwise_on_adversarial_arcs(self, monkeypatch, block, adversarial):

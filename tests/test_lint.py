@@ -1,6 +1,9 @@
 """Checks of the source text that stand in for a linter."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +56,25 @@ def unused_private_names(paths: list[Path]) -> list[tuple[str, str]]:
             own = {id(node) for node in ast.walk(stmt)}
             if not any(ref == name and key not in own for key, ref in refs):
                 found.append((path.name, name))
+    return found
+
+
+_UNIT = re.compile(r"#\s*(absolute|radians|relative to \S)")
+
+
+def bare_tolerances(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each module-level *_TOL or RANK_CUTOFF constant whose line has no
+    comment that opens with its unit: absolute, radians or relative to a named scale."""
+    source = path.read_text()
+    comments = {tok.start[0]: tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT}
+    found = []
+    for stmt in ast.parse(source, filename=str(path)).body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                if (name.endswith("_TOL") or name == "RANK_CUTOFF") and not _UNIT.match(comments.get(stmt.lineno, "")):
+                    found.append((stmt.lineno, name))
     return found
 
 
@@ -152,3 +174,21 @@ def test_unused_private_constants_and_classes_are_found(tmp_path):
     )
     (tmp_path / "b.py").write_text("import a\n\n\ndef f():\n    raise a._Raised(a._TYPED)\n")
     assert unused_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [("a.py", "_STORED"), ("a.py", "_Unused")]
+
+
+def test_every_tolerance_names_its_unit():
+    package = sorted((ROOT / "src" / "herisson").glob("*.py"))
+    names = {t.id for path in package for stmt in ast.parse(path.read_text()).body if isinstance(stmt, ast.Assign)
+             for t in stmt.targets if isinstance(t, ast.Name)}
+    assert {"UNIT_TOL", "CONVEXITY_TOL", "HEMISPHERE_TOL", "AREA_TOL", "CONSISTENCY_SOLVE_TOL", "RANK_CUTOFF"} <= names
+    assert [(path.name, *entry) for path in package for entry in bare_tolerances(path)] == []
+
+
+def test_bare_tolerances_are_found(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "A_TOL = 1e-9           # absolute\nB_TOL = 1e-9\nC_TOL = 1e-9  # relative, rule-(iv) equality\n"
+        "D_TOL: float = 1e-6  # radians: a gap\nRANK_CUTOFF = 1e-10\nE_TOL = 1e-8  # relative to scale**2\n"
+        "F_TOL = 1e-8\n# absolute: on the line before\nOTHER = 1.0\n\n\ndef f():\n    LOCAL_TOL = 1\n"
+    )
+    assert bare_tolerances(source) == [(2, "B_TOL"), (3, "C_TOL"), (5, "RANK_CUTOFF"), (7, "F_TOL")]
