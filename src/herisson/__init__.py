@@ -8,13 +8,9 @@ continuation.
 
 from . import builders
 from .congruence import (
-    CauchyStatus,
-    CauchyVerdict,
     CongruenceStatus,
     CongruenceVerdict,
-    cauchy_verdict,
     congruent_and_parallel,
-    edge_labeling,
     sign_changes,
 )
 from .errors import (
@@ -54,13 +50,9 @@ from .solver import (
 
 __all__ = [
     "builders",
-    "CauchyStatus",
-    "CauchyVerdict",
     "CongruenceStatus",
     "CongruenceVerdict",
-    "cauchy_verdict",
     "congruent_and_parallel",
-    "edge_labeling",
     "sign_changes",
     "DegenerateEquipment",
     "DegenerateFace",

@@ -44,7 +44,8 @@ SWEEP_SLACK = 8.0          # widens the angular windows of the general-position 
 # Work per block of the blocked scans, which bounds their memory: cap tests and
 # candidate arc pairs in the crossing scan, (face, normal) projections in the
 # general-position sweep, ring positions of the fd probes measured together, and
-# (row, constraint) pairs of the congruence fits, up to one row more (rows stay whole).
+# (row, constraint) pairs of the congruence fits, whose faces stay whole unless one
+# face alone holds more (then its rows stay whole).
 SCAN_BLOCK = 1 << 15
 
 

@@ -147,11 +147,6 @@ class Herisson:
         """Vertex coordinates of face j's polygon, (k, 3)."""
         return self.vertices[list(self.face_cycle(j))]
 
-    def edge_lengths(self) -> dict[tuple[int, int], float]:
-        """Length of the shared edge dual to each arc."""
-        lens = self.ring_lengths[self.fan.ring_index.arc_pos]
-        return {(a, b): float(x) for (a, b), x in zip(self.fan.arcs.tolist(), lens)}
-
     def translated(self, c) -> "Herisson":
         """The same surface moved by c (support numbers shift by (c, n_j))."""
         c = np.asarray(c, dtype=float)

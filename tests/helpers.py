@@ -18,7 +18,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from herisson import builders
 from herisson.builders import _ccw_cell
-from herisson.congruence import FIT_TOL, LENGTH_TOL, sign_changes
+from herisson.congruence import FIT_TOL, LENGTH_TOL
 from herisson.errors import MalformedFan
 from herisson.fan import (
     ANTIPODAL_TOL,
@@ -486,6 +486,13 @@ class PolygonLabeling:
         return tuple(labels[1::2])
 
 
+def cyclic_sign_changes(labels) -> int:
+    """How often the sign changes from one nonzero label to the next, around
+    the cycle: every nonzero label is compared with the nonzero one before it."""
+    signs = [label for label in labels if label != 0]
+    return sum(1 for i in range(len(signs)) if signs[i] != signs[i - 1])
+
+
 def label_parallel_faces(f1, f2) -> PolygonLabeling:
     """Label a pair of parallel convex polygons and count sign changes.
 
@@ -543,15 +550,28 @@ def label_parallel_faces(f1, f2) -> PolygonLabeling:
     return PolygonLabeling(
         labels1=labels1,
         labels2=labels2,
-        index1=sign_changes(labels1),
-        index2=sign_changes(labels2),
+        index1=cyclic_sign_changes(labels1),
+        index2=cyclic_sign_changes(labels2),
     )
 
 
+def arc_lengths_loop(h: Herisson) -> dict[tuple[int, int], float]:
+    """Length of the edge dual to each arc (a, b), a < b: the distance between the
+    vertices of the two cells that hold a and b next to each other, each vertex
+    solved on the planes of its cell's first three faces."""
+    eq, cells = h.fan.equipment, h.fan.cells
+    ends = {}
+    for c, cell in enumerate(cells):
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            ends.setdefault((min(a, b), max(a, b)), []).append(c)
+    vertex = [np.linalg.solve(eq[list(cell[:3])], h.h[list(cell[:3])]) for cell in cells]
+    return {arc: float(np.linalg.norm(vertex[c] - vertex[d])) for arc, (c, d) in ends.items()}
+
+
 def edge_labeling_loop(h1: Herisson, h2: Herisson) -> dict[tuple[int, int], int]:
-    """Rule-(iv) arc labels from the per-arc edge-length dicts, arc by arc."""
-    l1 = h1.edge_lengths()
-    l2 = h2.edge_lengths()
+    """Rule-(iv) arc labels from independently measured edge lengths, arc by arc."""
+    l1 = arc_lengths_loop(h1)
+    l2 = arc_lengths_loop(h2)
     tol = LENGTH_TOL * max(h1.scale, h2.scale)
     out = {}
     for arc in sorted(l1):

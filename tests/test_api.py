@@ -4,13 +4,9 @@ import herisson
 # of the package's promise: say so in CHANGES.md.
 PUBLIC = [
     "builders",
-    "CauchyStatus",
-    "CauchyVerdict",
     "CongruenceStatus",
     "CongruenceVerdict",
-    "cauchy_verdict",
     "congruent_and_parallel",
-    "edge_labeling",
     "sign_changes",
     "DegenerateEquipment",
     "DegenerateFace",

@@ -1,4 +1,3 @@
-import re
 import time
 import tracemalloc
 
@@ -11,6 +10,7 @@ import helpers
 from helpers import (
     NotComparable,
     can_translate_inside,
+    cyclic_sign_changes,
     edge_labeling_loop,
     face_polygon_2d,
     fit_slack,
@@ -22,14 +22,7 @@ from helpers import (
     random_polygon_pair,
 )
 from herisson import builders, congruence, geometry
-from herisson.congruence import (
-    CauchyStatus,
-    CongruenceStatus,
-    cauchy_verdict,
-    congruent_and_parallel,
-    edge_labeling,
-    sign_changes,
-)
+from herisson.congruence import CongruenceStatus, _position_labels, congruent_and_parallel, sign_changes
 from herisson.errors import NotSameClass
 from herisson.fan import Fan
 from herisson.geometry import Herisson, reconstruct
@@ -52,72 +45,6 @@ class TestSignChanges:
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=12))
     def test_always_even(self, labels):
         assert sign_changes(labels) % 2 == 0
-
-
-def _arcs(fan):
-    return [tuple(arc) for arc in fan.arcs.tolist()]
-
-
-class TestCauchyVerdict:
-    def test_all_zero(self, cube):
-        verdict = cauchy_verdict(cube.fan, dict.fromkeys(_arcs(cube.fan), 0))
-        assert verdict.status is CauchyStatus.ALL_ZERO
-
-    def test_constant_plus_one_gives_witness(self, tetra):
-        verdict = cauchy_verdict(tetra.fan, dict.fromkeys(_arcs(tetra.fan), 1))
-        assert verdict.status is CauchyStatus.WITNESS
-        assert verdict.index == 0
-
-    def test_random_labelings_never_violate(self, cube, rng):
-        fans = [cube.fan] + [polar_fan(rng, m) for m in (20, 40, 80, 120)]
-        for fan in fans:
-            arcs = _arcs(fan)
-            for _ in range(1000 if fan is cube.fan else 200):
-                verdict = cauchy_verdict(fan, dict(zip(arcs, rng.integers(-1, 2, len(arcs)))))
-                assert verdict.status is not CauchyStatus.VIOLATES_LEMMA
-                if verdict.status is CauchyStatus.WITNESS:
-                    assert verdict.index <= 2
-
-    def test_perturbed_pairs_give_witness(self, rng):
-        # a 5% larger body with perturbed supports: some label is nonzero
-        for m in (20, 40, 60, 80, 120):
-            for _ in range(4):
-                fan = polar_fan(rng, m)
-                first = reconstruct(fan, np.ones(m))
-                second = reconstruct(fan, 1.05 * np.ones(m) + 0.01 * rng.uniform(-1, 1, m))
-                verdict = cauchy_verdict(fan, edge_labeling(first, second))
-                assert verdict.status is CauchyStatus.WITNESS
-                assert verdict.index <= 2
-
-    def test_missing_label_rejected(self, tetra):
-        with pytest.raises(ValueError, match="misses arcs"):
-            cauchy_verdict(tetra.fan, {})
-
-    @pytest.mark.parametrize("bad", [0.5, 2, -2, float("nan"), None])
-    def test_label_outside_signs_rejected(self, tetra, bad):
-        # the first offending value is named, not rounded or read as a sign
-        labels = dict.fromkeys(_arcs(tetra.fan), 1)
-        first, second = _arcs(tetra.fan)[1:3]
-        labels[first], labels[second] = bad, 7
-        with pytest.raises(ValueError, match="^" + re.escape(f"label {bad!r} of arc {first} is not -1, 0 or +1") + "$"):
-            cauchy_verdict(tetra.fan, labels)
-
-    def test_halves_and_twos_no_longer_coerced(self, tetra):
-        with pytest.raises(ValueError, match="label 0.5 of arc"):
-            cauchy_verdict(tetra.fan, dict.fromkeys(_arcs(tetra.fan), 0.5))
-        arcs = _arcs(tetra.fan)
-        with pytest.raises(ValueError, match=re.escape(f"label 2 of arc {arcs[1]} ")):
-            cauchy_verdict(tetra.fan, {arc: 1 + (i % 2) for i, arc in enumerate(arcs)})
-
-    def test_key_outside_the_arcs_rejected(self, tetra):
-        labels = dict.fromkeys(_arcs(tetra.fan), 0)
-        for extra in ((0, 99), (2, 2), (99, 0)):
-            with pytest.raises(ValueError, match="^" + re.escape(f"labeling has key {extra}, which is not an arc") + "$"):
-                cauchy_verdict(tetra.fan, {**labels, extra: 1, (0, 98): 1})
-
-    def test_sign_like_values_and_either_key_order_accepted(self, tetra):
-        labels = {(b, a): v for (a, b), v in zip(_arcs(tetra.fan), (1.0, np.int64(-1), True, 0, -1, 1))}
-        assert cauchy_verdict(tetra.fan, labels).status is CauchyStatus.WITNESS
 
 
 SQ1 = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -201,23 +128,13 @@ class TestLabelParallelFaces:
 
 class TestEdgeLabeling:
     def test_equal_herissons_all_zero(self, bowtie):
-        labels = edge_labeling(bowtie, bowtie.translated([0.3, -0.4, 0.9]))
-        assert all(v == 0 for v in labels.values())
+        assert not _position_labels(bowtie, bowtie.translated([0.3, -0.4, 0.9])).any()
 
     def test_antisymmetric(self):
         a = builders.reflected_truncated_tetrahedron(0.35)
         b = builders.reflected_truncated_tetrahedron(0.65)
-        fwd = edge_labeling(a, b)
-        bwd = edge_labeling(b, a)
-        assert set(fwd) == set(bwd)
-        assert all(fwd[arc] == -bwd[arc] for arc in fwd)
-        assert list(fwd) == _arcs(a.fan)
-
-    def test_feeds_cauchy_verdict(self, cube):
-        bigger = builders.box(4.0, 2.0, 2.0)
-        labels = edge_labeling(bigger, cube)
-        verdict = cauchy_verdict(cube.fan, labels)
-        assert verdict.status is not CauchyStatus.VIOLATES_LEMMA
+        fwd = _position_labels(a, b)
+        assert fwd.any() and np.array_equal(fwd, -_position_labels(b, a))
 
 
 class TestCongruentAndParallel:
@@ -431,33 +348,55 @@ def test_edge_labeling_matches_the_dict_oracle():
     seen = set()
     for first, second in pairs:
         for a, b in ((first, second), (second, first)):
-            labels = edge_labeling(a, b)
-            assert list(labels.items()) == list(edge_labeling_loop(a, b).items())
-            seen |= set(labels.values())
+            labels = _position_labels(a, b)[a.fan.ring_index.arc_pos].tolist()
+            assert list(zip(map(tuple, a.fan.arcs.tolist()), labels)) == list(edge_labeling_loop(a, b).items())
+            seen |= set(labels)
     assert seen == {-1, 0, 1}
+
+
+def test_labeled_pairs_have_a_face_of_at_most_two_sign_changes():
+    # Cauchy's lemma on the ring labels: when some label is nonzero, some face
+    # whose ring carries one has at most two sign changes around it, by the
+    # oracle's own count
+    pairs = _same_class_pairs()
+    rng = np.random.default_rng(20261027)
+    for m in (20, 40, 60, 80, 120):
+        for _ in range(4):
+            fan = polar_fan(rng, m)
+            h = 1.05 * np.ones(m) + 0.01 * rng.uniform(-1, 1, m)
+            pairs.append((reconstruct(fan, np.ones(m)), reconstruct(fan, h)))
+    most = 0
+    for first, second in pairs:
+        labels, start = _position_labels(first, second), first.fan.ring_index.start
+        rings = [labels[start[j]:start[j + 1]].tolist() for j in range(first.m)]
+        counts = [cyclic_sign_changes(ring) for ring in rings if any(ring)]
+        assert counts and min(counts) <= 2
+        most = max(most, *counts)
+    assert most >= 4                              # other rings do change sign more often
 
 
 def test_fits_match_the_linear_programs(monkeypatch):
     # faces with all-zero ring labels are translates and never fit; the fits
-    # come out in (face, direction) order, the same for one row per block,
-    # for 20-pair blocks (under k^2 from five edges on, so the first block
-    # ends inside the ring of faces[0] and the beta of its last rows comes
-    # from rows past the block), for 64-pair blocks (cut inside rings and
-    # between the directions) and for the default block size
+    # come out in (face, direction) order, the same for every block size: 1
+    # and 7 read every face in pieces of one row (two for k = 3 at 7); 20
+    # reads faces of five edges or more in pieces of 20 // k rows (4 at
+    # k = 5) and groups the smaller ones; 64 groups faces of up to eight
+    # edges and cuts larger ones; the default groups whole faces, several
+    # at a time
     compared = 0
     for first, second in _same_class_pairs():
         scale = max(first.scale, second.scale)
-        labeled = sorted({f for arc, label in edge_labeling(first, second).items() if label for f in arc})
+        labeled = sorted({f for arc, label in edge_labeling_loop(first, second).items() if label for f in arc})
         runs = []
-        for block in (1, 20, 64, congruence.SCAN_BLOCK):
+        for block in (1, 7, 20, 64, congruence.SCAN_BLOCK):
             monkeypatch.setattr(congruence, "SCAN_BLOCK", block)
             runs.append([(f, d) for face, direction in congruence._fits(
                 first, second, np.array(labeled, dtype=int), congruence.FIT_TOL * scale)
                 for f, d in zip(face.tolist(), direction.tolist())])
             monkeypatch.undo()
-        assert runs[0] == runs[1] == runs[2] == runs[3] == sorted(runs[3])
+        assert all(run == sorted(runs[-1]) for run in runs)
         fits = np.zeros((first.m, 2), dtype=bool)
-        for face, direction in runs[3]:
+        for face, direction in runs[-1]:
             fits[face, direction] = True
         for j in range(first.m):
             p1, p2 = face_polygon_2d(first, j), face_polygon_2d(second, j)

@@ -260,14 +260,15 @@ class TestRingLengths:
             assert np.array_equal(body.ring_lengths[starts[j]:starts[j + 1]], sides)
 
     def test_both_positions_of_an_arc_agree(self, body):
-        # the edge vectors at the two positions are exact negatives, so
-        # edge_lengths may read either position
+        # the edge vectors at the two positions are exact negatives, so an
+        # arc's length may be read at either position, as arc_pos does
         idx = body.fan.ring_index
         at = {(a, b): p for p, (a, b) in enumerate(zip(idx.owner.tolist(), idx.neighbor.tolist()))}
         mate = np.array([at[b, a] for a, b in zip(idx.owner.tolist(), idx.neighbor.tolist())])
         assert not np.array_equal(mate, np.arange(len(mate)))
         assert np.array_equal(body.ring_lengths, body.ring_lengths[mate])
-        assert np.array_equal(list(body.edge_lengths().values()), body.ring_lengths[idx.arc_pos])
+        arcs = np.sort(np.column_stack([idx.owner, idx.neighbor])[idx.arc_pos], axis=1)
+        assert np.array_equal(arcs, body.fan.arcs)
 
 
 class TestFaceIndex:
@@ -297,17 +298,16 @@ class TestMinkowskiSum:
 
     def test_bowtie_edge_lengths_add(self, bowtie):
         total = minkowski_sum(bowtie, bowtie)
-        left = bowtie.edge_lengths()
-        for arc, length in total.edge_lengths().items():
-            assert length == pytest.approx(2.0 * left[arc], abs=1e-10)
+        arc_pos = bowtie.fan.ring_index.arc_pos
+        assert np.allclose(total.ring_lengths[arc_pos], 2.0 * bowtie.ring_lengths[arc_pos], rtol=0, atol=1e-10)
 
     def test_edge_lengths_linear_across_shapes(self):
         a = builders.reflected_truncated_tetrahedron(0.3)
         b = builders.reflected_truncated_tetrahedron(0.6)
         total = minkowski_sum(a, b)
-        la, lb = a.edge_lengths(), b.edge_lengths()
-        for arc, length in total.edge_lengths().items():
-            assert length == pytest.approx(la[arc] + lb[arc], abs=1e-10)
+        arc_pos = a.fan.ring_index.arc_pos
+        assert np.allclose(total.ring_lengths[arc_pos], a.ring_lengths[arc_pos] + b.ring_lengths[arc_pos],
+                           rtol=0, atol=1e-10)
 
     def test_face_signs_may_change(self):
         # two herissons of one class whose sum flips two faces: supports add,
