@@ -136,6 +136,25 @@ class TestEdgeLabeling:
         fwd = _position_labels(a, b)
         assert fwd.any() and np.array_equal(fwd, -_position_labels(b, a))
 
+    def test_feeds_cauchy_verdict(self, cube):
+        # a longer box against the cube: the labels are nonzero and some face
+        # satisfies Cauchy's lemma
+        counts = _labeled_ring_sign_changes(builders.box(4.0, 2.0, 2.0), cube)
+        assert counts and min(counts) <= 2
+
+
+class TestCauchyVerdict:
+    def test_perturbed_pairs_give_witness(self, rng):
+        # a 5% larger body with perturbed supports: some label is nonzero, and
+        # some labeled face has at most two sign changes
+        for m in (20, 40, 60, 80, 120):
+            for _ in range(4):
+                fan = polar_fan(rng, m)
+                first = reconstruct(fan, np.ones(m))
+                second = reconstruct(fan, 1.05 * np.ones(m) + 0.01 * rng.uniform(-1, 1, m))
+                counts = _labeled_ring_sign_changes(first, second)
+                assert counts and min(counts) <= 2
+
 
 class TestCongruentAndParallel:
     def test_translate_recovered(self, bowtie, rng):
@@ -354,22 +373,20 @@ def test_edge_labeling_matches_the_dict_oracle():
     assert seen == {-1, 0, 1}
 
 
+def _labeled_ring_sign_changes(first, second):
+    """The oracle's sign-change count around each face whose ring of position
+    labels from first to second carries a nonzero label."""
+    labels, start = _position_labels(first, second), first.fan.ring_index.start
+    rings = [labels[start[j]:start[j + 1]].tolist() for j in range(first.m)]
+    return [cyclic_sign_changes(ring) for ring in rings if any(ring)]
+
+
 def test_labeled_pairs_have_a_face_of_at_most_two_sign_changes():
     # Cauchy's lemma on the ring labels: when some label is nonzero, some face
-    # whose ring carries one has at most two sign changes around it, by the
-    # oracle's own count
-    pairs = _same_class_pairs()
-    rng = np.random.default_rng(20261027)
-    for m in (20, 40, 60, 80, 120):
-        for _ in range(4):
-            fan = polar_fan(rng, m)
-            h = 1.05 * np.ones(m) + 0.01 * rng.uniform(-1, 1, m)
-            pairs.append((reconstruct(fan, np.ones(m)), reconstruct(fan, h)))
+    # whose ring carries one has at most two sign changes around it
     most = 0
-    for first, second in pairs:
-        labels, start = _position_labels(first, second), first.fan.ring_index.start
-        rings = [labels[start[j]:start[j + 1]].tolist() for j in range(first.m)]
-        counts = [cyclic_sign_changes(ring) for ring in rings if any(ring)]
+    for first, second in _same_class_pairs():
+        counts = _labeled_ring_sign_changes(first, second)
         assert counts and min(counts) <= 2
         most = max(most, *counts)
     assert most >= 4                              # other rings do change sign more often
