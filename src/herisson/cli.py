@@ -4,6 +4,12 @@ Exit codes: 0 on success and affirmative verdicts, 1 on negative verdicts
 (invalid fan, non-congruent pair, non-converged solve), 2 on malformed
 inputs and unwritable outputs (export then leaves none of its outputs
 behind).  Passing --json switches stdout to machine-readable JSON.
+
+Importing this module loads the package's `errors`, `fan`, `geometry` and
+`io`.  The kernel modules load on first use, inside the subcommand that
+runs them: `solve` loads `solver`, `congruent` loads `congruence` and
+`example` loads `builders`; `validate`, `areas`, `sum` and `export` load
+none of the three.
 """
 
 from __future__ import annotations
@@ -16,12 +22,10 @@ import sys
 
 import numpy as np
 
-from . import builders, io
-from .congruence import congruent_and_parallel
+from . import io
 from .errors import HerissonError, MalformedFan, NotSameClass
 from .fan import validate
 from .geometry import balance_residual, minkowski_sum
-from .solver import SolveOptions, solve_minkowski
 
 
 class _InputError(Exception):
@@ -68,6 +72,8 @@ def _cmd_areas(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import SolveOptions, solve_minkowski
+
     fan = _load(args.fan, io.load_fan)
     h0 = _load(args.seed, lambda p: io.load_vector(p, ("h",)))
     if h0.shape != (fan.m,) or not np.all(np.isfinite(h0)):
@@ -101,6 +107,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_congruent(args) -> int:
+    from .congruence import congruent_and_parallel
+
     a = _load(args.a, io.load_herisson)
     b = _load(args.b, io.load_herisson)
     try:
@@ -128,13 +136,13 @@ def _cmd_sum(args) -> int:
     return 0
 
 
-_EXAMPLES = {
-    "cube": lambda spec: builders.cube(),
-    "box": lambda spec: builders.box(*(float(x) for x in spec.split(","))),
-    "tetra": lambda spec: builders.regular_tetrahedron(float(spec)),
-    "bowtie": lambda spec: builders.reflected_truncated_tetrahedron(float(spec)),
-    "waisted": lambda spec: builders.waisted_bitetrahedron(int(spec)),
-    "tiling": lambda spec: builders.space_filling_prism(),
+_EXAMPLES = {      # name -> (builders module, spec) -> herisson
+    "cube": lambda b, spec: b.cube(),
+    "box": lambda b, spec: b.box(*(float(x) for x in spec.split(","))),
+    "tetra": lambda b, spec: b.regular_tetrahedron(float(spec)),
+    "bowtie": lambda b, spec: b.reflected_truncated_tetrahedron(float(spec)),
+    "waisted": lambda b, spec: b.waisted_bitetrahedron(int(spec)),
+    "tiling": lambda b, spec: b.space_filling_prism(),
 }
 
 
@@ -142,8 +150,10 @@ def _cmd_example(args) -> int:
     name, _, spec = args.name.partition(":")
     if name not in _EXAMPLES:
         raise _InputError(f"unknown example {name!r}; choose from {sorted(_EXAMPLES)}")
+    from . import builders
+
     try:
-        h = _EXAMPLES[name](spec)
+        h = _EXAMPLES[name](builders, spec)
     except (TypeError, ValueError) as exc:
         raise _InputError(f"example {args.name!r}: {exc}") from exc
     io.save(io.herisson_to_dict(h), args.output)

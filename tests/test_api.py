@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import herisson
 
 # The public API, in the order __init__ lists it.  A change here is a change
@@ -40,3 +47,36 @@ PUBLIC = [
 def test_public_api_snapshot():
     assert herisson.__all__ == PUBLIC
     assert all(hasattr(herisson, name) for name in PUBLIC)
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(herisson))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from herisson import *", namespace)
+    assert all(namespace[name] is getattr(herisson, name) for name in PUBLIC)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        herisson.no_such_name
+
+
+def test_lazy_names_are_looked_up_on_every_access(monkeypatch):
+    # the package stores no lazy name, so it always gives what the module binds now
+    patched = object()
+    monkeypatch.setattr(herisson.solver, "solve_minkowski", patched)
+    assert herisson.solve_minkowski is patched
+    monkeypatch.undo()
+    assert herisson.solve_minkowski is herisson.solver.solve_minkowski
+    assert "solve_minkowski" not in vars(herisson)
+
+
+def test_kernel_modules_resolve_after_a_bare_import():
+    src = str(Path(herisson.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import herisson; print(herisson.solver.__name__, herisson.congruence.__name__, herisson.builders.__name__)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["herisson.solver", "herisson.congruence", "herisson.builders"]

@@ -276,8 +276,8 @@ class TestCongruentAndParallel:
         assert peak < 64 * 2**20
 
     def test_large_prism_pair_reversed(self, monkeypatch):
-        # direction 0 of face 0 fails on all 2000 rows, in blocks of less
-        # than SCAN_BLOCK pairs plus one row; direction 1 then fits
+        # direction 0 of face 0 fails on all 2000 rows, read in pieces of
+        # SCAN_BLOCK // 2000 whole rows; direction 1 then fits
         first, second = _prism_pair()
         sizes, dot = [], congruence._dot
         monkeypatch.setattr(congruence, "_dot", lambda a, b: sizes.append(len(a)) or dot(a, b))

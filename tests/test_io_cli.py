@@ -260,6 +260,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: [Errno 2] No such file or directory: {out!r}\n"
 
+    @pytest.mark.parametrize("name, err", [
+        ("nope", "error: unknown example 'nope'; choose from ['bowtie', 'box', 'cube', 'tetra', 'tiling', 'waisted']\n"),
+        ("box:1,2", "error: example 'box:1,2': "),
+        ("tetra:-1", "error: example 'tetra:-1': insphere radius must be positive\n"),
+        ("waisted:1.5", "error: example 'waisted:1.5': "),
+    ])
+    def test_example_rejects_unknown_names_and_bad_specs(self, name, err, tmp_path, capsys):
+        out = tmp_path / "example.json"
+        assert cli.main(["example", name, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err) and captured.err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_export_writes_both_outputs_or_neither(self, cube, json_flag, tmp_path, capsys):
         # the OBJ path is writable and the SVG path is not: nothing is written
@@ -354,10 +368,53 @@ def test_runtime_leaves_scipy_and_numpy_ma_unloaded(cube, tmp_path):
     fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))
     seed = _write(tmp_path / "seed.json", {"h": [1.0] * 6})
     target = _write(tmp_path / "target.json", {"g": [9.0] * 6})
-    src = str(Path(herisson.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE, small, big, fan, seed, target],
-                         capture_output=True, text=True, check=True, env=env)
+                         capture_output=True, text=True, check=True, env=_package_env())
     steps = json.loads(out.stdout.splitlines()[-1])
     assert steps == dict.fromkeys(
         ["import", "congruent_and_parallel", "cli congruent", "cli validate", "cli solve", "fd solve_minkowski"], [])
+
+
+def _package_env():
+    src = str(Path(herisson.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# runs `python -m herisson.cli ARGS` through runpy, then prints the
+# herisson.* modules loaded at exit as the last line of stdout
+_FOOTPRINT_PROBE = """
+import json, runpy, sys
+sys.argv = ["herisson", *sys.argv[1:]]
+try:
+    runpy.run_module("herisson.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("herisson."))))
+"""
+
+_KERNEL = {"herisson.builders", "herisson.congruence", "herisson.solver"}
+
+
+@pytest.mark.parametrize("command", ["import", "validate", "areas", "export", "sum", "solve", "congruent", "example"])
+def test_subcommand_loads_only_its_kernel_module(cube, command, tmp_path):
+    # a bare `import herisson` and the other subcommands load none of the three
+    loads = {"solve": {"herisson.solver"}, "congruent": {"herisson.congruence"},
+             "example": {"herisson.builders"}}.get(command, set())
+    cube_file = _write(tmp_path / "cube.json", io.herisson_to_dict(cube))
+    moved = _write(tmp_path / "moved.json", io.herisson_to_dict(cube.translated([0.5, 0.0, 0.0])))
+    target = _write(tmp_path / "target.json", {"g": [9.0] * 6})
+    out = str(tmp_path / "out")
+    argv = {
+        "validate": ["validate", cube_file],
+        "areas": ["areas", cube_file],
+        "export": ["export", cube_file, "--obj", out],
+        "sum": ["sum", cube_file, moved, "-o", out],
+        "solve": ["solve", cube_file, "--seed", cube_file, "--target", target, "--allow-non-general"],
+        "congruent": ["congruent", cube_file, moved],
+        "example": ["example", "cube", "-o", out],
+    }
+    code = ("import json, sys, herisson; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('herisson.'))))")
+    args = ["-c", code] if command == "import" else ["-c", _FOOTPRINT_PROBE, *argv[command]]
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_package_env())
+    assert done.returncode == 0, done.stderr
+    assert set(json.loads(done.stdout.splitlines()[-1])) & _KERNEL == loads
