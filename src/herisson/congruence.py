@@ -9,10 +9,10 @@ labeling ever fires.  Its labels live on the (face, edge) incidences, which
 are the positions of the fan's face rings; the two positions of one arc
 carry the same label.  Whether a face fits inside its mate by a translation
 is read from the same ring: edge p of face j has the outward normal u_p in
-the plane of face j, and the face of h1 fits inside that of h2 iff the
-translations c in that plane with u_p . c <= h2(u_p) - h1(u_p) for every p
-form a non-empty set; on convex faces the right-hand sides are the in-plane
-supports of the virtual polytope h2 - h1.
+the plane of face j, a sign times the fan's u_jk (Fan.edge_frames), and the
+face of h1 fits inside that of h2 iff some c in that plane has
+u_p . c <= h2(u_p) - h1(u_p) for every p; on convex faces the right-hand
+sides are the in-plane supports of the virtual polytope h2 - h1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSameClass
-from .fan import SCAN_BLOCK, _cross
+from .fan import SCAN_BLOCK
 from .geometry import Herisson, _class_mismatch
 
 LENGTH_TOL = 1e-9         # relative to scale: rule-(iv) equality
@@ -74,12 +74,14 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     Direction 0 moves face j of h1 into face j of h2, direction 1 the
     reverse.  A row is one ring position p of the receiving face j, with the
     outward normal u_p = eps_j (e_p x n_j) / |e_p| of its edge
-    e_p = V[succ] - V[cell] (|e_p| from the receiving ring_lengths) and the
-    right-hand side beta_p: the max over the ring of u_p . (receiving
-    vertex) minus that over the moved vertices, plus tol (the maxima keep
-    non-convex faces right).  The bounded set {c : u_p . c <= beta_p} is
-    non-empty iff the other constraints cut an interval from some line
-    u_p . c = beta_p, which runs along n_j x u_p.
+    e_p = V[succ] - V[cell] and the right-hand side beta_p: the max over the
+    ring of u_p . (receiving vertex) minus that over the moved vertices,
+    plus tol (the maxima keep non-convex faces right).  The bounded set
+    {c : u_p . c <= beta_p} is non-empty iff the other constraints cut an
+    interval from some line u_p . c = beta_p, which runs along n_j x u_p.
+    As e_p runs along t_p, (n_j x u_p, u_p) is the fan's edge frame
+    (t_p, u_jk) times s_p = eps_j sign(e_p . t_p); on an unchecked Herisson
+    a zero-length edge gives s_p = 0, a zero row that constrains nothing.
 
     Segment s = 2i + d holds the k rows of faces[i] in direction d, each
     paired with the k constraints of its segment; segments come face by
@@ -91,18 +93,15 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     """
     if not len(faces):
         return
-    idx, nv, d = h1.fan.ring_index, len(h1.vertices), np.arange(2 * len(faces)) % 2
+    idx, d = h1.fan.ring_index, np.arange(2 * len(faces)) % 2
     k = np.repeat(idx.start[faces + 1] - idx.start[faces], 2)      # segment s = 2i + d: faces[i] in direction d
     seg_face, seg_end = np.repeat(faces, 2), np.cumsum(k)
     seg_row, pair_at = seg_end - k, np.concatenate([[0], np.cumsum(k * k)])   # pair_at[s]: pairs before s
     seg_pos = idx.start[seg_face] - seg_row      # row r of segment s is at ring position seg_pos[s] + r
-    # in direction d a cell's (receiving, moved) vertices are both[d * V + cell], and the
-    # receiving edge lengths are lengths[d * R + ring position]
-    seg_vert, seg_len = d * nv, seg_pos + d * len(idx.cell)
+    seg_vert = d * len(h1.vertices)   # in direction d a cell's (receiving, moved) vertices are both[d * V + cell]
     both = np.concatenate([np.concatenate([h2.vertices, h1.vertices], axis=1),
                            np.concatenate([h1.vertices, h2.vertices], axis=1)]).reshape(-1, 2, 3)
-    verts, lengths = both[:, 0], np.concatenate([h2.ring_lengths, h1.ring_lengths])
-    normal, sign = h1.fan.equipment[seg_face], h1.signs[seg_face]
+    verts, frames, sign = both[:, 0], h1.fan.edge_frames, h1.signs[seg_face]
     rows = seg_end[-1]
     ua, beta = np.empty((rows, 2, 3)), np.empty(rows)    # ua[r] = (line direction, u) of row r
     u, vert = ua[:, 1], np.empty(rows, dtype=int)        # vert[r]: the receiving vertex of row r's cell
@@ -145,11 +144,11 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
         # the group: segments s0..s1-1, whose rows r get u, the line direction and the receiving vertex
         r = np.arange(seg_row[s0], seg_end[s1 - 1])
         s = np.repeat(np.arange(s0, s1), k[s0:s1])
-        pos, dv, n = seg_pos[s] + r, seg_vert[s], normal[s]
+        pos, dv = seg_pos[s] + r, seg_vert[s]
         v = vert[r] = dv + idx.cell[pos]
+        frame = frames[pos]
         edge = verts[dv + idx.cell[idx.next_pos[pos]]] - verts[v]
-        ur = u[r] = _cross(edge, n) * (sign[s] / lengths[seg_len[s] + r])[:, None]
-        ua[r, 0] = _cross(n, ur)
+        ua[r] = frame * (sign[s] * np.sign(_dot(edge, frame[:, 0])))[:, None, None]
         # a group of more than SCAN_BLOCK pairs is one segment, read in pieces of whole rows
         step = len(r) if pair_at[s1] - pair_at[s0] <= SCAN_BLOCK else max(1, SCAN_BLOCK // int(k[s0]))
         pieces = [slice(a, a + step) for a in range(0, len(r), step)]

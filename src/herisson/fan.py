@@ -18,8 +18,8 @@ A Fan caches what it derives (see Fan), read-only, by one rule: a cached
 value depends only on `equipment`, `cells` and module constants.  A test
 that changes such a constant (VERTEX_DET_TOL for the vertex map and all built
 on it; GENERAL_POSITION_TOL, SWEEP_SLACK or SCAN_BLOCK for the witness) builds
-a fresh Fan.  Vertices and face areas go through these caches, so no
-per-call work factors a block or takes a cross product.
+a fresh Fan.  Vertices, face areas and congruence fits go through these
+caches, so no per-call work factors a block or takes a cross product.
 """
 
 from __future__ import annotations
@@ -74,8 +74,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Fan:
     """Equipment plus sphere-partition cells, immutable; it caches, by the module's rule, corners,
-    arcs, ring_index, block_inverses (the vertex map), ring_frames (the face frames), consistency_matrix,
-    jacobian_scatter, translation_gram and coplanar_triple (the general-position witness), once per Fan."""
+    arcs, ring_index, block_inverses (the vertex map), ring_frames (the face frames), edge_frames (the
+    edge directions), consistency_matrix, jacobian_scatter, translation_gram and coplanar_triple (the
+    general-position witness), once per Fan."""
 
     equipment: np.ndarray                  # (m, 3) unit directions
     cells: tuple[tuple[int, ...], ...]     # cyclic face lists, CCW from outside
@@ -197,6 +198,17 @@ class Fan:
         idx, u = self.ring_index, _plane_units(self.equipment)
         frame = np.stack([u, _cross(self.equipment, u)], axis=1)[idx.owner]     # (R, 2, 3)
         return _frozen(np.einsum("rfk,rkl->lfr", frame, self.block_inverses[idx.cell], order="C"))
+
+    @cached_property
+    def edge_frames(self) -> np.ndarray:
+        """(R, 2, 3) rows t_p = n_j x n_k / |n_j x n_k| ([p, 0]) and u_jk = t_p x n_j ([p, 1]) of ring
+        position p of face j across the arc to face k: the edge at p runs along t_p, and u_jk is the unit
+        projection of n_k onto the plane of j.  The twin position of an arc holds -t_p."""
+        idx, eq = self.ring_index, self.equipment
+        normal = eq[idx.owner]
+        t = _cross(normal, eq[idx.neighbor])
+        t /= np.linalg.norm(t, axis=1)[:, None]
+        return _frozen(np.stack([t, _cross(t, normal)], axis=1))
 
     @cached_property
     def consistency_matrix(self) -> np.ndarray:

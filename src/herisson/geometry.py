@@ -91,10 +91,11 @@ class Herisson:
     """The hedgehog surface of supports h on a fan, unchecked (see reconstruct).
 
     h is copied to float and read-only; ValueError unless it has one entry
-    per face.  Every other array is a read-only cached_property of (fan, h):
-    vertices from the fan's vertex map (block_inverses), oriented areas from
-    the face frames of the same model, which _area_jacobian differentiates,
-    and signs from the areas.
+    per face.  Everything else is a cached_property of (fan, h), every array
+    read-only: scale (support_scale of h), vertices from the fan's vertex map
+    (block_inverses), oriented areas from the face frames of the same model,
+    which _area_jacobian differentiates, signs from the areas, and
+    ring_lengths, the edge length at every ring position.
     """
 
     fan: Fan

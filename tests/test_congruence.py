@@ -22,6 +22,7 @@ from helpers import (
     random_polygon_pair,
 )
 from herisson import builders, congruence, geometry
+from herisson import fan as fan_module
 from herisson.congruence import CongruenceStatus, _position_labels, congruent_and_parallel, sign_changes
 from herisson.errors import NotSameClass
 from herisson.fan import Fan
@@ -287,19 +288,33 @@ class TestCongruentAndParallel:
         assert peak < 64 * 2**20
         assert sum(sizes) > 4 * 2000**2 and max(sizes) < congruence.SCAN_BLOCK + 2000
 
+    def test_zero_length_edges_give_zero_rows(self, cube):
+        # an unchecked box of width 0: its x-edges have length 0 and faces 2-5
+        # area 0, so s_p = 0 there and their rows are zero, not NaN (numpy would
+        # warn); the square faces 0 and 1 still fit in direction 0 only
+        first = Herisson(cube.fan, [1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+        second = Herisson(cube.fan, [1.0, -1.0, 2.0, 2.0, 2.0, 2.0])
+        assert not first.ring_lengths.all() and first.signs.tolist() == second.signs.tolist() == [1, 1, 0, 0, 0, 0]
+        fits = {(f, d) for face, direction in congruence._fits(first, second, np.arange(6), congruence.FIT_TOL)
+                for f, d in zip(face.tolist(), direction.tolist())}
+        assert {(0, 0), (1, 0)} <= fits and not {(0, 1), (1, 1)} & fits
+
     def test_verdict_stops_at_the_first_fitting_face(self, monkeypatch):
         # face 0 fits, in direction 0 for (first, second) and in direction 1 for
         # (second, first): the verdict reads that face's rows and the rows of
-        # the blocks up to it, not the whole fan, in the geometry of the rows
-        # (_cross) as in their tests (_dot)
+        # the groups up to it, not the whole fan, in their tests (_dot); the
+        # rows take u and the line direction from the fan's edge frames, so
+        # neither the verdict nor an exhausted _fits takes a cross product
         rng = np.random.default_rng([20261018, 0])
         fan = polar_fan(rng, 60)
         first = reconstruct(fan, np.ones(60))
         second = reconstruct(fan, 1.05 * np.ones(60) + 0.01 * rng.uniform(-1, 1, 60))
+        fan.edge_frames                   # taken once per Fan, here before the count
+        assert not hasattr(congruence, "_cross")
         rows = {"_cross": 0, "_dot": 0}
-        for name in rows:
-            kernel = getattr(congruence, name)
-            monkeypatch.setattr(congruence, name, lambda a, b, name=name, kernel=kernel:
+        for module, name in ((fan_module, "_cross"), (geometry, "_cross"), (congruence, "_dot")):
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda a, b, name=name, kernel=kernel:
                                 rows.__setitem__(name, rows[name] + len(a)) or kernel(a, b))
         labeled = np.flatnonzero(np.add.reduceat(np.abs(congruence._position_labels(first, second)),
                                                  fan.ring_index.start[:-1]))
@@ -312,7 +327,8 @@ class TestCongruentAndParallel:
             rows.update(_cross=0, _dot=0)
             for _ in congruence._fits(h1, h2, labeled, congruence.FIT_TOL * max(h1.scale, h2.scale)):
                 pass
-            assert all(0 < used[name] < 0.1 * rows[name] for name in rows), (direction, used, rows)
+            assert used["_cross"] == rows["_cross"] == 0, (direction, used, rows)
+            assert 0 < used["_dot"] < 0.1 * rows["_dot"], (direction, used, rows)
 
 
 def _prism_pair():

@@ -576,7 +576,7 @@ def test_cached_arrays_are_read_only(bowtie):
     names = [name for name, attr in vars(Fan).items() if isinstance(attr, cached_property)]
     values = [getattr(fan, name) for name in names]
     arrays = [v for v in values if isinstance(v, np.ndarray)] + list(vars(fan.ring_index).values())
-    assert len(arrays) == 18 and all(isinstance(a, np.ndarray) for a in arrays)
+    assert len(arrays) == 19 and all(isinstance(a, np.ndarray) for a in arrays)
     for array in [fan.equipment, *arrays]:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0

@@ -16,6 +16,7 @@ from helpers import (
     vertex_solve_loop,
 )
 from herisson import builders, geometry
+from herisson import fan as fan_module
 from herisson.congruence import congruent_and_parallel
 from herisson.errors import DegenerateEquipment, DegenerateFace, InconsistentVertex, NotSameClass, SingularVertex
 from herisson.fan import Fan, validate
@@ -269,6 +270,66 @@ class TestRingLengths:
         assert np.array_equal(body.ring_lengths, body.ring_lengths[mate])
         arcs = np.sort(np.column_stack([idx.owner, idx.neighbor])[idx.arc_pos], axis=1)
         assert np.array_equal(arcs, body.fan.arcs)
+
+
+def _edge_directions(body):
+    """(t_p, u_jk, e_p) of every ring position: the fan's edge frame and the edge vector from the vertices."""
+    idx, frames = body.fan.ring_index, body.fan.edge_frames
+    return frames[:, 0], frames[:, 1], body.vertices[idx.cell[idx.next_pos]] - body.vertices[idx.cell]
+
+
+class TestEdgeFrames:
+    """Fan.edge_frames: the unit direction t_p of the edge at each ring position
+    and the unit projection u_jk of the neighbour's normal onto the face's plane."""
+
+    def test_unit_and_perpendicular(self, body):
+        fan = body.fan
+        t, u, _ = _edge_directions(body)
+        n, across = fan.equipment[fan.ring_index.owner], fan.equipment[fan.ring_index.neighbor]
+        assert fan.edge_frames.shape == (len(fan.ring_index.owner), 2, 3)
+        assert np.max(np.abs(np.linalg.norm(fan.edge_frames, axis=2) - 1.0)) <= 1e-14
+        for a, b in ((t, n), (t, across), (u, n)):
+            assert np.max(np.abs(np.einsum("ij,ij->i", a, b))) <= 1e-14
+        assert np.all(np.einsum("ij,ij->i", u, across) > 0.0)
+
+    def test_twin_position_holds_the_opposite_direction(self, body):
+        idx = body.fan.ring_index
+        at = {(a, b): p for p, (a, b) in enumerate(zip(idx.owner.tolist(), idx.neighbor.tolist()))}
+        twin = np.array([at[b, a] for a, b in zip(idx.owner.tolist(), idx.neighbor.tolist())])
+        t = body.fan.edge_frames[:, 0]
+        assert np.array_equal(t[twin], -t)
+
+    def test_read_only_and_computed_once(self, body, calls_of):
+        fan = Fan(equipment=body.fan.equipment, cells=body.fan.cells)
+        crosses = calls_of("_cross", fan_module)
+        frames = fan.edge_frames
+        assert fan.edge_frames is frames and len(crosses) == 2
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0] = 0.0
+
+    def test_signed_rows_are_the_edge_normals(self, body):
+        # the congruence rows' outward normal eps_j (e_p x n_j) / |e_p|, from the
+        # vertices, is s_p u_jk with s_p = eps_j sign(e_p . t_p), within 1e-12; the
+        # direction of a vertex difference is good only to its rounding over |e_p|,
+        # so short edges get 1e-14 scale / |e_p| (1.7e-12 off at m = 120)
+        t, u, edge = _edge_directions(body)
+        eps = body.signs[body.fan.ring_index.owner]
+        n = body.fan.equipment[body.fan.ring_index.owner]
+        length = np.linalg.norm(edge, axis=1)
+        normal = eps[:, None] * np.cross(edge, n) / length[:, None]
+        s = eps * np.sign(np.einsum("ij,ij->i", edge, t))
+        assert np.all(np.abs(s) == 1)
+        err = np.max(np.abs(normal - s[:, None] * u), axis=1)
+        assert np.all(err <= np.maximum(1e-12, 1e-14 * body.scale / length))
+
+    def test_hedgehog_fixtures_have_negative_edges(self, cube, box123, tetra, bowtie, waisted, tiling):
+        # edges against t_p and faces of negative area, so that the cross-check
+        # above meets every sign of s_p; convex bodies have neither
+        negative = [int(np.sum(np.einsum("ij,ij->i", edge, t) < 0.0))
+                    for t, _, edge in map(_edge_directions, (cube, box123, tetra, bowtie, waisted, tiling))]
+        assert negative == [0, 0, 0, 18, 24, 8]
+        assert [int(np.sum(b.signs < 0)) for b in (bowtie, waisted, tiling)] == [6, 9, 4]
 
 
 class TestFaceIndex:

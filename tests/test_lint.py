@@ -135,6 +135,50 @@ def test_array_dataclasses_compared_by_value_are_found(tmp_path):
         ("Plain", True), ("InUnion", True), ("InOptional", True), ("Identity", False), ("OwnEq", False)]
 
 
+def cache_mentions(path: Path) -> list[tuple[str, str, bool]]:
+    """(class, name, named) of each cached_property of each class in path: named when the class
+    docstring holds the name as a whole word, its underscores read as underscores or spaces
+    (oriented_areas or "oriented areas")."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        doc = ast.get_docstring(node) or ""
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef) and any(
+                    ast.unparse(deco).split(".")[-1] == "cached_property" for deco in stmt.decorator_list):
+                word = r"[_\s]+".join(map(re.escape, stmt.name.split("_")))
+                found.append((node.name, stmt.name, re.search(rf"\b{word}\b", doc) is not None))
+    return found
+
+
+def test_class_docstrings_name_every_cache():
+    package = sorted((ROOT / "src" / "herisson").glob("*.py"))
+    found = [entry for path in package for entry in cache_mentions(path)]
+    assert {cls for cls, _name, _named in found} == {"Fan", "Herisson"}
+    assert [(cls, name) for cls, name, named in found if not named] == []
+
+
+def test_caches_missing_from_class_docstrings_are_found(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import functools\nfrom functools import cached_property\n\n\n"
+        "class Named:\n    \"\"\"Caches ring_index and oriented\n    areas.\"\"\"\n\n"
+        "    @cached_property\n    def ring_index(self):\n        return 1\n\n"
+        "    @functools.cached_property\n    def oriented_areas(self):\n        return 2\n\n"
+        "    @property\n    def plain(self):\n        return 3\n\n\n"
+        "class Missing:\n    \"\"\"Holds arcsine and a scaled ring_index_map.\"\"\"\n\n"
+        "    @cached_property\n    def arcs(self):\n        return 1\n\n"
+        "    @cached_property\n    def scale(self):\n        return 2\n\n"
+        "    @cached_property\n    def ring_index(self):\n        return 3\n\n\n"
+        "class Bare:\n    @cached_property\n    def value(self):\n        return 1\n"
+    )
+    assert cache_mentions(source) == [
+        ("Named", "ring_index", True), ("Named", "oriented_areas", True),
+        ("Missing", "arcs", False), ("Missing", "scale", False), ("Missing", "ring_index", False),
+        ("Bare", "value", False)]
+
+
 def test_no_unused_imports():
     assert len(SOURCES) > 10
     found = [(str(path.relative_to(ROOT)), *entry) for path in SOURCES for entry in unused_imports(path)]

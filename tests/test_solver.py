@@ -609,13 +609,14 @@ class TestFanCache:
     """A Fan computes its invariants once; a solve reads them from the cache."""
 
     # every cache the Fan docstring lists; a solve reads all of them but arcs
-    # (validate, the congruence labels and the exports read it)
+    # (validate, the congruence labels and the exports read it) and edge_frames
+    # (the congruence fits read it)
     SOLVE_CACHES = {"corners", "ring_index", "block_inverses", "ring_frames", "consistency_matrix",
                     "jacobian_scatter", "translation_gram", "coplanar_triple"}
 
     def test_the_docstring_lists_every_cache(self):
         caches = {name for name, attr in vars(Fan).items() if isinstance(attr, cached_property)}
-        assert caches == self.SOLVE_CACHES | {"arcs"}
+        assert caches == self.SOLVE_CACHES | {"arcs", "edge_frames"}
         assert caches <= set(re.findall(r"\w+", Fan.__doc__))
 
     @staticmethod
