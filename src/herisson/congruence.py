@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSameClass
+from .errors import DegenerateFace, NotSameClass
 from .fan import SCAN_BLOCK
 from .geometry import Herisson, _class_mismatch
 
@@ -167,9 +167,11 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     """Decide whether two parallel same-orientation herissons are translates.
 
     Refuses with NotSameClass, naming the reason, when the inputs are not
-    parallel and of the same orientation (geometry._class_mismatch).  The
-    scale is max(h1.scale, h2.scale), and edge lengths are compared within
-    LENGTH_TOL times it.  When every ring label is 0, face 0's centroids
+    parallel and of the same orientation (geometry._class_mismatch), and
+    with DegenerateFace, naming the lowest one, when faces have zero area
+    (sign 0, as unchecked Herissons may have): such a face would fit either
+    way.  The scale is max(h1.scale, h2.scale), and edge lengths are compared
+    within LENGTH_TOL times it.  When every ring label is 0, face 0's centroids
     give the translation c carrying the first herisson onto the second, and
     one check over all vertices confirms it (CONGRUENT) or names the lowest
     face holding a vertex off by more than SUPERPOSITION_TOL times the scale
@@ -187,6 +189,8 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     """
     if reason := _class_mismatch(h1, h2):
         raise NotSameClass(reason)
+    if (flat := (h1.signs == 0).nonzero()[0]).size:      # the signs are h2's too
+        raise DegenerateFace(f"face {flat[0]} has zero area")
     ring = _position_labels(h1, h2)
     idx = h1.fan.ring_index
     if not ring.any():

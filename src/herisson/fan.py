@@ -61,8 +61,8 @@ def _pair_runs(face: np.ndarray, a: np.ndarray, b: np.ndarray):
     position in `labels`, so no label value can make a key overflow."""
     labels = np.sort(face)
     key = np.sort(np.searchsorted(labels, a) * len(labels) + np.searchsorted(labels, b))
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    return key[first], np.diff(first, append=len(key)), labels
+    cut = np.concatenate(([key.size > 0], key[1:] != key[:-1], [True])).nonzero()[0]   # run starts, then the end
+    return key[cut[:-1]], cut[1:] - cut[:-1], labels
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -398,23 +398,27 @@ def _crossing_pairs(eq: np.ndarray, keys: np.ndarray, skip: np.ndarray) -> list[
 
 @np.errstate(invalid="ignore")   # non-finite normals leave NaNs, which compare false
 def _bad_cells(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray, checked: np.ndarray,
-               turn: np.ndarray) -> list[str]:
+               turn: np.ndarray, certify: bool) -> tuple[list[str], float]:
     """Details, in cell order, of the cells flagged in `checked` that are not
-    CCW convex spherical polygons inside an open hemisphere.
+    CCW convex spherical polygons inside an open hemisphere; and, if `certify`
+    and no cell fails, the sum of the cells' signed spherical excesses, else NaN.
 
     Cells of one size are checked together from the corner products turn[i] = n_i x n_i+1:
     the determinants det(n_i, n_i+1, n_k) = turn[i] . n_k of the corners k off each edge,
     then the vector areas (sums of turn rows) and the corners' products with them.  A cell
-    whose triple products overflow takes np.linalg.det of its (n_i, n_i+1, n_k) instead.
+    whose triple products overflow takes np.linalg.det of its (n_i, n_i+1, n_k) instead.  A
+    cell's excess sums the Van Oosterom-Strackee angles of its triangles (c_0, c_t, c_t+1),
+    0 < t < n - 1, whose numerators det(c_t, c_t+1, c_0) are determinants of corners t.
     """
     face, cell, succ, _ = corners
     convex, pointed = np.ones(len(sizes), dtype=bool), np.ones(len(sizes), dtype=bool)
+    excess = 0.0
     for n in sorted(set(sizes[checked].tolist())):   # a plain np.unique imports numpy.ma
-        at = np.flatnonzero(checked[cell] & (sizes[cell] == n)).reshape(-1, n)    # a cell's corners per row
+        at = (checked[cell] & (sizes[cell] == n)).nonzero()[0].reshape(-1, n)    # a cell's corners per row
         group, pts, turns = cell[at[:, 0]], eq[face[at]], turn[at]
         others = (np.arange(n)[:, None] + np.arange(2, n)) % n   # corners off edge i
         det = np.einsum("gikx,gix->gik", pts[:, others], turns)
-        if (over := np.flatnonzero(~np.isfinite(det).all(axis=(1, 2)))).size:     # overflowed: LU keeps the signs
+        if (over := (~np.isfinite(det).all(axis=(1, 2))).nonzero()[0]).size:     # overflowed: LU keeps the signs
             p = pts[over]
             det[over] = np.linalg.det(np.stack(np.broadcast_arrays(
                 p[:, :, None], eq[succ[at[over]]][:, :, None], p[:, others]), axis=-2))
@@ -426,20 +430,14 @@ def _bad_cells(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray, checked: 
         small = norm < 1e-12
         unit = area / np.where(small, 1.0, norm)[:, None]
         pointed[group] = ~(small | (np.min((pts @ unit[:, :, None])[:, :, 0], axis=1) <= HEMISPHERE_TOL))
-    return [f"cell {ci} is not a CCW convex spherical polygon" if not convex[ci] else
-            f"cell {ci} is not inside an open hemisphere" for ci in np.flatnonzero(~(convex & pointed)).tolist()]
-
-
-def _excess_sum(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray, turn: np.ndarray) -> float:
-    """Sum of the cells' signed spherical excesses over a fan triangulation
-    of each cell, in the Van Oosterom-Strackee form for unit vectors, whose
-    numerator det(c_0, c_t, c_t+1) is c_0 . turn[t]."""
-    face, cell, succ, _ = corners
-    first = (np.cumsum(sizes) - sizes)[cell]        # each corner's cell starts there
-    t = np.flatnonzero((np.arange(len(face)) > first) & (np.arange(len(face)) < first + sizes[cell] - 1))
-    a, b, c = eq[face[first[t]]], eq[face[t]], eq[succ[t]]      # (c_0, c_t, c_t+1) from the corner at t
-    den = 1.0 + _rowdot(a, b) + _rowdot(b, c) + _rowdot(c, a)
-    return float(2.0 * np.arctan2(_rowdot(a, turn[t]), den).sum())
+        if certify := certify and bool((convex[group] & pointed[group]).all()):
+            t = np.arange(1, n - 1)
+            ab = np.einsum("gx,gtx->gt", pts[:, 0], pts[:, 1:])     # c_0 . c_t, 0 < t < n
+            bc = np.einsum("gtx,gtx->gt", pts[:, 1:-1], pts[:, 2:])
+            excess += 2.0 * float(np.arctan2(det[:, t, n - 2 - t], 1.0 + ab[:, :-1] + bc + ab[:, 1:]).sum())
+    details = [f"cell {ci} is not a CCW convex spherical polygon" if not convex[ci] else
+               f"cell {ci} is not inside an open hemisphere" for ci in (~(convex & pointed)).nonzero()[0].tolist()]
+    return details, excess if certify else np.nan
 
 
 # |n| past ~1e154 overflows to inf, which compares as a huge value would; opposite
@@ -450,8 +448,8 @@ def validate(fan: Fan) -> ValidationReport:
 
     Codes emitted: "non-unit vector", "antipodal adjacent pair",
     "crossing arcs", "non-convex cell", "Euler failure", "low face degree",
-    "broken partition".  Deterministic and idempotent.  The cell checks and
-    the certificate below read one table of the N corner products n_i x n_i+1.
+    "broken partition".  Deterministic and idempotent.  The cell checks read one table
+    of the N corner products n_i x n_i+1; the certificate below takes its terms from their groups.
 
     Crossings are ruled out by a degree-one certificate when every other
     rule holds.  The cells then close up into a surface with V-E+F = 2 whose
@@ -473,7 +471,7 @@ def validate(fan: Fan) -> ValidationReport:
 
     exp = np.frexp(np.max(np.abs(eq), axis=1))[1]     # power-of-two row scales: huge norms stay finite, others exact
     norms = np.ldexp(np.linalg.norm(np.ldexp(eq, -exp[:, None]), axis=1), exp)
-    for j in np.nonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))[0]:   # NaN norms included
+    for j in (~(np.abs(norms - 1.0) <= UNIT_TOL)).nonzero()[0]:   # NaN norms included
         report.add("non-unit vector", f"face {j} has norm {float(norms[j])!r}")
 
     # Manifold structure: every ordered pair of cyclically consecutive faces
@@ -482,7 +480,7 @@ def validate(fan: Fan) -> ValidationReport:
     sizes = np.bincount(cell, minlength=len(fan.cells))
     f, c = corners[:2, np.lexsort((face, cell))]
     distinct = sizes - np.bincount(c[1:][(f[1:] == f[:-1]) & (c[1:] == c[:-1])], minlength=len(sizes))
-    for ci in np.flatnonzero((distinct < 3) | (distinct != sizes)).tolist():
+    for ci in ((distinct < 3) | (distinct != sizes)).nonzero()[0].tolist():
         if distinct[ci] < 3:
             report.add("broken partition", f"cell {ci} has fewer than 3 distinct faces")
         if distinct[ci] != sizes[ci]:
@@ -491,7 +489,7 @@ def validate(fan: Fan) -> ValidationReport:
     k = len(labels)
     rev = pairs % k * k + pairs // k
     lonely = pairs[np.minimum(np.searchsorted(pairs, rev), len(pairs) - 1)] != rev
-    for u in np.flatnonzero((counts > 1) | lonely):
+    for u in ((counts > 1) | lonely).nonzero()[0]:
         pair = (int(labels[pairs[u] // k]), int(labels[pairs[u] % k]))
         if counts[u] > 1:
             report.add("broken partition", f"ordered pair {pair} appears {counts[u]} times")
@@ -509,7 +507,7 @@ def validate(fan: Fan) -> ValidationReport:
         report.add("antipodal adjacent pair", f"faces {a} and {b}")
 
     degree = np.bincount(keys.ravel(), minlength=m)
-    for j in np.nonzero(degree < 3)[0]:
+    for j in (degree < 3).nonzero()[0]:
         report.add("low face degree", f"face {j} lies on {degree[j]} arcs")
 
     if len(fan.cells) - len(keys) + m != 2:
@@ -521,10 +519,11 @@ def validate(fan: Fan) -> ValidationReport:
     # Convex spherical cells, counterclockwise, inside an open hemisphere;
     # a cell holding a non-finite normal has no geometry to check.
     finite = np.bincount(cell, weights=~np.isfinite(eq).all(axis=1)[face], minlength=len(sizes)) == 0
-    for detail in _bad_cells(eq, corners, sizes, (distinct == sizes) & (sizes >= 3) & finite, turn):
+    details, excess = _bad_cells(eq, corners, sizes, (distinct == sizes) & (sizes >= 3) & finite, turn, report.ok)
+    for detail in details:
         report.add("non-convex cell", detail)
 
-    if report.ok and abs(_excess_sum(eq, corners, sizes, turn) - 4.0 * np.pi) <= COVER_TOL:
+    if abs(excess - 4.0 * np.pi) <= COVER_TOL:      # NaN unless every rule above held
         return report
 
     # Arc crossings (touching at shared endpoints is allowed).

@@ -243,7 +243,7 @@ def polar_fan(rng, m):
 # fan.validate: one pair of arcs and one cell at a time, as the rules read.
 
 def _angle(a, b):
-    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+    return float(np.arccos(min(max(float(np.dot(a, b)), -1.0), 1.0)))    # NaN stays NaN
 
 
 def _strictly_inside(p, q, x, tol=TOUCH_TOL):
@@ -254,9 +254,10 @@ def _strictly_inside(p, q, x, tol=TOUCH_TOL):
     return ap + aq <= _angle(p, q) + 1e-9
 
 
-def _arcs_cross(p, q, a, b):
-    """Whether minor arcs p-q and a-b meet away from shared endpoints."""
-    d = np.cross(np.cross(p, q), np.cross(a, b))
+def _arcs_cross(p, q, a, b, pq, ab):
+    """Whether minor arcs p-q and a-b, on the great circles of normals
+    pq = p x q and ab = a x b, meet away from shared endpoints."""
+    d = np.cross(pq, ab)
     nd = np.linalg.norm(d)
     if nd < 1e-12:
         # Same great circle: overlap iff an endpoint of one arc sits strictly
@@ -274,12 +275,14 @@ def crossing_entries(fan):
     """'crossing arcs' entries from the scan over all pairs of sorted arcs."""
     eq = fan.equipment
     arcs = [tuple(arc) for arc in fan.arcs.tolist()]
+    # taken once per arc: whether it is antipodal (then it takes no part) and its circle's normal
+    antipodal = [np.linalg.norm(eq[a] + eq[b]) <= ANTIPODAL_TOL for a, b in arcs]
+    normal = [np.cross(eq[a], eq[b]) for a, b in arcs]
     entries = []
-    for idx, (a, b) in enumerate(arcs):
-        for c, d in arcs[idx + 1:]:
-            if np.linalg.norm(eq[a] + eq[b]) <= ANTIPODAL_TOL or np.linalg.norm(eq[c] + eq[d]) <= ANTIPODAL_TOL:
-                continue
-            if _arcs_cross(eq[a], eq[b], eq[c], eq[d]):
+    for i, (a, b) in enumerate(arcs):
+        for j in range(i + 1, len(arcs)):
+            (c, d), skip = arcs[j], antipodal[i] or antipodal[j]
+            if not skip and _arcs_cross(eq[a], eq[b], eq[c], eq[d], normal[i], normal[j]):
                 entries.append(("crossing arcs", f"arcs {(a, b)} and {(c, d)}"))
     return entries
 
@@ -302,6 +305,23 @@ def convexity_entries(fan):
         if np.linalg.norm(area) < 1e-12 or np.min(pts @ (area / np.linalg.norm(area))) <= HEMISPHERE_TOL:
             entries.append(("non-convex cell", f"cell {ci} is not inside an open hemisphere"))
     return entries
+
+
+def girard_excesses(fan):
+    """Each cell's spherical excess by Girard's theorem, one cell and one corner
+    at a time: the sum of its interior angles minus (n - 2) pi.  The angle at a
+    corner turns, counterclockwise about the corner's normal, from the tangent
+    towards the next corner to the tangent towards the previous one (atan2)."""
+    excesses = []
+    for cell in fan.cells:
+        pts = fan.equipment[list(cell)]
+        n, angles = len(pts), 0.0
+        for i, here in enumerate(pts):
+            ahead, back = pts[(i + 1) % n], pts[i - 1]
+            ahead, back = ahead - (ahead @ here) * here, back - (back @ here) * here
+            angles += float(np.mod(np.arctan2(here @ np.cross(ahead, back), ahead @ back), 2.0 * np.pi))
+        excesses.append(angles - (n - 2) * np.pi)
+    return excesses
 
 
 # Scalar reference for the ring walk of Fan.ring_index: one face and one

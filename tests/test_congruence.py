@@ -24,7 +24,7 @@ from helpers import (
 from herisson import builders, congruence, geometry
 from herisson import fan as fan_module
 from herisson.congruence import CongruenceStatus, _position_labels, congruent_and_parallel, sign_changes
-from herisson.errors import NotSameClass
+from herisson.errors import DegenerateFace, NotSameClass
 from herisson.fan import Fan
 from herisson.geometry import Herisson, reconstruct
 
@@ -238,6 +238,16 @@ class TestCongruentAndParallel:
         mixed = reconstruct(cube.fan, np.array([0.5, 0.5, -1.0, 0.5, 1.0, 1.0]))
         with pytest.raises(NotSameClass):
             congruent_and_parallel(cube, mixed)
+
+    def test_zero_area_faces_refused(self, cube):
+        # an unchecked box of width 0: faces 2-5 have area 0, so their rows
+        # have s_p = 0 and would fit either way; the lowest of them is named
+        first = Herisson(cube.fan, [1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+        second = Herisson(cube.fan, [1.0, -1.0, 2.0, 2.0, 0.5, 0.5])
+        assert first.signs.tolist() == second.signs.tolist() == [1, 1, 0, 0, 0, 0]
+        for pair in ((first, second), (second, first)):
+            with pytest.raises(DegenerateFace, match=r"^face 2 has zero area$"):
+                congruent_and_parallel(*pair)
 
     def test_one_fan_costs_no_equipment_check(self, cube, monkeypatch):
         # one Fan object skips np.allclose, and each fresh herisson measures its

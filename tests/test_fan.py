@@ -17,6 +17,7 @@ from helpers import (
     crossing_entries,
     double_tetrahedron_fan,
     general_position_loop,
+    girard_excesses,
     node_chains,
     planted,
     polar_fan,
@@ -190,11 +191,12 @@ def hemisphere_tie_cell(rng, factor, n):
     return _turned(_ring(rng, n, factor * HEMISPHERE_TOL), rng)
 
 
-def reference_entries(fan):
+def reference_entries(fan, crossings=None):
     """validate's entries, with the cell checks and the crossing scan taken
-    from the one-at-a-time references."""
+    from the one-at-a-time references; `crossings`, when given, stands for
+    crossing_entries(fan), which depends on the arcs and the equipment only."""
     local = [e for e in validate(fan).entries if e[0] not in ("non-convex cell", "crossing arcs")]
-    return local + convexity_entries(fan) + crossing_entries(fan)
+    return local + convexity_entries(fan) + (crossing_entries(fan) if crossings is None else crossings)
 
 
 def brute_general_position(eq):
@@ -296,15 +298,18 @@ class TestValidate:
         report = validate(double_cover_pentagram())
         assert [code for code, _ in report.entries] == ["crossing arcs"] * 5
 
-    def test_matches_pairwise_scan(self, monkeypatch, cube, box123, tetra, bowtie, waisted, tiling):
+    def test_matches_pairwise_scan(self, monkeypatch, calls_of, cube, box123, tetra, bowtie, waisted, tiling):
         fans = [h.fan for h in (cube, box123, tetra, bowtie, waisted, tiling)]
         fans += perturbed_polar_fans(7) + polar_variants(7) + [double_cover_pentagram()]
         fans += [fan for fan, _ in great_circle_cases().values()]
         fast = [validate(fan).entries for fan in fans]
         assert fast == [reference_entries(fan) for fan in fans]
         assert {"crossing arcs", "non-convex cell"} <= {code for entries in fast for code, _ in entries}
-        monkeypatch.setattr(fan_module, "_excess_sum", lambda *args: float("nan"))
+        # no excess sum passes a negative tolerance, so the arc scan runs on every fan
+        monkeypatch.setattr(fan_module, "COVER_TOL", -1.0)
+        scans = calls_of("_crossing_pairs", fan_module)
         assert fast == [validate(fan).entries for fan in fans]
+        assert len(scans) == len(fans)
 
     @pytest.mark.parametrize("scale", [1e120, 1e154])
     def test_overflowing_cells_match_pairwise_scan(self, scale):
@@ -358,6 +363,73 @@ class TestValidate:
             raise AssertionError("np.linalg.det called")
         monkeypatch.setattr(np.linalg, "det", no_det)
         assert [validate(f).entries for f in fans] == expected
+
+    def test_certificate_angles_taken_once_per_cell_size(self, monkeypatch, calls_of, waisted, tiling):
+        # on a valid fan the excess terms take one np.arctan2 per distinct cell
+        # size; on a fan that breaks a rule checked before the certificate they
+        # take none; at ordinary scales no np.linalg.det runs
+        fan = polar_fan(np.random.default_rng(30), 40)
+        cells, k = fan.cells, len(fan.cells) // 2
+        invalid = [Fan(equipment=1.5 * fan.equipment, cells=cells), Fan(equipment=fan.equipment, cells=cells[1:]),
+                   Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in cells)),
+                   Fan(equipment=fan.equipment, cells=cells[:k] + (cells[k][::-1],) + cells[k + 1:])]
+
+        def no_det(*args):
+            raise AssertionError("np.linalg.det called")
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        angles = calls_of("arctan2", np)
+        for valid in (waisted.fan, tiling.fan, fan):
+            angles.clear()
+            assert validate(valid).ok
+            assert len(angles) == len({len(c) for c in valid.cells})
+        assert {len(c) for c in waisted.fan.cells} == {3, 4}
+        for bad in invalid:
+            angles.clear()
+            assert not validate(bad).ok
+            assert angles == []
+
+    def test_certificate_matches_girard(self, monkeypatch, cube, box123, tetra, bowtie, waisted, tiling):
+        # the excess sum folded into the cell checks against Girard's theorem,
+        # within 1e-12 per cell: the builder fixtures (waisted has 4-faced
+        # cells), polar fans and the double cover of the pentagram at 8 pi
+        rng = np.random.default_rng(30)
+        fans = [h.fan for h in (cube, box123, tetra, bowtie, waisted, tiling)]
+        fans += [polar_fan(rng, m) for m in (4, 5, 6, 8, 12, 20, 30, 40, 60, 80, 100, 120)]
+        fans.append(double_cover_pentagram())
+        sums, kernel = [], fan_module._bad_cells
+
+        def folded(*args):
+            details, excess = kernel(*args)
+            sums.append(excess)
+            return details, excess
+        monkeypatch.setattr(fan_module, "_bad_cells", folded)
+        for fan in fans:
+            validate(fan)
+        assert len(sums) == len(fans)
+        for fan, total in zip(fans, sums):
+            excesses = girard_excesses(fan)
+            assert min(excesses) > 0.0
+            assert abs(total - sum(excesses)) <= 1e-12 * len(excesses), (fan.m, total, sum(excesses))
+        assert [round(total / np.pi, 9) for total in sums] == [4.0] * (len(fans) - 1) + [8.0]
+
+    def test_matches_pairwise_scan_at_realistic_sizes(self):
+        # a dozen polar fans at m = 20-60, as drawn, reversed, with one cell
+        # dropped and with one cell reversed; none of these changes the arcs,
+        # so the pairwise crossing scan runs once per drawn fan
+        rng = np.random.default_rng(30)
+        codes = set()
+        for m in (20, 22, 24, 26, 28, 30, 34, 38, 42, 48, 54, 60):
+            fan = polar_fan(rng, m)
+            cells, k = fan.cells, int(rng.integers(len(fan.cells)))
+            crossings = crossing_entries(fan)
+            for form in (cells, tuple(c[::-1] for c in cells), cells[:k] + cells[k + 1:],
+                         cells[:k] + (cells[k][::-1],) + cells[k + 1:]):
+                variant = Fan(equipment=fan.equipment, cells=form)
+                assert np.array_equal(variant.arcs, fan.arcs)
+                entries = validate(variant).entries
+                assert entries == reference_entries(variant, crossings)
+                codes |= {code for code, _ in entries}
+        assert codes == {"non-convex cell", "broken partition", "Euler failure"}
 
     @pytest.mark.parametrize("block", [1, 64, SCAN_BLOCK])
     def test_cap_pruned_scan_matches_pairwise_on_adversarial_arcs(self, monkeypatch, block, adversarial):
