@@ -38,7 +38,11 @@ CONVEXITY_TOL = 1e-10      # absolute: corner determinants det(n_i, n_i+1, n_k) 
 TOUCH_TOL = 1e-10          # radians: arc contacts closer than this count as endpoints
 HEMISPHERE_TOL = 1e-9      # absolute: least n_k . (unit vector area) of a cell inside a hemisphere
 GENERAL_POSITION_TOL = 1e-10   # absolute: least |det| of three normals in general position
-COVER_TOL = 1e-6           # radians: slack of the excess sum around 4*pi (the next degree is 8*pi)
+COVER_TOL = 1e-6           # radians: slack of the excess sum around +-4*pi (the next degree is +-8*pi)
+ARC_SPAN_TOL = 1e-9        # radians: slack of ap + aq <= span when a point lies on an arc p-q (_inside)
+SAME_CIRCLE_TOL = 1e-12    # absolute: least |n_i x n_j| of the circle normals of arcs on two great circles
+ZERO_AREA_TOL = 1e-12      # absolute: least |vector area| of a cell that has a direction
+SPAN_DET_TOL = 1e-12       # absolute: least |det(E^T E)| of equipment that spans 3-space
 CAP_SLACK = 1e-4           # radians: widens the arcs' bounding caps in the crossing scan (see _crossing_pairs)
 SWEEP_SLACK = 8.0          # widens the angular windows of the general-position sweep for rounding
 # Work per block of the blocked scans, which bounds their memory: cap tests and
@@ -229,9 +233,9 @@ class Fan:
 
     @cached_property
     def translation_gram(self) -> np.ndarray:
-        """(3, 3) E^T E of the equipment; a |det| below 1e-12 raises DegenerateEquipment on every read."""
+        """(3, 3) E^T E of the equipment; a |det| below SPAN_DET_TOL raises DegenerateEquipment on every read."""
         gram = self.equipment.T @ self.equipment
-        if abs(float(np.linalg.det(gram))) < 1e-12:
+        if abs(float(np.linalg.det(gram))) < SPAN_DET_TOL:
             raise DegenerateEquipment("equipment does not span 3-space")
         return _frozen(gram)
 
@@ -326,7 +330,7 @@ def _inside(px: np.ndarray, qx: np.ndarray, span: np.ndarray) -> np.ndarray:
     """Whether x lies on the minor arc p-q of length span, strictly away from
     the endpoints, from the dot products p.x and q.x."""
     ap, aq = _angles(px), _angles(qx)
-    return (ap > TOUCH_TOL) & (aq > TOUCH_TOL) & (ap + aq <= span + 1e-9)
+    return (ap > TOUCH_TOL) & (aq > TOUCH_TOL) & (ap + aq <= span + ARC_SPAN_TOL)
 
 
 def _near_pairs(centre: np.ndarray, radius: np.ndarray, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +350,7 @@ def _crossing_pairs(eq: np.ndarray, keys: np.ndarray, skip: np.ndarray) -> list[
     Only pairs whose bounding caps meet (_near_pairs) get the exact test: arc
     p-q lies within span/2 of c = (p + q)/|p + q|, so caps of radius r = (span
     + CAP_SLACK)/2 meet when angle(c_i, c_j) <= r_i + r_j.  The slack covers
-    _inside's 1e-9 (ap + aq <= L puts x within L/2 of c while L/2 <= pi/2, as
+    ARC_SPAN_TOL (ap + aq <= L puts x within L/2 of c while L/2 <= pi/2, as
     cos d(x, c) 2cos(span/2) = p.x + q.x), TOUCH_TOL and rounding: normals
     within UNIT_TOL give dot products off by e <= 2.1e-12, which moves arccos
     by (pi/sqrt(2)) sqrt(e) = 3.2e-6 rad at most, under 3e-5 rad over the
@@ -373,7 +377,7 @@ def _crossing_pairs(eq: np.ndarray, keys: np.ndarray, skip: np.ndarray) -> list[
             d = _cross(normal[i], normal[j])
             nd = np.sqrt(_rowdot(d, d))
             cross = np.zeros(len(i), dtype=bool)
-            same, other = np.nonzero(nd < 1e-12)[0], np.nonzero(nd >= 1e-12)[0]
+            same, other = np.nonzero(nd < SAME_CIRCLE_TOL)[0], np.nonzero(nd >= SAME_CIRCLE_TOL)[0]
             if same.size:       # rare: most candidates lie on two great circles
                 p, q, a, b = P[i[same]], Q[i[same]], P[j[same]], Q[j[same]]
                 si, sj = span[i[same]], span[j[same]]
@@ -396,24 +400,56 @@ def _crossing_pairs(eq: np.ndarray, keys: np.ndarray, skip: np.ndarray) -> list[
     return found
 
 
+def _caps(face: np.ndarray, succ: np.ndarray, count: int) -> np.ndarray | None:
+    """(3, L) corner rows face, cell and succ of the caps 0, 1, ... that close
+    the holes of a fan whose missing ordered pairs are (face[i], succ[i]), or
+    None unless those pairs chain into `count` simple cycles, each face
+    leaving once and entering once.  A cap's corners follow its cycle, so it
+    turns as the cells around it do.  With no cell repeating a face, every
+    cycle has 3 or more faces: the reverse of a missing pair is some cell's
+    pair, so not missing."""
+    nxt = dict(zip(face.tolist(), succ.tolist()))
+    if len(nxt) < len(face) or set(nxt.values()) != nxt.keys():
+        return None
+    rows, cap = [], 0
+    while nxt:
+        start = at = next(iter(nxt))
+        while True:
+            rows.append((at, cap, nxt[at]))
+            if (at := nxt.pop(at)) == start:
+                break
+        cap += 1
+    return np.array(rows, dtype=np.intp).T if cap == count else None
+
+
 @np.errstate(invalid="ignore")   # non-finite normals leave NaNs, which compare false
 def _bad_cells(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray, checked: np.ndarray,
-               turn: np.ndarray, certify: bool) -> tuple[list[str], float]:
+               turn: np.ndarray, certify: bool, caps: np.ndarray | None) -> tuple[list[str], float]:
     """Details, in cell order, of the cells flagged in `checked` that are not
     CCW convex spherical polygons inside an open hemisphere; and, if `certify`
-    and no cell fails, the sum of the cells' signed spherical excesses, else NaN.
+    and every checked cell passes in one orientation, the sum of the cells'
+    signed spherical excesses, else NaN.  The cells of `caps` (_caps), cells
+    V, V + 1, ... after the fan's V, are checked and summed too, never named.
 
     Cells of one size are checked together from the corner products turn[i] = n_i x n_i+1:
     the determinants det(n_i, n_i+1, n_k) = turn[i] . n_k of the corners k off each edge,
     then the vector areas (sums of turn rows) and the corners' products with them.  A cell
     whose triple products overflow takes np.linalg.det of its (n_i, n_i+1, n_k) instead.  A
-    cell's excess sums the Van Oosterom-Strackee angles of its triangles (c_0, c_t, c_t+1),
+    clockwise cell passes the same tests on the negated determinants and products; they
+    run only once the first size's cells fail counterclockwise, and its excess is negative.
+    A cell's excess sums the Van Oosterom-Strackee angles of its triangles (c_0, c_t, c_t+1),
     0 < t < n - 1, whose numerators det(c_t, c_t+1, c_0) are determinants of corners t.
     """
-    face, cell, succ, _ = corners
+    face, cell, succ = corners[:3]
+    shown = len(sizes)
+    if caps is not None:     # cap c is cell shown + c
+        face, cell, succ = np.concatenate([corners[:3], caps + [[0], [shown], [0]]], axis=1)
+        turn = np.concatenate([turn, _cross(eq[caps[0]], eq[caps[2]])])
+        sizes = np.append(sizes, np.bincount(caps[1]))
+        checked = np.append(checked, np.ones(len(sizes) - shown, dtype=bool))
     convex, pointed = np.ones(len(sizes), dtype=bool), np.ones(len(sizes), dtype=bool)
-    excess = 0.0
-    for n in sorted(set(sizes[checked].tolist())):   # a plain np.unique imports numpy.ma
+    excess, orient = 0.0, 1.0 if certify else 0.0     # orient: +-1 while the cells so far turn one way, else 0
+    for later, n in enumerate(sorted(set(sizes[checked].tolist()))):   # a plain np.unique imports numpy.ma
         at = (checked[cell] & (sizes[cell] == n)).nonzero()[0].reshape(-1, n)    # a cell's corners per row
         group, pts, turns = cell[at[:, 0]], eq[face[at]], turn[at]
         others = (np.arange(n)[:, None] + np.arange(2, n)) % n   # corners off edge i
@@ -427,17 +463,23 @@ def _bad_cells(eq: np.ndarray, corners: np.ndarray, sizes: np.ndarray, checked: 
         # convex cell it is positive exactly when the cell is in an open hemisphere
         area = turns.sum(axis=1)
         norm = np.sqrt(_rowdot(area, area))
-        small = norm < 1e-12
+        small = norm < ZERO_AREA_TOL
         unit = area / np.where(small, 1.0, norm)[:, None]
-        pointed[group] = ~(small | (np.min((pts @ unit[:, :, None])[:, :, 0], axis=1) <= HEMISPHERE_TOL))
-        if certify := certify and bool((convex[group] & pointed[group]).all()):
+        margin = (pts @ unit[:, :, None])[:, :, 0]
+        pointed[group] = ~(small | (np.min(margin, axis=1) <= HEMISPHERE_TOL))
+        if orient > 0 and not (convex[group] & pointed[group]).all():
+            orient = 0.0 if later else -1.0     # clockwise cells fail from the first size on
+        if orient < 0 and (np.any(det >= CONVEXITY_TOL) or small.any() or not np.max(margin) < -HEMISPHERE_TOL):
+            orient = 0.0
+        if orient:
             t = np.arange(1, n - 1)
             ab = np.einsum("gx,gtx->gt", pts[:, 0], pts[:, 1:])     # c_0 . c_t, 0 < t < n
             bc = np.einsum("gtx,gtx->gt", pts[:, 1:-1], pts[:, 2:])
             excess += 2.0 * float(np.arctan2(det[:, t, n - 2 - t], 1.0 + ab[:, :-1] + bc + ab[:, 1:]).sum())
+    failed = (~(convex & pointed)[:shown]).nonzero()[0].tolist()
     details = [f"cell {ci} is not a CCW convex spherical polygon" if not convex[ci] else
-               f"cell {ci} is not inside an open hemisphere" for ci in (~(convex & pointed)).nonzero()[0].tolist()]
-    return details, excess if certify else np.nan
+               f"cell {ci} is not inside an open hemisphere" for ci in failed]
+    return details, excess if orient else np.nan
 
 
 # |n| past ~1e154 overflows to inf, which compares as a huge value would; opposite
@@ -451,15 +493,22 @@ def validate(fan: Fan) -> ValidationReport:
     "broken partition".  Deterministic and idempotent.  The cell checks read one table
     of the N corner products n_i x n_i+1; the certificate below takes its terms from their groups.
 
-    Crossings are ruled out by a degree-one certificate when every other
-    rule holds.  The cells then close up into a surface with V-E+F = 2 whose
-    cells all map positively onto the sphere, so its degree is the sum of
-    their spherical excesses over 4*pi, and every point off the arcs has
-    exactly that many preimages.  A sum within COVER_TOL of 4*pi (degree
-    one) leaves no room for an overlap, hence none for a crossing; a pinched
-    face or a second sheet takes the sum to 8*pi or more.  Only when the
-    certificate fails, or an earlier rule did, does the arc scan run: it
-    names the crossing arcs, the pairs of sorted arcs in row-major order,
+    Crossings are ruled out by a degree-one certificate.  It needs every
+    other rule to hold, save that the cells may all turn clockwise (each is
+    then reported as not CCW), or else holes to be the only fault: arcs that
+    border one cell, and the Euler failure they cause.  Then the missing
+    pairs must chain into simple cycles, and one cap per cycle, turning as
+    the cells do, must restore V-E+F = 2 (_caps).  The cells and caps close
+    up into a surface with V-E+F = 2 whose cells all map onto convex
+    spherical polygons of one orientation, so its degree is the sum of their
+    signed spherical excesses over 4*pi, and every point off the arcs has
+    exactly that many preimages.  A sum within COVER_TOL of +-4*pi (degree
+    +-1) leaves no room for an overlap, hence none for a crossing; a pinched
+    face or a second sheet takes the sum to +-8*pi or beyond.  Every other
+    fan runs the arc scan: one that breaks another rule, whose cells turn
+    both ways, with a repeated pair, a face on two holes or a cap that is
+    not convex or in no open hemisphere, or whose sum is off +-4*pi.  The
+    scan names the crossing arcs, the pairs of sorted arcs in row-major order,
     antipodal arcs left out.  For E arcs it makes O(E^2) cap tests, one matrix
     product per block of rows, and exact tests only where caps meet (~8 per
     arc on polar fans), in O(E + SCAN_BLOCK) memory (_crossing_pairs).
@@ -510,20 +559,27 @@ def validate(fan: Fan) -> ValidationReport:
     for j in (degree < 3).nonzero()[0]:
         report.add("low face degree", f"face {j} lies on {degree[j]} arcs")
 
-    if len(fan.cells) - len(keys) + m != 2:
-        report.add(
-            "Euler failure",
-            f"V-E+F = {len(fan.cells)}-{len(keys)}+{m} = {len(fan.cells) - len(keys) + m}",
-        )
+    euler = len(fan.cells) - len(keys) + m
+    if euler != 2:
+        report.add("Euler failure", f"V-E+F = {len(fan.cells)}-{len(keys)}+{m} = {euler}")
 
-    # Convex spherical cells, counterclockwise, inside an open hemisphere;
-    # a cell holding a non-finite normal has no geometry to check.
+    # When holes are the only fault (arcs that border one cell, and the Euler
+    # failure they cause), caps that close them and restore V-E+F = 2 take
+    # part in the certificate.
+    caps = None
+    if lonely.any() and len(report.entries) == lonely.sum() + (euler != 2):
+        caps = _caps(labels[pairs[lonely] % k], labels[pairs[lonely] // k], 2 - euler)
+
+    # Convex spherical cells, counterclockwise, inside an open hemisphere (the
+    # certificate also takes them all clockwise); a cell holding a non-finite
+    # normal has no geometry to check.
     finite = np.bincount(cell, weights=~np.isfinite(eq).all(axis=1)[face], minlength=len(sizes)) == 0
-    details, excess = _bad_cells(eq, corners, sizes, (distinct == sizes) & (sizes >= 3) & finite, turn, report.ok)
+    checked = (distinct == sizes) & (sizes >= 3) & finite
+    details, excess = _bad_cells(eq, corners, sizes, checked, turn, report.ok or caps is not None, caps)
     for detail in details:
         report.add("non-convex cell", detail)
 
-    if abs(excess - 4.0 * np.pi) <= COVER_TOL:      # NaN unless every rule above held
+    if abs(abs(excess) - 4.0 * np.pi) <= COVER_TOL:      # NaN unless the certificate's hypotheses held
         return report
 
     # Arc crossings (touching at shared endpoints is allowed).

@@ -32,6 +32,7 @@ from herisson.fan import (
     HEMISPHERE_TOL,
     SCAN_BLOCK,
     Fan,
+    arc_key,
     is_general_position,
     validate,
 )
@@ -91,6 +92,31 @@ def polar_variants(seed, count=4):
             Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in fan.cells)),
             Fan(equipment=fan.equipment, cells=fan.cells[:k] + fan.cells[k + 1:]),
         ]
+    return fans
+
+
+def reversed_and_dropped(fan, k=0):
+    """fan with every cell reversed, with cell k dropped, and with both."""
+    def reverse(cells):
+        return tuple(c[::-1] for c in cells)
+    dropped = fan.cells[:k] + fan.cells[k + 1:]
+    return [Fan(equipment=fan.equipment, cells=cells) for cells in (reverse(fan.cells), dropped, reverse(dropped))]
+
+
+def hole_cases(seed, count=8):
+    """Polar fans with two cells dropped from the ring of one face, as drawn
+    and reversed: two adjacent cells, whose hole's cap may be non-convex, and
+    two cells that share that face but no arc, two holes that meet."""
+    rng = np.random.default_rng(seed)
+    fans = []
+    for _ in range(count):
+        fan = polar_fan(rng, int(rng.integers(8, 17)))
+        idx = fan.ring_index
+        j = int(np.argmax(np.diff(idx.start)))     # a face on 4 or more cells
+        ring = np.roll(idx.cell[idx.start[j]:idx.start[j + 1]], -int(rng.integers(idx.start[j + 1] - idx.start[j])))
+        for pair in (ring[:2], ring[:3:2]):
+            cells = tuple(c for ci, c in enumerate(fan.cells) if ci not in pair)
+            fans += [Fan(equipment=fan.equipment, cells=form) for form in (cells, tuple(c[::-1] for c in cells))]
     return fans
 
 
@@ -300,8 +326,9 @@ class TestValidate:
 
     def test_matches_pairwise_scan(self, monkeypatch, calls_of, cube, box123, tetra, bowtie, waisted, tiling):
         fans = [h.fan for h in (cube, box123, tetra, bowtie, waisted, tiling)]
-        fans += perturbed_polar_fans(7) + polar_variants(7) + [double_cover_pentagram()]
-        fans += [fan for fan, _ in great_circle_cases().values()]
+        covers = [double_cover_pentagram()] + [fan for fan, _ in great_circle_cases().values()]
+        fans += perturbed_polar_fans(7) + polar_variants(7) + covers
+        fans += [form for fan in covers for form in reversed_and_dropped(fan)] + hole_cases(31, count=2)
         fast = [validate(fan).entries for fan in fans]
         assert fast == [reference_entries(fan) for fan in fans]
         assert {"crossing arcs", "non-convex cell"} <= {code for entries in fast for code, _ in entries}
@@ -310,6 +337,32 @@ class TestValidate:
         scans = calls_of("_crossing_pairs", fan_module)
         assert fast == [validate(fan).entries for fan in fans]
         assert len(scans) == len(fans)
+
+    def test_reversed_and_holed_fans_match_pairwise_scan(self, calls_of):
+        # the certificate covers fans reversed or with holes whose caps are
+        # convex; the forms it cannot cover run the scan and name their crossings
+        scans = calls_of("_crossing_pairs", fan_module)
+        for fan in [double_cover_pentagram()] + [fan for fan, _ in great_circle_cases().values()]:
+            for form in reversed_and_dropped(fan):     # the certificate covers none of these
+                scans.clear()
+                entries = validate(form).entries
+                assert len(scans) == 1
+                assert entries == reference_entries(form)
+        for form in reversed_and_dropped(double_cover_pentagram()):
+            assert [code for code, _ in validate(form).entries].count("crossing arcs") == 5
+        # per drawn fan: adjacent cells dropped, as drawn and reversed, then the
+        # cells that meet at one face; those two holes share it, so the scan runs
+        scanned = []
+        for form in hole_cases(31):
+            scans.clear()
+            entries = validate(form).entries
+            scanned.append(len(scans))
+            assert entries == reference_entries(form)
+            assert {code for code, _ in entries} <= {"broken partition", "Euler failure", "non-convex cell"}
+        adjacent, meeting = np.array(scanned).reshape(-1, 2, 2).transpose(1, 0, 2)
+        assert (meeting == 1).all()
+        assert (adjacent[:, 0] == adjacent[:, 1]).all()     # reversing a fan keeps its verdict
+        assert sorted(set(adjacent[:, 0].tolist())) == [0, 1]     # convex caps and non-convex ones
 
     @pytest.mark.parametrize("scale", [1e120, 1e154])
     def test_overflowing_cells_match_pairwise_scan(self, scale):
@@ -366,12 +419,14 @@ class TestValidate:
 
     def test_certificate_angles_taken_once_per_cell_size(self, monkeypatch, calls_of, waisted, tiling):
         # on a valid fan the excess terms take one np.arctan2 per distinct cell
-        # size; on a fan that breaks a rule checked before the certificate they
-        # take none; at ordinary scales no np.linalg.det runs
+        # size, and so they do on the fan reversed and with a cell dropped (its
+        # cap is a triangle too); on a fan with non-unit normals or with one
+        # cell reversed they take none; at ordinary scales no np.linalg.det runs
         fan = polar_fan(np.random.default_rng(30), 40)
         cells, k = fan.cells, len(fan.cells) // 2
-        invalid = [Fan(equipment=1.5 * fan.equipment, cells=cells), Fan(equipment=fan.equipment, cells=cells[1:]),
-                   Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in cells)),
+        certified = [Fan(equipment=fan.equipment, cells=cells[1:]),
+                     Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in cells))]
+        invalid = [Fan(equipment=1.5 * fan.equipment, cells=cells),
                    Fan(equipment=fan.equipment, cells=cells[:k] + (cells[k][::-1],) + cells[k + 1:])]
 
         def no_det(*args):
@@ -383,6 +438,10 @@ class TestValidate:
             assert validate(valid).ok
             assert len(angles) == len({len(c) for c in valid.cells})
         assert {len(c) for c in waisted.fan.cells} == {3, 4}
+        for bad in certified:
+            angles.clear()
+            assert not validate(bad).ok
+            assert len(angles) == len({len(c) for c in cells}) == 1
         for bad in invalid:
             angles.clear()
             assert not validate(bad).ok
@@ -391,26 +450,38 @@ class TestValidate:
     def test_certificate_matches_girard(self, monkeypatch, cube, box123, tetra, bowtie, waisted, tiling):
         # the excess sum folded into the cell checks against Girard's theorem,
         # within 1e-12 per cell: the builder fixtures (waisted has 4-faced
-        # cells), polar fans and the double cover of the pentagram at 8 pi
+        # cells), polar fans and the double cover of the pentagram at 8 pi; the
+        # same reversed, at -4 pi and -8 pi; polar fans with a cell dropped,
+        # whose cells and cap give 4 pi, Girard's sum taken on the capped cells
         rng = np.random.default_rng(30)
-        fans = [h.fan for h in (cube, box123, tetra, bowtie, waisted, tiling)]
-        fans += [polar_fan(rng, m) for m in (4, 5, 6, 8, 12, 20, 30, 40, 60, 80, 100, 120)]
-        fans.append(double_cover_pentagram())
-        sums, kernel = [], fan_module._bad_cells
+        drawn = [h.fan for h in (cube, box123, tetra, bowtie, waisted, tiling)]
+        drawn += [polar_fan(rng, m) for m in (4, 5, 6, 8, 12, 20, 30, 40, 60, 80, 100, 120)]
+        drawn.append(double_cover_pentagram())
+        reversed_fans = [Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in fan.cells)) for fan in drawn]
+        dropped = []
+        for fan in drawn[6:-1]:
+            k = int(rng.integers(len(fan.cells)))
+            dropped.append(Fan(equipment=fan.equipment, cells=fan.cells[:k] + fan.cells[k + 1:]))
+        sums, capped, kernel = [], [], fan_module._bad_cells
 
-        def folded(*args):
-            details, excess = kernel(*args)
+        def folded(eq, corners, sizes, checked, turn, certify, caps):
+            details, excess = kernel(eq, corners, sizes, checked, turn, certify, caps)
             sums.append(excess)
+            if caps is not None:
+                capped.append(tuple(tuple(caps[0, caps[1] == c].tolist()) for c in range(caps[1, -1] + 1)))
             return details, excess
         monkeypatch.setattr(fan_module, "_bad_cells", folded)
-        for fan in fans:
+        for fan in drawn + reversed_fans + dropped:
             validate(fan)
-        assert len(sums) == len(fans)
-        for fan, total in zip(fans, sums):
-            excesses = girard_excesses(fan)
-            assert min(excesses) > 0.0
-            assert abs(total - sum(excesses)) <= 1e-12 * len(excesses), (fan.m, total, sum(excesses))
-        assert [round(total / np.pi, 9) for total in sums] == [4.0] * (len(fans) - 1) + [8.0]
+        assert len(sums) == len(drawn) + len(reversed_fans) + len(dropped) and len(capped) == len(dropped)
+        closed = [Fan(equipment=fan.equipment, cells=fan.cells + caps) for fan, caps in zip(dropped, capped)]
+        expected = [girard_excesses(fan) for fan in drawn + closed]
+        assert min(min(excesses) for excesses in expected) > 0.0
+        expected[len(drawn):len(drawn)] = [[-e for e in excesses] for excesses in expected[:len(drawn)]]
+        for total, excesses in zip(sums, expected):
+            assert abs(total - sum(excesses)) <= 1e-12 * len(excesses), (total, sum(excesses))
+        turns = [4.0] * (len(drawn) - 1) + [8.0]
+        assert [round(total / np.pi, 9) for total in sums] == turns + [-t for t in turns] + [4.0] * len(dropped)
 
     def test_matches_pairwise_scan_at_realistic_sizes(self):
         # a dozen polar fans at m = 20-60, as drawn, reversed, with one cell
@@ -670,25 +741,52 @@ def test_thousand_face_fan_checks_quickly():
 
 
 def test_thousand_face_invalid_fans_fail_cleanly():
-    # both run the crossing scan: cap tests over the C(2994, 2) arc pairs in
-    # blocks of rows, exact tests only on the pairs whose caps meet
+    # the certificate covers the fans with a cell dropped and with every cell
+    # reversed; the fan with one cell reversed runs the crossing scan: cap tests
+    # over the C(2994, 2) arc pairs in blocks of rows, exact tests only on the
+    # pairs whose caps meet
     fan = polar_fan(np.random.default_rng(5), 1000)
-    dropped = Fan(equipment=fan.equipment, cells=fan.cells[1:])
-    reversed_cells = Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in fan.cells))
+    cells = fan.cells
+    dropped = Fan(equipment=fan.equipment, cells=cells[1:])
+    reversed_cells = Fan(equipment=fan.equipment, cells=tuple(c[::-1] for c in cells))
+    one_reversed = Fan(equipment=fan.equipment, cells=(cells[0][::-1],) + cells[1:])
     start = time.perf_counter()
     tracemalloc.start()
     try:
         report = validate(dropped)
         assert [code for code, _ in report.entries] == ["broken partition"] * 3 + ["Euler failure"]
         report = validate(reversed_cells)
+        assert report.entries == [
+            ("non-convex cell", f"cell {ci} is not a CCW convex spherical polygon") for ci in range(1996)
+        ]
+        report = validate(one_reversed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.entries == [
-        ("non-convex cell", f"cell {ci} is not a CCW convex spherical polygon") for ci in range(1996)
-    ]
+    assert [code for code, _ in report.entries] == ["broken partition"] * 6 + ["non-convex cell"]
     assert time.perf_counter() - start < 20.0
     assert peak < 32 * 2**20
+
+
+def test_ten_thousand_face_reversed_and_holed_fans_skip_the_scan(calls_of):
+    # every cell reversed, cell k dropped, and both: the certificate covers all
+    # three, and the scan's call count (not the wall time) shows it never runs
+    fan = polar_fan(np.random.default_rng(19), 10_000)
+    k, V, E = 4321, len(fan.cells), len(fan.arcs)
+    a, b, c = fan.cells[k]
+
+    def non_convex(count):
+        return [("non-convex cell", f"cell {ci} is not a CCW convex spherical polygon") for ci in range(count)]
+
+    def hole(*pairs):
+        lonely = [("broken partition", f"arc {arc_key(*pair)} borders only one cell") for pair in sorted(pairs)]
+        return lonely + [("Euler failure", f"V-E+F = {V - 1}-{E}+{fan.m} = 1")]
+    scans = calls_of("_crossing_pairs", fan_module)
+    reversed_fan, dropped, both = reversed_and_dropped(fan, k)
+    assert validate(reversed_fan).entries == non_convex(V)
+    assert validate(dropped).entries == hole((b, a), (c, b), (a, c))      # the pairs of the cells around the hole
+    assert validate(both).entries == hole((a, b), (b, c), (c, a)) + non_convex(V - 1)
+    assert scans == []
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -702,7 +800,8 @@ def test_exact_test_sees_linear_pairs(monkeypatch, seed):
         seen.append(len(pairs[0]))
         return pairs
     monkeypatch.setattr(fan_module, "_near_pairs", counted)
-    for cells in (tuple(c[::-1] for c in fan.cells), fan.cells[1:]):
+    # one cell reversed, alone and with another dropped: mixed orientations, which the certificate cannot cover
+    for cells in ((fan.cells[0][::-1],) + fan.cells[1:], (fan.cells[0][::-1],) + fan.cells[2:]):
         variant = Fan(equipment=fan.equipment, cells=cells)
         seen.clear()
         assert not validate(variant).ok
