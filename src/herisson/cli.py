@@ -79,8 +79,9 @@ def _cmd_solve(args) -> int:
     if h0.shape != (fan.m,) or not np.all(np.isfinite(h0)):
         raise _InputError(f"{args.seed}: expected {fan.m} finite support numbers")
     g = _load(args.target, lambda p: io.load_vector(p, ("g", "areas", "f")))
+    tol = {} if args.tol is None else {"tol_area": args.tol}     # unset: SolveOptions owns the default
     try:
-        opts = SolveOptions(tol_area=args.tol, allow_non_general_position=args.allow_non_general)
+        opts = SolveOptions(**tol, allow_non_general_position=args.allow_non_general)
     except ValueError as exc:
         raise _InputError(f"--tol: {exc}") from exc
     try:
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fan")
     p.add_argument("--seed", required=True, help="JSON with an 'h' array")
     p.add_argument("--target", required=True, help="JSON with a 'g' array")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, help="area tolerance relative to scale**2 (default: SolveOptions.tol_area)")
     p.add_argument("--allow-non-general", action="store_true")
     p.add_argument("--trace", help="write one JSON record per accepted step")
     p.set_defaults(func=_cmd_solve)

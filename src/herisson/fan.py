@@ -17,9 +17,10 @@ steps as the face has corners ("does not close").
 A Fan caches what it derives (see Fan), read-only, by one rule: a cached
 value depends only on `equipment`, `cells` and module constants.  A test
 that changes such a constant (VERTEX_DET_TOL for the vertex map and all built
-on it; GENERAL_POSITION_TOL, SWEEP_SLACK or SCAN_BLOCK for the witness) builds
-a fresh Fan.  Vertices, face areas and congruence fits go through these
-caches, so no per-call work factors a block or takes a cross product.
+on it; GENERAL_POSITION_TOL, SWEEP_SLACK, WINDOW_PAD or SCAN_BLOCK for the
+witness) builds a fresh Fan.  Vertices, face areas and congruence fits go
+through these caches, so no per-call work factors a block or takes a cross
+product.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ ZERO_AREA_TOL = 1e-12      # absolute: least |vector area| of a cell that has a 
 SPAN_DET_TOL = 1e-12       # absolute: least |det(E^T E)| of equipment that spans 3-space
 CAP_SLACK = 1e-4           # radians: widens the arcs' bounding caps in the crossing scan (see _crossing_pairs)
 SWEEP_SLACK = 8.0          # widens the angular windows of the general-position sweep for rounding
+WINDOW_PAD = 1e-12         # radians: added to every angular window of the general-position sweep
 # Work per block of the blocked scans, which bounds their memory: cap tests and
 # candidate arc pairs in the crossing scan, (face, normal) projections in the
 # general-position sweep, ring positions of the fd probes measured together, and
@@ -173,10 +175,11 @@ class Fan:
         k, size = np.arange(n) - start[owner], deg[owner]
         next_pos, prev_pos = start[owner] + (k + 1) % size, start[owner] + (k - 1) % size
         # np.unique sorts stably when asked for indices: the first position wins
-        _, arc_pos = np.unique(np.minimum(owner, neighbor) * m + np.maximum(owner, neighbor), return_index=True)
+        _, arc_pos, arc_of = np.unique(np.minimum(owner, neighbor) * m + np.maximum(owner, neighbor),
+                                       return_index=True, return_inverse=True)
         return RingIndex(*map(_frozen, (
             face[first[:, None] + np.arange(3)], in_cell[beyond], face[beyond], owner, cell, next_pos, prev_pos,
-            neighbor, np.append(start, n), arc_pos, face[first[cell] + np.arange(3)[:, None]],
+            neighbor, np.append(start, n), arc_pos, arc_of, face[first[cell] + np.arange(3)[:, None]],
         )))
 
     @cached_property
@@ -260,9 +263,11 @@ class RingIndex:
     The face rings are concatenated face by face; ring position p is the
     corner cell[p] of face owner[p]'s polygon, and the polygon's edge at p
     runs from cell[p] to cell[next_pos[p]], dual to the arc (owner[p], neighbor[p]).
-    Every vertex lies on the planes of the first three faces of its cell;
-    the further faces of non-simple cells are the extra (cell, face) pairs,
-    in cell order.  The module docstring says how the rings are walked.
+    Each arc e of fan.arcs has its edge at two positions, arc_pos[e] the
+    first; arc_of names the arc at every position.  Every vertex lies on the
+    planes of the first three faces of its cell; the further faces of
+    non-simple cells are the extra (cell, face) pairs, in cell order.  The
+    module docstring says how the rings are walked.
     """
 
     first3: np.ndarray       # (V, 3) first three faces of each cell
@@ -275,6 +280,7 @@ class RingIndex:
     neighbor: np.ndarray     # (R,) face across the edge at the position
     start: np.ndarray        # (m + 1,) face j's ring is positions start[j]:start[j + 1]
     arc_pos: np.ndarray      # (E,) first position whose edge is dual to fan.arcs[e]
+    arc_of: np.ndarray       # (R,) arc e of the edge at each position: arc_pos[arc_of[p]] is p or its twin
     cell_first3: np.ndarray  # (3, R) first three faces of the cell at each position, in cell order
 
 
@@ -614,14 +620,15 @@ def _coplanar_triple(eq: np.ndarray) -> tuple[int, int, int] | None:
         np.copyto(r[:, :len(rows)], np.inf, where=low)
         r_min = np.sqrt(r.min(axis=1))
         scale = SWEEP_SLACK * tol / (norms[i0:i1] * r_min)     # the window of p_ij is scale / |p_ij|
-        ring, wide = np.sort(phi, axis=1), np.fmin(scale / r_min, np.pi / 2) + 1e-12
+        ring, wide = np.sort(phi, axis=1), np.fmin(scale / r_min, np.pi / 2) + WINDOW_PAD
         short = (np.diff(ring, axis=1) <= wide[:, None]).any(axis=1)
         rows = np.flatnonzero(short | (ring[:, 0] + np.pi - ring[rows, count - 1] <= wide))
         if not rows.size:
             continue
         order, count = np.argsort(phi[rows], axis=1), count[rows]
         ring = np.take_along_axis(phi[rows], order, axis=1)
-        width = np.fmin(scale[rows, None] / np.sqrt(np.take_along_axis(r[rows], order, axis=1)), np.pi / 2) + 1e-12
+        width = np.fmin(scale[rows, None] / np.sqrt(np.take_along_axis(r[rows], order, axis=1)),
+                        np.pi / 2) + WINDOW_PAD
         a, p = np.nonzero(np.arange(ring.shape[1]) < count[:, None])
         found, step = [], 0
         while a.size:       # the step-th successor of each angle, while in the angle's window

@@ -14,9 +14,9 @@ convex body gets positive areas everywhere.
 
 Herisson(fan, h) is the unchecked surface and reconstruct the checked one
 (the boundary test is reconstruct's alone).  A Herisson holds its fan and
-supports only; vertices, oriented areas, signs and edge lengths are
-functions of them, computed on first read and cached read-only, by the rule
-the Fan follows for what it derives.
+supports only; vertices, face coordinates, oriented areas, signs and edge
+lengths are functions of them, computed on first read and cached read-only,
+by the rule the Fan follows for what it derives.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .fan import Fan, _cross, _frozen
 CONSISTENCY_TOL = 1e-8     # relative to scale, cells with more than 3 faces
 EDGE_TOL = 1e-9            # relative to scale
 AREA_TOL = 1e-12           # relative to scale**2
+FRAME_AXIS_TOL = 1e-8      # absolute: least 1 - |n . axis| of the coordinate axis that face_frame projects
+EQUIPMENT_MATCH_TOL = 1e-9   # absolute: entrywise slack of two equipments of one orientation class
 
 
 def support_scale(h) -> float:
@@ -48,7 +50,7 @@ def face_frame(normal):
     """
     n = np.asarray(normal, dtype=float)
     for axis in np.eye(3):
-        if 1.0 - abs(float(n @ axis)) > 1e-8:
+        if 1.0 - abs(float(n @ axis)) > FRAME_AXIS_TOL:
             break
     u = axis - (axis @ n) * n
     u = u / np.linalg.norm(u)
@@ -93,9 +95,11 @@ class Herisson:
     h is copied to float and read-only; ValueError unless it has one entry
     per face.  Everything else is a cached_property of (fan, h), every array
     read-only: scale (support_scale of h), vertices from the fan's vertex map
-    (block_inverses), oriented areas from the face frames of the same model,
-    which _area_jacobian differentiates, signs from the areas, and
-    ring_lengths, the edge length at every ring position.
+    (block_inverses), face_coordinates, the (2, R) frame coordinates of every
+    ring position (Fan.ring_frames), oriented areas from them by the shoelace
+    of the same model, which _area_jacobian differentiates, signs from the
+    areas, and ring_lengths, the edge length at every ring position, measured
+    once per arc.
     """
 
     fan: Fan
@@ -122,8 +126,13 @@ class Herisson:
         return _frozen((self.fan.block_inverses @ self.h[idx.first3][..., None])[..., 0])
 
     @cached_property
+    def face_coordinates(self) -> np.ndarray:
+        """(2, R) coordinates (a_p, b_p) of the vertex at every ring position in its face's frame."""
+        return _frozen(_face_coordinates(self.fan, self.h))
+
+    @cached_property
     def oriented_areas(self) -> np.ndarray:
-        return _frozen(_oriented_areas(self.fan, _face_coordinates(self.fan, self.h)))
+        return _frozen(_oriented_areas(self.fan, self.face_coordinates))
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -132,10 +141,13 @@ class Herisson:
 
     @cached_property
     def ring_lengths(self) -> np.ndarray:
-        """(R,) read-only length of the polygon edge at every ring position;
-        the two positions of an arc hold the same length."""
+        """(R,) read-only length of the polygon edge at every ring position, taken
+        at arc_pos and read at both positions of its arc (their edge vectors are
+        exact negatives, so either would give the same bits)."""
         idx = self.fan.ring_index
-        return _frozen(np.linalg.norm(self.vertices[idx.cell[idx.next_pos]] - self.vertices[idx.cell], axis=1))
+        first = idx.arc_pos
+        edges = self.vertices[idx.cell[idx.next_pos[first]]] - self.vertices[idx.cell[first]]
+        return _frozen(np.linalg.norm(edges, axis=1)[idx.arc_of])
 
     def face_cycle(self, j: int) -> tuple[int, ...]:
         """Cell indices around face j, in boundary order; IndexError unless 0 <= j < m."""
@@ -174,14 +186,15 @@ def reconstruct(fan: Fan, h) -> Herisson:
         raise ValueError(f"face {bad[0]} has a non-finite normal")
     surface = Herisson(fan, h)
     idx = fan.ring_index
-    misses = np.abs(np.einsum("ij,ij->i", fan.equipment[idx.extra_face], surface.vertices[idx.extra_cell])
-                    - h[idx.extra_face])
-    worst = float(np.max(misses, initial=0.0))
-    if worst > CONSISTENCY_TOL * surface.scale:
-        k = int(np.argmax(misses))      # the first (cell, face) pair holding the maximum
-        raise InconsistentVertex(
-            f"cell {idx.extra_cell[k]}: plane of face {idx.extra_face[k]} misses the vertex by {worst:.3e}"
-        )
+    if idx.extra_face.size:     # only non-simple cells have planes beyond their first three
+        misses = np.abs(np.einsum("ij,ij->i", fan.equipment[idx.extra_face], surface.vertices[idx.extra_cell])
+                        - h[idx.extra_face])
+        worst = float(misses.max())
+        if worst > CONSISTENCY_TOL * surface.scale:
+            k = int(np.argmax(misses))      # the first (cell, face) pair holding the maximum
+            raise InconsistentVertex(
+                f"cell {idx.extra_cell[k]}: plane of face {idx.extra_face[k]} misses the vertex by {worst:.3e}"
+            )
     min_edge = float(surface.ring_lengths.min())
     if min_edge <= EDGE_TOL * surface.scale:
         raise DegenerateFace(f"shortest edge {min_edge:.3e} below tolerance")
@@ -192,11 +205,11 @@ def reconstruct(fan: Fan, h) -> Herisson:
 
 
 def _class_mismatch(h1: Herisson, h2: Herisson) -> str:
-    """Why h1 and h2 are not of one orientation class, or "": equipments of one
-    shape within 1e-9 entrywise, equal cells and equal face signs, in turn."""
+    """Why h1 and h2 are not of one orientation class, or "": equipments of one shape
+    within EQUIPMENT_MATCH_TOL entrywise, equal cells and equal face signs, in turn."""
     e1, e2 = h1.fan.equipment, h2.fan.equipment      # one Fan: close to itself unless it holds a NaN
     if (np.isnan(e1).any() if h1.fan is h2.fan else
-            e1.shape != e2.shape or not np.allclose(e1, e2, rtol=0.0, atol=1e-9)):
+            e1.shape != e2.shape or not np.allclose(e1, e2, rtol=0.0, atol=EQUIPMENT_MATCH_TOL)):
         return "equipments differ"
     if h1.fan.cells != h2.fan.cells:
         return "sphere partitions differ"

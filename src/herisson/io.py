@@ -15,6 +15,9 @@ from .fan import Fan
 from .geometry import Herisson, face_frame, reconstruct
 
 SVG_SIZE = 600.0       # width and height of the SVG chart
+POLE_CENTROID_TOL = 1e-6   # absolute: least |sum_j n_j| whose antipode serves as the projection pole
+POLE_TOL = 1e-12           # absolute: a point x with 1 - x . pole below this coincides with the pole
+ARC_LINE_TOL = 1e-9        # relative to max(1, max |coordinate|)**2: a smaller doubled triangle draws a line
 
 
 def fan_to_dict(fan: Fan) -> dict:
@@ -121,7 +124,7 @@ def export_obj(h: Herisson) -> str:
 
 def _stereographic_pole(fan: Fan) -> np.ndarray:
     centroid = fan.equipment.sum(axis=0)
-    if np.linalg.norm(centroid) > 1e-6:
+    if np.linalg.norm(centroid) > POLE_CENTROID_TOL:
         return -centroid / np.linalg.norm(centroid)
     # Symmetric equipment: fall back to the antipode of the first cell's
     # centroid, which lies inside the opposite cell and off every arc, unless
@@ -130,13 +133,13 @@ def _stereographic_pole(fan: Fan) -> np.ndarray:
     cell = fan.cells[0]
     centroid = fan.equipment[list(cell)].sum(axis=0)
     pole = -centroid / np.linalg.norm(centroid)
-    return -pole if np.any(1.0 - fan.equipment @ pole < 1e-12) else pole
+    return -pole if np.any(1.0 - fan.equipment @ pole < POLE_TOL) else pole
 
 
 def _project(pole: np.ndarray, x: np.ndarray) -> np.ndarray:
     u, v = face_frame(pole)
     denom = 1.0 - float(x @ pole)
-    if abs(denom) < 1e-12:
+    if abs(denom) < POLE_TOL:
         raise ValueError("point coincides with the projection pole")
     y = x / denom
     return np.array([float(y @ u), float(y @ v)])
@@ -152,7 +155,7 @@ def _arc_path(p1: np.ndarray, pm: np.ndarray, p2: np.ndarray) -> str:
     bx, by = pm
     cx, cy = p2
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if abs(d) < 1e-9 * max(1.0, np.abs([p1, pm, p2]).max() ** 2):
+    if abs(d) < ARC_LINE_TOL * max(1.0, np.abs([p1, pm, p2]).max() ** 2):
         return f"M {_fmt(ax)} {_fmt(ay)} L {_fmt(cx)} {_fmt(cy)}"
     ox = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay) + (cx**2 + cy**2) * (ay - by)) / d
     oy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx) + (cx**2 + cy**2) * (bx - ax)) / d

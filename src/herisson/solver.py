@@ -26,14 +26,18 @@ cap starts at 1, is set to half the step when MAX_NEWTON_ITERS corrector
 iterations do not converge, doubles (up to 1) after each accepted step,
 and the walk ends once it falls below MIN_STEP or after MAX_STEPS tries.
 A point of the walk is a support vector x, its face coordinates and its
-areas: the sentinel reads |x| first, then one set of face coordinates gives
-phi(x) and the analytic J, and an accepted point keeps them for its model.
-Only the seed is realized (reconstruct checks it), and gauge_fix runs on the
-seed and on the final supports alone: every step is orthogonal to E, so the
-points between stay translation-free up to rounding.  Iterates and fd
-probes go unchecked: phi is one quadratic form on all of R^m, so a
-short edge or a small area on the way, or a probe that flips a face, says
-nothing about the problem.  A path may pass an edge through zero length.
+areas.  The walk starts at x0, the gauge-fixed seed, with the coordinates and
+areas f0 that reconstruct computed for the seed: a translation moves the
+coordinates but neither phi nor J, so the start's model is the one at x0 up
+to rounding.  One iterate reads |x| (the sentinel), takes one set of face
+coordinates, phi(x) from them, and, unless it has converged, J from the same
+coordinates and one Newton step; an accepted point keeps its coordinates and
+areas for its model.  Only the seed is realized (reconstruct checks it), and
+gauge_fix runs on the seed and on the final supports alone: every step is
+orthogonal to E, so the points between stay translation-free up to rounding.
+Iterates and fd probes go unchecked: phi is one quadratic form on all of
+R^m, so a short edge or a small area on the way, or a probe that flips a
+face, says nothing about the problem.  A path may pass an edge through zero length.
 
 Failure modes are part of the contract: a converged point off the target's
 face signs, or a fold where J loses rank (DEGENERATED); a runaway (|h| past
@@ -56,6 +60,10 @@ from .fan import SCAN_BLOCK, Fan, ValidationReport, _frozen, is_general_position
 from .geometry import _area_jacobian, _face_coordinates, _oriented_areas, gauge_fix, reconstruct, support_scale
 
 RANK_CUTOFF = 1e-10          # relative to the largest singular value: smaller ones count as null
+CONDITION_MARGIN = 1e-4      # relative to 1 / RANK_CUTOFF: largest condition estimate of a trusted bordered solve
+BALANCE_TOL = 1e-9           # relative to sum_j |g_j|: the largest |sum_j g_j n_j| of a valid target
+WALK_END_TOL = 1e-15         # absolute: in t, the walk is done once t is within this of 1
+SEED_NORM_FLOOR = 1e-12      # absolute: the least |x0| that the divergence sentinel scales
 _PROBE_STRIDES = np.array([(5 ** 0.5 - 1) / 2, 2 ** 0.5 - 1])   # Weyl strides of the condition probes
 CONSISTENCY_SOLVE_TOL = 1e-10   # relative to scale: extra-plane residuals of a converged point
 MAX_NEWTON_ITERS = 50        # corrector iterations before the step cap is halved
@@ -167,8 +175,8 @@ def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
     [[J, wE], [wE^T, 0]]; at a fold least squares names the rank drop.
     """
     _check_jacobian_mode(mode)
-    h = reconstruct(fan, h).h
-    return _jacobian(fan, h, _face_coordinates(fan, h), mode)
+    surface = reconstruct(fan, h)
+    return _jacobian(fan, surface.h, surface.face_coordinates, mode)
 
 
 def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -> ValidationReport:
@@ -185,17 +193,16 @@ def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -
     if f0.shape != g.shape or f0.shape != (fan.m,):
         report.add("sign agreement", "length mismatch between areas and fan")
         return report
-    for j in np.nonzero(~np.isfinite(f0))[0]:
-        report.add("finite areas", f"f0[{j}] = {float(f0[j])!r} is not finite")
-    for j in np.nonzero(~np.isfinite(g))[0]:
-        report.add("finite target", f"g[{j}] = {float(g[j])!r} is not finite")
-    if not report.ok:
+    if not (np.isfinite(f0).all() and np.isfinite(g).all()):
+        for j in np.nonzero(~np.isfinite(f0))[0]:
+            report.add("finite areas", f"f0[{j}] = {float(f0[j])!r} is not finite")
+        for j in np.nonzero(~np.isfinite(g))[0]:
+            report.add("finite target", f"g[{j}] = {float(g[j])!r} is not finite")
         return report
-    bad = np.nonzero(f0 * g <= 0.0)[0]
-    for j in bad:
+    for j in np.nonzero(f0 * g <= 0.0)[0]:
         report.add("sign agreement", f"f0[{j}]*g[{j}] = {float(f0[j] * g[j])!r} is not positive")
     residual = float(np.linalg.norm(fan.equipment.T @ g))
-    bound = 1e-9 * float(np.sum(np.abs(g)))
+    bound = BALANCE_TOL * float(abs(g).sum())
     if residual > bound:
         report.add("balance", f"|sum g_j n_j| = {residual:.3e} exceeds {bound:.3e}")
     if not allow_non_general_position and not is_general_position(fan):
@@ -231,12 +238,13 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray, then=N
     max |B^-1 p| / |p| is a lower bound on |B^-1|, typically within a
     factor sqrt(m), and times |J|_F (at least sigma_1(J)) it estimates
     cond(B), which is at least sigma_1(J) / sigma_{m-3}(J).  When the solve
-    fails, is not finite or the estimate exceeds 1e-4 / RANK_CUTOFF, and
-    for every jac with consistency rows, rank-cutoff least squares decides,
-    its minimum norm orthogonal to E, which jac annihilates; a rank more
-    than 3 short of m aborts as DEGENERATED.  With then, a function of delta
-    giving a second right-hand side, the pair (delta, delta2) is returned,
-    delta2 solving jac @ delta2 = then(delta) on the same path and matrix.
+    fails, is not finite or the estimate exceeds CONDITION_MARGIN /
+    RANK_CUTOFF, and for every jac with consistency rows, rank-cutoff least
+    squares decides, its minimum norm orthogonal to E, which jac
+    annihilates; a rank more than 3 short of m aborts as DEGENERATED.  With
+    then, a function of delta giving a second right-hand side, the pair
+    (delta, delta2) is returned, delta2 solving jac @ delta2 = then(delta)
+    on the same path and matrix.
     """
     m = equipment.shape[0]
     if jac.shape[0] == m:
@@ -254,7 +262,7 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray, then=N
             sol = None
         if sol is not None and np.all(np.isfinite(sol)):
             inv_norm = float(np.max(np.linalg.norm(sol[:, 1:], axis=0) / probe_norms))
-            if jnorm * inv_norm <= 1e-4 / RANK_CUTOFF:
+            if jnorm * inv_norm <= CONDITION_MARGIN / RANK_CUTOFF:
                 delta = sol[:m, 0]
                 if then is None:
                     return delta
@@ -270,14 +278,17 @@ def _first_root(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> float:
 
     The roots are q / a and c / q with q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2,
     which loses no digits to cancellation; a = 0 leaves the linear root c / q.
+    Entries with a negative discriminant have no real root and are dropped
+    first; an infinite or NaN quotient is no positive root.
     """
-    real = b * b - 4.0 * a * c >= 0.0
-    c, b, a = c[real], b[real], a[real]
-    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    disc = b * b - 4.0 * a * c
+    if (disc < 0.0).any():
+        real = disc >= 0.0
+        c, b, a, disc = c[real], b[real], a[real], disc[real]
+    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = np.concatenate([q / a, c / q])
-    roots = roots[np.isfinite(roots) & (roots > 0.0)]
-    return float(roots.min()) if roots.size else np.inf
+    return float(roots.min(initial=np.inf, where=roots > 0.0))
 
 
 def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveOutcome:
@@ -301,55 +312,59 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
 
     cons = fan.consistency_matrix
     x0 = gauge_fix(fan, seed.h)
-    ab0 = _face_coordinates(fan, x0)
-    now = (x0, ab0, _oriented_areas(fan, ab0))     # the last accepted point: supports, face coordinates, areas
-    href = max(float(np.linalg.norm(x0)), 1e-12)
+    now = (x0, seed.face_coordinates, f0)     # the last accepted point: supports, face coordinates, areas
+    href = max(float(np.linalg.norm(x0)), SEED_NORM_FLOOR)
+    fd = opts.jacobian_mode == "fd"
+    tangent_rhs = np.concatenate([g - f0, np.zeros(len(cons))])     # J d = g - f0; zero on consistency rows
 
     def full_jacobian(h: np.ndarray, ab: np.ndarray) -> np.ndarray:
-        areas_jac = _jacobian(fan, h, ab, opts.jacobian_mode)
+        areas_jac = _jacobian(fan, h, ab, "fd") if fd else _area_jacobian(fan, ab)
         return np.vstack([areas_jac, cons]) if cons.size else areas_jac
 
     def correct(x: np.ndarray, g_t: np.ndarray):
         for _ in range(MAX_NEWTON_ITERS):
             if math.hypot(*x.tolist()) > DIVERGENCE_BOUND_FACTOR * href:    # hypot: no overflow on a runaway
                 raise _Abort(SolveStatus.DIVERGED, "support norm exceeded the divergence sentinel")
-            ab, scale = _face_coordinates(fan, x), support_scale(x)
+            ab = _face_coordinates(fan, x)
             areas = _oriented_areas(fan, ab)
-            res_area, res_cons = areas - g_t, cons @ x
-            if (float(np.max(np.abs(res_area))) <= opts.tol_area * scale**2
-                    and float(np.max(np.abs(res_cons), initial=0.0)) <= CONSISTENCY_SOLVE_TOL * scale):
+            scale = max(1.0, float(abs(x).max()))     # support_scale(x)
+            res = areas - g_t
+            done = float(abs(res).max()) <= opts.tol_area * scale**2
+            if cons.size:       # the extra planes of non-simple cells ride along as rows
+                res_cons = cons @ x
+                done = done and float(abs(res_cons).max()) <= CONSISTENCY_SOLVE_TOL * scale
+                res = np.concatenate([res, res_cons])
+            if done:
                 if np.any(np.sign(areas) != np.sign(g_t)):
                     raise _Abort(SolveStatus.DEGENERATED, "path left the orientation class")
                 return x, ab, areas
-            rhs = -np.concatenate([res_area, res_cons])
-            x = x + _newton_step(full_jacobian(x, ab), rhs, fan.equipment)
+            x = x + _newton_step(full_jacobian(x, ab), -res, fan.equipment)
         return None
 
     def model(x: np.ndarray, ab: np.ndarray, areas: np.ndarray):
         """Tangent d, second-order term e and the model's limit on the step in t."""
-        pad = np.zeros(cons.shape[0])
         jac = full_jacobian(x, ab)
         quad = None     # phi(d), the s^2 coefficient of the areas along d
 
         def curvature_rhs(d: np.ndarray) -> np.ndarray:
             nonlocal quad
             quad = _oriented_areas(fan, _face_coordinates(fan, d))
-            return np.concatenate([-quad, pad])
+            return np.concatenate([-quad, np.zeros(len(cons))]) if cons.size else -quad
 
-        d, e = _newton_step(jac, np.concatenate([g - f0, pad]), fan.equipment, then=curvature_rhs)
+        d, e = _newton_step(jac, tangent_rhs, fan.equipment, then=curvature_rhs)
         s_root = _first_root(areas, jac[:fan.m] @ d, quad)
         enorm = float(np.linalg.norm(e))
         bend = float(np.sqrt(CURVATURE_BUDGET * np.linalg.norm(x) / enorm)) if enorm > 0.0 else np.inf
         return d, e, min(ROOT_FRACTION * s_root, bend)
 
     t, cap = 0.0, 1.0
-    trace = [TraceRecord(0.0, 0.0, float(np.min(np.abs(f0))))]
+    trace = [TraceRecord(0.0, 0.0, float(abs(f0).min()))]
 
     attempts = 0
     status, message = SolveStatus.CONVERGED, ""
     try:
         tangent = None      # the model at the last accepted point, built once per point
-        while t < 1.0 - 1e-15:
+        while t < 1.0 - WALK_END_TOL:
             attempts += 1
             if attempts > MAX_STEPS:
                 raise _Abort(SolveStatus.MAX_ITERATIONS, "step budget exhausted")
@@ -367,7 +382,7 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
                                  f"corrector stalled at t={t!r} with step below {MIN_STEP}")
                 continue
             now, t, tangent = result, t_next, None
-            trace.append(TraceRecord(t, float(np.max(np.abs(now[2] - g_t))), float(np.min(np.abs(now[2])))))
+            trace.append(TraceRecord(t, float(abs(now[2] - g_t).max()), float(abs(now[2]).min())))
             cap = min(2.0 * cap, 1.0)
     except _Abort as abort:
         status, message = abort.status, str(abort)

@@ -180,15 +180,15 @@ class TestSurface:
     def test_derived_arrays_are_read_only_and_computed_once(self, bowtie, calls_of):
         coordinates = calls_of("_face_coordinates", geometry)
         body = Herisson(bowtie.fan, bowtie.h)
-        for name in ("vertices", "oriented_areas", "signs"):
+        for name in ("vertices", "face_coordinates", "oriented_areas", "signs"):
             value = getattr(body, name)
             assert getattr(body, name) is value and not value.flags.writeable
             with pytest.raises(ValueError):
                 value[0] = 0
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(body, name, value)
-        assert len(coordinates) == 1      # signs read the cached areas
-        assert vars(body).keys() == {"fan", "h", "vertices", "oriented_areas", "signs"}
+        assert len(coordinates) == 1      # areas read the cached coordinates, signs the cached areas
+        assert vars(body).keys() == {"fan", "h", "vertices", "face_coordinates", "oriented_areas", "signs"}
         assert body.vertices.shape == (len(bowtie.fan.cells), 3) and body.vertices.flags.c_contiguous
         assert np.array_equal(body.signs, np.sign(body.oriented_areas)) and body.signs.dtype == int
 

@@ -9,7 +9,7 @@ import pytest
 
 import herisson
 from helpers import double_tetrahedron_fan
-from herisson import cli, io
+from herisson import cli, io, solver
 from herisson.fan import Fan
 from herisson.solver import SolveOptions, solve_minkowski
 from test_fan import double_cover_pentagram
@@ -303,6 +303,18 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: --tol: tol_area must be finite and positive, got {float(tol)!r}\n"
+
+    @pytest.mark.parametrize("flag, tol_area", [([], SolveOptions().tol_area), (["--tol", "1e-8"], 1e-8)])
+    def test_tolerance_default_is_solve_options(self, cube, flag, tol_area, tmp_path, monkeypatch, capsys):
+        # an unset --tol leaves tol_area to SolveOptions, the one owner of its default
+        fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))
+        seed = _write(tmp_path / "seed.json", {"h": [1.0] * 6})
+        target = _write(tmp_path / "target.json", {"g": [9.0] * 6})
+        seen = []
+        monkeypatch.setattr(solver, "solve_minkowski", lambda *args: seen.append(args[3]) or solve_minkowski(*args))
+        assert cli.main(["solve", fan, "--seed", seed, "--target", target, "--allow-non-general", *flag]) == 0
+        assert seen == [SolveOptions(tol_area=tol_area, allow_non_general_position=True)]
+        assert cli.build_parser().parse_args(["solve", fan, "--seed", seed, "--target", target]).tol is None
 
     def test_solve_trace_jsonl(self, cube, tmp_path, capsys):
         fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))

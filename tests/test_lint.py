@@ -78,6 +78,21 @@ def bare_tolerances(path: Path) -> list[tuple[int, str]]:
     return found
 
 
+SMALL_LITERAL = 1e-3
+
+
+def small_literals(path: Path) -> list[tuple[int, float]]:
+    """(line, value) of each float literal 0 < x < SMALL_LITERAL in the body of a function or lambda
+    (not in its default arguments): a tolerance there has neither a name nor a unit."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for stmt in node.body if isinstance(node.body, list) else [node.body]:
+                found |= {(lit.lineno, lit.value) for lit in ast.walk(stmt) if isinstance(lit, ast.Constant)
+                          and type(lit.value) is float and 0.0 < lit.value < SMALL_LITERAL}
+    return sorted(found)
+
+
 def _names_an_array(annotation) -> bool:
     """Whether an annotation is np.ndarray, alone or in a union (X | Y, Optional[X], Union[X, Y])."""
     if isinstance(annotation, (ast.Attribute, ast.Name)):
@@ -236,3 +251,19 @@ def test_bare_tolerances_are_found(tmp_path):
         "F_TOL = 1e-8\n# absolute: on the line before\nOTHER = 1.0\n\n\ndef f():\n    LOCAL_TOL = 1\n"
     )
     assert bare_tolerances(source) == [(2, "B_TOL"), (3, "C_TOL"), (5, "RANK_CUTOFF"), (7, "F_TOL")]
+
+
+def test_no_small_literal_in_function_bodies():
+    package = sorted((ROOT / "src" / "herisson").glob("*.py"))
+    assert [(path.name, *entry) for path in package for entry in small_literals(path)] == []
+
+
+def test_small_literals_are_found(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "MODULE_TOL = 1e-9\n\n\nclass Options:\n    tol: float = 1e-10\n\n\n"
+        "def f(x, tol=1e-8):\n    y = x + 1e-12 - 1e-4 + 0.0 + 1e-3 + 0\n\n"
+        "    def inner():\n        return 5e-7\n\n"
+        "    return y, inner, lambda z: z * 2e-6\n"
+    )
+    assert small_literals(source) == [(9, 1e-12), (9, 1e-4), (12, 5e-7), (14, 2e-6)]
