@@ -13,6 +13,15 @@ the plane of face j, a sign times the fan's u_jk (Fan.edge_frames), and the
 face of h1 fits inside that of h2 iff some c in that plane has
 u_p . c <= h2(u_p) - h1(u_p) for every p; on convex faces the right-hand
 sides are the in-plane supports of the virtual polytope h2 - h1.
+
+The fit test (_fits) reads faces in blocks.  A segment is one face in one
+direction; a row is one of its edges, whose line is tested, and a
+constraint is one of its edges, tested along that line, so a segment of k
+edges has k^2 (row, constraint) pairs.  A group of segments is padded to
+its largest ring, (S, K) positions, and its pairs come from batched
+products (S, K, 3) @ (S, 3, K) and reductions over the constraints; the
+_fits docstring says why a padded position neither constrains nor reports
+and how SCAN_BLOCK bounds a group.
 """
 
 from __future__ import annotations
@@ -64,103 +73,86 @@ class CongruenceVerdict:
         return self.status is CongruenceStatus.CONGRUENT
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
+def _block_dot(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[o, s, r] = cols[s, o] . rows[s, :, r]: the products (S, K, 3) @ (S, 3, r) of the K
+    constraints of each segment s with r of its rows, laid out (K, S, r) so that a reduction
+    over the constraints runs along the rows of every segment at once."""
+    out = np.empty((cols.shape[1], len(cols), rows.shape[2]))
+    np.matmul(cols, rows, out=out.transpose(1, 0, 2))
+    return out
 
 
 def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     """Yield, group by group, the (faces, directions) that fit by a translation.
 
     Direction 0 moves face j of h1 into face j of h2, direction 1 the
-    reverse.  A row is one ring position p of the receiving face j, with the
-    outward normal u_p = eps_j (e_p x n_j) / |e_p| of its edge
-    e_p = V[succ] - V[cell] and the right-hand side beta_p: the max over the
-    ring of u_p . (receiving vertex) minus that over the moved vertices,
-    plus tol (the maxima keep non-convex faces right).  The bounded set
-    {c : u_p . c <= beta_p} is non-empty iff the other constraints cut an
-    interval from some line u_p . c = beta_p, which runs along n_j x u_p.
-    As e_p runs along t_p, (n_j x u_p, u_p) is the fan's edge frame
-    (t_p, u_jk) times s_p = eps_j sign(e_p . t_p); on an unchecked Herisson
-    a zero-length edge gives s_p = 0, a zero row that constrains nothing.
+    reverse.  Segment s = 2i + d is faces[i] in direction d.  Its k rows and
+    its k constraints are both the ring positions p of the receiving face j:
+    the edge e_p = V[succ] - V[cell] there has the outward normal
+    u_p = eps_j (e_p x n_j) / |e_p| and the right-hand side beta_p, the max
+    over the ring of u_p . (receiving vertex) minus that over the moved
+    vertices, plus tol (the maxima keep non-convex faces right).  The
+    bounded set {c : u_p . c <= beta_p} is non-empty iff the constraints cut
+    an interval from the line u_r . c = beta_r of some row r, which runs
+    along n_j x u_r.  As e_p runs along t_p, (n_j x u_p, u_p) is the fan's
+    edge frame (t_p, u_jk) times s_p = eps_j sign(e_p . t_p); on an
+    unchecked Herisson a zero-length edge gives s_p = 0, a zero row that
+    constrains nothing.
 
-    Segment s = 2i + d holds the k rows of faces[i] in direction d, each
-    paired with the k constraints of its segment; segments come face by
-    face, direction 0 first, so the first row yielded names the lowest face
-    that fits.  They are read whole, in groups whose k^2 pairs stay within a
-    budget that starts at the first segment's k^2 and grows fourfold up to
-    SCAN_BLOCK; a lone segment of more pairs is read in pieces of
-    SCAN_BLOCK // k rows, every piece's beta_p before the first test.
+    A group of S segments is one block of ring positions (S, K), K its
+    largest ring, and each shorter ring is padded by repeating its last
+    position.  A padded position gets s_p = 0, so its constraint is a zero
+    row, slope 0 and room tol along every line, which constrains nothing,
+    and a mask keeps its own line out of the yield; its vertex repeats a
+    real one, so the maxima in beta_p do not move.  Segments come face by
+    face, direction 0 first, and a group yields its rows in (segment, row)
+    order, so the first row yielded names the lowest face that fits.  A
+    group takes whole segments while its S K^2 padded (row, constraint)
+    pairs stay within a budget that starts at the first segment's k^2 and
+    grows fourfold per group up to SCAN_BLOCK, which bounds the memory of
+    each product; a lone segment of more pairs is read in pieces of
+    SCAN_BLOCK // K rows, every piece's beta_p before the first test.
     """
     if not len(faces):
         return
-    idx, d = h1.fan.ring_index, np.arange(2 * len(faces)) % 2
-    k = np.repeat(idx.start[faces + 1] - idx.start[faces], 2)      # segment s = 2i + d: faces[i] in direction d
-    seg_face, seg_end = np.repeat(faces, 2), np.cumsum(k)
-    seg_row, pair_at = seg_end - k, np.concatenate([[0], np.cumsum(k * k)])   # pair_at[s]: pairs before s
-    seg_pos = idx.start[seg_face] - seg_row      # row r of segment s is at ring position seg_pos[s] + r
-    seg_vert = d * len(h1.vertices)   # in direction d a cell's (receiving, moved) vertices are both[d * V + cell]
-    both = np.concatenate([np.concatenate([h2.vertices, h1.vertices], axis=1),
-                           np.concatenate([h1.vertices, h2.vertices], axis=1)]).reshape(-1, 2, 3)
-    verts, frames, sign = both[:, 0], h1.fan.edge_frames, h1.signs[seg_face]
-    rows = seg_end[-1]
-    ua, beta = np.empty((rows, 2, 3)), np.empty(rows)    # ua[r] = (line direction, u) of row r
-    u, vert = ua[:, 1], np.empty(rows, dtype=int)        # vert[r]: the receiving vertex of row r's cell
-
-    def pairs(r, s):
-        """The offset of the first pair of each row r of segment s, and the row
-        and the constraint row of every pair."""
-        n = k[s]
-        first = np.cumsum(n) - n
-        return first, np.repeat(r, n), np.repeat(seg_row[s] - first, n) + np.arange(first[-1] + n[-1])
-
-    # beta_of and test are functions so that what they gather, one piece at a time, dies on return
-    def beta_of(r, s):
-        """Take beta of the rows r of segments s, which have their geometry, and return their pairs."""
-        found = first, row, other = pairs(r, s)
-        up, rm = u[row], both[vert[other]]
-        beta[r] = (np.maximum.reduceat(_dot(up, rm[:, 0]), first)
-                   - np.maximum.reduceat(_dot(up, rm[:, 1]), first) + tol)
-        return found
-
-    def test(r, s, first, row, other):
-        """The (faces, directions) of the rows r whose line keeps an interval: along the line
-        of row r, constraint o has the slope u_o . (n x u_r) and the room beta_o - beta_r u_o . u_r."""
-        uo, line = u[other], ua[row]
-        slope, room = _dot(uo, line[:, 0]), beta[other] - beta[row] * _dot(uo, line[:, 1])
-        own = first + r - seg_row[s]
-        slope[own] = room[own] = 0.0              # the line's own constraint holds on it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = room / slope
-        lo = np.where(slope >= 0, -np.inf, bound)
-        hi = np.where(slope <= 0, np.inf, bound)
-        miss = (slope == 0) & (room < 0)          # a parallel constraint the line violates
-        lo[miss], hi[miss] = np.inf, -np.inf
-        hit = s[np.flatnonzero(np.maximum.reduceat(lo, first) <= np.minimum.reduceat(hi, first))]
-        return seg_face[hit], hit % 2
-
+    idx, seg_face, seg_dir = h1.fan.ring_index, np.repeat(faces, 2), np.arange(2 * len(faces)) % 2
+    seg_start, seg_sign = idx.start[seg_face], h1.signs[seg_face]
+    k = idx.start[seg_face + 1] - seg_start
+    verts = np.concatenate([h2.vertices, h1.vertices]).reshape(2, -1, 3)   # receiving verts[d], moved verts[1 - d]
     s0, size = 0, min(int(k[0]) ** 2, SCAN_BLOCK)
     while s0 < len(k):
-        s1 = max(int(np.searchsorted(pair_at, pair_at[s0] + size, side="right")) - 1, s0 + 1)
-        # the group: segments s0..s1-1, whose rows r get u, the line direction and the receiving vertex
-        r = np.arange(seg_row[s0], seg_end[s1 - 1])
-        s = np.repeat(np.arange(s0, s1), k[s0:s1])
-        pos, dv = seg_pos[s] + r, seg_vert[s]
-        v = vert[r] = dv + idx.cell[pos]
-        frame = frames[pos]
-        edge = verts[dv + idx.cell[idx.next_pos[pos]]] - verts[v]
-        ua[r] = frame * (sign[s] * np.sign(_dot(edge, frame[:, 0])))[:, None, None]
-        # a group of more than SCAN_BLOCK pairs is one segment, read in pieces of whole rows
-        step = len(r) if pair_at[s1] - pair_at[s0] <= SCAN_BLOCK else max(1, SCAN_BLOCK // int(k[s0]))
-        pieces = [slice(a, a + step) for a in range(0, len(r), step)]
-        # a piece's pairs (found) live until the next piece has taken its own: freed
-        # first, they let malloc trim the heap and fault its pages in again
+        widest = np.maximum.accumulate(k[s0:s0 + size])    # a group holds at most size segments
+        n = max(1, int(np.searchsorted(np.arange(1, len(widest) + 1) * widest ** 2, size, side="right")))
+        s, K = slice(s0, s0 + n), int(widest[n - 1])
+        col = np.arange(K)
+        real = col < k[s, None]
+        pos = seg_start[s, None] + np.minimum(col, k[s, None] - 1)
+        d, cell = seg_dir[s, None], idx.cell[pos]
+        receiving, moved = verts[d, cell], verts[1 - d, cell]
+        edge = verts[d, idx.cell[idx.next_pos[pos]]] - receiving
+        frame = h1.fan.edge_frames[pos]
+        s_p = seg_sign[s, None] * np.sign(np.einsum("skx,skx->sk", edge, frame[..., 0, :])) * real
+        ends = frame.transpose(2, 0, 1, 3) * s_p[..., None]     # (line direction, u) of every row: (2, S, K, 3)
+        u, (line_t, u_t) = ends[1], np.ascontiguousarray(ends.swapaxes(-1, -2))    # line_t, u_t: (S, 3, K)
+        step = K if n * K * K <= SCAN_BLOCK else max(1, SCAN_BLOCK // K)
+        pieces = [slice(a, a + step) for a in range(0, K, step)]
+        beta = np.concatenate([_block_dot(receiving, u_t[..., p]).max(axis=0)
+                               - _block_dot(moved, u_t[..., p]).max(axis=0) for p in pieces], axis=1) + tol
         for p in pieces:
-            found = beta_of(r[p], s[p])
-        for p in pieces:
-            if len(pieces) > 1:                   # one piece tests the pairs its beta took
-                found = pairs(r[p], s[p])
-            yield test(r[p], s[p], *found)
-        s0, size = s1, min(4 * size, SCAN_BLOCK)
+            # along the line of row r, constraint o has the slope u_o . (n x u_r)
+            # and the room beta_o - beta_r u_o . u_r
+            slope = _block_dot(u, line_t[..., p])
+            room = beta.T[..., None] - beta[:, p] * _block_dot(u, u_t[..., p])
+            own = col[p]                              # the line's own constraint holds on it
+            slope[own, :, own - p.start] = room[own, :, own - p.start] = 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = room / slope
+            lo = np.where(slope >= 0, -np.inf, bound).max(axis=0)
+            hi = np.where(slope <= 0, np.inf, bound).min(axis=0)
+            miss = ((slope == 0) & (room < 0)).any(axis=0)     # a parallel constraint the line violates
+            hit = s0 + np.nonzero((lo <= hi) & ~miss & real[:, p])[0]
+            yield seg_face[hit], seg_dir[hit]
+        s0, size = s0 + n, min(4 * size, SCAN_BLOCK)
 
 
 def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:

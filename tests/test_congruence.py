@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 import helpers
 from helpers import (
@@ -290,8 +291,9 @@ class TestCongruentAndParallel:
         # direction 0 of face 0 fails on all 2000 rows, read in pieces of
         # SCAN_BLOCK // 2000 whole rows; direction 1 then fits
         first, second = _prism_pair()
-        sizes, dot = [], congruence._dot
-        monkeypatch.setattr(congruence, "_dot", lambda a, b: sizes.append(len(a)) or dot(a, b))
+        sizes, dot = [], congruence._block_dot
+        monkeypatch.setattr(congruence, "_block_dot",
+                            lambda a, b: sizes.append(_pairs(a, b)) or dot(a, b))
         verdict, peak, _elapsed = _traced(lambda: congruent_and_parallel(second, first))
         assert verdict.status is CongruenceStatus.HYPOTHESIS_FAILURE
         assert (verdict.face, verdict.direction, verdict.detail) == (0, 1, "face 0 of the second fits inside the first")
@@ -312,33 +314,54 @@ class TestCongruentAndParallel:
     def test_verdict_stops_at_the_first_fitting_face(self, monkeypatch):
         # face 0 fits, in direction 0 for (first, second) and in direction 1 for
         # (second, first): the verdict reads that face's rows and the rows of
-        # the groups up to it, not the whole fan, in their tests (_dot); the
-        # rows take u and the line direction from the fan's edge frames, so
-        # neither the verdict nor an exhausted _fits takes a cross product
+        # the groups up to it, not the whole fan, in their products
+        # (_block_dot, counted in padded pairs); the rows take u and the line
+        # direction from the fan's edge frames, so neither the verdict nor an
+        # exhausted _fits takes a cross product
         rng = np.random.default_rng([20261018, 0])
         fan = polar_fan(rng, 60)
         first = reconstruct(fan, np.ones(60))
         second = reconstruct(fan, 1.05 * np.ones(60) + 0.01 * rng.uniform(-1, 1, 60))
         fan.edge_frames                   # taken once per Fan, here before the count
         assert not hasattr(congruence, "_cross")
-        rows = {"_cross": 0, "_dot": 0}
-        for module, name in ((fan_module, "_cross"), (geometry, "_cross"), (congruence, "_dot")):
+        rows = {"_cross": 0, "_block_dot": 0}
+        for module, name, count in ((fan_module, "_cross", len), (geometry, "_cross", len),
+                                    (congruence, "_block_dot", _pairs)):
             kernel = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda a, b, name=name, kernel=kernel:
-                                rows.__setitem__(name, rows[name] + len(a)) or kernel(a, b))
+            monkeypatch.setattr(module, name, lambda a, b, name=name, kernel=kernel, count=count:
+                                rows.__setitem__(name, rows[name] + count(a, b)) or kernel(a, b))
         labeled = np.flatnonzero(np.add.reduceat(np.abs(congruence._position_labels(first, second)),
                                                  fan.ring_index.start[:-1]))
         for direction, (h1, h2) in enumerate(((first, second), (second, first))):
-            rows.update(_cross=0, _dot=0)
+            rows.update(_cross=0, _block_dot=0)
             verdict = congruent_and_parallel(h1, h2)
             used = dict(rows)
             assert (verdict.status, verdict.face, verdict.direction) == (
                 CongruenceStatus.HYPOTHESIS_FAILURE, 0, direction)
-            rows.update(_cross=0, _dot=0)
+            rows.update(_cross=0, _block_dot=0)
             for _ in congruence._fits(h1, h2, labeled, congruence.FIT_TOL * max(h1.scale, h2.scale)):
                 pass
             assert used["_cross"] == rows["_cross"] == 0, (direction, used, rows)
-            assert 0 < used["_dot"] < 0.1 * rows["_dot"], (direction, used, rows)
+            assert 0 < used["_block_dot"] < 0.1 * rows["_block_dot"], (direction, used, rows)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_large_prism_pair_read_to_the_end(self, order):
+        # every face in both directions: the caps' 2000 rows are read in
+        # pieces, the 2000 lateral quads in groups of whole segments; each
+        # face of the smaller prism fits inside its mate, none the reverse
+        pair = _prism_pair()
+        first, second = pair[::-1] if order else pair
+        tol = congruence.FIT_TOL * max(first.scale, second.scale)
+        found, peak, _elapsed = _traced(lambda: [
+            (f, d) for face, direction in congruence._fits(first, second, np.arange(first.m), tol)
+            for f, d in zip(face.tolist(), direction.tolist())])
+        assert found == sorted(found) and set(found) == {(j, order) for j in range(first.m)}
+        assert peak < 64 * 2**20
+
+
+def _pairs(cols, rows):
+    """The (row, constraint) pairs of one _block_dot call: (S, K, 3) @ (S, 3, r) takes S K r."""
+    return cols.shape[0] * cols.shape[1] * rows.shape[2]
 
 
 def _prism_pair():
@@ -418,16 +441,36 @@ def test_labeled_pairs_have_a_face_of_at_most_two_sign_changes():
     assert most >= 4                              # other rings do change sign more often
 
 
-def test_fits_match_the_linear_programs(monkeypatch):
+def _mixed_ring_pairs(bowtie, tiling):
+    """Same-class pairs whose rings differ widely in size: prisms over n-gons
+    (two n-gons among quads), the bowtie and the tiling, each moved off its
+    mate by a scaling and by noise in the null space of its consistency rows."""
+    rng = np.random.default_rng(20261020)
+    bodies = [reconstruct(prism_fan(n), np.ones(n + 2)) for n in range(5, 13)] + [bowtie, tiling]
+    pairs = []
+    for body in bodies:
+        cons = body.fan.consistency_matrix
+        free = null_space(cons) if len(cons) else np.eye(body.m)
+        for factor in (1.05, 1.0):
+            noise = free @ (0.02 * rng.uniform(-1, 1, free.shape[1]))
+            pairs.append((body, reconstruct(body.fan, factor * body.h + noise)))
+    return [(a, b) for a, b in pairs if np.array_equal(a.signs, b.signs)]
+
+
+def test_fits_match_the_linear_programs(monkeypatch, bowtie, tiling):
     # faces with all-zero ring labels are translates and never fit; the fits
     # come out in (face, direction) order, the same for every block size: 1
     # and 7 read every face in pieces of one row (two for k = 3 at 7); 20
     # reads faces of five edges or more in pieces of 20 // k rows (4 at
     # k = 5) and groups the smaller ones; 64 groups faces of up to eight
     # edges and cuts larger ones; the default groups whole faces, several
-    # at a time
+    # at a time.  A group pads its rings to its largest, so the mixed-ring
+    # pairs, whose groups hold quads or triangles beside an n-gon, check
+    # that padded rows neither constrain nor report
+    mixed = _mixed_ring_pairs(bowtie, tiling)
+    assert len(mixed) == 20
     compared = 0
-    for first, second in _same_class_pairs():
+    for first, second in _same_class_pairs() + mixed:
         scale = max(first.scale, second.scale)
         labeled = sorted({f for arc, label in edge_labeling_loop(first, second).items() if label for f in arc})
         runs = []
