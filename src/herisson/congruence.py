@@ -5,11 +5,12 @@ coincide up to translation: a circuit-counting lemma on sphere-homeomorphic
 complexes (Cauchy) and an edge labeling of parallel polygon pairs
 (Alexandrov).  Parallel herissons share their fan, so each pair of parallel
 faces shares its edge normals: only the longer/shorter rule of the polygon
-labeling ever fires.  Its labels live on the (face, edge) incidences, which
-are the positions of the fan's face rings; the two positions of one arc
-carry the same label.  Whether a face fits inside its mate by a translation
-is read from the same ring: edge p of face j has the outward normal u_p in
-the plane of face j, a sign times the fan's u_jk (Fan.edge_frames), and the
+labeling ever fires, on |l_p| of the signed lengths (Herisson.signed_lengths).
+Its labels live on the (face, edge) incidences, which are the positions of
+the fan's face rings; the two positions of one arc carry one length, hence
+one label.  Whether a face fits inside its mate by a translation is read
+from the same ring: edge p of face j has the outward normal u_p in the plane
+of face j, the fan's u_jk (Fan.edge_frames) times eps_j sign(l_p), and the
 face of h1 fits inside that of h2 iff some c in that plane has
 u_p . c <= h2(u_p) - h1(u_p) for every p; on convex faces the right-hand
 sides are the in-plane supports of the virtual polytope h2 - h1.
@@ -47,10 +48,10 @@ def sign_changes(labels) -> int:
 
 
 def _position_labels(h1: Herisson, h2: Herisson) -> np.ndarray:
-    """Rule-(iv) label at every ring position, +1 where h1's edge is longer;
-    the two positions of an arc hold opposite edge vectors, hence one label."""
-    d = h1.ring_lengths - h2.ring_lengths
-    return np.where(np.abs(d) <= LENGTH_TOL * max(h1.scale, h2.scale), 0, np.where(d > 0, 1, -1))
+    """Rule-(iv) label at every ring position, +1 where h1's edge is longer (|l_p|
+    of Herisson.signed_lengths); the two positions of an arc hold one length, hence one label."""
+    d, tol = np.abs(h1.signed_lengths) - np.abs(h2.signed_lengths), LENGTH_TOL * max(h1.scale, h2.scale)
+    return (d > tol).astype(int) - (d < -tol)
 
 
 class CongruenceStatus(enum.Enum):
@@ -95,9 +96,9 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     bounded set {c : u_p . c <= beta_p} is non-empty iff the constraints cut
     an interval from the line u_r . c = beta_r of some row r, which runs
     along n_j x u_r.  As e_p runs along t_p, (n_j x u_p, u_p) is the fan's
-    edge frame (t_p, u_jk) times s_p = eps_j sign(e_p . t_p); on an
-    unchecked Herisson a zero-length edge gives s_p = 0, a zero row that
-    constrains nothing.
+    edge frame (t_p, u_jk) times s_p = eps_j sign(l_p), l_p = e_p . t_p the
+    receiving surface's signed length; on an unchecked Herisson a
+    zero-length edge gives s_p = 0, a zero row that constrains nothing.
 
     A group of S segments is one block of ring positions (S, K), K its
     largest ring, and each shorter ring is padded by repeating its last
@@ -119,6 +120,7 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     seg_start, seg_sign = idx.start[seg_face], h1.signs[seg_face]
     k = idx.start[seg_face + 1] - seg_start
     verts = np.concatenate([h2.vertices, h1.vertices]).reshape(2, -1, 3)   # receiving verts[d], moved verts[1 - d]
+    lengths = np.stack([h2.signed_lengths, h1.signed_lengths])               # receiving lengths[d]
     s0, size = 0, min(int(k[0]) ** 2, SCAN_BLOCK)
     while s0 < len(k):
         widest = np.maximum.accumulate(k[s0:s0 + size])    # a group holds at most size segments
@@ -129,9 +131,8 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
         pos = seg_start[s, None] + np.minimum(col, k[s, None] - 1)
         d, cell = seg_dir[s, None], idx.cell[pos]
         receiving, moved = verts[d, cell], verts[1 - d, cell]
-        edge = verts[d, idx.cell[idx.next_pos[pos]]] - receiving
         frame = h1.fan.edge_frames[pos]
-        s_p = seg_sign[s, None] * np.sign(np.einsum("skx,skx->sk", edge, frame[..., 0, :])) * real
+        s_p = seg_sign[s, None] * np.sign(lengths[d, pos]) * real
         ends = frame.transpose(2, 0, 1, 3) * s_p[..., None]     # (line direction, u) of every row: (2, S, K, 3)
         u, (line_t, u_t) = ends[1], np.ascontiguousarray(ends.swapaxes(-1, -2))    # line_t, u_t: (S, 3, K)
         step = K if n * K * K <= SCAN_BLOCK else max(1, SCAN_BLOCK // K)

@@ -174,12 +174,9 @@ class Fan:
         owner, neighbor, cell = face[corner], pred[corner], in_cell[corner]
         k, size = np.arange(n) - start[owner], deg[owner]
         next_pos, prev_pos = start[owner] + (k + 1) % size, start[owner] + (k - 1) % size
-        # np.unique sorts stably when asked for indices: the first position wins
-        _, arc_pos, arc_of = np.unique(np.minimum(owner, neighbor) * m + np.maximum(owner, neighbor),
-                                       return_index=True, return_inverse=True)
         return RingIndex(*map(_frozen, (
             face[first[:, None] + np.arange(3)], in_cell[beyond], face[beyond], owner, cell, next_pos, prev_pos,
-            neighbor, np.append(start, n), arc_pos, arc_of, face[first[cell] + np.arange(3)[:, None]],
+            neighbor, np.append(start, n), face[first[cell] + np.arange(3)[:, None]],
         )))
 
     @cached_property
@@ -263,9 +260,9 @@ class RingIndex:
     The face rings are concatenated face by face; ring position p is the
     corner cell[p] of face owner[p]'s polygon, and the polygon's edge at p
     runs from cell[p] to cell[next_pos[p]], dual to the arc (owner[p], neighbor[p]).
-    Each arc e of fan.arcs has its edge at two positions, arc_pos[e] the
-    first; arc_of names the arc at every position.  Every vertex lies on the
-    planes of the first three faces of its cell; the further faces of
+    Each arc has its edge at two positions, one of each face, and the
+    positions with owner < neighbor name every arc once.  Every vertex lies
+    on the planes of the first three faces of its cell; the further faces of
     non-simple cells are the extra (cell, face) pairs, in cell order.  The
     module docstring says how the rings are walked.
     """
@@ -279,8 +276,6 @@ class RingIndex:
     prev_pos: np.ndarray     # (R,) previous position of the same ring
     neighbor: np.ndarray     # (R,) face across the edge at the position
     start: np.ndarray        # (m + 1,) face j's ring is positions start[j]:start[j + 1]
-    arc_pos: np.ndarray      # (E,) first position whose edge is dual to fan.arcs[e]
-    arc_of: np.ndarray       # (R,) arc e of the edge at each position: arc_pos[arc_of[p]] is p or its twin
     cell_first3: np.ndarray  # (3, R) first three faces of the cell at each position, in cell order
 
 

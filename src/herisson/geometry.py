@@ -14,9 +14,9 @@ convex body gets positive areas everywhere.
 
 Herisson(fan, h) is the unchecked surface and reconstruct the checked one
 (the boundary test is reconstruct's alone).  A Herisson holds its fan and
-supports only; vertices, face coordinates, oriented areas, signs and edge
-lengths are functions of them, computed on first read and cached read-only,
-by the rule the Fan follows for what it derives.
+supports only; vertices, face coordinates, oriented areas, signs and signed
+edge lengths are functions of them, computed on first read and cached
+read-only, by the rule the Fan follows for what it derives.
 """
 
 from __future__ import annotations
@@ -98,8 +98,7 @@ class Herisson:
     (block_inverses), face_coordinates, the (2, R) frame coordinates of every
     ring position (Fan.ring_frames), oriented areas from them by the shoelace
     of the same model, which _area_jacobian differentiates, signs from the
-    areas, and ring_lengths, the edge length at every ring position, measured
-    once per arc.
+    areas, and signed_lengths, the signed edge length at every ring position.
     """
 
     fan: Fan
@@ -140,14 +139,14 @@ class Herisson:
         return _frozen(np.sign(self.oriented_areas).astype(int))
 
     @cached_property
-    def ring_lengths(self) -> np.ndarray:
-        """(R,) read-only length of the polygon edge at every ring position, taken
-        at arc_pos and read at both positions of its arc (their edge vectors are
-        exact negatives, so either would give the same bits)."""
+    def signed_lengths(self) -> np.ndarray:
+        """(R,) signed length l_p = (V[cell[next_pos[p]]] - V[cell[p]]) . t_p of the polygon edge at ring
+        position p, t_p from Fan.edge_frames: the face as a virtual polygon with its edge directions fixed,
+        linear in h, positive on convex bodies; |l_p| is the edge's length.  The two positions of an arc
+        hold exact negatives of both factors, hence the same bits."""
         idx = self.fan.ring_index
-        first = idx.arc_pos
-        edges = self.vertices[idx.cell[idx.next_pos[first]]] - self.vertices[idx.cell[first]]
-        return _frozen(np.linalg.norm(edges, axis=1)[idx.arc_of])
+        edges = np.take(self.vertices, idx.cell[idx.next_pos], axis=0) - np.take(self.vertices, idx.cell, axis=0)
+        return _frozen(np.einsum("ij,ij->i", edges, self.fan.edge_frames[:, 0]))
 
     def face_cycle(self, j: int) -> tuple[int, ...]:
         """Cell indices around face j, in boundary order; IndexError unless 0 <= j < m."""
@@ -172,7 +171,8 @@ def reconstruct(fan: Fan, h) -> Herisson:
     Raises SingularVertex for coplanar or non-finite normals at a cell,
     ValueError for other non-finite normals or supports, InconsistentVertex
     when a fourth plane misses its vertex beyond 1e-8*scale, DegenerateFace
-    when an edge or an oriented area falls under the degeneracy tolerances.
+    when the least |signed length| or |oriented area| falls under its
+    degeneracy tolerance.
     Supports that flip the sign of some face are accepted without comment,
     so two herissons on one fan may lie in different orientation classes.
     Compare their `signs` before mixing them; minkowski_sum and
@@ -195,7 +195,7 @@ def reconstruct(fan: Fan, h) -> Herisson:
             raise InconsistentVertex(
                 f"cell {idx.extra_cell[k]}: plane of face {idx.extra_face[k]} misses the vertex by {worst:.3e}"
             )
-    min_edge = float(surface.ring_lengths.min())
+    min_edge = float(np.abs(surface.signed_lengths).min())
     if min_edge <= EDGE_TOL * surface.scale:
         raise DegenerateFace(f"shortest edge {min_edge:.3e} below tolerance")
     amin = float(np.min(np.abs(surface.oriented_areas)))
@@ -243,8 +243,8 @@ def minkowski_sum(h1: Herisson, h2: Herisson) -> Herisson:
 
     Raises NotSameClass with the reason unless the operands are of one class
     (_class_mismatch), as congruent_and_parallel does.  Signed edge lengths
-    add arc by arc, but oriented areas (quadratic in h) do not, so a face of
-    the sum may change sign: the sum need not be of the operands' class.
+    add at every ring position, but oriented areas (quadratic in h) do not, so
+    a face of the sum may change sign: the sum need not be of the operands' class.
     """
     if reason := _class_mismatch(h1, h2):
         raise NotSameClass(reason)

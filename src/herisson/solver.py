@@ -298,9 +298,11 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     front and raise ValueError.  The outcome reports Converged or the failure
     mode, the last homotopy parameter reached, the supports accepted there,
     gauge-fixed, and a per-step trace; those supports may fall under
-    reconstruct's edge or area tolerance.  Divergence is watched on |x| of
-    each iterate alone, before its areas: vertex c is B_c^-1 x on its cell's
-    first three faces, so a k-gon face's perimeter is at most 2 k max_c |B_c^-1|_2 |x|.
+    reconstruct's edge or area tolerance.  A fold ending's (DEGENERATED)
+    supports hold to only about 1e-7: a rounding change in the seed's areas
+    moves them that far.  Divergence is watched on |x| of each iterate alone,
+    before its areas: vertex c is B_c^-1 x on its cell's first three faces,
+    so a k-gon face's perimeter is at most 2 k max_c |B_c^-1|_2 |x|.
     """
     opts = opts or SolveOptions()
     g = np.asarray(g, dtype=float)

@@ -244,32 +244,35 @@ def body(request):
 
 
 class TestRingLengths:
-    """Each surface measures its edge lengths once, in ring_lengths."""
+    """Each surface measures its edges once, as the signed lengths at its ring positions."""
 
     def test_read_only_and_computed_once(self, body):
-        lengths = body.ring_lengths
-        assert lengths is body.ring_lengths
+        lengths = body.signed_lengths
+        assert lengths is body.signed_lengths
         assert not lengths.flags.writeable
         with pytest.raises(ValueError):
             lengths[0] = 1.0
 
     def test_match_face_polygons(self, body):
-        starts = body.fan.ring_index.start
+        # |l_p| is the polygon side within a few ulps, and l_p has the sign of
+        # the side's vector against the fan's edge direction t_p
+        starts, t = body.fan.ring_index.start, body.fan.edge_frames[:, 0]
         for j in range(body.m):
             poly = body.face_polygon(j)
-            sides = np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)
-            assert np.array_equal(body.ring_lengths[starts[j]:starts[j + 1]], sides)
+            sides = np.roll(poly, -1, axis=0) - poly
+            lengths = body.signed_lengths[starts[j]:starts[j + 1]]
+            length = np.linalg.norm(sides, axis=1)
+            assert np.all(np.abs(np.abs(lengths) - length) <= 4 * np.spacing(length))
+            assert np.array_equal(np.sign(lengths), np.sign((sides * t[starts[j]:starts[j + 1]]).sum(axis=1)))
 
     def test_both_positions_of_an_arc_agree(self, body):
-        # the edge vectors at the two positions are exact negatives, so an
-        # arc's length may be read at either position, as arc_pos does
+        # the edge vectors and t_p at the two positions are exact negatives,
+        # so an arc's signed length may be read at either position
         idx = body.fan.ring_index
         at = {(a, b): p for p, (a, b) in enumerate(zip(idx.owner.tolist(), idx.neighbor.tolist()))}
         mate = np.array([at[b, a] for a, b in zip(idx.owner.tolist(), idx.neighbor.tolist())])
         assert not np.array_equal(mate, np.arange(len(mate)))
-        assert np.array_equal(body.ring_lengths, body.ring_lengths[mate])
-        arcs = np.sort(np.column_stack([idx.owner, idx.neighbor])[idx.arc_pos], axis=1)
-        assert np.array_equal(arcs, body.fan.arcs)
+        assert np.array_equal(body.signed_lengths, body.signed_lengths[mate])
 
 
 def _edge_directions(body):
@@ -324,11 +327,12 @@ class TestEdgeFrames:
         assert np.all(err <= np.maximum(1e-12, 1e-14 * body.scale / length))
 
     def test_hedgehog_fixtures_have_negative_edges(self, cube, box123, tetra, bowtie, waisted, tiling):
-        # edges against t_p and faces of negative area, so that the cross-check
-        # above meets every sign of s_p; convex bodies have neither
-        negative = [int(np.sum(np.einsum("ij,ij->i", edge, t) < 0.0))
-                    for t, _, edge in map(_edge_directions, (cube, box123, tetra, bowtie, waisted, tiling))]
-        assert negative == [0, 0, 0, 18, 24, 8]
+        # edges against t_p (negative signed lengths, out of all ring positions) and faces
+        # of negative area, so that the cross-check above meets every sign of s_p; convex
+        # bodies have neither
+        counts = [(int(np.sum(b.signed_lengths < 0.0)), b.signed_lengths.size)
+                  for b in (cube, box123, tetra, bowtie, waisted, tiling)]
+        assert counts == [(0, 24), (0, 24), (0, 12), (18, 30), (24, 42), (8, 36)]
         assert [int(np.sum(b.signs < 0)) for b in (bowtie, waisted, tiling)] == [6, 9, 4]
 
 
@@ -357,18 +361,35 @@ class TestMinkowskiSum:
         assert np.allclose(total.oriented_areas, expect.oriented_areas, rtol=1e-12)
         assert np.allclose(total.oriented_areas, 9.0 * t1.oriented_areas, rtol=1e-12)
 
+    @staticmethod
+    def assert_lengths_add(fan, h1, h2):
+        # signed edge lengths are linear in the supports, at every ring position
+        total = Herisson(fan, h1 + h2)
+        err = total.signed_lengths - Herisson(fan, h1).signed_lengths - Herisson(fan, h2).signed_lengths
+        assert np.max(np.abs(err)) <= 1e-12 * total.scale
+        return total
+
     def test_bowtie_edge_lengths_add(self, bowtie):
-        total = minkowski_sum(bowtie, bowtie)
-        arc_pos = bowtie.fan.ring_index.arc_pos
-        assert np.allclose(total.ring_lengths[arc_pos], 2.0 * bowtie.ring_lengths[arc_pos], rtol=0, atol=1e-10)
+        self.assert_lengths_add(bowtie.fan, bowtie.h, bowtie.h)
 
     def test_edge_lengths_linear_across_shapes(self):
         a = builders.reflected_truncated_tetrahedron(0.3)
         b = builders.reflected_truncated_tetrahedron(0.6)
-        total = minkowski_sum(a, b)
-        arc_pos = a.fan.ring_index.arc_pos
-        assert np.allclose(total.ring_lengths[arc_pos], a.ring_lengths[arc_pos] + b.ring_lengths[arc_pos],
-                           rtol=0, atol=1e-10)
+        self.assert_lengths_add(a.fan, a.h, b.h)
+
+    def test_edge_lengths_linear_through_sign_changes(self):
+        # polar hedgehogs, sigma = 0.3: about 45 % of the edges run against t_p,
+        # and the sum turns some of them over
+        rng = np.random.default_rng(34)
+        flipped = negative = total_edges = 0
+        for m in (20, 40, 120):
+            fan = polar_fan(rng, m)
+            h1, h2 = (1.0 + 0.3 * rng.standard_normal(m) for _ in range(2))
+            total = self.assert_lengths_add(fan, h1, h2)
+            first = Herisson(fan, h1).signed_lengths
+            flipped += int(np.sum(np.sign(total.signed_lengths) != np.sign(first)))
+            negative, total_edges = negative + int(np.sum(first < 0.0)), total_edges + first.size
+        assert flipped > 0 and 0.3 < negative / total_edges < 0.6
 
     def test_face_signs_may_change(self):
         # two herissons of one class whose sum flips two faces: supports add,
@@ -485,7 +506,7 @@ def test_perimeters_are_bounded_by_the_support_norm(cube, box123, tetra, bowtie,
         inverse = float(np.linalg.norm(fan.block_inverses, ord=2, axis=(1, 2)).max())
         for _ in range(20):
             h = 10.0 ** rng.uniform(-3.0, 3.0) * (1.0 + rng.uniform(0.0, 1.5) * rng.standard_normal(fan.m))
-            perimeters = np.add.reduceat(Herisson(fan, h).ring_lengths, fan.ring_index.start[:-1])
+            perimeters = np.add.reduceat(np.abs(Herisson(fan, h).signed_lengths), fan.ring_index.start[:-1])
             assert perimeters.max() <= 2.0 * k_max * inverse * np.linalg.norm(h)
 
 

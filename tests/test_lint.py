@@ -43,6 +43,35 @@ def _private_definitions(tree: ast.Module):
                 yield name, stmt
 
 
+def _is_cached_property(stmt) -> bool:
+    return isinstance(stmt, ast.FunctionDef) and any(
+        ast.unparse(deco).split(".")[-1] == "cached_property" for deco in stmt.decorator_list)
+
+
+def _field_definitions(tree: ast.Module, field_classes):
+    """(name, statement) of each cached_property of each class, and of each annotated
+    field of the classes named in field_classes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if _is_cached_property(stmt):
+                    yield stmt.name, stmt
+                elif node.name in field_classes and isinstance(stmt, ast.AnnAssign):
+                    yield stmt.target.id, stmt
+
+
+def _unread(trees, definitions, refs) -> list[tuple[str, str]]:
+    """(file, name) of each (name, statement) of definitions(tree) that no (node id, name)
+    of refs reads outside that statement."""
+    found = []
+    for path, tree in trees:
+        for name, stmt in definitions(tree):
+            own = {id(node) for node in ast.walk(stmt)}
+            if not any(ref == name and key not in own for key, ref in refs):
+                found.append((path.name, name))
+    return found
+
+
 def unused_private_names(paths: list[Path]) -> list[tuple[str, str]]:
     """(file, name) of each module-level _name function, class or constant that no
     module in paths reads (a Name or an attribute) outside its own definition."""
@@ -50,13 +79,16 @@ def unused_private_names(paths: list[Path]) -> list[tuple[str, str]]:
     refs = [(id(node), node.id if isinstance(node, ast.Name) else node.attr)
             for _path, tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
-    found = []
-    for path, tree in trees:
-        for name, stmt in _private_definitions(tree):
-            own = {id(node) for node in ast.walk(stmt)}
-            if not any(ref == name and key not in own for key, ref in refs):
-                found.append((path.name, name))
-    return found
+    return _unread(trees, _private_definitions, refs)
+
+
+def unused_fields(paths: list[Path], field_classes) -> list[tuple[str, str]]:
+    """(file, name) of each cached_property, and each field of the classes named in
+    field_classes, that no module in paths reads as an attribute outside its definition."""
+    trees = [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+    refs = [(id(node), node.attr) for _path, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    return _unread(trees, lambda tree: _field_definitions(tree, field_classes), refs)
 
 
 _UNIT = re.compile(r"#\s*(absolute|radians|relative to \S)")
@@ -160,8 +192,7 @@ def cache_mentions(path: Path) -> list[tuple[str, str, bool]]:
             continue
         doc = ast.get_docstring(node) or ""
         for stmt in node.body:
-            if isinstance(stmt, ast.FunctionDef) and any(
-                    ast.unparse(deco).split(".")[-1] == "cached_property" for deco in stmt.decorator_list):
+            if _is_cached_property(stmt):
                 word = r"[_\s]+".join(map(re.escape, stmt.name.split("_")))
                 found.append((node.name, stmt.name, re.search(rf"\b{word}\b", doc) is not None))
     return found
@@ -224,6 +255,29 @@ def test_unused_private_functions_are_found(tmp_path):
     (tmp_path / "a.py").write_text("def _used():\n    pass\n\n\ndef _recursive(n):\n    return _recursive(n - 1)\n")
     (tmp_path / "b.py").write_text("import a\n\n\ndef __getattr__(name):\n    return a._used\n")
     assert unused_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [("a.py", "_recursive")]
+
+
+def test_no_unread_caches_or_ring_fields():
+    # a cache or ring array that only tests read is dead code in the package
+    package = sorted((ROOT / "src" / "herisson").glob("*.py"))
+    names = {name for path in package for name, _stmt in _field_definitions(ast.parse(path.read_text()), {"RingIndex"})}
+    assert {"ring_index", "signed_lengths", "first3", "cell_first3", "start"} <= names
+    assert unused_fields(package, {"RingIndex"}) == []
+
+
+def test_unread_caches_and_fields_are_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from functools import cached_property\n\n\n"
+        "class Index:\n    read: int\n    dead: int\n\n\n"
+        "class Other:\n    unlisted: int\n\n\n"
+        "class Surface:\n    @cached_property\n    def used(self):\n        return self.index.read\n\n"
+        "    @cached_property\n    def recursive(self):\n        return self.recursive\n\n"
+        "    @cached_property\n    def stored(self):\n        return 1\n\n"
+        "    def reset(self, dead, stored):\n        self.stored = stored\n        return dead\n"
+    )
+    (tmp_path / "b.py").write_text("def f(surface):\n    return surface.used\n")
+    assert unused_fields([tmp_path / "a.py", tmp_path / "b.py"], {"Index"}) == [
+        ("a.py", "dead"), ("a.py", "recursive"), ("a.py", "stored")]
 
 
 def test_unused_private_constants_and_classes_are_found(tmp_path):

@@ -159,15 +159,25 @@ class TestJacobian:
             assert np.allclose(lhs, rhs, rtol=1e-6, atol=1e-12)
 
     def test_adjacent_entries_are_edge_over_sine(self, cube):
-        # simple fan: entry (i, k) is the signed shared edge length divided
-        # by the sine of the normal angle; for the unit cube that is 2
+        # simple fans: entry (owner, neighbor) of every ring position is the signed
+        # shared edge length over the sine of the normal angle; for the unit cube
+        # that is 2, and on polar hedgehogs it takes both signs
         j = jacobian(cube.fan, cube.h, mode="analytic")
-        lengths = cube.ring_lengths[cube.fan.ring_index.arc_pos]
-        eq = cube.fan.equipment
-        for (a, b), length in zip(cube.fan.arcs.tolist(), lengths):
-            sine = np.linalg.norm(np.cross(eq[a], eq[b]))
-            assert j[a, b] == pytest.approx(length / sine, rel=1e-9)
+        assert np.allclose(j[cube.fan.ring_index.owner, cube.fan.ring_index.neighbor], 2.0, rtol=1e-12, atol=0.0)
         assert np.allclose(np.diag(j), 0.0, atol=1e-12)
+        rng = np.random.default_rng(20261020)
+        negative = 0
+        for m in (20, 40, 120):
+            fan = polar_fan(rng, m)
+            idx, eq = fan.ring_index, fan.equipment
+            sine = np.linalg.norm(np.cross(eq[idx.owner], eq[idx.neighbor]), axis=1)
+            for sigma in (0.0, 0.3, 1.0):
+                body = Herisson(fan, 1.0 + sigma * rng.standard_normal(m))
+                j = jacobian(fan, body.h, mode="analytic")
+                err = np.abs(j[idx.owner, idx.neighbor] - body.signed_lengths / sine)
+                assert err.max() <= 1e-12 * np.abs(j).max()
+                negative += int(np.sum(body.signed_lengths < 0))
+        assert negative > 0
 
     def test_symmetry_on_simple_fans(self, cube, tetra, rng):
         # mixed-area symmetry; expected on fans whose cells are all simple
@@ -654,14 +664,14 @@ class TestFanCache:
     """A Fan computes its invariants once; a solve reads them from the cache."""
 
     # every cache the Fan docstring lists; a solve reads all of them but arcs
-    # (validate, the congruence labels and the exports read it) and edge_frames
-    # (the congruence fits read it)
-    SOLVE_CACHES = {"corners", "ring_index", "block_inverses", "ring_frames", "consistency_matrix",
+    # (validate and the exports read it); edge_frames gives the seed's signed
+    # edge lengths, whose least magnitude reconstruct tests
+    SOLVE_CACHES = {"corners", "ring_index", "block_inverses", "ring_frames", "edge_frames", "consistency_matrix",
                     "jacobian_scatter", "translation_gram", "coplanar_triple"}
 
     def test_the_docstring_lists_every_cache(self):
         caches = {name for name, attr in vars(Fan).items() if isinstance(attr, cached_property)}
-        assert caches == self.SOLVE_CACHES | {"arcs", "edge_frames"}
+        assert caches == self.SOLVE_CACHES | {"arcs"}
         assert caches <= set(re.findall(r"\w+", Fan.__doc__))
 
     @staticmethod
