@@ -17,9 +17,11 @@ Steps in t come from the area map itself.  Vertices are linear in the
 supports, so phi is an exact quadratic form: phi(h + s d) = phi(h) +
 s J(h) d + s^2 phi(d), and J(h) h = 2 phi(h) (the mixed-area structure of
 virtual polytopes).  At each accepted point one Jacobian gives the tangent
-d (J d = g - f0) and the second-order term e (J e = -phi(d)), and the step
-is the least of 1 - t, a cap, ROOT_FRACTION times the first positive s at
-which some face area phi(h + s d)_j reaches zero, and
+d (J d = g - f0) and, through the re-solve that the Newton step returns
+with d (one more solve of the same bordered matrix or least squares), the
+second-order term e (J e = -phi(d)); the step is the least of 1 - t, a
+cap, ROOT_FRACTION times the first positive s at which some face area
+phi(h + s d)_j reaches zero, and
 sqrt(CURVATURE_BUDGET |h| / |e|), which keeps dt^2 |e| within
 CURVATURE_BUDGET |h|.  The corrector starts from h + dt d + dt^2 e.  The
 cap starts at 1, is set to half the step when MAX_NEWTON_ITERS corrector
@@ -226,7 +228,7 @@ def _condition_probes(size: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(probes), _frozen(np.linalg.norm(probes, axis=0))
 
 
-def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray, then=None):
+def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray):
     """Minimum-norm solution of jac @ delta = rhs, orthogonal to translations.
 
     A square jac (no consistency rows) is the symmetric area Jacobian J
@@ -241,10 +243,11 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray, then=N
     fails, is not finite or the estimate exceeds CONDITION_MARGIN /
     RANK_CUTOFF, and for every jac with consistency rows, rank-cutoff least
     squares decides, its minimum norm orthogonal to E, which jac
-    annihilates; a rank more than 3 short of m aborts as DEGENERATED.  With
-    then, a function of delta giving a second right-hand side, the pair
-    (delta, delta2) is returned, delta2 solving jac @ delta2 = then(delta)
-    on the same path and matrix.
+    annihilates; a rank more than 3 short of m aborts as DEGENERATED.
+    Returns (delta, again): again(b), for b of length m, solves
+    jac @ delta2 = b on the same path and matrix, one more LU solve of B or
+    one more rank-cutoff least squares, with zeros appended for the border
+    or the consistency rows.
     """
     m = equipment.shape[0]
     if jac.shape[0] == m:
@@ -263,14 +266,11 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray, equipment: np.ndarray, then=N
         if sol is not None and np.all(np.isfinite(sol)):
             inv_norm = float(np.max(np.linalg.norm(sol[:, 1:], axis=0) / probe_norms))
             if jnorm * inv_norm <= CONDITION_MARGIN / RANK_CUTOFF:
-                delta = sol[:m, 0]
-                if then is None:
-                    return delta
-                return delta, np.linalg.solve(bordered, np.concatenate([then(delta), np.zeros(3)]))[:m]
+                return sol[:m, 0], lambda b: np.linalg.solve(bordered, np.concatenate([b, np.zeros(3)]))[:m]
     delta, _res, rank, _sv = np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)
     if m - rank > 3:
         raise _Abort(SolveStatus.DEGENERATED, f"jacobian rank dropped to {rank} (expected {m - 3})")
-    return delta if then is None else (delta, np.linalg.lstsq(jac, then(delta), rcond=RANK_CUTOFF)[0])
+    return delta, lambda b: np.linalg.lstsq(jac, np.concatenate([b, np.zeros(len(jac) - m)]), rcond=RANK_CUTOFF)[0]
 
 
 def _first_root(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> float:
@@ -316,11 +316,10 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
     x0 = gauge_fix(fan, seed.h)
     now = (x0, seed.face_coordinates, f0)     # the last accepted point: supports, face coordinates, areas
     href = max(float(np.linalg.norm(x0)), SEED_NORM_FLOOR)
-    fd = opts.jacobian_mode == "fd"
     tangent_rhs = np.concatenate([g - f0, np.zeros(len(cons))])     # J d = g - f0; zero on consistency rows
 
     def full_jacobian(h: np.ndarray, ab: np.ndarray) -> np.ndarray:
-        areas_jac = _jacobian(fan, h, ab, "fd") if fd else _area_jacobian(fan, ab)
+        areas_jac = _jacobian(fan, h, ab, opts.jacobian_mode)
         return np.vstack([areas_jac, cons]) if cons.size else areas_jac
 
     def correct(x: np.ndarray, g_t: np.ndarray):
@@ -340,20 +339,15 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
                 if np.any(np.sign(areas) != np.sign(g_t)):
                     raise _Abort(SolveStatus.DEGENERATED, "path left the orientation class")
                 return x, ab, areas
-            x = x + _newton_step(full_jacobian(x, ab), -res, fan.equipment)
+            x = x + _newton_step(full_jacobian(x, ab), -res, fan.equipment)[0]
         return None
 
     def model(x: np.ndarray, ab: np.ndarray, areas: np.ndarray):
         """Tangent d, second-order term e and the model's limit on the step in t."""
         jac = full_jacobian(x, ab)
-        quad = None     # phi(d), the s^2 coefficient of the areas along d
-
-        def curvature_rhs(d: np.ndarray) -> np.ndarray:
-            nonlocal quad
-            quad = _oriented_areas(fan, _face_coordinates(fan, d))
-            return np.concatenate([-quad, np.zeros(len(cons))]) if cons.size else -quad
-
-        d, e = _newton_step(jac, tangent_rhs, fan.equipment, then=curvature_rhs)
+        d, again = _newton_step(jac, tangent_rhs, fan.equipment)
+        quad = _oriented_areas(fan, _face_coordinates(fan, d))     # phi(d), the s^2 coefficient of the areas along d
+        e = again(-quad)
         s_root = _first_root(areas, jac[:fan.m] @ d, quad)
         enorm = float(np.linalg.norm(e))
         bend = float(np.sqrt(CURVATURE_BUDGET * np.linalg.norm(x) / enorm)) if enorm > 0.0 else np.inf

@@ -286,6 +286,15 @@ class TestValidate:
         report = validate(Fan(equipment=cube.fan.equipment, cells=cube.fan.cells[:-1]))
         assert "Euler failure" in report.codes
 
+    @pytest.mark.parametrize("label", [6, 7, -1])
+    def test_face_index_out_of_range_ends_the_report(self, cube, label):
+        # the partition rules name the broken arcs, then validate stops before
+        # any rule indexes the equipment with the labels (face 7 would raise)
+        cells = cube.fan.cells[:-1] + ((0, label, 4),)
+        report = validate(Fan(equipment=cube.fan.equipment, cells=cells))
+        assert report.entries[-1] == ("broken partition", "cell references a face index out of range")
+        assert report.codes == {"broken partition"}
+
     def test_non_convex_cell_reported(self, cube):
         # Reversing one cell breaks the CCW convexity convention.
         cells = list(cube.fan.cells)
@@ -514,6 +523,16 @@ class TestValidate:
         expected = [("crossing arcs", detail) for detail in details]
         assert [e for e in validate(fan).entries if e[0] == "crossing arcs"] == expected
         assert crossing_entries(fan) == expected
+
+    @pytest.mark.parametrize("v", [
+        pytest.param((0.18881711923692265, -0.19839032737660414, 0.9617636786063786), marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 7: arccos of v.v one ulp below 1 is 1.5e-8 rad, past TOUCH_TOL")),
+        (np.cos(np.pi / 3), np.sin(np.pi / 3), 0.0),
+    ])
+    def test_coinciding_arcs_cross(self, v):
+        # faces 2, 3 repeat faces 0, 1: the arcs (0, 1) and (2, 3) coincide
+        eq = np.array([v, (1.0, 0.0, 0.0), v, (1.0, 0.0, 0.0)])
+        assert fan_module._crossing_pairs(eq, np.array([[0, 1], [2, 3]]), np.zeros(2, dtype=bool)) == [(0, 1)]
 
     def test_validate_idempotent(self, waisted):
         first = validate(waisted.fan)
@@ -908,6 +927,16 @@ def test_numpy_integer_cell_labels_accepted(cube):
     fan = Fan(cube.fan.equipment, cells)
     assert fan.cells == cube.fan.cells and all(type(i) is int for c in fan.cells for i in c)
     assert validate(fan).ok
+
+
+def test_fans_compare_by_equipment_and_cells(cube):
+    first, second = (Fan(np.array(cube.fan.equipment), cube.fan.cells) for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    moved = np.array(cube.fan.equipment)
+    moved[0] = (0.6, 0.8, 0.0)
+    assert Fan(moved, cube.fan.cells) != first
+    assert first != cube.fan.cells and first != "fan"
 
 
 def test_public_names_resolve():

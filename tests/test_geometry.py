@@ -136,11 +136,34 @@ class TestReconstruct:
         with pytest.raises(DegenerateFace):
             reconstruct(cube.fan, h)
 
+    def test_zero_area_face_refused_alone(self):
+        # phi is exactly quadratic along h0 + s d: phi_j = c + b s + a s^2 with
+        # c = phi(h0)_j, a = phi(d)_j and b from phi(h0 + d)_j.  At its root
+        # between supports that give face j opposite signs, only that area is
+        # small, so the area test (not the edge test) refuses the surface
+        rng = np.random.default_rng(0)
+        fan = polar_fan(rng, 20)
+        h0, h1 = np.ones(20), 1.0 + 0.8 * rng.uniform(-1.0, 1.0, 20)
+        f0, f1, quad = (Herisson(fan, h).oriented_areas for h in (h0, h1, h1 - h0))
+        j = int(np.nonzero(f0 * f1 < 0.0)[0][0])
+        (s,) = [r.real for r in np.roots([quad[j], f1[j] - f0[j] - quad[j], f0[j]]) if r.imag == 0.0 and 0.0 < r.real < 1.0]
+        surface = Herisson(fan, h0 + s * (h1 - h0))
+        areas = np.abs(surface.oriented_areas)
+        assert areas[j] <= 1e-14 and np.delete(areas, j).min() > 1e-3
+        assert np.abs(surface.signed_lengths).min() > 1e-3
+        with pytest.raises(DegenerateFace, match=r"^smallest \|oriented area\| .* below tolerance$"):
+            reconstruct(fan, surface.h)
+
     def test_balance_for_every_fixture(self, cube, box123, tetra, bowtie, waisted, tiling):
         for h in (cube, box123, tetra, bowtie, waisted, tiling):
             residual = balance_residual(h.oriented_areas, h.fan)
             bound = 1e-9 * max(1.0, float(np.sum(np.abs(h.oriented_areas))))
             assert np.linalg.norm(residual) <= bound
+
+    def test_balance_of_a_wrong_length_refused(self, cube):
+        for areas in (cube.oriented_areas[:-1], np.append(cube.oriented_areas, 1.0), cube.oriented_areas[None]):
+            with pytest.raises(ValueError, match=r"^area vector length does not match the fan$"):
+                balance_residual(areas, cube.fan)
 
     def test_translation_equivariance(self, bowtie, rng):
         for _ in range(5):

@@ -242,7 +242,7 @@ class TestNewtonStep:
         rhs = area_map(fan, h * rng.uniform(0.95, 1.05, m)) - base.oriented_areas
         expected = np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)[0]
         monkeypatch.setattr(np.linalg, "lstsq", None)      # the fallback must not run
-        step = _newton_step(jac, rhs, fan.equipment)
+        step, _again = _newton_step(jac, rhs, fan.equipment)
         assert np.linalg.norm(_translation_free(fan.equipment, step - expected)) <= 1e-12 * np.linalg.norm(expected)
         assert np.linalg.norm(fan.equipment.T @ step) <= 1e-12 * np.linalg.norm(step)
 
@@ -257,20 +257,23 @@ class TestNewtonStep:
         solves = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append((a, b.shape)) or solve(a, b))
-        step, again = _newton_step(jac, rhs, fan.equipment, then=lambda delta: second + 0.0 * delta)
+        step, resolve = _newton_step(jac, rhs, fan.equipment)
+        again = resolve(second)
         assert len(solves) == 2 and solves[1][0] is solves[0][0]
         assert solves[0][1] == (m + 3, 3) and solves[1][1] == (m + 3,)
         monkeypatch.setattr(np.linalg, "solve", solve)
-        assert np.array_equal(step, _newton_step(jac, rhs, fan.equipment))
+        assert np.array_equal(step, _newton_step(jac, rhs, fan.equipment)[0])
         expected = np.linalg.lstsq(jac, second, rcond=RANK_CUTOFF)[0]
         assert np.linalg.norm(_translation_free(fan.equipment, again - expected)) <= 1e-12 * np.linalg.norm(expected)
 
     def test_second_rhs_on_the_least_squares_path(self, waisted):
         jac = np.vstack([jacobian(waisted.fan, waisted.h), waisted.fan.consistency_matrix])
+        # the re-solve takes the area rows' right-hand side and zeros the consistency rows
         rhs, second = np.random.default_rng(3).standard_normal((2, len(jac)))
-        step, again = _newton_step(jac, rhs, waisted.fan.equipment, then=lambda delta: second)
+        second[waisted.fan.m:] = 0.0
+        step, again = _newton_step(jac, rhs, waisted.fan.equipment)
         assert np.array_equal(step, np.linalg.lstsq(jac, rhs, rcond=RANK_CUTOFF)[0])
-        assert np.array_equal(again, np.linalg.lstsq(jac, second, rcond=RANK_CUTOFF)[0])
+        assert np.array_equal(again(second[:waisted.fan.m]), np.linalg.lstsq(jac, second, rcond=RANK_CUTOFF)[0])
 
     def test_least_squares_step_is_translation_free(self, waisted):
         # J and the consistency rows annihilate the translations, so the
@@ -278,7 +281,7 @@ class TestNewtonStep:
         eq = waisted.fan.equipment
         jac = np.vstack([jacobian(waisted.fan, waisted.h), waisted.fan.consistency_matrix])
         for rhs in np.random.default_rng(5).standard_normal((5, len(jac))):
-            step = _newton_step(jac, rhs, eq)
+            step, _again = _newton_step(jac, rhs, eq)
             assert np.linalg.norm(eq.T @ step) <= 1e-12 * np.linalg.norm(step)
 
     def test_rank_drop_falls_back_and_degenerates(self):
@@ -292,6 +295,24 @@ class TestNewtonStep:
             _newton_step(dropped, rng.standard_normal(40), fan.equipment)
         assert info.value.status is SolveStatus.DEGENERATED
         assert str(info.value) == "jacobian rank dropped to 36 (expected 37)"
+
+    def test_singular_bordered_matrix_falls_back_and_degenerates(self, tetra, monkeypatch):
+        # an all-zero J gives w = 0 and an all-zero bordered matrix, which the LU refuses
+        refused, solve = [], np.linalg.solve
+
+        def counted(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                refused.append(a)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        with pytest.raises(_Abort) as info:
+            _newton_step(np.zeros((4, 4)), np.ones(4), tetra.fan.equipment)
+        assert len(refused) == 1 and not refused[0].any()
+        assert info.value.status is SolveStatus.DEGENERATED
+        assert str(info.value) == "jacobian rank dropped to 0 (expected 1)"
 
 
 class TestValidateTarget:
@@ -463,14 +484,15 @@ class TestSolve:
         assert np.max(np.abs(area_map(fan, out.h_final) - g)) <= 1e-10 * support_scale(out.h_final) ** 2
         assert len(out.trace) - 1 == steps and len(newton_calls) == solves
 
-    def test_work_of_the_waisted_solve(self, waisted, newton_calls, monkeypatch):
+    def test_work_of_the_waisted_solve(self, waisted, calls_of, newton_calls, monkeypatch):
         # the consistency rows send every step of this path to least squares: 45
         # Newton steps, 12 of them in the model with a second right-hand side
         lstsq_calls, lstsq = [], np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: lstsq_calls.append(args) or lstsq(*args, **kw))
+        roots = calls_of("_first_root", solver)     # once per model
         out = solve_minkowski(waisted.fan, waisted.h, WAIST_TARGET, FREE)
         assert out.status is SolveStatus.DEGENERATED and len(out.trace) == 12
-        models = sum("then" in kwargs for _args, kwargs in newton_calls)
+        models = len(roots)
         assert len(newton_calls) == 45 and models == 12 and len(lstsq_calls) == 57
 
     @pytest.mark.parametrize("spread, width, steps", [(0.4, 0.4, 1), (1.0, 0.7, 3)])
@@ -482,9 +504,10 @@ class TestSolve:
         realized = calls_of("reconstruct", geometry, solver)
         fixed = calls_of("gauge_fix", geometry, solver)
         coordinates = calls_of("_face_coordinates", geometry, solver)
+        roots = calls_of("_first_root", solver)     # once per model
         out = solve_minkowski(fan, np.ones(40), g)
         accepted = len(out.trace) - 1
-        models = sum("then" in kwargs for _args, kwargs in newton_calls)
+        models = len(roots)
         iterates = len(newton_calls) - models + accepted      # every corrector step, and each converged iterate
         assert out.converged and models == accepted == steps
         assert len(realized) == 1 and len(fixed) == 2
@@ -624,8 +647,8 @@ class TestEndings:
     def test_runaway_step_diverges_before_it_is_evaluated(self, cube, monkeypatch):
         # the sentinel reads |x| before the iterate's areas are taken: a
         # corrector step to 1e200 ends the walk with no overflow on the way
-        step = solver._newton_step
-        runaway = lambda jac, rhs, eq, then=None: step(jac, rhs, eq, then) if then else np.full(len(eq), 1e200)  # noqa: E731
+        step, model = solver._newton_step, iter([True])     # the first call, the seed's model, passes through
+        runaway = lambda jac, rhs, eq: step(jac, rhs, eq) if next(model, False) else (np.full(len(eq), 1e200), None)  # noqa: E731
         monkeypatch.setattr(solver, "_newton_step", runaway)
         g = area_map(cube.fan, np.array([0.5, 0.5, 1, 1, 1.5, 1.5]))
         with warnings.catch_warnings():
