@@ -49,9 +49,9 @@ SWEEP_SLACK = 8.0          # widens the angular windows of the general-position 
 WINDOW_PAD = 1e-12         # radians: added to every angular window of the general-position sweep
 # Work per block of the blocked scans, which bounds their memory: cap tests and
 # candidate arc pairs in the crossing scan, (face, normal) projections in the
-# general-position sweep, ring positions of the fd probes measured together, and
-# (row, constraint) pairs of the congruence fits, whose faces stay whole unless one
-# face alone holds more (then its rows stay whole).
+# general-position sweep, ring positions of the fd probes, whose lengths and areas
+# are taken together, and (row, constraint) pairs of the congruence fits, whose faces
+# stay whole unless one face alone holds more (then its rows stay whole).
 SCAN_BLOCK = 1 << 15
 
 
@@ -79,10 +79,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Fan:
-    """Equipment plus sphere-partition cells, immutable; it caches, by the module's rule, corners,
-    arcs, ring_index, block_inverses (the vertex map), ring_frames (the face frames), edge_frames (the
-    edge directions), consistency_matrix, jacobian_scatter, translation_gram and coplanar_triple (the
-    general-position witness), once per Fan."""
+    """Equipment plus sphere-partition cells, immutable; it caches, by the module's rule, corners, arcs, ring_index,
+    block_inverses (the vertex map), edge_frames (edge directions), edge_rows (signed length and edge support maps),
+    consistency_matrix, translation_gram and coplanar_triple (the general-position witness), once per Fan."""
 
     equipment: np.ndarray                  # (m, 3) unit directions
     cells: tuple[tuple[int, ...], ...]     # cyclic face lists, CCW from outside
@@ -173,10 +172,9 @@ class Fan:
         corner = order[ring]
         owner, neighbor, cell = face[corner], pred[corner], in_cell[corner]
         k, size = np.arange(n) - start[owner], deg[owner]
-        next_pos, prev_pos = start[owner] + (k + 1) % size, start[owner] + (k - 1) % size
         return RingIndex(*map(_frozen, (
-            face[first[:, None] + np.arange(3)], in_cell[beyond], face[beyond], owner, cell, next_pos, prev_pos,
-            neighbor, np.append(start, n), face[first[cell] + np.arange(3)[:, None]],
+            face[first[:, None] + np.arange(3)], in_cell[beyond], face[beyond], owner, cell,
+            start[owner] + (k + 1) % size, neighbor, np.append(start, n),
         )))
 
     @cached_property
@@ -195,15 +193,6 @@ class Fan:
         return _frozen(np.linalg.inv(blocks))
 
     @cached_property
-    def ring_frames(self) -> np.ndarray:
-        """(3, 2, R) rows U_p = A_c^T u_j ([:, 0, p]) and W_p = A_c^T v_j ([:, 1, p]) of ring position p of
-        face j at cell c, A_c = block_inverses[c], u_j from _plane_units, v_j = n_j x u_j (u_j x v_j = n_j):
-        dotted with the supports of c's first three faces, the coordinates of p's vertex in j's frame."""
-        idx, u = self.ring_index, _plane_units(self.equipment)
-        frame = np.stack([u, _cross(self.equipment, u)], axis=1)[idx.owner]     # (R, 2, 3)
-        return _frozen(np.einsum("rfk,rkl->lfr", frame, self.block_inverses[idx.cell], order="C"))
-
-    @cached_property
     def edge_frames(self) -> np.ndarray:
         """(R, 2, 3) rows t_p = n_j x n_k / |n_j x n_k| ([p, 0]) and u_jk = t_p x n_j ([p, 1]) of ring
         position p of face j across the arc to face k: the edge at p runs along t_p, and u_jk is the unit
@@ -215,6 +204,23 @@ class Fan:
         return _frozen(np.stack([t, _cross(t, normal)], axis=1))
 
     @cached_property
+    def edge_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Sparse rows of l = L h and sigma = S h (geometry).  (6, R) columns and coefficients of l_p =
+        t_p . (V_c' - V_c), c = cell[p], c' = cell[next_pos[p]], V_c = A_c h on c's first3, rows 0-2 the arc's
+        cell of lower index and rows 3-5 the other, so an arc's two positions hold the same entries; _dot2 sums
+        t_p^T A, which cancels in ill-conditioned cells.  Then (R,) csc and cot of theta_jk, j = owner[p], k =
+        neighbor[p], the weights of h_k and -h_j in sigma_p; in general (n_j . n_j, n_j . n_k) / |n_j x n_k|,
+        which weighs face j's area by |n_j|."""
+        idx, inverses, eq = self.ring_index, self.block_inverses, self.equipment
+        pair = np.sort([idx.cell, idx.cell[idx.next_pos]], axis=0)      # (2, R) the edge's cells, lower index first
+        t = np.where(idx.cell == pair[0], 1.0, -1.0)[:, None] * self.edge_frames[:, 0]
+        cols = np.concatenate(idx.first3[pair].swapaxes(1, 2))
+        coeffs = np.concatenate(_dot2(np.stack([-t, t]), inverses[pair]).swapaxes(1, 2))
+        normal, other = eq[idx.owner], eq[idx.neighbor]
+        sine = np.linalg.norm(_cross(normal, other - normal), axis=1)     # |n_j x n_k|, accurate as n_k nears n_j
+        return tuple(map(_frozen, (cols, coeffs, _rowdot(normal, normal) / sine, _rowdot(normal, other) / sine)))
+
+    @cached_property
     def consistency_matrix(self) -> np.ndarray:
         """(X, m) rows K, (K h)_k = (n_f, v_c) - h_f for the k-th extra (cell c, face f), v_c = c's vertex."""
         idx = self.ring_index
@@ -224,12 +230,6 @@ class Fan:
         cons[rows[:, None], idx.first3[idx.extra_cell]] = coeffs
         cons[rows, idx.extra_face] -= 1.0
         return _frozen(cons)
-
-    @cached_property
-    def jacobian_scatter(self) -> np.ndarray:
-        """(3R,) flat index owner * m + cell_first3 of the J entry that each row term adds to."""
-        idx = self.ring_index
-        return _frozen((idx.owner * self.m + idx.cell_first3).ravel())
 
     @cached_property
     def translation_gram(self) -> np.ndarray:
@@ -259,12 +259,14 @@ class RingIndex:
 
     The face rings are concatenated face by face; ring position p is the
     corner cell[p] of face owner[p]'s polygon, and the polygon's edge at p
-    runs from cell[p] to cell[next_pos[p]], dual to the arc (owner[p], neighbor[p]).
-    Each arc has its edge at two positions, one of each face, and the
-    positions with owner < neighbor name every arc once.  Every vertex lies
-    on the planes of the first three faces of its cell; the further faces of
-    non-simple cells are the extra (cell, face) pairs, in cell order.  The
-    module docstring says how the rings are walked.
+    runs from cell[p] to cell[next_pos[p]], dual to the arc (owner[p],
+    neighbor[p]).  Each arc has its edge at two positions, one of each face,
+    and the positions with owner < neighbor name every arc once.  The walk
+    (module docstring) rejects a repeated ordered face pair, so (owner[p],
+    neighbor[p]) is a different entry of an (m, m) matrix at every position.
+    Every vertex lies on the planes of the first three faces of its cell; the
+    further faces of non-simple cells are the extra (cell, face) pairs, in
+    cell order.
     """
 
     first3: np.ndarray       # (V, 3) first three faces of each cell
@@ -273,10 +275,8 @@ class RingIndex:
     owner: np.ndarray        # (R,) face whose ring holds the position
     cell: np.ndarray         # (R,) cell at the position
     next_pos: np.ndarray     # (R,) next position of the same ring
-    prev_pos: np.ndarray     # (R,) previous position of the same ring
     neighbor: np.ndarray     # (R,) face across the edge at the position
     start: np.ndarray        # (m + 1,) face j's ring is positions start[j]:start[j + 1]
-    cell_first3: np.ndarray  # (3, R) first three faces of the cell at each position, in cell order
 
 
 @dataclass
@@ -311,15 +311,24 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plane_units(eq: np.ndarray) -> np.ndarray:
-    """(m, 3) unit vectors u_j normal to each n_j: n_j x e_k normalized, e_k the axis of n_j's least |component|."""
-    u = _cross(eq, np.eye(3)[np.argmin(np.abs(eq), axis=1)])
-    return u / np.linalg.norm(u, axis=1)[:, None]
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products, rounded as the 1-D dot product of each row pair."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _dot2(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(..., 3) rows t^T a of t (..., 3) and a (..., 3, 3), as accurate as if summed in twice the working
+    precision and rounded once: Ogita, Rump and Oishi's Dot2 over Dekker's exact products."""
+    x, y = t[..., :, None], a
+    xh, yh = (v * 134217729.0 - (v * 134217729.0 - v) for v in (x, y))    # Veltkamp's split by 2^27 + 1
+    p, xl, yl = x * y, x - xh, y - yh
+    err = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl      # p + err = x * y exactly
+    total, err = p[..., 0, :], (err[..., 0, :] + err[..., 1, :]) + err[..., 2, :]
+    for q in (p[..., 1, :], p[..., 2, :]):
+        old, total = total, total + q
+        z = total - old
+        err = err + ((old - (total - z)) + (q - z))
+    return total + err
 
 
 def _angles(dots: np.ndarray) -> np.ndarray:
@@ -602,7 +611,8 @@ def _coplanar_triple(eq: np.ndarray) -> tuple[int, int, int] | None:
     if bad.size:
         return (0, 1, max(2, int(bad[0])))
     tol = GENERAL_POSITION_TOL + 64.0 * np.finfo(float).eps * norms.max() ** 3    # inf: every pair a candidate
-    u = _plane_units(eq)
+    u = _cross(eq, np.eye(3)[np.argmin(np.abs(eq), axis=1)])     # n_i x the axis of n_i's least |component|
+    u /= np.linalg.norm(u, axis=1)[:, None]
     v = _cross(eq / norms[:, None], u)          # (u_i, v_i) spans the plane normal to n_i
     for i0 in range(0, m - 2, max(1, SCAN_BLOCK // m)):
         i1 = min(i0 + max(1, SCAN_BLOCK // m), m - 2)

@@ -1,22 +1,25 @@
 """Realize hedgehog surfaces from support numbers.
 
-Reconstruction places each surface vertex at the intersection of the
-planes (x, n_j) = h_j of the first three faces of its cell and assembles the
-face polygons by walking the cells around each face in the fan-induced
-order.  Oriented areas skip the vertices: in face j's frame (u_j, v_j),
-u_j x v_j = n_j, the vertex at ring position p has the coordinates
-a_p = U_p . x_p and b_p = W_p . x_p (Fan.ring_frames), x_p the supports of
-its cell's first three faces, and phi_j = 1/2 sum_p (a_p b_p+ - a_p+ b_p),
-p+ (p-) the next (previous) position of the ring: the signed shoelace sum of
-(V_p x V_p+) . n_j / 2 in the same model.  The sign convention comes from the
-counterclockwise orientation of the spherical cells: an outward-equipped
+Reconstruction places each surface vertex at the intersection of the planes
+(x, n_j) = h_j of the first three faces of its cell and assembles the face
+polygons by walking the cells around each face in the fan-induced order.
+Areas and their Jacobian skip the vertices and read two maps linear in h
+(Fan.edge_rows): the signed length l_p of the edge at ring position p, dual
+to the arc from face j = owner[p] to k = neighbor[p], and its signed support
+in j's plane, sigma_p = (h_k - h_j cos theta_jk) / sin theta_jk.  By
+Minkowski's polygon formula phi_j = 1/2 sum_p sigma_p l_p over ring j; the
+classical Jacobian (J d)_j = sum_p l_p sigma_p(d), J_jk = l_jk / sin
+theta_jk, J_jj = -sum_k l_jk cot theta_jk, is symmetric with J h = 2 phi(h),
+and it is the derivative of phi, phi(h + s d) = phi(h) + s J d + s^2 phi(d),
+on all of R^m when every cell is simple, on null(K) (Fan.consistency_matrix)
+otherwise.  The counterclockwise cells fix the sign: an outward-equipped
 convex body gets positive areas everywhere.
 
 Herisson(fan, h) is the unchecked surface and reconstruct the checked one
 (the boundary test is reconstruct's alone).  A Herisson holds its fan and
-supports only; vertices, face coordinates, oriented areas, signs and signed
-edge lengths are functions of them, computed on first read and cached
-read-only, by the rule the Fan follows for what it derives.
+supports only; vertices, signed edge lengths, oriented areas and signs are
+functions of them, computed on first read and cached read-only, by the rule
+the Fan follows for what it derives.
 """
 
 from __future__ import annotations
@@ -58,34 +61,28 @@ def face_frame(normal):
     return u, v
 
 
-def _face_coordinates(fan: Fan, h: np.ndarray) -> np.ndarray:
-    """(..., 2, R) frame coordinates (a_p, b_p) of supports (..., m), each row rounded as on its own."""
-    x = np.take(h, fan.ring_index.cell_first3, axis=-1)[..., :, None, :]
-    return (x * fan.ring_frames).sum(axis=-3)
+def _signed_lengths(fan: Fan, h: np.ndarray) -> np.ndarray:
+    """(..., R) signed edge lengths L h of supports (..., m); each row sums its six products in one fixed order."""
+    cols, coeffs, _, _ = fan.edge_rows
+    x = coeffs * np.take(h, cols, axis=-1)
+    return (x[..., 0, :] + x[..., 1, :] + x[..., 2, :]) + (x[..., 3, :] + x[..., 4, :] + x[..., 5, :])
 
 
-def _oriented_areas(fan: Fan, ab: np.ndarray) -> np.ndarray:
-    """Oriented face areas (..., m) by the shoelace on face coordinates ab (..., 2, R)."""
-    idx = fan.ring_index
-    after = np.take(ab, idx.next_pos, axis=-1)
-    twice = ab[..., 0, :] * after[..., 1, :] - after[..., 0, :] * ab[..., 1, :]
-    return 0.5 * np.add.reduceat(twice, idx.start[:-1], axis=-1)
+def _oriented_areas(fan: Fan, h: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Oriented face areas (..., m), 1/2 sum_p sigma_p l_p, of supports h (..., m) with signed lengths (..., R)."""
+    idx, (_, _, csc, cot) = fan.ring_index, fan.edge_rows
+    sigma = csc * np.take(h, idx.neighbor, axis=-1) - cot * np.take(h, idx.owner, axis=-1)
+    return 0.5 * np.add.reduceat(sigma * lengths, idx.start[:-1], axis=-1)
 
 
-def _area_jacobian(fan: Fan, ab: np.ndarray) -> np.ndarray:
-    """Exact gradient of the area map under the first-three-planes model, at face coordinates ab (2, R).
-
-    phi_j = 1/2 sum_p (a_p b_p+ - a_p+ b_p) (module docstring) has the gradient
-    1/2 (b_p+ - b_p-) U_p + 1/2 (a_p- - a_p+) W_p in x_p, and these row terms go
-    into J by one bincount over Fan.jacobian_scatter.  On fans whose cells are
-    all simple this is the classical form: the off-diagonal entry (i, k) for
-    adjacent faces is the signed shared-edge length over sin of the angle
-    between n_i and n_k, the diagonal the matching planar-polygon derivative.
-    """
-    idx, frames = fan.ring_index, fan.ring_frames
-    turn = np.take(ab, idx.next_pos, axis=1) - np.take(ab, idx.prev_pos, axis=1)
-    rows = 0.5 * (turn[1] * frames[:, 0] - turn[0] * frames[:, 1])
-    return np.bincount(fan.jacobian_scatter, rows.ravel(), minlength=fan.m * fan.m).reshape(fan.m, fan.m)
+def _area_jacobian(fan: Fan, lengths: np.ndarray) -> np.ndarray:
+    """The classical area Jacobian at signed lengths (R,): l_p csc at (owner, neighbor) of every ring
+    position, a different entry each (RingIndex), and -sum_p l_p cot over each ring on the diagonal."""
+    idx, (_, _, csc, cot) = fan.ring_index, fan.edge_rows
+    jac = np.zeros((fan.m, fan.m))
+    jac[idx.owner, idx.neighbor] = lengths * csc
+    np.fill_diagonal(jac, -np.add.reduceat(lengths * cot, idx.start[:-1]))
+    return jac
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +92,8 @@ class Herisson:
     h is copied to float and read-only; ValueError unless it has one entry
     per face.  Everything else is a cached_property of (fan, h), every array
     read-only: scale (support_scale of h), vertices from the fan's vertex map
-    (block_inverses), face_coordinates, the (2, R) frame coordinates of every
-    ring position (Fan.ring_frames), oriented areas from them by the shoelace
-    of the same model, which _area_jacobian differentiates, signs from the
-    areas, and signed_lengths, the signed edge length at every ring position.
+    (block_inverses), signed_lengths (Fan.edge_rows), oriented areas from
+    them and the edge supports (module docstring), and signs from the areas.
     """
 
     fan: Fan
@@ -125,28 +120,20 @@ class Herisson:
         return _frozen((self.fan.block_inverses @ self.h[idx.first3][..., None])[..., 0])
 
     @cached_property
-    def face_coordinates(self) -> np.ndarray:
-        """(2, R) coordinates (a_p, b_p) of the vertex at every ring position in its face's frame."""
-        return _frozen(_face_coordinates(self.fan, self.h))
+    def signed_lengths(self) -> np.ndarray:
+        """(R,) signed length l_p = (V[cell[next_pos[p]]] - V[cell[p]]) . t_p (Fan.edge_frames) of the edge at
+        ring position p, as L h (Fan.edge_rows): linear in h, positive on convex bodies, |l_p| the edge's
+        length; the two positions of an arc sum the same products in the same order, so hold the same bits."""
+        return _frozen(_signed_lengths(self.fan, self.h))
 
     @cached_property
     def oriented_areas(self) -> np.ndarray:
-        return _frozen(_oriented_areas(self.fan, self.face_coordinates))
+        return _frozen(_oriented_areas(self.fan, self.h, self.signed_lengths))
 
     @cached_property
     def signs(self) -> np.ndarray:
         """(m,) int sign of every oriented area."""
         return _frozen(np.sign(self.oriented_areas).astype(int))
-
-    @cached_property
-    def signed_lengths(self) -> np.ndarray:
-        """(R,) signed length l_p = (V[cell[next_pos[p]]] - V[cell[p]]) . t_p of the polygon edge at ring
-        position p, t_p from Fan.edge_frames: the face as a virtual polygon with its edge directions fixed,
-        linear in h, positive on convex bodies; |l_p| is the edge's length.  The two positions of an arc
-        hold exact negatives of both factors, hence the same bits."""
-        idx = self.fan.ring_index
-        edges = np.take(self.vertices, idx.cell[idx.next_pos], axis=0) - np.take(self.vertices, idx.cell, axis=0)
-        return _frozen(np.einsum("ij,ij->i", edges, self.fan.edge_frames[:, 0]))
 
     def face_cycle(self, j: int) -> tuple[int, ...]:
         """Cell indices around face j, in boundary order; IndexError unless 0 <= j < m."""

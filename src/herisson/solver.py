@@ -3,8 +3,8 @@
 The area map phi sends support numbers to oriented face areas.  Targets on
 the balance plane are reached by walking g(t) = (1-t) f0 + t g from the
 seed's areas, correcting with Gauss-Newton at each step.  The translations
-are the known null space: J E = 0 for the equipment E, and on fans whose
-cells are all simple J is symmetric.  Away from folds of the area map
+are the known null space: J E = 0 for the equipment E, and J is symmetric
+(geometry's module docstring).  Away from folds of the area map
 (turning points of the homotopy) J has rank m - 3, the bordered matrix
 [[J, wE], [wE^T, 0]] is nonsingular, and each Newton or predictor step is
 one LU solve of it, the least-squares step, which the border rows keep
@@ -13,10 +13,10 @@ least squares, which names the drop; so does the Newton system of cells
 with more than three faces, whose linear constraints on the supports ride
 along as rows to keep iterates on the realizability locus.
 
-Steps in t come from the area map itself.  Vertices are linear in the
-supports, so phi is an exact quadratic form: phi(h + s d) = phi(h) +
-s J(h) d + s^2 phi(d), and J(h) h = 2 phi(h) (the mixed-area structure of
-virtual polytopes).  At each accepted point one Jacobian gives the tangent
+Steps in t come from the area map itself.  Edge lengths and supports are
+linear in h, so phi is an exact quadratic form: phi(h + s d) = phi(h) +
+s J(h) d + s^2 phi(d) (on null(K) with non-simple cells), and J(h) h =
+2 phi(h).  At each accepted point one Jacobian gives the tangent
 d (J d = g - f0) and, through the re-solve that the Newton step returns
 with d (one more solve of the same bordered matrix or least squares), the
 second-order term e (J e = -phi(d)); the step is the least of 1 - t, a
@@ -27,14 +27,14 @@ CURVATURE_BUDGET |h|.  The corrector starts from h + dt d + dt^2 e.  The
 cap starts at 1, is set to half the step when MAX_NEWTON_ITERS corrector
 iterations do not converge, doubles (up to 1) after each accepted step,
 and the walk ends once it falls below MIN_STEP or after MAX_STEPS tries.
-A point of the walk is a support vector x, its face coordinates and its
-areas.  The walk starts at x0, the gauge-fixed seed, with the coordinates and
-areas f0 that reconstruct computed for the seed: a translation moves the
-coordinates but neither phi nor J, so the start's model is the one at x0 up
-to rounding.  One iterate reads |x| (the sentinel), takes one set of face
-coordinates, phi(x) from them, and, unless it has converged, J from the same
-coordinates and one Newton step; an accepted point keeps its coordinates and
-areas for its model.  Only the seed is realized (reconstruct checks it), and
+A point of the walk is a support vector x, its signed edge lengths and its
+areas.  The walk starts at x0, the gauge-fixed seed, with the lengths and
+areas f0 that reconstruct computed for the seed: a translation changes
+neither the lengths, phi nor J, so the start's model is the one at x0 up to
+rounding.  One iterate reads |x| (the sentinel), takes one set of signed
+lengths, phi(x) from them, and, unless it has converged, J from the same
+lengths and one Newton step; an accepted point keeps its lengths and areas
+for its model.  Only the seed is realized (reconstruct checks it), and
 gauge_fix runs on the seed and on the final supports alone: every step is
 orthogonal to E, so the points between stay translation-free up to rounding.
 Iterates and fd probes go unchecked: phi is one quadratic form on all of
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fan import SCAN_BLOCK, Fan, ValidationReport, _frozen, is_general_position
-from .geometry import _area_jacobian, _face_coordinates, _oriented_areas, gauge_fix, reconstruct, support_scale
+from .geometry import _area_jacobian, _oriented_areas, _signed_lengths, gauge_fix, reconstruct, support_scale
 
 RANK_CUTOFF = 1e-10          # relative to the largest singular value: smaller ones count as null
 CONDITION_MARGIN = 1e-4      # relative to 1 / RANK_CUTOFF: largest condition estimate of a trusted bordered solve
@@ -136,7 +136,7 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float) -> np.ndarray:
     Probes enforce neither the multi-plane consistency of non-simple cells
     (a finite step always violates it) nor the face signs (phi is quadratic,
     so a probe that flips a face gives the same exact difference).  The 2m
-    probes h +- step e_j go to _face_coordinates and _oriented_areas as
+    probes h +- step e_j go to _signed_lengths and _oriented_areas as
     stacks of about SCAN_BLOCK ring positions, each row summed as on its own:
     the columns equal those of one realization per probe bit for bit.
     """
@@ -147,7 +147,7 @@ def _fd_area_jacobian(fan: Fan, h: np.ndarray, step: float) -> np.ndarray:
         j = np.arange(j0, min(j0 + per_block, m))
         probes = np.tile(h, (2, len(j), 1))     # [0] the probes h + step e_j, [1] h - step e_j
         probes[:, np.arange(len(j)), j] = h[j] + np.array([[step], [-step]])
-        plus, minus = _oriented_areas(fan, _face_coordinates(fan, probes))
+        plus, minus = _oriented_areas(fan, probes, _signed_lengths(fan, probes))
         jac[:, j] = ((plus - minus) / (2.0 * step)).T
     return jac
 
@@ -157,28 +157,30 @@ def _check_jacobian_mode(mode: str) -> None:
         raise ValueError(f"unknown jacobian mode {mode!r}")
 
 
-def _jacobian(fan: Fan, h: np.ndarray, ab: np.ndarray, mode: str) -> np.ndarray:
-    """Area Jacobian at supports h with face coordinates ab in the given mode; fd probes h, analytic reads ab."""
+def _jacobian(fan: Fan, h: np.ndarray, lengths: np.ndarray, mode: str) -> np.ndarray:
+    """Area Jacobian at supports h with signed lengths `lengths`; fd probes h, analytic reads the lengths."""
     if mode == "analytic":
-        return _area_jacobian(fan, ab)
+        return _area_jacobian(fan, lengths)
     return _fd_area_jacobian(fan, h, FD_STEP * support_scale(h))
 
 
 def jacobian(fan: Fan, h, mode: str = "analytic") -> np.ndarray:
     """Jacobian d(area)/d(support), either analytic or finite-difference.
 
-    The analytic mode differentiates the first-three-planes area map
-    exactly; the fd mode runs central differences with step FD_STEP * scale
-    on a few stacks of the 2m probes, exact up to rounding on the quadratic
-    area map whether or not a probe flips a face.  Both annihilate
-    translations and satisfy J h = 2 phi(h).  On fans whose cells are all
-    simple J is symmetric, of rank m - 3 away from folds of the area map,
-    which lets the solver take its Newton steps from the bordered system
-    [[J, wE], [wE^T, 0]]; at a fold least squares names the rank drop.
+    The analytic mode is the classical form from the signed edge lengths
+    (geometry); the fd mode runs central differences with step FD_STEP *
+    scale on a few stacks of the 2m probes, exact up to rounding on the
+    quadratic area map whether or not a probe flips a face.  Both annihilate
+    translations and satisfy J h = 2 phi(h).  They agree in every direction
+    on fans whose cells are all simple, and only on null(K), K the
+    consistency rows, on fans with cells of four or more faces.  J is
+    symmetric, of rank m - 3 away from folds of the area map, which lets the
+    solver step by the bordered system [[J, wE], [wE^T, 0]]; at a fold
+    least squares names the rank drop.
     """
     _check_jacobian_mode(mode)
     surface = reconstruct(fan, h)
-    return _jacobian(fan, surface.h, surface.face_coordinates, mode)
+    return _jacobian(fan, surface.h, surface.signed_lengths, mode)
 
 
 def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -> ValidationReport:
@@ -314,20 +316,20 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
 
     cons = fan.consistency_matrix
     x0 = gauge_fix(fan, seed.h)
-    now = (x0, seed.face_coordinates, f0)     # the last accepted point: supports, face coordinates, areas
+    now = (x0, seed.signed_lengths, f0)     # the last accepted point: supports, signed lengths, areas
     href = max(float(np.linalg.norm(x0)), SEED_NORM_FLOOR)
     tangent_rhs = np.concatenate([g - f0, np.zeros(len(cons))])     # J d = g - f0; zero on consistency rows
 
-    def full_jacobian(h: np.ndarray, ab: np.ndarray) -> np.ndarray:
-        areas_jac = _jacobian(fan, h, ab, opts.jacobian_mode)
+    def full_jacobian(h: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        areas_jac = _jacobian(fan, h, lengths, opts.jacobian_mode)
         return np.vstack([areas_jac, cons]) if cons.size else areas_jac
 
     def correct(x: np.ndarray, g_t: np.ndarray):
         for _ in range(MAX_NEWTON_ITERS):
             if math.hypot(*x.tolist()) > DIVERGENCE_BOUND_FACTOR * href:    # hypot: no overflow on a runaway
                 raise _Abort(SolveStatus.DIVERGED, "support norm exceeded the divergence sentinel")
-            ab = _face_coordinates(fan, x)
-            areas = _oriented_areas(fan, ab)
+            lengths = _signed_lengths(fan, x)
+            areas = _oriented_areas(fan, x, lengths)
             scale = max(1.0, float(abs(x).max()))     # support_scale(x)
             res = areas - g_t
             done = float(abs(res).max()) <= opts.tol_area * scale**2
@@ -338,15 +340,15 @@ def solve_minkowski(fan: Fan, h0, g, opts: SolveOptions | None = None) -> SolveO
             if done:
                 if np.any(np.sign(areas) != np.sign(g_t)):
                     raise _Abort(SolveStatus.DEGENERATED, "path left the orientation class")
-                return x, ab, areas
-            x = x + _newton_step(full_jacobian(x, ab), -res, fan.equipment)[0]
+                return x, lengths, areas
+            x = x + _newton_step(full_jacobian(x, lengths), -res, fan.equipment)[0]
         return None
 
-    def model(x: np.ndarray, ab: np.ndarray, areas: np.ndarray):
+    def model(x: np.ndarray, lengths: np.ndarray, areas: np.ndarray):
         """Tangent d, second-order term e and the model's limit on the step in t."""
-        jac = full_jacobian(x, ab)
+        jac = full_jacobian(x, lengths)
         d, again = _newton_step(jac, tangent_rhs, fan.equipment)
-        quad = _oriented_areas(fan, _face_coordinates(fan, d))     # phi(d), the s^2 coefficient of the areas along d
+        quad = _oriented_areas(fan, d, _signed_lengths(fan, d))     # phi(d), the s^2 coefficient of the areas along d
         e = again(-quad)
         s_root = _first_root(areas, jac[:fan.m] @ d, quad)
         enorm = float(np.linalg.norm(e))

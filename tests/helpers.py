@@ -703,12 +703,23 @@ def oriented_areas_cross(fan, vertices):
     return 0.5 * np.add.reduceat(np.einsum("ij,ij->i", crosses, fan.equipment[idx.owner]), idx.start[:-1])
 
 
+def null_basis(fan):
+    """(m, m - rank K) orthonormal basis of null(K), K = fan.consistency_matrix, by SVD; the identity when
+    every cell is simple."""
+    cons = fan.consistency_matrix
+    if not cons.size:
+        return np.eye(fan.m)
+    _, sv, vt = np.linalg.svd(cons)
+    return vt[int(np.sum(sv > 1e-12 * sv[0])):].T
+
+
 def area_jacobian_cross(fan, vertices):
     """The analytic area Jacobian from the gradients 1/2 (V_p+ x n_j + n_j x V_p-) of
     the vertices, through each cell's block inverse, summed into J by np.add.at."""
     idx, n = fan.ring_index, fan.equipment[fan.ring_index.owner]
-    grads = 0.5 * (np.cross(vertices[idx.cell[idx.next_pos]], n) + np.cross(n, vertices[idx.cell[idx.prev_pos]]))
+    prev_pos = np.argsort(idx.next_pos)         # the inverse permutation
+    grads = 0.5 * (np.cross(vertices[idx.cell[idx.next_pos]], n) + np.cross(n, vertices[idx.cell[prev_pos]]))
     rows = np.einsum("ik,ikl->il", grads, fan.block_inverses[idx.cell])
     jac = np.zeros((fan.m, fan.m))
-    np.add.at(jac, (idx.owner[:, None], idx.cell_first3.T), rows)
+    np.add.at(jac, (idx.owner[:, None], idx.first3[idx.cell]), rows)
     return jac

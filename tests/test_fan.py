@@ -2,6 +2,7 @@ import itertools
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -732,12 +733,25 @@ def test_cross_matches_numpy_bit_for_bit():
             assert np.array_equal(fan_module._cross(a, b), np.cross(a, b), equal_nan=True)
 
 
+def test_dot2_rounds_once():
+    # t^T a correctly rounded where the three products nearly cancel, as t_p^T A_c
+    # does in ill-conditioned cells; a plain float64 sum misses many of these
+    rng = np.random.default_rng(36)
+    t, a = rng.standard_normal((2, 100, 3)), rng.standard_normal((2, 100, 3, 3))
+    a[..., 2, :] = -(t[..., 0, None] * a[..., 0, :] + t[..., 1, None] * a[..., 1, :]) / t[..., 2, None]
+    a[..., 2, :] *= 1.0 + 1e-9 * rng.standard_normal((2, 100, 3))
+    exact = np.array([[[float(sum(Fraction(x) * Fraction(y) for x, y in zip(t[i, r], a[i, r, :, k])))
+                        for k in range(3)] for r in range(100)] for i in range(2)])
+    assert np.array_equal(fan_module._dot2(t, a), exact)
+    assert not np.array_equal(np.einsum("...i,...ik->...k", t, a), exact)
+
+
 def test_cached_arrays_are_read_only(bowtie):
     # every cached property, read once; a write to any array it holds raises
     fan = Fan(equipment=bowtie.fan.equipment, cells=bowtie.fan.cells)
     names = [name for name, attr in vars(Fan).items() if isinstance(attr, cached_property)]
     values = [getattr(fan, name) for name in names]
-    arrays = [v for v in values if isinstance(v, np.ndarray)] + list(vars(fan.ring_index).values())
+    arrays = [v for v in values if isinstance(v, np.ndarray)] + list(fan.edge_rows) + list(vars(fan.ring_index).values())
     assert len(arrays) == 18 and all(isinstance(a, np.ndarray) for a in arrays)
     for array in [fan.equipment, *arrays]:
         with pytest.raises(ValueError, match="read-only"):

@@ -9,6 +9,7 @@ from helpers import (
     area_jacobian_cross,
     halfspace_vertices,
     match_point_sets,
+    null_basis,
     oriented_areas_cross,
     polar_fan,
     random_hull_fan,
@@ -23,7 +24,6 @@ from herisson.fan import Fan, validate
 from herisson.geometry import (
     Herisson,
     _area_jacobian,
-    _face_coordinates,
     balance_residual,
     gauge_fix,
     minkowski_sum,
@@ -201,17 +201,17 @@ class TestSurface:
         assert np.array_equal(body.h, bowtie.h) and body.h is not bowtie.h
 
     def test_derived_arrays_are_read_only_and_computed_once(self, bowtie, calls_of):
-        coordinates = calls_of("_face_coordinates", geometry)
+        lengths = calls_of("_signed_lengths", geometry)
         body = Herisson(bowtie.fan, bowtie.h)
-        for name in ("vertices", "face_coordinates", "oriented_areas", "signs"):
+        for name in ("vertices", "signed_lengths", "oriented_areas", "signs"):
             value = getattr(body, name)
             assert getattr(body, name) is value and not value.flags.writeable
             with pytest.raises(ValueError):
                 value[0] = 0
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(body, name, value)
-        assert len(coordinates) == 1      # areas read the cached coordinates, signs the cached areas
-        assert vars(body).keys() == {"fan", "h", "vertices", "face_coordinates", "oriented_areas", "signs"}
+        assert len(lengths) == 1      # areas read the cached lengths, signs the cached areas
+        assert vars(body).keys() == {"fan", "h", "vertices", "signed_lengths", "oriented_areas", "signs"}
         assert body.vertices.shape == (len(bowtie.fan.cells), 3) and body.vertices.flags.c_contiguous
         assert np.array_equal(body.signs, np.sign(body.oriented_areas)) and body.signs.dtype == int
 
@@ -277,20 +277,25 @@ class TestRingLengths:
             lengths[0] = 1.0
 
     def test_match_face_polygons(self, body):
-        # |l_p| is the polygon side within a few ulps, and l_p has the sign of
-        # the side's vector against the fan's edge direction t_p
+        # |l_p| is the polygon side within a few ulps of the magnitude of the six
+        # products l_p sums (Fan.edge_rows), the scale at which L h is rounded,
+        # and l_p has the sign of the side's vector against the fan's edge direction t_p;
+        # the polygon's vertices round at that scale too, so a bound in ulps of
+        # the side holds only for lengths read off the same rounded vertices
         starts, t = body.fan.ring_index.start, body.fan.edge_frames[:, 0]
+        cols, coeffs, _, _ = body.fan.edge_rows
+        magnitude = np.abs(coeffs * body.h[cols]).sum(axis=0)
         for j in range(body.m):
             poly = body.face_polygon(j)
             sides = np.roll(poly, -1, axis=0) - poly
             lengths = body.signed_lengths[starts[j]:starts[j + 1]]
             length = np.linalg.norm(sides, axis=1)
-            assert np.all(np.abs(np.abs(lengths) - length) <= 4 * np.spacing(length))
+            assert np.all(np.abs(np.abs(lengths) - length) <= 4 * np.spacing(magnitude[starts[j]:starts[j + 1]]))
             assert np.array_equal(np.sign(lengths), np.sign((sides * t[starts[j]:starts[j + 1]]).sum(axis=1)))
 
     def test_both_positions_of_an_arc_agree(self, body):
-        # the edge vectors and t_p at the two positions are exact negatives,
-        # so an arc's signed length may be read at either position
+        # the two positions of an arc sum the same six products in the same
+        # order, so an arc's signed length may be read at either position
         idx = body.fan.ring_index
         at = {(a, b): p for p, (a, b) in enumerate(zip(idx.owner.tolist(), idx.neighbor.tolist()))}
         mate = np.array([at[b, a] for a, b in zip(idx.owner.tolist(), idx.neighbor.tolist())])
@@ -488,7 +493,7 @@ class TestSameClass:
 
 
 class TestVertexMap:
-    """Realization and the analytic Jacobian through the fan's cached vertex map and face frames."""
+    """Realization and the analytic Jacobian through the fan's cached vertex map and edge rows."""
 
     @pytest.fixture
     def bodies(self, cube, box123, tetra, bowtie, waisted, tiling):
@@ -507,15 +512,17 @@ class TestVertexMap:
             assert err <= 1e-12 * support_scale(h)
 
     def test_areas_and_jacobian_match_the_cross_product_oracle(self, bodies):
-        # the frame kernels reorder the arithmetic of the cross products, so
-        # they agree with them to rounding, not bit for bit
+        # the edge-row kernels reorder the arithmetic of the cross products, so
+        # they agree with them to rounding, not bit for bit; the oracle's J is the
+        # derivative of the first-three-planes model in every direction, which the
+        # classical J matches on null(K) only (the identity where K has no rows)
         for fan, h in bodies:
             surface = Herisson(fan, h)
             oracle = oriented_areas_cross(fan, surface.vertices)
             assert np.max(np.abs(surface.oriented_areas - oracle)) <= 1e-14 * np.max(np.abs(oracle))
             oracle = area_jacobian_cross(fan, surface.vertices)
-            jac = _area_jacobian(fan, _face_coordinates(fan, h))
-            assert np.max(np.abs(jac - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+            jac = _area_jacobian(fan, surface.signed_lengths)
+            assert np.max(np.abs((jac - oracle) @ null_basis(fan))) <= 1e-14 * np.max(np.abs(oracle))
 
 
 def test_perimeters_are_bounded_by_the_support_norm(cube, box123, tetra, bowtie, waisted, tiling):

@@ -261,7 +261,7 @@ def test_no_unread_caches_or_ring_fields():
     # a cache or ring array that only tests read is dead code in the package
     package = sorted((ROOT / "src" / "herisson").glob("*.py"))
     names = {name for path in package for name, _stmt in _field_definitions(ast.parse(path.read_text()), {"RingIndex"})}
-    assert {"ring_index", "signed_lengths", "first3", "cell_first3", "start"} <= names
+    assert {"ring_index", "signed_lengths", "first3", "edge_rows", "start"} <= names
     assert unused_fields(package, {"RingIndex"}) == []
 
 

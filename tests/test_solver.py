@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from helpers import (
     brute_coplanar_triple,
     fd_jacobian_loop,
+    null_basis,
     outcome_digest,
     planted,
     polar_fan,
@@ -17,7 +19,7 @@ from helpers import (
 from herisson import builders, geometry, solver
 from herisson.errors import DegenerateFace
 from herisson.fan import GENERAL_POSITION_TOL, Fan
-from herisson.geometry import Herisson, _area_jacobian, _face_coordinates, _oriented_areas, reconstruct, support_scale
+from herisson.geometry import Herisson, _area_jacobian, _oriented_areas, _signed_lengths, reconstruct, support_scale
 from herisson.solver import (
     RANK_CUTOFF,
     SolveOptions,
@@ -68,23 +70,25 @@ class TestAreaMap:
 
 
 class TestQuadraticModel:
-    """Vertices are linear in h, so phi(h + s d) = phi(h) + s J(h) d + s^2 phi(d)
-    exactly, and J(h) h = 2 phi(h); the step control rests on both."""
+    """Signed lengths and edge supports are linear in h, so phi(h + s d) = phi(h) +
+    s J(h) d + s^2 phi(d) exactly, and J(h) h = 2 phi(h); the step control rests on both."""
 
     def bodies(self, cube, box123, tetra, bowtie, waisted, tiling):
         rng = np.random.default_rng(8)
         out = [(b.fan, np.array(b.h)) for b in (cube, box123, tetra, bowtie, waisted, tiling)]
+        out += [(b.fan, np.array(b.h)) for b in map(builders.waisted_bitetrahedron, (2, 3))]
         return out + [(polar_fan(rng, m), rng.uniform(0.8, 1.2, m)) for m in (8, 20, 40, 120, 300)]
 
     def test_expansion_and_euler_identity(self, cube, box123, tetra, bowtie, waisted, tiling):
         rng = np.random.default_rng(13)
-        # bowtie and waisted have cells of four faces: the first-three-planes model
+        # bowtie and the waisted bodies have cells of four faces: there J is the
+        # derivative of phi on null(K) only, so their directions d are drawn in it
         for fan, h in self.bodies(cube, box123, tetra, bowtie, waisted, tiling):
-            base = Herisson(fan, h)
-            jac = _area_jacobian(fan, _face_coordinates(fan, h))
+            base, basis = Herisson(fan, h), null_basis(fan)
+            jac = _area_jacobian(fan, base.signed_lengths)
             assert np.max(np.abs(jac @ h - 2.0 * base.oriented_areas)) <= 1e-12 * np.max(np.abs(base.oriented_areas))
             for _ in range(5):
-                d, s = rng.standard_normal(fan.m), rng.uniform(-2.0, 2.0)
+                d, s = basis @ rng.standard_normal(basis.shape[1]), rng.uniform(-2.0, 2.0)
                 terms = [base.oriented_areas, s * (jac @ d), s * s * Herisson(fan, d).oriented_areas]
                 moved = Herisson(fan, h + s * d).oriented_areas
                 size = sum(np.max(np.abs(term)) for term in terms)
@@ -137,12 +141,19 @@ class TestQuadraticModel:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("fixture", ["cube", "bowtie", "tiling"])
+    @pytest.mark.parametrize("fixture", ["cube", "bowtie", "tiling", "waisted1", "waisted2", "waisted3"])
     def test_analytic_matches_fd(self, fixture, request):
-        body = request.getfixturevalue(fixture)
+        # in every direction on simple fans; with cells of four faces on null(K)
+        # alone, off which the probes leave the faces' planes
+        if fixture.startswith("waisted"):
+            body = builders.waisted_bitetrahedron(int(fixture[len("waisted"):]))
+        else:
+            body = request.getfixturevalue(fixture)
         ja = jacobian(body.fan, body.h, mode="analytic")
         jf = jacobian(body.fan, body.h, mode="fd")
-        assert np.allclose(ja, jf, rtol=1e-5, atol=1e-8)
+        basis = null_basis(body.fan)
+        assert np.allclose(ja @ basis, jf @ basis, rtol=1e-5, atol=1e-8)
+        assert np.allclose(ja, jf, rtol=1e-5, atol=1e-8) == (basis.shape[1] == body.m)
 
     def test_translation_null_space(self, bowtie, rng):
         j = jacobian(bowtie.fan, bowtie.h, mode="analytic")
@@ -158,26 +169,55 @@ class TestJacobian:
             rhs = 2.0 * body.oriented_areas
             assert np.allclose(lhs, rhs, rtol=1e-6, atol=1e-12)
 
-    def test_adjacent_entries_are_edge_over_sine(self, cube):
-        # simple fans: entry (owner, neighbor) of every ring position is the signed
-        # shared edge length over the sine of the normal angle; for the unit cube
-        # that is 2, and on polar hedgehogs it takes both signs
+    @staticmethod
+    def edge_over_sine_errors(fan, body):
+        """Largest errors of J's entries (owner, neighbor) against l_p / sin theta and of its
+        diagonal against -sum_p l_p cot theta, the angles from np.cross and np.arctan2."""
+        idx, eq = fan.ring_index, fan.equipment
+        cross = np.cross(eq[idx.owner], eq[idx.neighbor])
+        sine = np.linalg.norm(cross, axis=1)
+        cot = 1.0 / np.tan(np.arctan2(sine, np.einsum("ij,ij->i", eq[idx.owner], eq[idx.neighbor])))
+        j = jacobian(fan, body.h, mode="analytic")
+        diagonal = -np.add.reduceat(body.signed_lengths * cot, idx.start[:-1])
+        return (np.abs(j[idx.owner, idx.neighbor] - body.signed_lengths / sine).max(),
+                np.abs(np.diag(j) - diagonal).max(), np.abs(j).max())
+
+    def test_adjacent_entries_are_edge_over_sine(self, cube, bowtie, waisted):
+        # on every fan, entry (owner, neighbor) of every ring position is the signed
+        # shared edge length over the sine of the normal angle, and the diagonal is
+        # -sum of the lengths times the cotangents; for the unit cube the entries are
+        # 2 and 0, and on polar hedgehogs the lengths take both signs
         j = jacobian(cube.fan, cube.h, mode="analytic")
         assert np.allclose(j[cube.fan.ring_index.owner, cube.fan.ring_index.neighbor], 2.0, rtol=1e-12, atol=0.0)
         assert np.allclose(np.diag(j), 0.0, atol=1e-12)
+        for body in (bowtie, waisted):
+            off, diagonal, size = self.edge_over_sine_errors(body.fan, body)
+            assert off <= 1e-12 * size and diagonal <= 1e-12 * size
         rng = np.random.default_rng(20261020)
         negative = 0
         for m in (20, 40, 120):
             fan = polar_fan(rng, m)
-            idx, eq = fan.ring_index, fan.equipment
-            sine = np.linalg.norm(np.cross(eq[idx.owner], eq[idx.neighbor]), axis=1)
             for sigma in (0.0, 0.3, 1.0):
                 body = Herisson(fan, 1.0 + sigma * rng.standard_normal(m))
-                j = jacobian(fan, body.h, mode="analytic")
-                err = np.abs(j[idx.owner, idx.neighbor] - body.signed_lengths / sine)
-                assert err.max() <= 1e-12 * np.abs(j).max()
+                off, diagonal, size = self.edge_over_sine_errors(fan, body)
+                assert off <= 1e-12 * size and diagonal <= 1e-12 * size
                 negative += int(np.sum(body.signed_lengths < 0))
         assert negative > 0
+
+    def test_mixed_volume_symmetry(self):
+        # a . J(b) c is 6 times the mixed volume V(a, b, c) on simple fans, symmetric in
+        # its three arguments: a check of phi and J that needs no second implementation
+        rng = np.random.default_rng(4)
+        for m in (20, 40, 120):
+            fan = polar_fan(rng, m)
+            for sigma in (0.0, 0.3, 1.0):
+                vectors = rng.uniform(0.9, 1.1, (3, m)) + sigma * rng.standard_normal((3, m))
+                lengths = _signed_lengths(fan, vectors)
+                values = {}
+                for a, b, c in itertools.permutations(range(3)):
+                    values[a, b, c] = vectors[a] @ _area_jacobian(fan, lengths[b]) @ vectors[c]
+                size = max(abs(v) for v in values.values())
+                assert max(values.values()) - min(values.values()) <= 1e-12 * size
 
     def test_symmetry_on_simple_fans(self, cube, tetra, rng):
         # mixed-area symmetry; expected on fans whose cells are all simple
@@ -221,10 +261,10 @@ class TestBatchedProbes:
         fans += [polar_fan(rng, m) for m in (6, 20, 40, 120, 300)]
         for fan in fans:
             stack = rng.uniform(0.5, 1.5, (5, fan.m))
-            areas = _oriented_areas(fan, _face_coordinates(fan, stack))
+            areas = _oriented_areas(fan, stack, _signed_lengths(fan, stack))
             for row, h in zip(areas, stack):
-                assert np.array_equal(row, _oriented_areas(fan, _face_coordinates(fan, h)))
-                assert np.array_equal(row, _oriented_areas(fan, _face_coordinates(fan, h[None]))[0])
+                assert np.array_equal(row, _oriented_areas(fan, h, _signed_lengths(fan, h)))
+                assert np.array_equal(row, _oriented_areas(fan, h[None], _signed_lengths(fan, h[None]))[0])
 
 
 def _translation_free(eq, d):
@@ -471,7 +511,7 @@ class TestSolve:
         # the walk short of the target
         out = solve_minkowski(waisted.fan, waisted.h, WAIST_TARGET, FREE)
         assert out.status is SolveStatus.DEGENERATED
-        assert out.t_reached == 0.999895741499875 and len(out.trace) == 12
+        assert out.t_reached == 0.9999499146133262 and len(out.trace) == 13
         assert out.message == "jacobian rank dropped to 7 (expected 8)"
 
     @pytest.mark.parametrize("m, steps, solves", [(120, 1, 3), (40, 1, 3)])
@@ -485,25 +525,25 @@ class TestSolve:
         assert len(out.trace) - 1 == steps and len(newton_calls) == solves
 
     def test_work_of_the_waisted_solve(self, waisted, calls_of, newton_calls, monkeypatch):
-        # the consistency rows send every step of this path to least squares: 45
-        # Newton steps, 12 of them in the model with a second right-hand side
+        # the consistency rows send every step of this path to least squares: 47
+        # Newton steps, 13 of them in the model with a second right-hand side
         lstsq_calls, lstsq = [], np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: lstsq_calls.append(args) or lstsq(*args, **kw))
         roots = calls_of("_first_root", solver)     # once per model
         out = solve_minkowski(waisted.fan, waisted.h, WAIST_TARGET, FREE)
-        assert out.status is SolveStatus.DEGENERATED and len(out.trace) == 12
+        assert out.status is SolveStatus.DEGENERATED and len(out.trace) == 13
         models = len(roots)
-        assert len(newton_calls) == 45 and models == 12 and len(lstsq_calls) == 57
+        assert len(newton_calls) == 47 and models == 13 and len(lstsq_calls) == 60
 
     @pytest.mark.parametrize("spread, width, steps", [(0.4, 0.4, 1), (1.0, 0.7, 3)])
     def test_iterates_are_support_vectors(self, spread, width, steps, calls_of, newton_calls):
-        # a point of the walk is its supports, face coordinates and areas: the
-        # model takes J from an accepted iterate's coordinates, reconstruct runs
+        # a point of the walk is its supports, signed lengths and areas: the
+        # model takes J from an accepted iterate's lengths, reconstruct runs
         # once (on the seed) and gauge_fix at the seed and at the end
         fan, g = _polar_problem(40, spread, width)
         realized = calls_of("reconstruct", geometry, solver)
         fixed = calls_of("gauge_fix", geometry, solver)
-        coordinates = calls_of("_face_coordinates", geometry, solver)
+        lengths = calls_of("_signed_lengths", geometry, solver)
         roots = calls_of("_first_root", solver)     # once per model
         out = solve_minkowski(fan, np.ones(40), g)
         accepted = len(out.trace) - 1
@@ -512,8 +552,8 @@ class TestSolve:
         assert out.converged and models == accepted == steps
         assert len(realized) == 1 and len(fixed) == 2
         # one per iterate, the model's phi(d), and the seed's realization, whose
-        # coordinates and areas the gauge-fixed start reuses
-        assert len(coordinates) == iterates + models + 1
+        # lengths and areas the gauge-fixed start reuses
+        assert len(lengths) == iterates + models + 1
 
     def test_final_supports_are_gauge_fixed(self, waisted):
         # the iterates and accepted points go unprojected; gauge_fix runs at the
@@ -687,10 +727,10 @@ class TestFanCache:
     """A Fan computes its invariants once; a solve reads them from the cache."""
 
     # every cache the Fan docstring lists; a solve reads all of them but arcs
-    # (validate and the exports read it); edge_frames gives the seed's signed
-    # edge lengths, whose least magnitude reconstruct tests
-    SOLVE_CACHES = {"corners", "ring_index", "block_inverses", "ring_frames", "edge_frames", "consistency_matrix",
-                    "jacobian_scatter", "translation_gram", "coplanar_triple"}
+    # (validate and the exports read it); edge_rows, built on edge_frames, gives
+    # the seed's signed edge lengths, whose least magnitude reconstruct tests
+    SOLVE_CACHES = {"corners", "ring_index", "block_inverses", "edge_frames", "edge_rows", "consistency_matrix",
+                    "translation_gram", "coplanar_triple"}
 
     def test_the_docstring_lists_every_cache(self):
         caches = {name for name, attr in vars(Fan).items() if isinstance(attr, cached_property)}
@@ -721,7 +761,6 @@ class TestFanCache:
             first = solve_minkowski(fan, h0, g, opts)
             opts = opts or SolveOptions()
             unread = {"coplanar_triple"} if opts.allow_non_general_position else set()
-            unread |= {"jacobian_scatter"} if opts.jacobian_mode == "fd" else set()
             assert vars(fan).keys() == {"equipment", "cells"} | (self.SOLVE_CACHES - unread)
             again = outcome_digest(solve_minkowski(fan, h0, g, opts))
             fresh = outcome_digest(solve_minkowski(Fan(equipment=fan.equipment, cells=fan.cells), h0, g, opts))
