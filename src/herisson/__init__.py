@@ -33,19 +33,17 @@ from .fan import (
 from .geometry import (
     Herisson,
     balance_residual,
-    face_frame,
     gauge_fix,
     minkowski_sum,
     reconstruct,
-    support_scale,
 )
 
 # module -> the public names it defines, loaded on first use
 _LAZY = {
     "builders": (),
     "congruence": ("CongruenceStatus", "CongruenceVerdict", "congruent_and_parallel", "sign_changes"),
-    "solver": ("SolveOptions", "SolveOutcome", "SolveStatus", "TraceRecord", "area_map", "jacobian",
-               "solve_minkowski", "validate_target"),
+    "solver": ("SolveOptions", "SolveOutcome", "SolveStatus", "TraceRecord", "jacobian", "solve_minkowski",
+               "validate_target"),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
@@ -68,16 +66,13 @@ __all__ = [
     "validate",
     "Herisson",
     "balance_residual",
-    "face_frame",
     "gauge_fix",
     "minkowski_sum",
     "reconstruct",
-    "support_scale",
     "SolveOptions",
     "SolveOutcome",
     "SolveStatus",
     "TraceRecord",
-    "area_map",
     "jacobian",
     "solve_minkowski",
     "validate_target",

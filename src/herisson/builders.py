@@ -188,36 +188,13 @@ def space_filling_prism() -> Herisson:
         ],
         dtype=float,
     )
-    # Hexagon boundary, counterclockwise; slopes named by the quadrant of
-    # their midpoint.
-    pts = {
-        "E": (-1.5, -1.0),
-        "D": (1.5, -1.0),
-        "C": (0.5, 0.0),
-        "B": (1.5, 1.0),
-        "A": (-1.5, 1.0),
-        "F": (-0.5, 0.0),
-    }
-    side_of_edge = {
-        ("E", "D"): 2,
-        ("D", "C"): 4,
-        ("C", "B"): 5,
-        ("B", "A"): 3,
-        ("A", "F"): 6,
-        ("F", "E"): 7,
-    }
+    # Hexagon corners counterclockwise, and the side face on the edge from
+    # each corner to the next.
+    corners = [(-1.5, -1.0), (1.5, -1.0), (0.5, 0.0), (1.5, 1.0), (-1.5, 1.0), (-0.5, 0.0)]
+    sides = [2, 4, 5, 3, 6, 7]
     h = np.zeros(8)
-    h[0] = 0.0
     h[1] = 1.0
-    for (p, _q), face in side_of_edge.items():
-        h[face] = _plane_offset(equipment[face][:2], pts[p])
-
-    boundary = ["E", "D", "C", "B", "A", "F"]
-    cells = []
-    for i, name in enumerate(boundary):
-        prev_edge = (boundary[i - 1], name)
-        next_edge = (name, boundary[(i + 1) % 6])
-        f1, f2 = side_of_edge[prev_edge], side_of_edge[next_edge]
-        cells.append((0, f1, f2))
-        cells.append((1, f1, f2))
+    for point, face in zip(corners, sides):
+        h[face] = _plane_offset(equipment[face][:2], point)
+    cells = [(cap, sides[i - 1], sides[i]) for i in range(6) for cap in (0, 1)]
     return reconstruct(_fan(equipment, cells), h)

@@ -55,11 +55,6 @@ WINDOW_PAD = 1e-12         # radians: added to every angular window of the gener
 SCAN_BLOCK = 1 << 15
 
 
-def arc_key(a: int, b: int) -> tuple[int, int]:
-    """Canonical unordered key for the arc between faces a and b."""
-    return (a, b) if a <= b else (b, a)
-
-
 def _pair_runs(face: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The distinct face pairs (a[i], b[i]) as sorted integer keys, how often
     each appears, and `labels`, the sorted face labels that decode them: a
@@ -553,7 +548,7 @@ def validate(fan: Fan) -> ValidationReport:
         if counts[u] > 1:
             report.add("broken partition", f"ordered pair {pair} appears {counts[u]} times")
         if lonely[u]:
-            report.add("broken partition", f"arc {arc_key(*pair)} borders only one cell")
+            report.add("broken partition", f"arc {tuple(sorted(pair))} borders only one cell")
     if np.any((face < 0) | (face >= m)):
         report.add("broken partition", "cell references a face index out of range")
         return report

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .fan import Fan
+from .fan import ANTIPODAL_TOL, Fan
 from .geometry import Herisson, face_frame, reconstruct
 
 SVG_SIZE = 600.0       # width and height of the SVG chart
@@ -186,8 +186,10 @@ def export_svg(fan: Fan) -> str:
     paths = []
     for a, b in fan.arcs.tolist():
         mid3 = fan.equipment[a] + fan.equipment[b]
-        mid3 = mid3 / np.linalg.norm(mid3)
-        paths.append(((a, b), _arc_path(points[a], _project(pole, mid3), points[b])))
+        norm = np.linalg.norm(mid3)
+        if norm <= ANTIPODAL_TOL:
+            raise ValueError(f"arc {a}-{b} joins antipodal faces and has no midpoint to draw")
+        paths.append(((a, b), _arc_path(points[a], _project(pole, mid3 / norm), points[b])))
 
     coords = np.array(list(points.values()))
     lo = coords.min(axis=0)

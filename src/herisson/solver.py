@@ -59,7 +59,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fan import SCAN_BLOCK, Fan, ValidationReport, _frozen, is_general_position
-from .geometry import _area_jacobian, _oriented_areas, _signed_lengths, gauge_fix, reconstruct, support_scale
+from .geometry import (_area_jacobian, _oriented_areas, _signed_lengths, balance_residual, gauge_fix, reconstruct,
+                       support_scale)
 
 RANK_CUTOFF = 1e-10          # relative to the largest singular value: smaller ones count as null
 CONDITION_MARGIN = 1e-4      # relative to 1 / RANK_CUTOFF: largest condition estimate of a trusted bordered solve
@@ -205,7 +206,7 @@ def validate_target(fan: Fan, f0, g, allow_non_general_position: bool = False) -
         return report
     for j in np.nonzero(f0 * g <= 0.0)[0]:
         report.add("sign agreement", f"f0[{j}]*g[{j}] = {float(f0[j] * g[j])!r} is not positive")
-    residual = float(np.linalg.norm(fan.equipment.T @ g))
+    residual = float(np.linalg.norm(balance_residual(g, fan)))
     bound = BALANCE_TOL * float(abs(g).sum())
     if residual > bound:
         report.add("balance", f"|sum g_j n_j| = {residual:.3e} exceeds {bound:.3e}")
@@ -280,15 +281,12 @@ def _first_root(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> float:
 
     The roots are q / a and c / q with q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2,
     which loses no digits to cancellation; a = 0 leaves the linear root c / q.
-    Entries with a negative discriminant have no real root and are dropped
-    first; an infinite or NaN quotient is no positive root.
+    A negative discriminant (no real root) gives NaN roots, and an infinite
+    or NaN quotient is never a positive root.
     """
     disc = b * b - 4.0 * a * c
-    if (disc < 0.0).any():
-        real = disc >= 0.0
-        c, b, a, disc = c[real], b[real], a[real], disc[real]
-    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
     with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
         roots = np.concatenate([q / a, c / q])
     return float(roots.min(initial=np.inf, where=roots > 0.0))
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -28,16 +29,13 @@ PUBLIC = [
     "validate",
     "Herisson",
     "balance_residual",
-    "face_frame",
     "gauge_fix",
     "minkowski_sum",
     "reconstruct",
-    "support_scale",
     "SolveOptions",
     "SolveOutcome",
     "SolveStatus",
     "TraceRecord",
-    "area_map",
     "jacobian",
     "solve_minkowski",
     "validate_target",
@@ -51,6 +49,15 @@ def test_public_api_snapshot():
 
 def test_dir_lists_every_public_name():
     assert set(PUBLIC) <= set(dir(herisson))
+
+
+def test_every_public_attribute_is_in_all():
+    # a name dropped from __all__ must not still resolve through _LAZY or an eager import
+    lazy = {name for names in herisson._LAZY.values() for name in names}
+    attributes = {name for name in dir(herisson)
+                  if not name.startswith("_") and not isinstance(getattr(herisson, name), types.ModuleType)}
+    assert lazy <= set(herisson.__all__)
+    assert attributes <= set(herisson.__all__)
 
 
 def test_star_import_binds_every_public_name():

@@ -124,6 +124,15 @@ class TestSpaceFillingPrism:
         assert abs(tiling.oriented_areas[0]) == pytest.approx(4.0, abs=1e-12)
         assert abs(tiling.oriented_areas[1]) == pytest.approx(4.0, abs=1e-12)
 
+    def test_cells_and_supports_are_pinned(self):
+        body = builders.space_filling_prism()
+        assert body.fan.cells == (
+            (0, 7, 2), (1, 2, 7), (0, 2, 4), (1, 4, 2), (0, 4, 5), (1, 5, 4),
+            (0, 5, 3), (1, 3, 5), (0, 3, 6), (1, 6, 3), (0, 6, 7), (1, 7, 6),
+        )
+        slope = [-0.35355339059327384, -0.3535533905932738] * 2
+        assert body.h.tobytes() == np.array([0.0, 1.0, 1.0, 1.0, *slope]).tobytes()
+
     def test_twelve_vertices_eight_faces(self, tiling):
         assert tiling.m == 8
         assert len(tiling.fan.cells) == 12

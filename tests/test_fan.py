@@ -33,7 +33,6 @@ from herisson.fan import (
     HEMISPHERE_TOL,
     SCAN_BLOCK,
     Fan,
-    arc_key,
     is_general_position,
     validate,
 )
@@ -812,7 +811,7 @@ def test_ten_thousand_face_reversed_and_holed_fans_skip_the_scan(calls_of):
         return [("non-convex cell", f"cell {ci} is not a CCW convex spherical polygon") for ci in range(count)]
 
     def hole(*pairs):
-        lonely = [("broken partition", f"arc {arc_key(*pair)} borders only one cell") for pair in sorted(pairs)]
+        lonely = [("broken partition", f"arc {tuple(sorted(pair))} borders only one cell") for pair in sorted(pairs)]
         return lonely + [("Euler failure", f"V-E+F = {V - 1}-{E}+{fan.m} = 1")]
     scans = calls_of("_crossing_pairs", fan_module)
     reversed_fan, dropped, both = reversed_and_dropped(fan, k)

@@ -10,9 +10,17 @@ import pytest
 import herisson
 from helpers import double_tetrahedron_fan
 from herisson import cli, io, solver
-from herisson.fan import Fan
+from herisson.fan import Fan, validate
 from herisson.solver import SolveOptions, solve_minkowski
 from test_fan import double_cover_pentagram
+
+
+# faces 0 and 1 are antipodal and share an arc, which has no midpoint to draw through
+ANTIPODAL_ARC = {
+    "equipment": [[0, 0, 1], [0, 0, -1], [1, 0, 0], [0.6, 0.8, 0]],
+    "cells": [[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]],
+}
+ANTIPODAL_MESSAGE = "arc 0-1 joins antipodal faces and has no midpoint to draw"
 
 
 def _write(path, data):
@@ -70,6 +78,13 @@ class TestExports:
         assert cli.main(["example", "tetra:1", "-o", src]) == 0
         assert cli.main(["export", src, "--svg", str(svg)]) == 0
         assert svg.read_text(encoding="utf-8").count("<title>arc ") == 6
+
+    def test_svg_rejects_an_antipodal_arc(self):
+        fan = io.fan_from_dict(ANTIPODAL_ARC)
+        assert ("antipodal adjacent pair", "faces 0 and 1") in validate(fan).entries
+        with pytest.raises(ValueError) as excinfo:
+            io.export_svg(fan)
+        assert str(excinfo.value) == ANTIPODAL_MESSAGE
 
 
 class TestExitCodes:
@@ -342,6 +357,12 @@ class TestExitCodes:
         data["cells"][-1] = [0, label, 4]
         assert cli.main(["export", _write(tmp_path / "x.json", data), "--svg", str(tmp_path / "x.svg")]) == 2
         assert f"cell label {label} is outside 0..5" in capsys.readouterr().err
+
+    def test_svg_antipodal_arc_writes_nothing(self, tmp_path, capsys):
+        src, svg = _write(tmp_path / "x.json", ANTIPODAL_ARC), tmp_path / "x.svg"
+        assert cli.main(["export", src, "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: {ANTIPODAL_MESSAGE}\n"
+        assert not svg.exists()
 
 
 _RUNTIME_PROBE = """
