@@ -41,7 +41,7 @@ from .geometry import (
 # module -> the public names it defines, loaded on first use
 _LAZY = {
     "builders": (),
-    "congruence": ("CongruenceStatus", "CongruenceVerdict", "congruent_and_parallel", "sign_changes"),
+    "congruence": ("CongruenceStatus", "CongruenceVerdict", "congruent_and_parallel"),
     "solver": ("SolveOptions", "SolveOutcome", "SolveStatus", "TraceRecord", "jacobian", "solve_minkowski",
                "validate_target"),
 }
@@ -52,7 +52,6 @@ __all__ = [
     "CongruenceStatus",
     "CongruenceVerdict",
     "congruent_and_parallel",
-    "sign_changes",
     "DegenerateEquipment",
     "DegenerateFace",
     "HerissonError",

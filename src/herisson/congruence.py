@@ -41,12 +41,6 @@ FIT_TOL = 1e-9            # relative to scale: containment slack
 SUPERPOSITION_TOL = 1e-8  # relative to scale: vertex offset once face 0's centroids coincide
 
 
-def sign_changes(labels) -> int:
-    """Count +1/-1 alternations around a cyclic sequence, ignoring zeros."""
-    nz = [x for x in labels if x != 0]
-    return sum(1 for a, b in zip(nz, nz[1:] + nz[:1]) if a != b)
-
-
 def _position_labels(h1: Herisson, h2: Herisson) -> np.ndarray:
     """Rule-(iv) label at every ring position, +1 where h1's edge is longer (|l_p|
     of Herisson.signed_lengths); the two positions of an arc hold one length, hence one label."""
@@ -114,8 +108,6 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     each product; a lone segment of more pairs is read in pieces of
     SCAN_BLOCK // K rows, every piece's beta_p before the first test.
     """
-    if not len(faces):
-        return
     idx, seg_face, seg_dir = h1.fan.ring_index, np.repeat(faces, 2), np.arange(2 * len(faces)) % 2
     seg_start, seg_sign = idx.start[seg_face], h1.signs[seg_face]
     k = idx.start[seg_face + 1] - seg_start
@@ -209,7 +201,8 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
                 detail=f"face {j} of the {moved} fits inside the {receiving}",
             )
     j = int(labeled[0])
-    index = sign_changes(ring[idx.start[j]:idx.start[j + 1]].tolist())
+    signs = ring[(idx.owner == j) & (ring != 0)]      # the nonzero labels of face j's ring, in ring order
+    index = int(np.count_nonzero(signs != np.roll(signs, 1)))     # +1/-1 alternations around it
     return CongruenceVerdict(
         CongruenceStatus.DISTINCT, face=j, index=index, detail=f"face {j} pair has index {index}",
     )

@@ -122,26 +122,21 @@ def export_obj(h: Herisson) -> str:
 # SVG
 
 
-def _stereographic_pole(fan: Fan) -> np.ndarray:
-    centroid = fan.equipment.sum(axis=0)
-    if np.linalg.norm(centroid) > POLE_CENTROID_TOL:
-        return -centroid / np.linalg.norm(centroid)
-    # Symmetric equipment: fall back to the antipode of the first cell's
-    # centroid, which lies inside the opposite cell and off every arc, unless
-    # it is a face normal (the regular tetrahedron); then take the centroid
-    # itself, which lies strictly inside the first cell.
-    cell = fan.cells[0]
-    centroid = fan.equipment[list(cell)].sum(axis=0)
-    pole = -centroid / np.linalg.norm(centroid)
-    return -pole if np.any(1.0 - fan.equipment @ pole < POLE_TOL) else pole
+def _stereographic_pole(fan: Fan, points: np.ndarray) -> np.ndarray:
+    """The first candidate at least POLE_TOL (in 1 - x . pole) from every point: the antipode of
+    sum_j n_j unless that sum is ~0, the antipode of the first cell's normal sum, which lies inside
+    the opposite cell, then that sum itself, which lies strictly inside the first cell."""
+    total, first = fan.equipment.sum(axis=0), fan.equipment[list(fan.cells[0])].sum(axis=0)
+    for pole in ([-total] if np.linalg.norm(total) > POLE_CENTROID_TOL else []) + [-first, first]:
+        pole = pole / np.linalg.norm(pole)
+        if np.all(1.0 - points @ pole >= POLE_TOL):
+            return pole
+    raise ValueError("every candidate projection pole coincides with a face normal or an arc midpoint")
 
 
 def _project(pole: np.ndarray, x: np.ndarray) -> np.ndarray:
     u, v = face_frame(pole)
-    denom = 1.0 - float(x @ pole)
-    if abs(denom) < POLE_TOL:
-        raise ValueError("point coincides with the projection pole")
-    y = x / denom
+    y = x / (1.0 - float(x @ pole))
     return np.array([float(y @ u), float(y @ v)])
 
 
@@ -181,15 +176,16 @@ def export_svg(fan: Fan) -> str:
     outside = face[(face < 0) | (face >= fan.m)]
     if outside.size:
         raise ValueError(f"cell label {int(outside[0])} is outside 0..{fan.m - 1}")
-    pole = _stereographic_pole(fan)
-    points = {j: _project(pole, fan.equipment[j]) for j in range(fan.m)}
-    paths = []
+    mids = []
     for a, b in fan.arcs.tolist():
         mid3 = fan.equipment[a] + fan.equipment[b]
         norm = np.linalg.norm(mid3)
         if norm <= ANTIPODAL_TOL:
             raise ValueError(f"arc {a}-{b} joins antipodal faces and has no midpoint to draw")
-        paths.append(((a, b), _arc_path(points[a], _project(pole, mid3 / norm), points[b])))
+        mids.append(((a, b), mid3 / norm))
+    pole = _stereographic_pole(fan, np.vstack([fan.equipment, *(mid for _, mid in mids)]))
+    points = {j: _project(pole, fan.equipment[j]) for j in range(fan.m)}
+    paths = [((a, b), _arc_path(points[a], _project(pole, mid), points[b])) for (a, b), mid in mids]
 
     coords = np.array(list(points.values()))
     lo = coords.min(axis=0)

@@ -15,7 +15,6 @@ PUBLIC = [
     "CongruenceStatus",
     "CongruenceVerdict",
     "congruent_and_parallel",
-    "sign_changes",
     "DegenerateEquipment",
     "DegenerateFace",
     "HerissonError",
@@ -58,6 +57,13 @@ def test_every_public_attribute_is_in_all():
                   if not name.startswith("_") and not isinstance(getattr(herisson, name), types.ModuleType)}
     assert lazy <= set(herisson.__all__)
     assert attributes <= set(herisson.__all__)
+
+
+@pytest.mark.parametrize("name", ["sign_changes", "area_map", "face_frame", "support_scale"])
+def test_removed_names_stay_removed(name):
+    assert name not in herisson.__all__
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(herisson, name)
 
 
 def test_star_import_binds_every_public_name():

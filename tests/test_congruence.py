@@ -3,8 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 import helpers
@@ -24,29 +22,10 @@ from helpers import (
 )
 from herisson import builders, congruence, geometry
 from herisson import fan as fan_module
-from herisson.congruence import CongruenceStatus, _position_labels, congruent_and_parallel, sign_changes
+from herisson.congruence import CongruenceStatus, _position_labels, congruent_and_parallel
 from herisson.errors import DegenerateFace, NotSameClass
 from herisson.fan import Fan
 from herisson.geometry import Herisson, reconstruct
-
-
-class TestSignChanges:
-    def test_alternating(self):
-        assert sign_changes([1, -1, 1, -1]) == 4
-
-    def test_zeros_skipped_wrap_counted(self):
-        assert sign_changes([1, 0, -1, 0]) == 2
-
-    def test_all_zero(self):
-        assert sign_changes([0, 0, 0]) == 0
-
-    def test_constant(self):
-        assert sign_changes([1, 1, 1, 0, 1]) == 0
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=12))
-    def test_always_even(self, labels):
-        assert sign_changes(labels) % 2 == 0
 
 
 SQ1 = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

@@ -251,6 +251,9 @@ class TestValidate:
             report = validate(h.fan)
             assert report.ok, str(report)
 
+    def test_empty_report_reads_valid(self, cube):
+        assert str(herisson.ValidationReport()) == str(validate(cube.fan)) == "valid"
+
     def test_antipodal_adjacent_pair_reported(self):
         report = validate(_corrupt_cube_fan())
         assert "antipodal adjacent pair" in report.codes

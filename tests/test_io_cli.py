@@ -21,6 +21,21 @@ ANTIPODAL_ARC = {
     "cells": [[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]],
 }
 ANTIPODAL_MESSAGE = "arc 0-1 joins antipodal faces and has no midpoint to draw"
+S3 = 0.8660254037844386
+# valid convex fans whose first pole candidates are taken: the pyramid's antipode of
+# sum_j n_j is its base normal, and the prism's sum_j n_j is 0 and the antipode of its
+# first cell's normal sum is the midpoint of arc 1-4
+SQUARE_PYRAMID = {
+    "equipment": [[0, 0, -1], [0.5, 0, S3], [0, 0.5, S3], [-0.5, 0, S3], [0, -0.5, S3]],
+    "cells": [[1, 2, 3, 4], [0, 2, 1], [0, 3, 2], [0, 4, 3], [0, 1, 4]],
+}
+TRIANGULAR_PRISM = {
+    "equipment": [[0, 0, 1], [0, 0, -1], [0, 1, 0], [-S3, -0.5, 0], [S3, -0.5, 0]],
+    "cells": [[0, 2, 3], [1, 3, 2], [0, 3, 4], [1, 4, 3], [0, 4, 2], [1, 2, 4]],
+}
+# every pole candidate is a face normal: -e_z (twice) and +e_z, the first cell's normal sum
+NO_POLE = {"equipment": [[0.6, 0, 0.8], [-0.6, 0, 0.8], [0, 0, 1], [0, 0, -1]], "cells": [[0, 1, 2], [1, 0, 3]]}
+NO_POLE_MESSAGE = "every candidate projection pole coincides with a face normal or an arc midpoint"
 
 
 def _write(path, data):
@@ -73,11 +88,35 @@ class TestExports:
         assert capsys.readouterr().err == "error: shortest edge 0.000e+00 below tolerance\n"
 
     def test_tetra_svg(self, tmp_path, capsys):
-        # the fallback pole, opposite the first cell, is a face normal here
+        # sum_j n_j is 0 and the antipode of the first cell's normal sum is a face
+        # normal, so the pole is the third candidate, that sum itself
         src, svg = str(tmp_path / "tetra.json"), tmp_path / "tetra.svg"
         assert cli.main(["example", "tetra:1", "-o", src]) == 0
         assert cli.main(["export", src, "--svg", str(svg)]) == 0
         assert svg.read_text(encoding="utf-8").count("<title>arc ") == 6
+
+    @pytest.mark.parametrize("data, arcs", [(SQUARE_PYRAMID, 8), (TRIANGULAR_PRISM, 9)])
+    def test_svg_pole_avoids_normals_and_arc_midpoints(self, data, arcs):
+        fan = io.fan_from_dict(data)
+        assert validate(fan).ok
+        svg = io.export_svg(fan)
+        assert svg.count("<title>arc ") == len(fan.arcs) == arcs
+        assert "nan" not in svg and "inf" not in svg
+        pole = np.array([float(x) for x in svg.split("stereographic pole: ")[1].split(" -->")[0].split()])
+        mids = fan.equipment[fan.arcs].sum(axis=1)
+        points = np.vstack([fan.equipment, mids / np.linalg.norm(mids, axis=1)[:, None]])
+        assert np.min(1.0 - points @ pole) >= io.POLE_TOL
+
+    def test_svg_rejects_a_fan_with_no_pole(self):
+        with pytest.raises(ValueError) as excinfo:
+            io.export_svg(io.fan_from_dict(NO_POLE))
+        assert str(excinfo.value) == NO_POLE_MESSAGE
+
+    def test_svg_names_an_antipodal_arc_before_the_pole(self):
+        # faces 2 and 3 are antipodal, and every pole candidate is a face normal
+        data = {"equipment": NO_POLE["equipment"], "cells": [[0, 1, 2], [1, 0, 3], [0, 2, 3]]}
+        with pytest.raises(ValueError, match="^arc 2-3 joins antipodal faces and has no midpoint to draw$"):
+            io.export_svg(io.fan_from_dict(data))
 
     def test_svg_rejects_an_antipodal_arc(self):
         fan = io.fan_from_dict(ANTIPODAL_ARC)
@@ -357,6 +396,35 @@ class TestExitCodes:
         data["cells"][-1] = [0, label, 4]
         assert cli.main(["export", _write(tmp_path / "x.json", data), "--svg", str(tmp_path / "x.svg")]) == 2
         assert f"cell label {label} is outside 0..5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [SQUARE_PYRAMID, TRIANGULAR_PRISM])
+    def test_svg_of_a_fan_whose_first_pole_is_taken(self, data, tmp_path, capsys):
+        src, svg = _write(tmp_path / "x.json", data), tmp_path / "x.svg"
+        assert cli.main(["export", src, "--svg", str(svg)]) == 0
+        assert svg.read_text(encoding="utf-8") == io.export_svg(io.fan_from_dict(data))
+
+    def test_svg_with_no_pole_writes_nothing(self, tmp_path, capsys):
+        src, svg = _write(tmp_path / "x.json", NO_POLE), tmp_path / "x.svg"
+        assert cli.main(["export", src, "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: {NO_POLE_MESSAGE}\n"
+        assert not svg.exists()
+
+    def test_export_needs_an_output(self, cube, tmp_path, capsys):
+        src = _write(tmp_path / "cube.json", io.herisson_to_dict(cube))
+        assert cli.main(["export", src]) == 2
+        assert capsys.readouterr().err == "error: export: pass --obj and/or --svg\n"
+
+    def test_human_solve_that_does_not_converge(self, cube, tmp_path, capsys):
+        # toward the box (1e-13, 1, 1) the walk ends at a fold before t = 1
+        fan = _write(tmp_path / "fan.json", io.fan_to_dict(cube.fan))
+        seed = _write(tmp_path / "seed.json", {"h": [float(x) for x in cube.h]})
+        g = herisson.Herisson(cube.fan, [5e-14, 5e-14, 0.5, 0.5, 0.5, 0.5]).oriented_areas
+        target = _write(tmp_path / "target.json", {"g": [float(x) for x in g]})
+        assert cli.main(["solve", fan, "--seed", seed, "--target", target, "--allow-non-general"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("status: degenerated (t = ")
+        assert lines[1] == "jacobian rank dropped to 2 (expected 3)"
+        assert len(lines) == 2 + cube.m and all(line.startswith("h[") for line in lines[2:])
 
     def test_svg_antipodal_arc_writes_nothing(self, tmp_path, capsys):
         src, svg = _write(tmp_path / "x.json", ANTIPODAL_ARC), tmp_path / "x.svg"
