@@ -15,6 +15,14 @@ face of h1 fits inside that of h2 iff some c in that plane has
 u_p . c <= h2(u_p) - h1(u_p) for every p; on convex faces the right-hand
 sides are the in-plane supports of the virtual polytope h2 - h1.
 
+Some faces need no test.  When face j is convex in both herissons (eps_j
+l_p > 0 around its ring) and every label of its ring is -1, the virtual
+polygon h2 - h1 in its plane is a real convex polygon, the one whose edges
+are |l2_p| - |l1_p| > 0 along the ring's directions; face j of h2 is the
+Minkowski sum of face j of h1 and that polygon, so face j of h1 fits inside
+it (_nested_faces).  congruent_and_parallel line-tests only the labeled
+faces below the lowest such face.
+
 The fit test (_fits) reads faces in blocks.  A segment is one face in one
 direction; a row is one of its edges, whose line is tested, and a
 constraint is one of its edges, tested along that line, so a segment of k
@@ -108,6 +116,8 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
     each product; a lone segment of more pairs is read in pieces of
     SCAN_BLOCK // K rows, every piece's beta_p before the first test.
     """
+    if not len(faces):
+        return
     idx, seg_face, seg_dir = h1.fan.ring_index, np.repeat(faces, 2), np.arange(2 * len(faces)) % 2
     seg_start, seg_sign = idx.start[seg_face], h1.signs[seg_face]
     k = idx.start[seg_face + 1] - seg_start
@@ -148,6 +158,26 @@ def _fits(h1: Herisson, h2: Herisson, faces: np.ndarray, tol: float):
         s0, size = s0 + n, min(4 * size, SCAN_BLOCK)
 
 
+def _nested_faces(h1: Herisson, h2: Herisson, ring: np.ndarray) -> np.ndarray:
+    """(m,) mask of the faces j whose ring labels are all -1 and which are convex
+    in both herissons, eps_j l_p > 0 at every position p of the ring.
+
+    On a valid fan the edge directions eps_j t_p of such a ring turn once
+    around, so face j is a convex polygon in both, and face j of h2 is the
+    Minkowski sum of face j of h1 and the convex polygon whose edges run
+    along the same directions with the lengths |l2_p| - |l1_p| > 0: face j
+    of h1 fits inside its mate by a translation (direction 0), no line test
+    needed.  The convexity mask is taken only when some ring is all -1.
+    """
+    idx = h1.fan.ring_index
+    shorter = np.maximum.reduceat(ring, idx.start[:-1]) < 0
+    if not shorter.any():
+        return shorter
+    eps = h1.signs[idx.owner]
+    return shorter & np.logical_and.reduceat((eps * h1.signed_lengths > 0) & (eps * h2.signed_lengths > 0),
+                                             idx.start[:-1])
+
+
 def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     """Decide whether two parallel same-orientation herissons are translates.
 
@@ -160,17 +190,27 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
     give the translation c carrying the first herisson onto the second, and
     one check over all vertices confirms it (CONGRUENT) or names the lowest
     face holding a vertex off by more than SUPERPOSITION_TOL times the scale
-    (DISTINCT).  Otherwise the faces whose rings carry a nonzero label are
-    tested in order, the first herisson's face moved into the second's
-    (direction 0) before the reverse (direction 1), for one that fits inside
-    its parallel mate by a translation, within FIT_TOL times the scale
-    (HYPOTHESIS_FAILURE: the uniqueness hypothesis breaks down).  One such
-    face is a witness, so the test (_fits) stops at the first group of whole
-    rings holding a fit: a fit of the lowest tested face in direction 0
-    reads that one ring, and DISTINCT reads them all.  A face whose ring
-    labels are all 0 is a translate of its mate and is not tested.  If no
-    face fits, DISTINCT names the lowest face whose ring carries a nonzero
-    label, with index the sign-change count of that ring.
+    (DISTINCT).  Otherwise some face fits inside its parallel mate by a
+    translation, within FIT_TOL times the scale (HYPOTHESIS_FAILURE: the
+    uniqueness hypothesis breaks down), or none does (DISTINCT).  The
+    verdict names the lowest face that fits, and, for that face, direction
+    0 (the first herisson's face moved into the second's) before direction
+    1, decided in this order:
+
+    1. A face whose ring labels are all 0 is a translate of its mate and is
+       not tested.
+    2. The lowest nested face J (_nested_faces) is one that is convex in
+       both herissons and whose ring labels are all -1: its mate is its
+       Minkowski sum with a convex polygon, so it fits in direction 0.
+    3. The labeled faces below J are tested in order by the line test
+       (_fits), which stops at the first group of whole rings holding a
+       fit; a fit of the lowest tested face in direction 0 reads that one
+       ring.
+    4. If none of them fits, J in direction 0 is the witness, and none of
+       its rows are read; with no nested face, every labeled ring is read.
+
+    If no face fits, DISTINCT names the lowest face whose ring carries a
+    nonzero label, with index the sign-change count of that ring.
     """
     if reason := _class_mismatch(h1, h2):
         raise NotSameClass(reason)
@@ -192,14 +232,17 @@ def congruent_and_parallel(h1: Herisson, h2: Herisson) -> CongruenceVerdict:
         )
 
     labeled = np.flatnonzero(np.add.reduceat(np.abs(ring), idx.start[:-1]))
-    for face, direction in _fits(h1, h2, labeled, FIT_TOL * max(h1.scale, h2.scale)):
-        if face.size:
-            j, way = int(face[0]), int(direction[0])
-            moved, receiving = ("second", "first") if way else ("first", "second")
-            return CongruenceVerdict(
-                CongruenceStatus.HYPOTHESIS_FAILURE, face=j, direction=way,
-                detail=f"face {j} of the {moved} fits inside the {receiving}",
-            )
+    nested = int(np.argmax(np.append(_nested_faces(h1, h2, ring), True)))    # the lowest, m if none
+    tol = FIT_TOL * max(h1.scale, h2.scale)
+    fits = ((int(face[0]), int(direction[0])) for face, direction in _fits(h1, h2, labeled[labeled < nested], tol)
+            if face.size)
+    j, way = next(fits, (nested, 0))
+    if j < h1.m:
+        moved, receiving = ("second", "first") if way else ("first", "second")
+        return CongruenceVerdict(
+            CongruenceStatus.HYPOTHESIS_FAILURE, face=j, direction=way,
+            detail=f"face {j} of the {moved} fits inside the {receiving}",
+        )
     j = int(labeled[0])
     signs = ring[(idx.owner == j) & (ring != 0)]      # the nonzero labels of face j's ring, in ring order
     index = int(np.count_nonzero(signs != np.roll(signs, 1)))     # +1/-1 alternations around it

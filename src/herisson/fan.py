@@ -245,7 +245,7 @@ class Fan:
         return self.cells == other.cells and np.array_equal(self.equipment, other.equipment)
 
     def __hash__(self):
-        return hash((self.cells, self.equipment.tobytes()))
+        return hash((self.cells, (self.equipment + 0.0).tobytes()))     # -0.0 + 0.0 is +0.0, as __eq__ sees it
 
 
 @dataclass(frozen=True, eq=False)

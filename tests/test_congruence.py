@@ -175,9 +175,11 @@ class TestCongruentAndParallel:
         assert (verdict.face, verdict.detail) == (1, "face 1 fails to coincide after superposition (dev 2.00e+00)")
 
     def test_distinct_witness_matches_polygon_labeling(self, monkeypatch):
-        # containment switched off: the witness is the first face pair with
-        # nonzero polygon labels, and its index is that labeling's count
+        # containment switched off, both the line test and the nested-face
+        # check: the witness is the first face pair with nonzero polygon
+        # labels, and its index is that labeling's count
         monkeypatch.setattr(congruence, "_fits", lambda *_args: iter(()))
+        monkeypatch.setattr(congruence, "_nested_faces", _no_nested_faces)
         monkeypatch.setattr(helpers, "can_translate_inside", lambda _p, _q: False)
         for first, second in (
             (builders.waisted_bitetrahedron(1), builders.waisted_bitetrahedron(2)),
@@ -258,7 +260,8 @@ class TestCongruentAndParallel:
             assert np.allclose(verdict.translation, [1.0, 2.0, 3.0], atol=1e-9)
 
     def test_large_prism_pair_exits_early(self):
-        # the 2000-gon caps are faces 0 and 1: face 0 fits after its own rows
+        # the 2000-gon caps are faces 0 and 1: face 0 is convex in both prisms
+        # and shorter on every edge, so it nests without a line test
         first, second = _prism_pair()
         verdict, peak, elapsed = _traced(lambda: congruent_and_parallel(first, second))
         assert verdict.status is CongruenceStatus.HYPOTHESIS_FAILURE
@@ -529,3 +532,108 @@ def test_late_fits_and_distinct_are_pinned():
                 assert lowest is None
             else:
                 assert lowest == v.face and fits[lowest].index(True) == v.direction
+
+
+def _no_nested_faces(h1, _h2, _ring):
+    """_nested_faces switched off: every verdict comes from the line test alone."""
+    return np.zeros(h1.m, dtype=bool)
+
+
+def _near_tie_pairs():
+    """Seeded same-class pairs on polar fans, the second support vector a scaling of
+    the first, moved and perturbed: 1 + 1.2e-9 and 1 + 2e-9 put edge-length
+    differences around LENGTH_TOL, 1.001 and 1.05 well past it, and noise up to
+    0.05 makes some faces non-convex."""
+    rng = np.random.default_rng(20261022)
+    pairs = []
+    for m in (6, 9, 14, 20, 30, 45, 60):
+        for factor in (1 + 1.2e-9, 1 + 2e-9, 1.001, 1.05):
+            for noise in (0.0, 1e-10, 1e-3, 0.01, 0.05):
+                fan = polar_fan(rng, m)
+                h = np.ones(m) + noise * rng.uniform(-1, 1, m)
+                moved = factor * h + fan.equipment @ rng.uniform(-0.5, 0.5, 3)
+                pairs.append((reconstruct(fan, h), reconstruct(fan, moved)))
+    return [(a, b) for a, b in pairs if np.array_equal(a.signs, b.signs)]
+
+
+def _differential_pairs(bowtie, tiling):
+    """Every test pair set, in both orders."""
+    pairs = (_same_class_pairs() + _mixed_ring_pairs(bowtie, tiling) + [pair[1:3] for pair in _pinned_pairs()]
+             + [_prism_pair()] + _near_tie_pairs())
+    return [ordered for pair in pairs for ordered in (pair, pair[::-1])]
+
+
+def _verdict_key(v):
+    translation = None if v.translation is None else v.translation.tobytes()
+    return v.status, v.face, v.direction, v.index, v.detail, translation
+
+
+def test_nested_faces_leave_verdicts_unchanged(monkeypatch, bowtie, tiling):
+    # the verdict with the nested-face check equals the line test's alone, and
+    # the check decides a good share of the verdicts: the face it names is
+    # nested and no lower labeled face fits
+    pairs = _differential_pairs(bowtie, tiling)
+    with_check = [congruent_and_parallel(a, b) for a, b in pairs]
+    monkeypatch.setattr(congruence, "_nested_faces", _no_nested_faces)
+    alone = [congruent_and_parallel(a, b) for a, b in pairs]
+    monkeypatch.undo()
+    assert [_verdict_key(v) for v in with_check] == [_verdict_key(v) for v in alone]
+    decided = sum(v.status is CongruenceStatus.HYPOTHESIS_FAILURE
+                  and congruence._nested_faces(a, b, _position_labels(a, b))[v.face]
+                  for (a, b), v in zip(pairs, with_check))
+    statuses = {v.status for v in alone}
+    assert len(pairs) >= 350 and decided >= 80 and len(statuses) == 3, (len(pairs), decided, statuses)
+
+
+def test_nested_faces_fit_in_direction_0(bowtie, tiling):
+    # every face the check marks fits in direction 0 by an exhaustive read of
+    # the line test and, unless its fit slack is within 1e-8 of 0 (the linear
+    # programs then call it a translate), by the linear programs.  Faces whose
+    # labels are all -1 but which are not convex in both stay unmarked, and
+    # some of them do not fit
+    marked = programs = unmarked = unfit = 0
+    for a, b in _differential_pairs(bowtie, tiling):
+        if a.m > 100:       # the prism pair: its 2002 faces take the linear programs too long
+            continue
+        ring = _position_labels(a, b)
+        nested = congruence._nested_faces(a, b, ring)
+        shorter = np.maximum.reduceat(ring, a.fan.ring_index.start[:-1]) < 0
+        fits = {(f, d) for face, direction in congruence._fits(
+            a, b, np.arange(a.m), congruence.FIT_TOL * max(a.scale, b.scale))
+            for f, d in zip(face.tolist(), direction.tolist())}
+        for j in np.flatnonzero(nested).tolist():
+            assert (j, 0) in fits, (a.m, j)
+            p, q = face_polygon_2d(a, j), face_polygon_2d(b, j)
+            if can_translate_inside(p, q):
+                programs += 1
+            else:
+                assert abs(fit_slack(p, q)) <= 1e-8 * max(a.scale, b.scale), (a.m, j)
+        marked += int(nested.sum())
+        unmarked += int((shorter & ~nested).sum())
+        unfit += sum((j, 0) not in fits for j in np.flatnonzero(shorter & ~nested).tolist())
+    assert marked >= 1800 and programs >= 0.95 * marked and unmarked >= 100 and unfit >= 1, (
+        marked, programs, unmarked, unfit)
+
+
+@pytest.mark.parametrize("pair, order, face, reads", [
+    ("box 4 4 4", 0, 0, False), ("box 4 4 4", 1, 0, True),
+    ("prism", 0, 0, False), ("prism", 1, 0, True), ("box 4 2 2", 0, 2, True)])
+def test_nested_face_reads_no_rows(monkeypatch, pair, order, face, reads):
+    # the cube in box(4, 4, 4) and the small prism in the large one: face 0
+    # nests and the verdict reads no row; in the reverse order every label is
+    # +1, nothing nests, and the line test reads rows to find the fit.  In
+    # box(4, 2, 2) faces 0 and 1 are translates and faces 2-5 carry 0 and -1
+    # labels, so nothing nests either
+    first, second = _prism_pair() if pair == "prism" else (builders.cube(), builders.box(*map(float, pair.split()[1:])))
+    h1, h2 = (second, first) if order else (first, second)
+    pairs, dot = [], congruence._block_dot
+    monkeypatch.setattr(congruence, "_block_dot", lambda a, b: pairs.append(_pairs(a, b)) or dot(a, b))
+    verdict = congruent_and_parallel(h1, h2)
+    assert (verdict.status, verdict.face, verdict.direction) == (CongruenceStatus.HYPOTHESIS_FAILURE, face, order)
+    assert congruence._nested_faces(h1, h2, _position_labels(h1, h2)).any() != reads
+    assert (sum(pairs) > 0) == reads
+
+
+def test_fits_of_no_faces_yield_nothing(cube):
+    box = builders.box(4.0, 4.0, 4.0)
+    assert list(congruence._fits(cube, box, np.array([], dtype=int), congruence.FIT_TOL)) == []

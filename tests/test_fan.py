@@ -949,6 +949,10 @@ def test_fans_compare_by_equipment_and_cells(cube):
     first, second = (Fan(np.array(cube.fan.equipment), cube.fan.cells) for _ in range(2))
     assert first is not second and first == second and hash(first) == hash(second)
     assert len({first, second}) == 1
+    signed = np.where(cube.fan.equipment == 0.0, -0.0, cube.fan.equipment)     # the cube's zeros as -0.0
+    assert np.signbit(signed[signed == 0]).all()
+    negated = Fan(signed, cube.fan.cells)
+    assert negated == first and hash(negated) == hash(first) and len({first, negated}) == 1
     moved = np.array(cube.fan.equipment)
     moved[0] = (0.6, 0.8, 0.0)
     assert Fan(moved, cube.fan.cells) != first
